@@ -25,7 +25,6 @@ __all__ = [
     "FieldMap",
     "FieldEnergy",
     "RadiationZoneWarning",
-    "decay_rate",
     "excited_amplitude",
     "absorbing_state_amplitude",
     "energy_density",
@@ -104,11 +103,6 @@ class FieldMap:
     def __post_init__(self):
         if np.any(self.energy_density < -1e-30):
             raise ValueError("energy density must be non-negative")
-
-
-def decay_rate(atom: TwoLevelAtom) -> float:
-    """Free-space spontaneous decay rate Gamma."""
-    return atom.gamma
 
 
 def excited_amplitude(atom: TwoLevelAtom, t: float) -> complex:

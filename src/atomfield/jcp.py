@@ -15,7 +15,7 @@ from math import ceil, pi, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 __all__ = [
     "FieldDistribution",
@@ -86,7 +86,8 @@ class FieldDistribution:
         if alpha == 0:
             amps = np.zeros(n_max + 1, dtype=complex)
             amps[0] = 1.0
-        tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
+        # Poisson weight beyond n_max; 1 - sum(|a_n|^2) is round-off at large <n>
+        tail = float(pdtrc(n_max, mean))
         if tail > _TRUNCATION_TOL:
             raise ValueError(
                 f"truncation at n_max={n_max} leaves weight {tail:.2e} in the tail"

@@ -27,7 +27,6 @@ class AmplitudeTrace:
     times: np.ndarray
     excited_amplitude: np.ndarray  # complex a_e(t)
     norm: np.ndarray  # |a_e|^2 + sum_k |b_k|^2, should stay at 1
-    mode_amplitudes_final: np.ndarray  # complex b_k at times[-1]
 
     @property
     def excited_population(self) -> np.ndarray:
@@ -73,9 +72,4 @@ def integrate_atom_modes(
         raise RuntimeError(f"multimode integration failed: {sol.message}")
     a_e = sol.y[0]
     norm = np.sum(np.abs(sol.y) ** 2, axis=0)
-    return AmplitudeTrace(
-        times=times,
-        excited_amplitude=a_e,
-        norm=norm,
-        mode_amplitudes_final=sol.y[1:, -1].copy(),
-    )
+    return AmplitudeTrace(times=times, excited_amplitude=a_e, norm=norm)

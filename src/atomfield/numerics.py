@@ -1,4 +1,4 @@
-"""Special functions, root finding, quadrature and stable series.
+"""Adaptive quadrature and a cancellation-free alternating series.
 
 Everything here is pure and stateless; the physics modules build on these
 primitives.  Unit conventions are left to the callers.
@@ -8,29 +8,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, pi
+from math import comb, factorial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import spherical_jn
 
 __all__ = [
     "QuadratureSpec",
-    "RootBracket",
     "QuadResult",
     "QuadratureError",
-    "BracketError",
-    "spherical_bessel_j",
-    "riccati_bessel_deriv",
-    "find_bessel_eigenvalues",
     "integrate_1d",
     "integrate_2d",
     "stable_binomial_series",
 ]
-
-_MAX_ORDER = 50
 
 
 class QuadratureError(RuntimeError):
@@ -43,10 +34,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.achieved_error = achieved_error
-
-
-class BracketError(RuntimeError):
-    """Root scan could not isolate a sign change."""
 
 
 @dataclass(frozen=True)
@@ -64,104 +51,9 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Interval [lo, hi] known to bracket a sign change."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("bracket requires lo < hi")
-
-
 class QuadResult(NamedTuple):
     value: float
     error: float
-
-
-def spherical_bessel_j(L: int, x) -> float | np.ndarray:
-    """Regular spherical Bessel function j_L(x) for integer L >= 0, x >= 0."""
-    if L != int(L) or L < 0 or L > _MAX_ORDER:
-        raise ValueError(f"order must be an integer in [0, {_MAX_ORDER}], got {L}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite and non-negative")
-    out = spherical_jn(int(L), x)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def riccati_bessel_deriv(L: int, x) -> float | np.ndarray:
-    """d(x j_L(x))/dx, the radial factor entering the TM boundary condition."""
-    if L != int(L) or L < 0 or L > _MAX_ORDER:
-        raise ValueError(f"order must be an integer in [0, {_MAX_ORDER}], got {L}")
-    x = np.asarray(x, dtype=float)
-    out = spherical_jn(int(L), x) + x * spherical_jn(int(L), x, derivative=True)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def _scan_roots(f: Callable[[float], float], count: int, step: float) -> list[float]:
-    """Uniform scan + Brent bisection; roots of f are asymptotically pi-spaced,
-    so a step of pi/8 cannot skip any."""
-    roots: list[float] = []
-    x_prev = 1e-9
-    f_prev = f(x_prev)
-    x = x_prev
-    # hard ceiling: `count` roots fit comfortably below (count + L + 4) * pi
-    limit = (count + _MAX_ORDER + 8) * pi / step
-    n_steps = 0
-    while len(roots) < count:
-        n_steps += 1
-        if n_steps > limit:
-            raise BracketError(
-                f"scan exhausted after {n_steps} steps with {len(roots)}/{count} roots"
-            )
-        x_prev, f_prev_old = x, f_prev
-        x = x_prev + step
-        f_prev = f(x)
-        if f_prev_old == 0.0:
-            roots.append(x_prev)
-            continue
-        if f_prev_old * f_prev < 0:
-            root = brentq(f, x_prev, x, xtol=1e-13, rtol=8.9e-16)
-            # one Newton polish via central difference
-            h = 1e-7
-            df = (f(root + h) - f(root - h)) / (2 * h)
-            if df != 0.0:
-                polished = root - f(root) / df
-                if x_prev < polished < x:
-                    root = polished
-            roots.append(root)
-    return roots[:count]
-
-
-def find_bessel_eigenvalues(
-    L: int, R_over_c: float, count: int, kind: str = "TE"
-) -> np.ndarray:
-    """First `count` eigenfrequencies of a metallic sphere for angular order L.
-
-    kind="TE" solves j_L(w R/c) = 0, kind="TM" solves d(x j_L)/dx = 0 at
-    x = w R/c.  Returned frequencies are strictly increasing.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if R_over_c <= 0:
-        raise ValueError("R/c must be positive")
-    if kind == "TE":
-        f = lambda x: spherical_jn(int(L), x)
-    elif kind == "TM":
-        f = lambda x: spherical_jn(int(L), x) + x * spherical_jn(int(L), x, derivative=True)
-    else:
-        raise ValueError(f"kind must be 'TE' or 'TM', got {kind!r}")
-    if L != int(L) or L < 0 or L > _MAX_ORDER:
-        raise ValueError(f"order must be an integer in [0, {_MAX_ORDER}], got {L}")
-    roots = _scan_roots(f, count, pi / 8)
-    return np.asarray(roots) / R_over_c
 
 
 def integrate_1d(

@@ -21,7 +21,7 @@ from math import atan, log, pi, sqrt
 import numpy as np
 from scipy.special import j0
 
-from .free_space import RadiationZoneWarning, TwoLevelAtom, decay_rate
+from .free_space import RadiationZoneWarning, TwoLevelAtom
 from .numerics import QuadratureSpec, QuadResult, integrate_1d, integrate_2d
 
 __all__ = [
@@ -82,12 +82,11 @@ class ParabolicPoint:
             raise ValueError("rho must be >= 0")
 
     def focus_distance(self, geometry: ParabolicGeometry) -> float:
-        return sqrt((self.z - geometry.focal_length) ** 2 + self.rho**2)
+        return float(_focus_distance_eta(self.z, self.rho, geometry.focal_length)[0])
 
     def parabolic_eta(self, geometry: ParabolicGeometry) -> float:
         """Parabolic coordinate eta (focus-centered); the mirror is at eta = f."""
-        r = self.focus_distance(geometry)
-        return 0.5 * (r - (self.z - geometry.focal_length))
+        return float(_focus_distance_eta(self.z, self.rho, geometry.focal_length)[1])
 
     def parabolic_xi(self, geometry: ParabolicGeometry) -> float:
         r = self.focus_distance(geometry)
@@ -95,6 +94,13 @@ class ParabolicPoint:
 
     def inside(self, geometry: ParabolicGeometry) -> bool:
         return self.parabolic_eta(geometry) < geometry.focal_length
+
+
+def _focus_distance_eta(z, rho, f):
+    """Distance r1 from the focus and parabolic coordinate eta = (r1 - (z - f)) / 2
+    of vertex-based (z, rho), scalars or arrays."""
+    r1 = np.sqrt((z - f) ** 2 + rho**2)
+    return r1, 0.5 * (r1 - (z - f))
 
 
 @dataclass(frozen=True)
@@ -243,32 +249,40 @@ def modified_rate(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Spontaneous decay rate at a point inside the mirror, dipole along z."""
+    _check_wavenumber(geometry, atom)
+    eta, _ = eta_quadrature(geometry, point, spec)
+    return eta * atom.gamma
+
+
+def _check_wavenumber(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
     if not np.isclose(geometry.wavenumber, atom.omega_eg, rtol=1e-9):
         raise ValueError(
             "geometry wave number must match the atomic transition (k = omega_eg / c)"
         )
-    eta, _ = eta_quadrature(geometry, point, spec)
-    return eta * decay_rate(atom)
 
 
-def on_axis_eta(geometry: ParabolicGeometry, z: float) -> float:
-    """Closed-form on-axis rate ratio; z is the height above the mirror vertex.
+def on_axis_eta(geometry: ParabolicGeometry, z):
+    """Closed-form on-axis rate ratio; z (scalar or array) is the height above
+    the mirror vertex, and a scalar z gives a float.
 
     eta(a) = 1 + 3 cos(2a)/(4a^2) - 3 sin(2a)/(8a^3) with a = k z; the
     removable singularity at a = 0 is handled by the Taylor series
-    (2/5) a^2 - (2/35) a^4 + (4/945) a^6.
+    (2/5) a^2 - (2/35) a^4 + (4/945) a^6 below a = 1e-2.
     """
-    if z < 0:
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
         raise ValueError("axial position must be above the vertex (z >= 0)")
-    a = geometry.wavenumber * z
-    if a < _SERIES_CROSSOVER:
-        a2 = a * a
-        return a2 * (2.0 / 5.0 + a2 * (-2.0 / 35.0 + a2 * (4.0 / 945.0)))
-    return (
-        1.0
-        + 3.0 * np.cos(2.0 * a) / (4.0 * a * a)
-        - 3.0 * np.sin(2.0 * a) / (8.0 * a**3)
+    # a scalar z is evaluated as a 1-element array: numpy scalars round a**3
+    # differently from the array loop, which the cancellation in the far form
+    # just above the crossover amplifies to ~1e-12
+    a = geometry.wavenumber * np.atleast_1d(z)
+    a2 = a * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = 1.0 + 3.0 * np.cos(2.0 * a) / (4.0 * a * a) - 3.0 * np.sin(2.0 * a) / (8.0 * a**3)
+    eta = np.where(
+        a < _SERIES_CROSSOVER, a2 * (2.0 / 5.0 + a2 * (-2.0 / 35.0 + a2 * (4.0 / 945.0))), far
     )
+    return float(eta[0]) if z.ndim == 0 else eta
 
 
 def rate_profile(
@@ -281,8 +295,7 @@ def rate_profile(
     if samples < 2:
         raise ValueError("at least 2 samples required")
     z = np.linspace(float(z_range[0]), float(z_range[1]), samples)
-    eta = np.array([on_axis_eta(geometry, zi) for zi in z])
-    return RateProfile(positions=z, eta=eta, reference_rate=reference_rate)
+    return RateProfile(positions=z, eta=on_axis_eta(geometry, z), reference_rate=reference_rate)
 
 
 def angular_cutoff_correction(
@@ -315,8 +328,14 @@ class TwoRayField:
 
     @property
     def energy_density(self) -> float:
-        cross = 2.0 * (self.spherical * np.conj(self.plane)).real * self.cos_theta1
-        return abs(self.spherical) ** 2 + abs(self.plane) ** 2 + cross
+        return _energy_density(self.spherical, self.plane, self.cos_theta1)
+
+
+def _energy_density(spherical, plane, cos_theta1):
+    """|s|^2 + |p|^2 + 2 Re(s conj(p)) cos(theta1): the two polarizations
+    e_theta1 and e_rho overlap by e_theta1 . e_rho = cos(theta1)."""
+    cross = 2.0 * (spherical * np.conj(plane)).real * cos_theta1
+    return np.abs(spherical) ** 2 + np.abs(plane) ** 2 + cross
 
 
 @dataclass(frozen=True)
@@ -331,14 +350,14 @@ class ParabolicFieldMap:
     time: float
 
 
-def _ray_amplitude(atom: TwoLevelAtom, sin_t: float, path: float, dist: float, t: float) -> complex:
+def _ray_amplitude(atom: TwoLevelAtom, sin_t, path, dist, t: float):
     """One ray-family term of the energy-density amplitude: causal front at
-    |t| = path/c, geometric factor sin(theta)/dist."""
+    |t| = path/c, geometric factor sin(theta)/dist, zero before the front."""
     gamma = atom.gamma
     u = abs(t) - path
-    if u < 0:
-        return 0.0 + 0j
-    return (
+    live = u >= 0
+    u = np.where(live, u, 0.0)  # keeps exp() finite where the ray has not arrived
+    amplitude = (
         -1j
         * sqrt(3.0 * gamma * atom.omega_eg / (16.0 * pi))
         * np.exp(1j * np.sign(t) * atom.omega_eg * u)
@@ -346,6 +365,25 @@ def _ray_amplitude(atom: TwoLevelAtom, sin_t: float, path: float, dist: float, t
         * sin_t
         / dist
     )
+    return np.where(live, amplitude, 0j)
+
+
+def _two_ray(atom: TwoLevelAtom, f: float, z, rho, t: float):
+    """(spherical, plane, cos_theta1) at cavity points (z, rho) off the
+    focus, scalars or arrays; the rays are described in semiclassical_field."""
+    r1, _ = _focus_distance_eta(z, rho, f)
+    r2 = f + rho**2 / (4.0 * f)
+    spherical = _ray_amplitude(atom, rho / r1, r1, r1, t)
+    plane = _ray_amplitude(atom, rho / r2, z + f, r2, t)
+    return spherical, plane, (z - f) / r1
+
+
+def _check_two_ray(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
+    if atom.omega_eg * geometry.focal_length < 50.0:
+        raise ValueError(
+            "semiclassical two-ray construction requires omega_eg f / c >= 50"
+        )
+    _check_wavenumber(geometry, atom)
 
 
 def semiclassical_field(
@@ -362,21 +400,12 @@ def semiclassical_field(
     e_rho).  For |t| < f/c only the direct term is active and the field
     coincides with the free-space wave packet.
     """
+    _check_two_ray(geometry, atom)
     f = geometry.focal_length
-    if atom.omega_eg * f < 50.0:
-        raise ValueError(
-            "semiclassical two-ray construction requires omega_eg f / c >= 50"
-        )
-    if not np.isclose(geometry.wavenumber, atom.omega_eg, rtol=1e-9):
-        raise ValueError(
-            "geometry wave number must match the atomic transition (k = omega_eg / c)"
-        )
-    z, rho = float(point[0]), float(point[1])
-    pt = ParabolicPoint(z=z, rho=rho)
-    eta_coord = pt.parabolic_eta(geometry)
+    pt = ParabolicPoint(z=float(point[0]), rho=float(point[1]))
+    r1, eta_coord = _focus_distance_eta(pt.z, pt.rho, f)
     if eta_coord >= f:
         raise ValueError("point lies outside the parabolic cavity")
-    r1 = pt.focus_distance(geometry)
     if r1 == 0.0:
         raise ValueError("field amplitude is singular at the focus")
     if r1 * atom.omega_eg < 10.0:
@@ -386,17 +415,12 @@ def semiclassical_field(
             RadiationZoneWarning,
             stacklevel=2,
         )
-    sin_t1 = rho / r1
-    cos_t1 = (z - f) / r1
-    r2 = f + rho**2 / (4.0 * f)
-    sin_t2 = rho / r2
-    spherical = _ray_amplitude(atom, sin_t1, r1, r1, t)
-    plane = _ray_amplitude(atom, sin_t2, z + f, r2, t)
+    spherical, plane, cos_t1 = _two_ray(atom, f, pt.z, pt.rho, t)
     return TwoRayField(
         spherical=complex(spherical),
         plane=complex(plane),
-        cos_theta1=cos_t1,
-        near_boundary=eta_coord >= _BOUNDARY_FLAG_FRACTION * f,
+        cos_theta1=float(cos_t1),
+        near_boundary=bool(eta_coord >= _BOUNDARY_FLAG_FRACTION * f),
     )
 
 
@@ -407,32 +431,24 @@ def field_map(
     rho_values,
     t: float,
 ) -> ParabolicFieldMap:
-    """Evaluate the two-ray field on the part of a (z, rho) grid inside the cavity."""
-    z_values = np.asarray(z_values, dtype=float)
+    """Evaluate the two-ray field on the part of a (z, rho) grid inside the
+    cavity, z-major; the focus is skipped and no radiation-zone warning is
+    raised."""
+    _check_two_ray(geometry, atom)
     rho_values = np.asarray(rho_values, dtype=float)
-    pts = []
-    sph = []
-    pln = []
-    dens = []
-    flags = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RadiationZoneWarning)
-        for z in z_values:
-            for rho in rho_values:
-                pt = ParabolicPoint(z=float(z), rho=float(rho))
-                if pt.focus_distance(geometry) == 0.0 or not pt.inside(geometry):
-                    continue
-                fld = semiclassical_field(geometry, atom, (z, rho), t)
-                pts.append((z, rho))
-                sph.append(fld.spherical)
-                pln.append(fld.plane)
-                dens.append(fld.energy_density)
-                flags.append(fld.near_boundary)
+    if np.any(rho_values < 0):
+        raise ValueError("rho must be >= 0")
+    f = geometry.focal_length
+    z, rho = np.meshgrid(np.asarray(z_values, dtype=float), rho_values, indexing="ij")
+    r1, eta_coord = _focus_distance_eta(z, rho, f)
+    keep = (r1 != 0.0) & (eta_coord < f)
+    z, rho = z[keep], rho[keep]
+    spherical, plane, cos_t1 = _two_ray(atom, f, z, rho, t)
     return ParabolicFieldMap(
-        points=np.array(pts, dtype=float).reshape(-1, 2),
-        spherical=np.array(sph, dtype=complex),
-        plane=np.array(pln, dtype=complex),
-        energy_density=np.array(dens, dtype=float),
-        flags=np.array(flags, dtype=bool),
+        points=np.column_stack((z, rho)),
+        spherical=spherical,
+        plane=plane,
+        energy_density=_energy_density(spherical, plane, cos_t1),
+        flags=eta_coord[keep] >= _BOUNDARY_FLAG_FRACTION * f,
         time=t,
     )

@@ -37,6 +37,14 @@ class TestFieldDistribution:
     def test_coherent_truncation_guard(self):
         with pytest.raises(ValueError):
             jcp.FieldDistribution.coherent(5.0, n_max=20)
+        with pytest.raises(ValueError):
+            jcp.FieldDistribution.coherent(10.0, n_max=100)
+
+    @pytest.mark.parametrize("mean_n", [5062.08, 2251.93, 2043.36, 5298.32])
+    def test_coherent_guard_ignores_round_off(self, mean_n):
+        # 1 - sum(|a_n|^2) exceeds 1e-12 from round-off alone at these <n>
+        f = jcp.FieldDistribution.coherent(sqrt(mean_n))
+        assert f.mean_photon_number == pytest.approx(mean_n, rel=1e-12)
 
     def test_coherent_zero_is_vacuum(self):
         f = jcp.FieldDistribution.coherent(0.0)

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from atomfield.numerics import (
-    BracketError,
     QuadratureError,
     QuadratureSpec,
-    find_bessel_eigenvalues,
     integrate_1d,
     integrate_2d,
-    riccati_bessel_deriv,
-    spherical_bessel_j,
     stable_binomial_series,
 )
 
@@ -67,58 +63,6 @@ class TestStableSeries:
             stable_binomial_series(3, -1.0)
         with pytest.raises(ValueError):
             stable_binomial_series(3, np.inf)
-
-
-class TestBessel:
-    def test_low_order_values(self):
-        x = np.array([0.5, 1.0, 4.0])
-        assert spherical_bessel_j(0, x) == pytest.approx(np.sin(x) / x, rel=1e-14)
-        j1 = np.sin(x) / x**2 - np.cos(x) / x
-        assert spherical_bessel_j(1, x) == pytest.approx(j1, rel=1e-13)
-
-    def test_riccati_derivative_consistency(self):
-        # central-difference check of d(x j_L)/dx
-        for L in (0, 1, 3):
-            x = 2.7
-            h = 1e-6
-            num = (
-                (x + h) * spherical_bessel_j(L, x + h)
-                - (x - h) * spherical_bessel_j(L, x - h)
-            ) / (2 * h)
-            assert riccati_bessel_deriv(L, x) == pytest.approx(num, rel=1e-8)
-
-    def test_te_eigenvalues_order_zero(self):
-        # j_0 roots are exactly n pi
-        w = find_bessel_eigenvalues(0, 2.0, 5, kind="TE")
-        assert w == pytest.approx(np.arange(1, 6) * pi / 2.0, rel=1e-12)
-
-    def test_eigenvalues_are_roots_and_increasing(self):
-        for kind in ("TE", "TM"):
-            w = find_bessel_eigenvalues(1, 3.0, 8, kind=kind)
-            assert np.all(np.diff(w) > 0)
-            x = w * 3.0
-            if kind == "TE":
-                res = spherical_bessel_j(1, x)
-            else:
-                res = riccati_bessel_deriv(1, x)
-            assert np.max(np.abs(res)) < 1e-10
-
-    def test_interleaving(self):
-        # roots of consecutive orders interleave
-        wa = find_bessel_eigenvalues(2, 1.0, 6, kind="TE")
-        wb = find_bessel_eigenvalues(3, 1.0, 6, kind="TE")
-        assert np.all(wa < wb)
-        assert np.all(wb[:-1] < wa[1:])
-
-    def test_invalid_input(self):
-        with pytest.raises(ValueError):
-            spherical_bessel_j(-1, 1.0)
-        with pytest.raises(ValueError):
-            spherical_bessel_j(0, -1.0)
-        with pytest.raises(ValueError):
-            find_bessel_eigenvalues(1, 2.0, 0)
-        with pytest.raises(ValueError):
-            find_bessel_eigenvalues(1, 2.0, 3, kind="TEM")
 
 
 class TestQuadrature:

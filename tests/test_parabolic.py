@@ -1,5 +1,6 @@
 """Parabolic mirror: mode structure, rate modification, two-ray field."""
 
+import warnings
 from math import log, pi, sqrt
 
 import numpy as np
@@ -157,6 +158,15 @@ class TestRateModification:
         with pytest.raises(ValueError):
             pm.modified_rate(geometry, atom, (0.0, 0.0, 1.0))
 
+    def test_on_axis_eta_array_matches_scalar(self, geometry):
+        z = np.array([0.0, 1e-4, 0.99e-2, 1e-2, 1.01e-2, 0.3, pi, 17.0, 1e3])
+        eta = pm.on_axis_eta(geometry, z)
+        scalar = [pm.on_axis_eta(geometry, zi) for zi in z]
+        assert all(type(v) is float for v in scalar)
+        assert np.max(np.abs(eta - scalar)) <= np.spacing(1.0)
+        with pytest.raises(ValueError):
+            pm.on_axis_eta(geometry, np.array([1.0, -1e-3]))
+
     def test_rate_profile(self, geometry):
         profile = pm.rate_profile(geometry, (0.0, 10.0), 21)
         assert profile.positions.size == 21
@@ -233,6 +243,40 @@ class TestTwoRayField:
         for zi, rhoi in fmap.points:
             assert pm.ParabolicPoint(z=zi, rho=rhoi).inside(mirror)
         assert fmap.points.shape[0] < z.size * rho.size
+
+    @pytest.mark.parametrize("t", [25.0, -25.0, 0.01])
+    def test_field_map_matches_pointwise_field(self, mirror, atom, t):
+        # f = 10: z = 10 is the row through the focus, (0, 0) and (10, 20)
+        # lie exactly on the mirror, (10, 40) and (0, 5) below it, and
+        # (10, 19) sits exactly on the near-boundary threshold eta = 0.95 f;
+        # at t = 0.01 no ray has reached any grid point yet (min r1 = 0.05)
+        z = np.array([0.0, 2.5, 10.0, 10.05, 17.5, 40.0, 55.0])
+        rho = np.array([0.0, 0.05, 5.0, 18.5, 19.0, 20.0, 40.0])
+        points, flags, want = [], [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RadiationZoneWarning)
+            for zi in z:
+                for rhoi in rho:
+                    pt = pm.ParabolicPoint(z=zi, rho=rhoi)
+                    if pt.focus_distance(mirror) == 0.0 or not pt.inside(mirror):
+                        continue
+                    fld = pm.semiclassical_field(mirror, atom, (zi, rhoi), t)
+                    points.append((zi, rhoi))
+                    flags.append(fld.near_boundary)
+                    want.append((fld.spherical, fld.plane, fld.energy_density))
+        fmap = pm.field_map(mirror, atom, z, rho, t)
+        assert np.array_equal(fmap.points, np.reshape(points, (-1, 2)))
+        assert fmap.flags.tolist() == flags
+        assert any(flags) and not all(flags)
+        for got, column in zip(
+            (fmap.spherical, fmap.plane, fmap.energy_density), np.array(want).T
+        ):
+            scale = np.max(np.abs(column))
+            assert np.max(np.abs(got - column), initial=0.0) <= 1e-14 * scale
+        if t == 0.01:
+            assert not np.any(fmap.energy_density)
+        else:
+            assert np.any(fmap.plane) and not np.all(fmap.plane)
 
     def test_field_map_empty_outside(self, mirror, atom):
         fmap = pm.field_map(mirror, atom, [0.1], [50.0], 25.0)
