@@ -4,8 +4,8 @@ Config files are flat ``key = value`` text; ``#`` starts a comment.  Every
 scenario writes a deterministic CSV: ``#``-prefixed metadata lines, a header
 row, then data rows with 17 significant digits (bit-exact round trip).
 
-Exit codes: 0 success, 1 validation error, 2 numerical non-convergence,
-3 I/O failure.
+Exit codes: 0 success, 1 validation error (a config key, or a physics-domain
+guard the parameters break), 2 numerical non-convergence, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ SCENARIOS: dict[str, dict[str, _Key]] = {
     "jcp-inversion": {
         "mean_n": _Key(float, required=True, check=_nonneg, describe="coherent <n>"),
         "detuning": _Key(float, default=0.0),
-        "t_max": _Key(float, default=None, describe="end time in 1/|g|; default 3 T_r"),
+        "t_max": _Key(float, default=None, check=_pos, describe="end time in 1/|g|; default 3 T_r"),
         "samples": _Key(int, default=601, check=lambda v: v >= 2),
     },
     "free-decay": {
@@ -240,8 +240,6 @@ def _run_jcp_inversion(config: ScenarioConfig) -> ResultTable:
     t_max = p["t_max"]
     if t_max is None:
         t_max = 3.0 * 2.0 * pi * sqrt(p["mean_n"] + 1.0)
-    elif t_max <= 0:
-        raise ConfigError(["key 't_max': must be positive"])
     times = np.linspace(0.0, t_max, p["samples"])
     trace = jcp.inversion(params, times)
     rows = [(t, w) for t, w in zip(trace.times, trace.w)]
@@ -474,7 +472,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         table = run_scenario(config)
-    except QuadratureError as exc:
+    except ValueError as exc:  # a physics-domain guard of the library
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:  # QuadratureError or a failed ODE integration
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     try:

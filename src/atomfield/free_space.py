@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multimode import AmplitudeTrace, integrate_atom_modes
-from .numerics import QuadratureSpec, integrate_2d
+from .multimode import AmplitudeTrace, _flat_band, integrate_atom_modes
+from .numerics import _GUARD_RTOL, QuadratureSpec, integrate_2d
 
 __all__ = [
     "TwoLevelAtom",
@@ -98,7 +98,6 @@ class FieldMap:
     amplitude: np.ndarray  # complex, shape (n,)
     energy_density: np.ndarray  # real >= 0, shape (n,)
     time: float
-    flags: np.ndarray | None = None  # optional per-point reliability flags
 
     def __post_init__(self):
         if np.any(self.energy_density < -1e-30):
@@ -126,41 +125,50 @@ def absorbing_state_amplitude(atom: TwoLevelAtom, t: float) -> complex:
     return np.exp(-1j * atom.omega_eg * t) * np.exp(atom.gamma * t / 2.0)
 
 
-def _check_radiation_zone(atom: TwoLevelAtom, r: np.ndarray) -> None:
-    bad = r * atom.omega_eg < _RADIATION_ZONE_FACTOR
-    if np.any(bad):
+def _packet(atom: TwoLevelAtom, sin_t, path, dist, t: float):
+    """Energy-density amplitude of one ray family of the one-photon packet:
+    causal front at |t| = path/c, geometric factor sin(theta)/dist, zero
+    before the front; outgoing for t > 0, incoming (absorbed) for t < 0."""
+    gamma = atom.gamma
+    u = abs(t) - path
+    live = u >= 0
+    u = np.where(live, u, 0.0)  # keeps exp() finite where the ray has not arrived
+    amplitude = (
+        -1j
+        * sqrt(3.0 * gamma * atom.omega_eg / (16.0 * pi))
+        * np.exp(1j * np.sign(t) * atom.omega_eg * u)
+        * np.exp(-gamma * u / 2.0)
+        * sin_t
+        / dist
+    )
+    return np.where(live, amplitude, 0j)
+
+
+def _checked_amplitude(atom: TwoLevelAtom, r, theta, t: float) -> np.ndarray:
+    """Electric amplitude at (r, theta) after the radius and radiation-zone checks."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(r <= 0):
+        raise ValueError("radius must be positive")
+    if np.any(r * atom.omega_eg < _RADIATION_ZONE_FACTOR):
         warnings.warn(
             "evaluation point below the radiation zone (r * omega_eg < "
             f"{_RADIATION_ZONE_FACTOR:g}); asymptotic field formulas are unreliable there",
             RadiationZoneWarning,
             stacklevel=3,
         )
+    return _packet(atom, np.sin(theta), r, r, t)
 
 
 def energy_density(atom: TwoLevelAtom, r, theta, t: float):
     """Mean (normally ordered) field energy density of the one-photon packet.
 
     (3 Gamma omega_eg / 8 pi) sin^2(theta) / r^2 * exp(-Gamma(|t| - r)) inside
-    the causal shell r <= |t|, zero outside; symmetric under t -> -t.
+    the causal shell r <= |t|, zero outside; symmetric under t -> -t.  The
+    electric and magnetic halves are equal, so this is 2 |electric_amplitude|^2.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radius must be positive")
-    _check_radiation_zone(atom, r)
-    gamma = atom.gamma
-    inside = np.abs(t) - r >= 0.0
-    out = np.where(
-        inside,
-        (3.0 * gamma * atom.omega_eg / (8.0 * pi))
-        * np.sin(theta) ** 2
-        / r**2
-        * np.exp(-gamma * np.clip(np.abs(t) - r, 0.0, None)),
-        0.0,
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = 2.0 * np.abs(_checked_amplitude(atom, r, theta, t)) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
@@ -169,27 +177,8 @@ def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
     Squared magnitude gives the electric half of the energy density; the
     magnetic amplitude has the same value with polarization e_phi.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radius must be positive")
-    _check_radiation_zone(atom, r)
-    gamma = atom.gamma
-    u = np.abs(t) - r
-    inside = u >= 0.0
-    u = np.clip(u, 0.0, None)
-    amp = (
-        -1j
-        * sqrt(3.0 * gamma * atom.omega_eg / (16.0 * pi))
-        * np.exp(1j * np.sign(t) * atom.omega_eg * u)
-        * np.exp(-gamma * u / 2.0)
-        * np.sin(theta)
-        / r
-    )
-    out = np.where(inside, amp, 0.0 + 0j)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    out = _checked_amplitude(atom, r, theta, t)
+    return complex(out) if out.ndim == 0 else out
 
 
 def field_energy(
@@ -250,8 +239,7 @@ def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
     rr, tt = np.meshgrid(r_values, theta_values, indexing="ij")
     pts = np.column_stack((rr.ravel(), tt.ravel()))
     amp = electric_amplitude(atom, pts[:, 0], pts[:, 1], t)
-    dens = energy_density(atom, pts[:, 0], pts[:, 1], t)
-    return FieldMap(points=pts, amplitude=np.atleast_1d(amp), energy_density=np.atleast_1d(dens), time=t)
+    return FieldMap(points=pts, amplitude=amp, energy_density=2.0 * np.abs(amp) ** 2, time=t)
 
 
 def wigner_weisskopf_ode(
@@ -260,7 +248,6 @@ def wigner_weisskopf_ode(
     band_width: float | None = None,
     mode_spacing: float | None = None,
     times: np.ndarray | None = None,
-    rtol: float = 1e-9,
 ) -> AmplitudeTrace:
     """Brute-force decay of the atom into a discretized continuum band.
 
@@ -273,9 +260,7 @@ def wigner_weisskopf_ode(
         band_width = 40.0 * gamma
     if mode_spacing is None:
         mode_spacing = gamma / 50.0
-    if band_width < 20.0 * gamma:
-        raise ValueError("band width must be at least 20 Gamma")
-    if mode_spacing > gamma / 20.0:
+    if mode_spacing > gamma / 20.0 * (1.0 + _GUARD_RTOL):
         raise ValueError("mode spacing must be at most Gamma / 20")
     recurrence = 2.0 * pi / mode_spacing
     if t_end >= recurrence:
@@ -283,9 +268,7 @@ def wigner_weisskopf_ode(
             f"t_end={t_end:g} exceeds the discretization recurrence time {recurrence:g}; "
             "decrease the mode spacing"
         )
-    half = int(np.ceil(band_width / 2.0 / mode_spacing))
-    detunings = mode_spacing * np.arange(-half, half + 1)
-    couplings = np.full(detunings.size, sqrt(gamma * mode_spacing / (2.0 * pi)))
+    detunings, couplings = _flat_band(gamma, band_width, mode_spacing)
     if times is None:
         times = np.linspace(0.0, t_end, 301)
-    return integrate_atom_modes(detunings, couplings, np.asarray(times, float), rtol=rtol)
+    return integrate_atom_modes(detunings, couplings, np.asarray(times, float))

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _TRUNCATION_TOL = 1e-12
+# tolerances of the brute-force ladder integration in evolve_ode
+_ODE_RTOL = 1e-10
+_ODE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,14 @@ class JcpTrace:
         return InversionTrace(self.times, w)
 
 
-def rabi_frequency(n: int, params: JcpParams) -> float:
-    """n-photon Rabi frequency sqrt(Delta^2 + 4|g|^2 (n+1))."""
-    if n < 0:
+def rabi_frequency(n, params: JcpParams):
+    """n-photon Rabi frequency sqrt(Delta^2 + 4|g|^2 (n+1)); n is a scalar
+    (float result) or an array."""
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("photon number must be >= 0")
-    return sqrt(params.detuning**2 + 4.0 * params.g_abs**2 * (n + 1))
+    omega = np.sqrt(params.detuning**2 + 4.0 * params.g_abs**2 * (n + 1))
+    return float(omega) if omega.ndim == 0 else omega
 
 
 def amplitudes_closed_form(params: JcpParams, n: int, t: float) -> tuple[complex, complex]:
@@ -176,7 +182,7 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     times = np.asarray(times, dtype=float)
     p = params.field.weights
     n = np.arange(p.size)
-    omega = np.sqrt(params.detuning**2 + 4.0 * params.g_abs**2 * (n + 1))
+    omega = rabi_frequency(n, params)
     offset = params.detuning**2 / omega**2
     osc = 4.0 * params.g_abs**2 * (n + 1) / omega**2
     # deterministic summation order: ascending n
@@ -188,8 +194,6 @@ def evolve_ode(
     params: JcpParams,
     t_end: float,
     times: np.ndarray | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> JcpTrace:
     """Brute-force integration of the coupled pair equations (oracle).
 
@@ -215,7 +219,7 @@ def evolve_ode(
 
     y0 = np.concatenate((a0.astype(complex), np.zeros(n_states, dtype=complex)))
     sol = solve_ivp(
-        rhs, (0.0, float(times[-1])), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=times
+        rhs, (0.0, float(times[-1])), y0, method="DOP853", t_eval=times, rtol=_ODE_RTOL, atol=_ODE_ATOL
     )
     if not sol.success:
         raise RuntimeError(f"ladder integration failed: {sol.message}")

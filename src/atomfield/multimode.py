@@ -13,9 +13,12 @@ The total norm |a_e|^2 + sum |b_k|^2 is conserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import pi, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from .numerics import _GUARD_RTOL
 
 __all__ = ["AmplitudeTrace", "integrate_atom_modes"]
 
@@ -31,6 +34,17 @@ class AmplitudeTrace:
     @property
     def excited_population(self) -> np.ndarray:
         return np.abs(self.excited_amplitude) ** 2
+
+
+def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Detunings spacing * (-n..n) covering band_width, with the flat coupling
+    |g|^2 = Gamma * spacing / (2 pi) that gives the golden-rule rate Gamma at
+    the mode density 1 / spacing."""
+    if band_width < 20.0 * gamma * (1.0 - _GUARD_RTOL):
+        raise ValueError("band width must be at least 20 Gamma")
+    half = int(np.ceil(band_width / 2.0 / spacing))
+    detunings = spacing * np.arange(-half, half + 1)
+    return detunings, np.full(detunings.size, sqrt(gamma * spacing / (2.0 * pi)))
 
 
 def integrate_atom_modes(

@@ -23,6 +23,11 @@ __all__ = [
     "stable_binomial_series",
 ]
 
+# Relative slack of the physics-domain guards at their documented boundaries:
+# Gamma = omega_eg^3 d^2 / (3 pi) of an atom built for Gamma = 1 can be one ulp
+# off 1, which must not turn "band = 20 Gamma" into a rejected band.
+_GUARD_RTOL = 1e-12
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.

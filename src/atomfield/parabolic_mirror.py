@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import atan, log, pi, sqrt
+from math import atan, factorial, log, pi, sqrt
 
 import numpy as np
 from scipy.special import j0
 
-from .free_space import RadiationZoneWarning, TwoLevelAtom
-from .numerics import QuadratureSpec, QuadResult, integrate_1d, integrate_2d
+from .free_space import RadiationZoneWarning, TwoLevelAtom, _packet
+from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d, integrate_2d
 
 __all__ = [
     "ParabolicGeometry",
@@ -44,7 +44,13 @@ __all__ = [
 ]
 
 _BOUNDARY_FLAG_FRACTION = 0.95
-_SERIES_CROSSOVER = 1e-2
+# below a = k z = 0.5 on_axis_eta sums the Taylor series: the far form loses
+# ~2/a^4 ulps to cancellation there, the 9-term series stays below 1e-15
+_SERIES_CROSSOVER = 0.5
+# Taylor coefficients of eta(a) in a^2, a^4, ...: (-1)^(j+1) 3 4^j (2j+2) / (2j+3)!
+_ETA_SERIES = tuple(
+    (-1) ** (j + 1) * 3 * 4**j * (2 * j + 2) / factorial(2 * j + 3) for j in range(1, 10)
+)
 
 
 @dataclass(frozen=True)
@@ -265,23 +271,20 @@ def on_axis_eta(geometry: ParabolicGeometry, z):
     """Closed-form on-axis rate ratio; z (scalar or array) is the height above
     the mirror vertex, and a scalar z gives a float.
 
-    eta(a) = 1 + 3 cos(2a)/(4a^2) - 3 sin(2a)/(8a^3) with a = k z; the
-    removable singularity at a = 0 is handled by the Taylor series
-    (2/5) a^2 - (2/35) a^4 + (4/945) a^6 below a = 1e-2.
+    eta(a) = 1 + 3 cos(2a)/(4a^2) - 3 sin(2a)/(8a^3) with a = k z; below
+    a = 0.5, where this far form cancels, and at the removable singularity
+    a = 0 the Taylor series (2/5) a^2 - (2/35) a^4 + (4/945) a^6 - ... is used.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("axial position must be above the vertex (z >= 0)")
-    # a scalar z is evaluated as a 1-element array: numpy scalars round a**3
-    # differently from the array loop, which the cancellation in the far form
-    # just above the crossover amplifies to ~1e-12
+    # a scalar z is evaluated as a 1-element array, so that a scalar and an
+    # array argument round alike (numpy rounds scalar and array a**3 differently)
     a = geometry.wavenumber * np.atleast_1d(z)
     a2 = a * a
     with np.errstate(divide="ignore", invalid="ignore"):
         far = 1.0 + 3.0 * np.cos(2.0 * a) / (4.0 * a * a) - 3.0 * np.sin(2.0 * a) / (8.0 * a**3)
-    eta = np.where(
-        a < _SERIES_CROSSOVER, a2 * (2.0 / 5.0 + a2 * (-2.0 / 35.0 + a2 * (4.0 / 945.0))), far
-    )
+    eta = np.where(a < _SERIES_CROSSOVER, a2 * np.polyval(_ETA_SERIES[::-1], a2), far)
     return float(eta[0]) if z.ndim == 0 else eta
 
 
@@ -350,36 +353,18 @@ class ParabolicFieldMap:
     time: float
 
 
-def _ray_amplitude(atom: TwoLevelAtom, sin_t, path, dist, t: float):
-    """One ray-family term of the energy-density amplitude: causal front at
-    |t| = path/c, geometric factor sin(theta)/dist, zero before the front."""
-    gamma = atom.gamma
-    u = abs(t) - path
-    live = u >= 0
-    u = np.where(live, u, 0.0)  # keeps exp() finite where the ray has not arrived
-    amplitude = (
-        -1j
-        * sqrt(3.0 * gamma * atom.omega_eg / (16.0 * pi))
-        * np.exp(1j * np.sign(t) * atom.omega_eg * u)
-        * np.exp(-gamma * u / 2.0)
-        * sin_t
-        / dist
-    )
-    return np.where(live, amplitude, 0j)
-
-
 def _two_ray(atom: TwoLevelAtom, f: float, z, rho, t: float):
     """(spherical, plane, cos_theta1) at cavity points (z, rho) off the
     focus, scalars or arrays; the rays are described in semiclassical_field."""
     r1, _ = _focus_distance_eta(z, rho, f)
     r2 = f + rho**2 / (4.0 * f)
-    spherical = _ray_amplitude(atom, rho / r1, r1, r1, t)
-    plane = _ray_amplitude(atom, rho / r2, z + f, r2, t)
+    spherical = _packet(atom, rho / r1, r1, r1, t)
+    plane = _packet(atom, rho / r2, z + f, r2, t)
     return spherical, plane, (z - f) / r1
 
 
 def _check_two_ray(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
-    if atom.omega_eg * geometry.focal_length < 50.0:
+    if atom.omega_eg * geometry.focal_length < 50.0 * (1.0 - _GUARD_RTOL):
         raise ValueError(
             "semiclassical two-ray construction requires omega_eg f / c >= 50"
         )

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import floor, pi, sqrt
+from math import floor, pi
 
 import numpy as np
 
 from .free_space import TwoLevelAtom
-from .multimode import AmplitudeTrace, integrate_atom_modes
+from .multimode import AmplitudeTrace, _flat_band, integrate_atom_modes
 from .numerics import stable_binomial_series
 
 __all__ = [
@@ -68,7 +68,6 @@ class CavityModeSet:
 
     frequencies: np.ndarray
     couplings: np.ndarray
-    band_half_width: float
 
     def __post_init__(self):
         if np.any(np.diff(self.frequencies) <= 0):
@@ -78,35 +77,28 @@ class CavityModeSet:
 def resonant_mode_set(cavity: SphericalCavity, band_width: float | None = None) -> CavityModeSet:
     """Modes of the asymptotic L = 1 ladder within a band around omega_eg.
 
-    Flat |g_n|^2 = Gamma c / (2 R) reproduces Gamma through the golden rule
-    with the ladder density R / (pi c).  The ladder is centered so that one
-    mode is exactly resonant with the atom.
+    The ladder is the flat continuum band at spacing pi c / R: its coupling
+    |g_n|^2 = Gamma c / (2 R) reproduces Gamma through the golden rule with
+    the ladder density R / (pi c).  One mode is exactly resonant with the atom.
     """
     atom = cavity.atom
-    gamma = atom.gamma
     if band_width is None:
-        band_width = max(20.0 * gamma, 40.0 * cavity.mode_spacing)
-    if band_width < 20.0 * gamma:
-        raise ValueError("band width must be at least 20 Gamma")
+        band_width = max(20.0 * atom.gamma, 40.0 * cavity.mode_spacing)
+    detunings, couplings = _flat_band(atom.gamma, band_width, cavity.mode_spacing)
     if atom.omega_eg * cavity.radius < 50.0:
         warnings.warn(
             "omega_eg R / c < 50: asymptotic ladder approximation is questionable",
             SmallCavityNotice,
             stacklevel=2,
         )
-    spacing = cavity.mode_spacing
-    half = int(np.ceil(band_width / 2.0 / spacing))
-    n_modes = 2 * half + 1
-    if n_modes < 3:
+    if detunings.size < 3:
         warnings.warn(
-            f"only {n_modes} mode(s) in the band: single-mode (Jaynes-Cummings) "
+            f"only {detunings.size} mode(s) in the band: single-mode (Jaynes-Cummings) "
             "crossover regime",
             SmallCavityNotice,
             stacklevel=2,
         )
-    frequencies = atom.omega_eg + spacing * np.arange(-half, half + 1)
-    couplings = np.full(n_modes, sqrt(gamma / (2.0 * cavity.radius)))
-    return CavityModeSet(frequencies, couplings, band_half_width=spacing * half)
+    return CavityModeSet(atom.omega_eg + detunings, couplings)
 
 
 def echo_times(cavity: SphericalCavity, count: int) -> np.ndarray:
@@ -153,11 +145,10 @@ def evolve_cavity_ode(
     t_end: float,
     band_width: float | None = None,
     times: np.ndarray | None = None,
-    rtol: float = 1e-9,
 ) -> AmplitudeTrace:
     """Brute-force atom + N-mode integration over the resonant ladder."""
     modes = resonant_mode_set(cavity, band_width)
     detunings = modes.frequencies - cavity.atom.omega_eg
     if times is None:
         times = np.linspace(0.0, t_end, 481)
-    return integrate_atom_modes(detunings, modes.couplings, np.asarray(times, float), rtol=rtol)
+    return integrate_atom_modes(detunings, modes.couplings, np.asarray(times, float))

@@ -170,6 +170,56 @@ class TestMain:
         assert float(meta["probe_closed_vs_quadrature"]) < 1e-9
 
 
+class TestDomainGuards:
+    """Configs that pass parse_config but break a library guard exit 1, no traceback."""
+
+    @staticmethod
+    def _run(tmp_path, text):
+        cfg = tmp_path / "guard.cfg"
+        cfg.write_text(text)
+        return cli.main(["run", str(cfg), "--out", str(tmp_path / "w.csv")])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = free-decay\nspacing = 0.1\n",
+            "scenario = free-decay\nt_max = 400\n",
+            "scenario = parabola-field\nomega_f = 60\nf = 10\n",
+            "scenario = sphere-revival\ngamma_R = 1\nwith_ode = true\nband_width = 5\n",
+            "scenario = jcp-inversion\nmean_n = 4\nt_max = -1\n",
+            "scenario = free-decay\nt_max = 0.5\nsamples = 3\nband_width = 19.9\n",
+            "scenario = free-decay\nt_max = 0.5\nsamples = 3\nspacing = 0.051\n",
+        ],
+    )
+    def test_guard_is_a_config_error(self, tmp_path, capsys, text):
+        assert self._run(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Gamma of these atoms rounds one ulp off 1, so each value sits
+            # one ulp on the wrong side of its documented boundary
+            "scenario = free-decay\nt_max = 0.5\nsamples = 3\n"
+            "band_width = 20\nomega_over_gamma = 622.264\n",
+            "scenario = free-decay\nt_max = 0.5\nsamples = 3\n"
+            "spacing = 0.05\nomega_over_gamma = 4358.13\n",
+            "scenario = parabola-field\nomega_f = 50\nf = 4.1\nn_z = 3\nn_rho = 3\n",
+        ],
+    )
+    def test_boundary_value_is_accepted(self, tmp_path, text):
+        assert self._run(tmp_path, text) == 0
+
+    def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(config):
+            raise RuntimeError("solver gave up")
+
+        monkeypatch.setitem(cli._RUNNERS, "jcp-vacuum", fail)
+        assert self._run(tmp_path, "scenario = jcp-vacuum\n") == 2
+        assert "solver gave up" in capsys.readouterr().err
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize(
         "name", sorted(p.stem for p in GOLDEN_DIR.glob("*.cfg"))

@@ -77,12 +77,22 @@ class TestWavePacket:
         u_mid = free_space.energy_density(atom, 0.5, pi / 4, 1.0)
         assert u_mid / u_eq == pytest.approx(0.5, rel=1e-12)
 
-    def test_electric_is_half_of_total(self, atom):
-        r, th, t = 0.6, 0.8, 1.5
-        amp = free_space.electric_amplitude(atom, r, th, t)
-        assert 2.0 * abs(amp) ** 2 == pytest.approx(
-            free_space.energy_density(atom, r, th, t), rel=1e-12
+    @pytest.mark.parametrize("t", [1.5, -1.5])
+    def test_density_matches_closed_form(self, atom, t):
+        r = np.array([0.6, 1.2, 1.5, 1.6, 3.0])  # the last two lie outside |t|
+        th = np.array([0.8, 2.0, 1.1, 0.5, 1.3])
+        g, w = atom.gamma, atom.omega_eg
+        inside = r <= abs(t)
+        want = np.where(
+            inside,
+            3.0 * g * w / (8.0 * pi) * np.sin(th) ** 2 / r**2 * np.exp(-g * (abs(t) - r)),
+            0.0,
         )
+        dens = free_space.energy_density(atom, r, th, t)
+        amp = free_space.electric_amplitude(atom, r, th, t)
+        assert dens == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert 2.0 * np.abs(amp) ** 2 == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.all(dens[~inside] == 0.0) and np.all(amp[~inside] == 0.0)
 
     def test_phase_counter_rotates_for_absorption(self, atom):
         # emission (t > 0) and absorption (t < 0) packets are conjugate
@@ -153,6 +163,18 @@ class TestDiscretizedContinuum:
         # transient the envelope tracks the golden-rule exponential
         assert np.max(dev) < 0.1
         assert np.max(dev[times >= 0.5]) < 3e-2
+
+    def test_flat_band_couplings(self, atom, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            free_space, "integrate_atom_modes", lambda d, g, times: seen.append((d, g))
+        )
+        free_space.wigner_weisskopf_ode(atom, 1.0, band_width=20.0, mode_spacing=0.05)
+        detunings, couplings = seen[0]
+        assert np.diff(detunings) == pytest.approx(0.05, rel=1e-12)
+        assert couplings == pytest.approx(
+            np.full(detunings.size, sqrt(atom.gamma * 0.05 / (2.0 * pi))), rel=1e-15, abs=0.0
+        )
 
     def test_guards(self, atom):
         with pytest.raises(ValueError):

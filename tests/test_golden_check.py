@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from atomfield import cli, free_space, multimode
+from atomfield import cli, multimode
 from golden_check import run_config, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -42,9 +42,8 @@ def _with_metadata(table: cli.ResultTable, **changes: str | None) -> cli.ResultT
 
 
 def test_run_records_the_tolerance_the_scenario_passes(free_decay_tolerance, tmp_path):
-    # free-decay passes the rtol default of wigner_weisskopf_ode and leaves
-    # atol at the default of integrate_atom_modes
-    rtol = inspect.signature(free_space.wigner_weisskopf_ode).parameters["rtol"].default
+    # free-decay leaves rtol and atol at the defaults of integrate_atom_modes
+    rtol = inspect.signature(multimode.integrate_atom_modes).parameters["rtol"].default
     atol = inspect.signature(multimode.integrate_atom_modes).parameters["atol"].default
     assert free_decay_tolerance == (rtol, atol)
     code, ode_tolerance = run_config(GOLDEN_DIR / "jcp-vacuum.cfg", tmp_path / "v.csv")

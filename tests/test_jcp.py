@@ -162,6 +162,17 @@ class TestTimescales:
         assert w_scaled == pytest.approx(w_base, abs=1e-12)
 
 
+def test_rabi_frequency_array_matches_scalar():
+    params = jcp.JcpParams(coupling=0.7 + 0.2j, detuning=1.3)
+    n = np.arange(50)
+    omega = jcp.rabi_frequency(n, params)
+    scalar = [jcp.rabi_frequency(int(k), params) for k in n]
+    assert all(type(v) is float for v in scalar)
+    assert omega.tolist() == scalar
+    with pytest.raises(ValueError):
+        jcp.rabi_frequency(np.array([3, 0, -1]), params)
+
+
 def test_invalid_params():
     with pytest.raises(ValueError):
         jcp.JcpParams(coupling=0.0)

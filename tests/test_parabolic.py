@@ -167,6 +167,18 @@ class TestRateModification:
         with pytest.raises(ValueError):
             pm.on_axis_eta(geometry, np.array([1.0, -1e-3]))
 
+    def test_on_axis_eta_matches_extended_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        geo = pm.ParabolicGeometry(focal_length=2.0, wavenumber=1.0)
+        a = np.geomspace(1e-6, 10.0, 701)
+        got = pm.on_axis_eta(geo, a)
+        with mpmath.workdps(50):
+            want = [
+                float(1 + 3 * mpmath.cos(2 * x) / (4 * x**2) - 3 * mpmath.sin(2 * x) / (8 * x**3))
+                for x in map(mpmath.mpf, a)
+            ]
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
     def test_rate_profile(self, geometry):
         profile = pm.rate_profile(geometry, (0.0, 10.0), 21)
         assert profile.positions.size == 21

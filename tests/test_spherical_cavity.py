@@ -46,6 +46,13 @@ class TestModeSet:
         assert np.all(modes.couplings == modes.couplings[0])
         assert modes.couplings[0] ** 2 == pytest.approx(atom.gamma / 4.0)
 
+    @pytest.mark.parametrize("gamma_R", [0.5, 1.0, 7.0, 10.0])
+    def test_couplings_are_the_flat_band_at_spacing_pi_over_R(self, atom, gamma_R):
+        cav = make_cavity(atom, gamma_R)
+        modes = sc.resonant_mode_set(cav)
+        want = np.full(modes.couplings.size, np.sqrt(atom.gamma / (2.0 * cav.radius)))
+        assert modes.couplings == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_golden_rule_consistency(self, atom):
         # 2 pi |g|^2 * (modes per unit frequency) recovers Gamma
         cav = make_cavity(atom, 7.0)
