@@ -92,8 +92,6 @@ def _nonneg(v) -> bool:
 
 _COMMON_KEYS: dict[str, _Key] = {
     "output": _Key(str, default=None, describe="output CSV path (overridden by --out)"),
-    "rel_tol": _Key(float, default=1e-10, check=_pos, describe="quadrature relative tolerance"),
-    "abs_tol": _Key(float, default=1e-13, check=_pos, describe="quadrature absolute tolerance"),
 }
 
 SCENARIOS: dict[str, dict[str, _Key]] = {
@@ -135,6 +133,8 @@ SCENARIOS: dict[str, dict[str, _Key]] = {
         "z_min_mm": _Key(float, default=0.0, check=_nonneg, describe="start height above vertex"),
         "z_max_mm": _Key(float, default=8.0, check=_pos),
         "samples": _Key(int, default=401, check=lambda v: v >= 2),
+        "rel_tol": _Key(float, default=1e-10, check=_pos, describe="probe quadrature relative tolerance"),
+        "abs_tol": _Key(float, default=1e-13, check=_pos, describe="probe quadrature absolute tolerance"),
     },
     "parabola-field": {
         "f": _Key(float, default=10.0, check=_pos, describe="focal length in c/Gamma"),
@@ -253,7 +253,7 @@ def _run_free_decay(config: ScenarioConfig) -> ResultTable:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
     times = np.linspace(0.0, p["t_max"], p["samples"])
     trace = free_space.wigner_weisskopf_ode(
-        atom, p["t_max"], band_width=p["band_width"], mode_spacing=p["spacing"], times=times
+        atom, times, band_width=p["band_width"], mode_spacing=p["spacing"]
     )
     rows = [
         (t, pe, np.exp(-t))
@@ -292,9 +292,7 @@ def _run_sphere_revival(config: ScenarioConfig) -> ResultTable:
     p_closed = spherical_cavity.excited_probability_closed_form(cavity, times)
     meta = _meta(config)
     if p["with_ode"]:
-        trace = spherical_cavity.evolve_cavity_ode(
-            cavity, t_max, band_width=p["band_width"], times=times
-        )
+        trace = spherical_cavity.evolve_cavity_ode(cavity, times, band_width=p["band_width"])
         meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
         rows = [
             (t, pc, po)
@@ -474,6 +472,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         table = run_scenario(config)
     except ValueError as exc:  # a physics-domain guard of the library
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # parameters that over- or underflow double precision
+        print(f"config error: parameters out of double-precision range: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # QuadratureError or a failed ODE integration
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -51,16 +51,12 @@ class TwoLevelAtom:
 
     omega_eg: float
     dipole: float
-    orientation: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.omega_eg <= 0:
-            raise ValueError("transition frequency must be positive")
-        if self.dipole < 0:
-            raise ValueError("dipole magnitude must be >= 0")
-        norm = sqrt(sum(c * c for c in self.orientation))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("dipole orientation must be a unit vector")
+        if not 0 < self.omega_eg < inf:
+            raise ValueError("transition frequency must be positive and finite")
+        if not 0 <= self.dipole < inf:
+            raise ValueError("dipole magnitude must be finite and >= 0")
         if self.dipole > 0 and self.omega_eg / self.gamma < 10.0:
             raise ValueError(
                 "omega_eg / Gamma < 10: outside the validity of the pole approximation"
@@ -244,18 +240,19 @@ def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
 
 def wigner_weisskopf_ode(
     atom: TwoLevelAtom,
-    t_end: float,
+    times: np.ndarray,
     band_width: float | None = None,
     mode_spacing: float | None = None,
-    times: np.ndarray | None = None,
 ) -> AmplitudeTrace:
-    """Brute-force decay of the atom into a discretized continuum band.
+    """Brute-force decay of the atom into a discretized continuum band,
+    sampled on `times` (starting at 0).
 
     Flat per-mode coupling |g|^2 = Gamma * spacing / (2 pi) reproduces the
     golden-rule rate by construction.  Valid until the Poincare recurrence
     time 2 pi / spacing of the discretization.
     """
     gamma = atom.gamma
+    times = np.asarray(times, dtype=float)
     if band_width is None:
         band_width = 40.0 * gamma
     if mode_spacing is None:
@@ -263,12 +260,10 @@ def wigner_weisskopf_ode(
     if mode_spacing > gamma / 20.0 * (1.0 + _GUARD_RTOL):
         raise ValueError("mode spacing must be at most Gamma / 20")
     recurrence = 2.0 * pi / mode_spacing
-    if t_end >= recurrence:
+    if times[-1] >= recurrence:
         raise ValueError(
-            f"t_end={t_end:g} exceeds the discretization recurrence time {recurrence:g}; "
-            "decrease the mode spacing"
+            f"time grid end {times[-1]:g} exceeds the discretization recurrence time "
+            f"{recurrence:g}; decrease the mode spacing"
         )
     detunings, couplings = _flat_band(gamma, band_width, mode_spacing)
-    if times is None:
-        times = np.linspace(0.0, t_end, 301)
-    return integrate_atom_modes(detunings, couplings, np.asarray(times, float))
+    return integrate_atom_modes(detunings, couplings, times)

@@ -190,18 +190,13 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     return InversionTrace(times, w)
 
 
-def evolve_ode(
-    params: JcpParams,
-    t_end: float,
-    times: np.ndarray | None = None,
-) -> JcpTrace:
-    """Brute-force integration of the coupled pair equations (oracle).
+def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
+    """Brute-force integration of the coupled pair equations (oracle) from
+    t = 0, sampled on `times`.
 
     Each (a_{e,n}, a_{g,n+1}) pair evolves independently; all pairs are
     stacked into one vector ODE and solved adaptively.
     """
-    if times is None:
-        times = np.linspace(0.0, t_end, 401)
     times = np.asarray(times, dtype=float)
     a0 = params.field.amplitudes
     n_states = a0.size

@@ -100,12 +100,9 @@ def integrate_2d(
     f: Callable[[float, float], float],
     rectangle: Sequence[Sequence[float]],
     spec: QuadratureSpec = QuadratureSpec(),
-    inner_points: Sequence[float] | None = None,
 ) -> QuadResult:
-    """Iterated 1-D adaptive quadrature of f(x, y) over [x0,x1] x [y0,y1].
-
-    The inner integral runs over x; `inner_points` are forwarded to it.
-    """
+    """Iterated 1-D adaptive quadrature of f(x, y) over [x0,x1] x [y0,y1];
+    the inner integral runs over x."""
     (x0, x1), (y0, y1) = rectangle
     # inner tolerance slightly tighter than requested so the outer loop
     # sees a smooth integrand
@@ -117,7 +114,7 @@ def integrate_2d(
     inner_errs: list[float] = []
 
     def g(y: float) -> float:
-        val, err = integrate_1d(lambda x: f(x, y), (x0, x1), inner_spec, inner_points)
+        val, err = integrate_1d(lambda x: f(x, y), (x0, x1), inner_spec)
         inner_errs.append(err)
         return val
 

@@ -111,11 +111,10 @@ def _focus_distance_eta(z, rho, f):
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Axial samples of the decay-rate ratio eta together with the reference rate."""
+    """Axial samples of the decay-rate ratio eta."""
 
     positions: np.ndarray  # z above the vertex
     eta: np.ndarray
-    reference_rate: float
 
     def __post_init__(self):
         if np.any(self.eta < -1e-12):
@@ -292,13 +291,12 @@ def rate_profile(
     geometry: ParabolicGeometry,
     z_range: tuple[float, float],
     samples: int,
-    reference_rate: float = 1.0,
 ) -> RateProfile:
     """Sample the on-axis rate ratio eta(z) over [z_min, z_max] above the vertex."""
     if samples < 2:
         raise ValueError("at least 2 samples required")
     z = np.linspace(float(z_range[0]), float(z_range[1]), samples)
-    return RateProfile(positions=z, eta=on_axis_eta(geometry, z), reference_rate=reference_rate)
+    return RateProfile(positions=z, eta=on_axis_eta(geometry, z))
 
 
 def angular_cutoff_correction(

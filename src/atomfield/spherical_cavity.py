@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import floor, pi
+from math import pi
 
 import numpy as np
 
@@ -108,47 +108,36 @@ def echo_times(cavity: SphericalCavity, count: int) -> np.ndarray:
     return cavity.round_trip_time * np.arange(1, count + 1, dtype=float)
 
 
-def _excited_amplitude_envelope(cavity: SphericalCavity, t: float) -> float:
-    """Real envelope of <e, 0 | psi(t)> with the global phase exp(-i E_e t) removed."""
-    gamma = cavity.atom.gamma
-    rt = cavity.round_trip_time
-    amplitude = np.exp(-gamma * t / 2.0)
-    m_max = floor(t / rt)
-    for m in range(1, m_max + 1):
-        u = gamma * (t - m * rt)
-        amplitude += np.exp(-u / 2.0) * stable_binomial_series(m, u)
-    return float(amplitude)
-
-
 def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.ndarray:
     """P_e(t): exponential decay plus echo terms at multiples of 2R/c.
 
     Echo M contributes Theta(t - 2MR/c) exp(-Gamma(t - 2MR/c)/2) times the
-    stable binomial series; the complex amplitude is accumulated before
-    squaring.
+    stable binomial series; the real amplitude envelope (global phase
+    exp(-i E_e t) removed) is accumulated before squaring.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("closed form is defined for t >= 0")
-    flat = np.atleast_1d(t_arr).ravel()
-    out = np.empty_like(flat)
-    for i, ti in enumerate(flat):
-        a = _excited_amplitude_envelope(cavity, float(ti))
-        out[i] = a * a
-    if t_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(t_arr.shape)
+    gamma = cavity.atom.gamma
+    rt = cavity.round_trip_time
+    # np.array keeps a 0-d time an array, so the masked updates below apply
+    amplitude = np.array(np.exp(-gamma * t_arr / 2.0))
+    echoes = np.floor(t_arr / rt)
+    for m in range(1, int(echoes.max(initial=0.0)) + 1):
+        live = echoes >= m
+        u = gamma * (t_arr[live] - m * rt)
+        amplitude[live] += np.exp(-u / 2.0) * [stable_binomial_series(m, ui) for ui in u]
+    p = amplitude * amplitude
+    return float(p) if p.ndim == 0 else p
 
 
 def evolve_cavity_ode(
     cavity: SphericalCavity,
-    t_end: float,
+    times: np.ndarray,
     band_width: float | None = None,
-    times: np.ndarray | None = None,
 ) -> AmplitudeTrace:
-    """Brute-force atom + N-mode integration over the resonant ladder."""
+    """Brute-force atom + N-mode integration over the resonant ladder,
+    sampled on `times` (starting at 0)."""
     modes = resonant_mode_set(cavity, band_width)
     detunings = modes.frequencies - cavity.atom.omega_eg
-    if times is None:
-        times = np.linspace(0.0, t_end, 481)
-    return integrate_atom_modes(detunings, modes.couplings, np.asarray(times, float))
+    return integrate_atom_modes(detunings, modes.couplings, times)

@@ -16,8 +16,8 @@ columns.  What is compared with a tolerance, per field:
   scenario passed to ``multimode.integrate_atom_modes`` during the run.  The
   adaptive step control can take other steps when the right-hand side moves
   by an ulp, so the values are only reproducible to the solver's tolerance.
-  The ``rel_tol``/``abs_tol`` keys echoed in the metadata are quadrature
-  tolerances that the ODE scenarios never pass on, so they are not used.
+  The ODE scenarios take no tolerance key; ``rel_tol``/``abs_tol`` are
+  ``parabola-eta``'s probe-quadrature keys and play no part here.
 * every other float, the closed forms: ``|got - golden| <= K * eps * S`` with
   ``eps`` the float64 machine epsilon and ``S`` the largest ``|value|`` of the
   column in the golden (for a diagnostic, of the column it is measured on).

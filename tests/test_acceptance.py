@@ -30,7 +30,7 @@ def test_criterion_1_jcp_closed_form_vs_ode():
         t_r = 2.0 * pi * sqrt(mean_n + 1.0)
         times = np.linspace(0.0, 3.0 * t_r, 601)
         w_closed = jcp.inversion(params, times).w
-        w_ode = jcp.evolve_ode(params, times[-1], times=times).inversion().w
+        w_ode = jcp.evolve_ode(params, times).inversion().w
         worst = max(worst, float(np.max(np.abs(w_closed - w_ode))))
     elapsed = time.perf_counter() - t_start
     ok = worst <= 1e-7 and elapsed < 10.0
@@ -65,7 +65,7 @@ def test_criterion_3_wigner_weisskopf_rate():
     atom = af.TwoLevelAtom.from_linewidth(1.0, 1e3)
     times = np.linspace(0.0, 4.0, 201)
     trace = free_space.wigner_weisskopf_ode(
-        atom, 4.0, band_width=40.0, mode_spacing=1.0 / 50.0, times=times
+        atom, times, band_width=40.0, mode_spacing=1.0 / 50.0
     )
     mask = (times >= 0.5) & (times <= 4.0)
     slope, _ = np.polyfit(times[mask], np.log(trace.excited_population[mask]), 1)
@@ -110,7 +110,7 @@ def test_criterion_5_cavity_revivals():
         cavity = sc.SphericalCavity(radius=gamma_R, atom=atom)
         times = np.linspace(0.0, 6.0 * gamma_R, 601)
         p_closed = sc.excited_probability_closed_form(cavity, times)
-        trace = sc.evolve_cavity_ode(cavity, times[-1], band_width=band, times=times)
+        trace = sc.evolve_cavity_ode(cavity, times, band_width=band)
         dev = float(np.max(np.abs(p_closed - trace.excited_population)))
         after = times > 2.0 * gamma_R + 1e-9
         echo = float(np.max(p_closed[after]))

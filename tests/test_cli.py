@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomfield import cli
+from atomfield import cli, parabolic_mirror
 from golden_check import run_config, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -211,6 +211,22 @@ class TestDomainGuards:
     def test_boundary_value_is_accepted(self, tmp_path, text):
         assert self._run(tmp_path, text) == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # each raised OverflowError or ZeroDivisionError, or (inf) hung in
+            # the ODE on a NaN decay rate
+            "scenario = free-wavepacket\nomega_over_gamma = 1e300\n",
+            "scenario = free-decay\nomega_over_gamma = inf\nt_max = 0.5\nsamples = 3\n",
+            "scenario = jcp-inversion\nmean_n = 1\ndetuning = 1e300\n",
+            "scenario = parabola-field\nf = 1e300\nn_z = 3\nn_rho = 3\n",
+        ],
+    )
+    def test_out_of_range_arithmetic_is_a_config_error(self, tmp_path, capsys, text):
+        assert self._run(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(config):
             raise RuntimeError("solver gave up")
@@ -218,6 +234,44 @@ class TestDomainGuards:
         monkeypatch.setitem(cli._RUNNERS, "jcp-vacuum", fail)
         assert self._run(tmp_path, "scenario = jcp-vacuum\n") == 2
         assert "solver gave up" in capsys.readouterr().err
+
+
+class TestToleranceKeys:
+    """rel_tol/abs_tol are parabola-eta's probe-quadrature keys and no one else's."""
+
+    def test_other_scenarios_reject_them(self, tmp_path, capsys):
+        cfg = tmp_path / "decay.cfg"
+        cfg.write_text("scenario = free-decay\nrel_tol = 1e-3\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "w.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key 'rel_tol'" in err and "Traceback" not in err
+        for scenario in set(cli.SCENARIOS) - {"parabola-eta"}:
+            assert not {"rel_tol", "abs_tol"} & set(cli._schema(scenario))
+
+    def test_parabola_eta_passes_them_to_the_probe(self, tmp_path, monkeypatch):
+        specs = []
+        quadrature = parabolic_mirror.eta_quadrature
+
+        def spy(geometry, point, spec):
+            specs.append(spec)
+            return quadrature(geometry, point, spec)
+
+        monkeypatch.setattr(parabolic_mirror, "eta_quadrature", spy)
+        cfg = tmp_path / "eta.cfg"
+        cfg.write_text(
+            "scenario = parabola-eta\nk_per_mm = 0.7853981633974483\nsamples = 11\n"
+            "rel_tol = 1e-7\nabs_tol = 1e-9\n"
+        )
+        out = tmp_path / "w.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        assert [(s.rel_tol, s.abs_tol) for s in specs] == [(1e-7, 1e-9)]
+        meta = cli.read_table(out).metadata
+        assert float(meta["rel_tol"]) == 1e-7 and float(meta["abs_tol"]) == 1e-9
+        config = cli.parse_config("scenario = parabola-eta\nk_per_mm = 1\n")
+        assert (config.params["rel_tol"], config.params["abs_tol"]) == (1e-10, 1e-13)
+        for bad in ("rel_tol = 0", "abs_tol = -1e-9"):
+            with pytest.raises(cli.ConfigError):
+                cli.parse_config(f"scenario = parabola-eta\nk_per_mm = 1\n{bad}\n")
 
 
 class TestGoldenFiles:

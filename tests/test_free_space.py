@@ -27,10 +27,15 @@ class TestAtom:
         with pytest.raises(ValueError):
             TwoLevelAtom(omega_eg=-1.0, dipole=0.1)
         with pytest.raises(ValueError):
-            TwoLevelAtom(omega_eg=1.0, dipole=0.1, orientation=(1.0, 1.0, 0.0))
-        with pytest.raises(ValueError):
             # linewidth comparable to the transition frequency
             TwoLevelAtom.from_linewidth(1.0, 5.0)
+
+    @pytest.mark.parametrize("omega", [float("inf"), float("nan")])
+    def test_transition_frequency_must_be_finite(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            TwoLevelAtom(omega_eg=omega, dipole=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            TwoLevelAtom.from_linewidth(1.0, omega)
 
 
 class TestAmplitudes:
@@ -149,14 +154,14 @@ class TestFieldMap:
 class TestDiscretizedContinuum:
     def test_norm_conservation(self, atom):
         trace = free_space.wigner_weisskopf_ode(
-            atom, 1.0, band_width=20.0, mode_spacing=0.05
+            atom, np.linspace(0.0, 1.0, 301), band_width=20.0, mode_spacing=0.05
         )
         assert np.max(np.abs(trace.norm - 1.0)) < 1e-7
 
     def test_short_time_decay(self, atom):
         times = np.linspace(0.0, 1.0, 51)
         trace = free_space.wigner_weisskopf_ode(
-            atom, 1.0, band_width=20.0, mode_spacing=0.05, times=times
+            atom, times, band_width=20.0, mode_spacing=0.05
         )
         dev = np.abs(trace.excited_population - np.exp(-times))
         # the narrow band distorts the first ~1/band of evolution; after the
@@ -164,12 +169,21 @@ class TestDiscretizedContinuum:
         assert np.max(dev) < 0.1
         assert np.max(dev[times >= 0.5]) < 3e-2
 
+    def test_grid_past_recurrence_raises(self, atom):
+        # the guard checks the end of the grid the solver integrates to
+        with pytest.raises(ValueError, match="recurrence"):
+            free_space.wigner_weisskopf_ode(
+                atom, np.linspace(0.0, 200.0, 5), band_width=20.0, mode_spacing=0.05
+            )
+
     def test_flat_band_couplings(self, atom, monkeypatch):
         seen = []
         monkeypatch.setattr(
             free_space, "integrate_atom_modes", lambda d, g, times: seen.append((d, g))
         )
-        free_space.wigner_weisskopf_ode(atom, 1.0, band_width=20.0, mode_spacing=0.05)
+        free_space.wigner_weisskopf_ode(
+            atom, np.linspace(0.0, 1.0, 301), band_width=20.0, mode_spacing=0.05
+        )
         detunings, couplings = seen[0]
         assert np.diff(detunings) == pytest.approx(0.05, rel=1e-12)
         assert couplings == pytest.approx(
@@ -178,9 +192,9 @@ class TestDiscretizedContinuum:
 
     def test_guards(self, atom):
         with pytest.raises(ValueError):
-            free_space.wigner_weisskopf_ode(atom, 1.0, band_width=5.0)
+            free_space.wigner_weisskopf_ode(atom, np.linspace(0.0, 1.0, 301), band_width=5.0)
         with pytest.raises(ValueError):
-            free_space.wigner_weisskopf_ode(atom, 1.0, mode_spacing=0.5)
+            free_space.wigner_weisskopf_ode(atom, np.linspace(0.0, 1.0, 301), mode_spacing=0.5)
         with pytest.raises(ValueError):
             # beyond the recurrence time of the discretization
-            free_space.wigner_weisskopf_ode(atom, 1e4, mode_spacing=0.05)
+            free_space.wigner_weisskopf_ode(atom, np.linspace(0.0, 1e4, 301), mode_spacing=0.05)

@@ -114,7 +114,7 @@ def test_rejects_changed_config_echo(name, key, value, free_decay_tolerance):
 def test_rejects_missing_or_extra_metadata_key(free_decay_tolerance):
     golden = _golden("free-decay")
     for changed in (
-        _with_metadata(golden, abs_tol=None),
+        _with_metadata(golden, band_width=None),
         _with_metadata(golden, norm_drift=None),
         _with_metadata(golden, extra="1"),
     ):

@@ -120,14 +120,14 @@ class TestOdeOracle:
             field=jcp.FieldDistribution.coherent(sqrt(2.0)),
         )
         t = np.linspace(0.0, 25.0, 101)
-        trace = jcp.evolve_ode(params, t[-1], times=t)
+        trace = jcp.evolve_ode(params, t)
         w_closed = jcp.inversion(params, t).w
         assert trace.inversion().w == pytest.approx(w_closed, abs=1e-8)
 
     def test_ode_amplitudes_match_closed_form(self):
         params = jcp.JcpParams(detuning=0.9, field=jcp.FieldDistribution.fock(2))
         t = np.linspace(0.0, 5.0, 21)
-        trace = jcp.evolve_ode(params, t[-1], times=t)
+        trace = jcp.evolve_ode(params, t)
         for i, ti in enumerate(t):
             a_e, a_g = jcp.amplitudes_closed_form(params, 2, ti)
             assert trace.a_e[2, i] == pytest.approx(a_e, abs=1e-9)
@@ -136,7 +136,7 @@ class TestOdeOracle:
     def test_norm_conserved(self):
         params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(1.5))
         t = np.linspace(0.0, 40.0, 81)
-        trace = jcp.evolve_ode(params, t[-1], times=t)
+        trace = jcp.evolve_ode(params, t)
         norm = np.sum(np.abs(trace.a_e) ** 2 + np.abs(trace.a_g) ** 2, axis=0)
         assert norm == pytest.approx(np.ones_like(t), abs=1e-9)
 

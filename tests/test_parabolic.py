@@ -111,12 +111,17 @@ class TestRateModification:
             assert pm.on_axis_eta(geometry, z) == pytest.approx(0.4 * a * a, rel=1e-5)
 
     def test_series_matches_closed_form_at_crossover(self, geometry):
+        mpmath = pytest.importorskip("mpmath")
         k = geometry.wavenumber
-        below = pm.on_axis_eta(geometry, 0.99e-2 / k)
-        above = pm.on_axis_eta(geometry, 1.01e-2 / k)
-        assert above - below == pytest.approx(
-            0.4 * ((1.01e-2) ** 2 - (0.99e-2) ** 2), rel=1e-3
-        )
+        probes = (0.5 * (1.0 - 1e-6), 0.5, 0.5 * (1.0 + 1e-6))
+        # the probes straddle the switch from the series to the far form
+        assert probes[0] < pm._SERIES_CROSSOVER <= probes[1]
+        for a in probes:
+            got = pm.on_axis_eta(geometry, a / k)
+            with mpmath.workdps(50):
+                x = mpmath.mpf(k * (a / k))
+                want = 1 + 3 * mpmath.cos(2 * x) / (4 * x**2) - 3 * mpmath.sin(2 * x) / (8 * x**3)
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     def test_quadrature_matches_closed_form_on_axis(self, geometry):
         for z in (0.3, 2.0, 17.0):
@@ -159,7 +164,9 @@ class TestRateModification:
             pm.modified_rate(geometry, atom, (0.0, 0.0, 1.0))
 
     def test_on_axis_eta_array_matches_scalar(self, geometry):
-        z = np.array([0.0, 1e-4, 0.99e-2, 1e-2, 1.01e-2, 0.3, pi, 17.0, 1e3])
+        z = np.array(
+            [0.0, 1e-4, 0.99e-2, 1e-2, 1.01e-2, 0.3, 0.5 * (1 - 1e-6), 0.5 * (1 + 1e-6), pi, 17.0, 1e3]
+        )
         eta = pm.on_axis_eta(geometry, z)
         scalar = [pm.on_axis_eta(geometry, zi) for zi in z]
         assert all(type(v) is float for v in scalar)
