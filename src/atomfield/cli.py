@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from itertools import chain
+from math import isfinite, pi, sqrt
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -123,8 +124,8 @@ SCENARIOS: dict[str, dict[str, _Key]] = {
         "gamma_R": _Key(float, required=True, check=_pos, describe="Gamma R / c"),
         "t_max_R": _Key(float, default=6.0, check=_pos, describe="end time in R/c"),
         "samples": _Key(int, default=601, check=lambda v: v >= 2),
-        "with_ode": _Key(_parse_bool, default=False, describe="add multimode-ODE column"),
-        "band_width": _Key(float, default=400.0, check=_pos, describe="ODE band in Gamma"),
+        "with_ode": _Key(_parse_bool, default=False, describe="add the finite-band column p_e_ode"),
+        "band_width": _Key(float, default=400.0, check=_pos, describe="finite band in Gamma"),
         "omega_over_gamma": _Key(float, default=1e3, check=lambda v: v >= 10),
     },
     "parabola-eta": {
@@ -199,6 +200,9 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
                 value = spec.parse(text_value)
             except ValueError:
                 errors.append(f"key {key!r}: cannot parse value {text_value!r}")
+                continue
+            if isinstance(value, float) and not isfinite(value):
+                errors.append(f"key {key!r}: value {text_value!r} is not a finite number")
                 continue
             if spec.check is not None and not spec.check(value):
                 errors.append(f"key {key!r}: value {text_value!r} out of range")
@@ -373,13 +377,22 @@ _RUNNERS = {
 
 
 def run_scenario(config: ScenarioConfig) -> ResultTable:
-    """Dispatch a validated config to its physics module; deterministic output."""
+    """Dispatch a validated config to its physics module; deterministic output.
+
+    Raises FloatingPointError if a data value comes out non-finite: the
+    parameters then over- or underflow double precision somewhere.
+    """
     try:
-        return _RUNNERS[config.scenario](config)
+        table = _RUNNERS[config.scenario](config)
     except QuadratureError as exc:
         raise QuadratureError(
             f"scenario {config.scenario!r}: {exc}", exc.estimate, exc.achieved_error
         ) from exc
+    if not all(map(isfinite, chain.from_iterable(table.rows))):
+        finite = np.isfinite(np.array(table.rows, dtype=float)).all(axis=0)
+        bad = [column for column, ok in zip(table.columns, finite) if not ok]
+        raise FloatingPointError(f"non-finite values in column(s) {', '.join(bad)}")
+    return table
 
 
 def write_table(table: ResultTable, path: str) -> None:
@@ -476,7 +489,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:  # parameters that over- or underflow double precision
         print(f"config error: parameters out of double-precision range: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:  # QuadratureError or a failed ODE integration
+    except MemoryError as exc:  # a work size whose arrays cannot be allocated
+        sizes = ", ".join(
+            f"{key} = {value}"
+            for key, value in sorted(config.params.items())
+            if isinstance(value, int) and not isinstance(value, bool)
+        )
+        print(f"config error: work too large for memory ({sizes}): {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:  # QuadratureError
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     try:

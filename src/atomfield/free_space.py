@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multimode import AmplitudeTrace, _flat_band, integrate_atom_modes
+from .multimode import AmplitudeTrace, _flat_band_evolution
 from .numerics import _GUARD_RTOL, QuadratureSpec, integrate_2d
 
 __all__ = [
@@ -244,8 +244,8 @@ def wigner_weisskopf_ode(
     band_width: float | None = None,
     mode_spacing: float | None = None,
 ) -> AmplitudeTrace:
-    """Brute-force decay of the atom into a discretized continuum band,
-    sampled on `times` (starting at 0).
+    """Decay of the atom into a discretized continuum band, sampled on
+    `times`: the exact solution of the finite band, by its eigenpairs.
 
     Flat per-mode coupling |g|^2 = Gamma * spacing / (2 pi) reproduces the
     golden-rule rate by construction.  Valid until the Poincare recurrence
@@ -260,10 +260,10 @@ def wigner_weisskopf_ode(
     if mode_spacing > gamma / 20.0 * (1.0 + _GUARD_RTOL):
         raise ValueError("mode spacing must be at most Gamma / 20")
     recurrence = 2.0 * pi / mode_spacing
-    if times[-1] >= recurrence:
+    reach = np.max(np.abs(times))
+    if reach >= recurrence:
         raise ValueError(
-            f"time grid end {times[-1]:g} exceeds the discretization recurrence time "
+            f"time grid reaches {reach:g}, past the discretization recurrence time "
             f"{recurrence:g}; decrease the mode spacing"
         )
-    detunings, couplings = _flat_band(gamma, band_width, mode_spacing)
-    return integrate_atom_modes(detunings, couplings, times)
+    return _flat_band_evolution(gamma, band_width, mode_spacing, times)

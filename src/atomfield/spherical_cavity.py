@@ -3,8 +3,8 @@
 The atom couples only to the L = 1, M = 0 TM-type modes (all other mode
 functions vanish at the center).  For a highly excited spectrum the
 eigenfrequency ladder is equidistant with spacing pi c / R, which yields a
-closed-form echo expansion for the excited-state probability; a discretized
-multimode ODE provides the independent oracle.
+closed-form echo expansion for the excited-state probability; the exact
+solution of a finite band of that ladder provides the independent oracle.
 
 Natural units hbar = c = 1.
 """
@@ -18,7 +18,7 @@ from math import pi
 import numpy as np
 
 from .free_space import TwoLevelAtom
-from .multimode import AmplitudeTrace, _flat_band, integrate_atom_modes
+from .multimode import AmplitudeTrace, _flat_band, _flat_band_evolution
 from .numerics import stable_binomial_series
 
 __all__ = [
@@ -74,6 +74,13 @@ class CavityModeSet:
             raise ValueError("mode frequencies must be strictly increasing")
 
 
+def _band_width(cavity: SphericalCavity, band_width: float | None) -> float:
+    """The band width asked for; by default 20 Gamma, widened to 40 mode spacings."""
+    if band_width is None:
+        return max(20.0 * cavity.atom.gamma, 40.0 * cavity.mode_spacing)
+    return band_width
+
+
 def resonant_mode_set(cavity: SphericalCavity, band_width: float | None = None) -> CavityModeSet:
     """Modes of the asymptotic L = 1 ladder within a band around omega_eg.
 
@@ -82,9 +89,9 @@ def resonant_mode_set(cavity: SphericalCavity, band_width: float | None = None) 
     the ladder density R / (pi c).  One mode is exactly resonant with the atom.
     """
     atom = cavity.atom
-    if band_width is None:
-        band_width = max(20.0 * atom.gamma, 40.0 * cavity.mode_spacing)
-    detunings, couplings = _flat_band(atom.gamma, band_width, cavity.mode_spacing)
+    detunings, couplings = _flat_band(
+        atom.gamma, _band_width(cavity, band_width), cavity.mode_spacing
+    )
     if atom.omega_eg * cavity.radius < 50.0:
         warnings.warn(
             "omega_eg R / c < 50: asymptotic ladder approximation is questionable",
@@ -136,8 +143,9 @@ def evolve_cavity_ode(
     times: np.ndarray,
     band_width: float | None = None,
 ) -> AmplitudeTrace:
-    """Brute-force atom + N-mode integration over the resonant ladder,
-    sampled on `times` (starting at 0)."""
-    modes = resonant_mode_set(cavity, band_width)
-    detunings = modes.frequencies - cavity.atom.omega_eg
-    return integrate_atom_modes(detunings, modes.couplings, times)
+    """Atom + N-mode evolution over the resonant ladder, sampled on `times`:
+    the exact solution of the finite band `resonant_mode_set` builds."""
+    resonant_mode_set(cavity, band_width)  # validates the band, raises its warnings
+    return _flat_band_evolution(
+        cavity.atom.gamma, _band_width(cavity, band_width), cavity.mode_spacing, times
+    )

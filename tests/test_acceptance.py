@@ -258,12 +258,12 @@ def test_criterion_10_cli_determinism_and_goldens(tmp_path):
     for cfg in configs:
         out_a = tmp_path / (cfg.stem + "_a.csv")
         out_b = tmp_path / (cfg.stem + "_b.csv")
-        code, ode_tolerance = run_config(cfg, out_a)
+        code, ode_bound = run_config(cfg, out_a)
         assert code == 0
         assert cli.main(["run", str(cfg), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes(), f"{cfg.stem}: runs differ"
         golden = cli.read_table(GOLDEN_DIR / (cfg.stem + ".csv"))
-        if table_mismatches(cli.read_table(out_a), golden, ode_tolerance):
+        if table_mismatches(cli.read_table(out_a), golden, ode_bound):
             stale.append(cfg.stem)
     ok = not stale
     record_acceptance(

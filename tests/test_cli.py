@@ -227,6 +227,42 @@ class TestDomainGuards:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "Infinity"])
+    def test_non_finite_float_is_a_config_error(self, tmp_path, capsys, value):
+        # inf used to write w = nan on every row and exit 0
+        text = f"scenario = jcp-vacuum\ndetuning = {value}\nsamples = 1\nt_max = -1\n"
+        assert self._run(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert "'detuning'" in err and "not a finite number" in err
+        # reported together with the other key errors
+        assert "'samples'" in err and "'t_max'" in err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_non_finite_result_is_a_config_error(self, tmp_path, capsys):
+        # finite keys, but the radius grid ends at r = 5e-324 and the
+        # amplitude ~ 1/r overflows; this wrote inf and nan rows and exited 0
+        text = "scenario = free-wavepacket\ntime = 5e-324\n"
+        assert self._run(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-finite values" in err and "energy_density" in err
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = jcp-vacuum\n",
+            "scenario = free-decay\n",
+            "scenario = sphere-revival\ngamma_R = 1\nwith_ode = true\n",
+        ],
+    )
+    def test_work_too_large_for_memory_is_a_config_error(self, tmp_path, capsys, text):
+        # numpy refuses 1e15 samples (7 PiB) at once, without touching memory
+        assert self._run(tmp_path, text + "samples = 1000000000000000\n") == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert "samples = 1000000000000000" in err
+        assert not (tmp_path / "w.csv").exists()
+
     def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(config):
             raise RuntimeError("solver gave up")
@@ -281,7 +317,7 @@ class TestGoldenFiles:
     def test_regenerates_exactly(self, name, tmp_path):
         cfg = GOLDEN_DIR / f"{name}.cfg"
         out = tmp_path / f"{name}.csv"
-        code, ode_tolerance = run_config(cfg, out)
+        code, ode_bound = run_config(cfg, out)
         assert code == 0
         golden = cli.read_table(GOLDEN_DIR / f"{name}.csv")
-        assert table_mismatches(cli.read_table(out), golden, ode_tolerance) == []
+        assert table_mismatches(cli.read_table(out), golden, ode_bound) == []

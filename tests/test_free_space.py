@@ -5,7 +5,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from atomfield import free_space
+from atomfield import free_space, multimode
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
 
 
@@ -170,16 +170,20 @@ class TestDiscretizedContinuum:
         assert np.max(dev[times >= 0.5]) < 3e-2
 
     def test_grid_past_recurrence_raises(self, atom):
-        # the guard checks the end of the grid the solver integrates to
-        with pytest.raises(ValueError, match="recurrence"):
-            free_space.wigner_weisskopf_ode(
-                atom, np.linspace(0.0, 200.0, 5), band_width=20.0, mode_spacing=0.05
-            )
+        # the guard checks every time the exact solution is evaluated at,
+        # not only the last
+        for times in ([0.0, 50.0, 100.0, 150.0, 200.0], [0.0, 200.0, 1.0], [-200.0, 0.0]):
+            with pytest.raises(ValueError, match="recurrence"):
+                free_space.wigner_weisskopf_ode(
+                    atom, np.array(times), band_width=20.0, mode_spacing=0.05
+                )
 
     def test_flat_band_couplings(self, atom, monkeypatch):
+        # the band the spectral solver builds and solves
         seen = []
+        flat_band = multimode._flat_band
         monkeypatch.setattr(
-            free_space, "integrate_atom_modes", lambda d, g, times: seen.append((d, g))
+            multimode, "_flat_band", lambda *args: seen.append(flat_band(*args)) or seen[-1]
         )
         free_space.wigner_weisskopf_ode(
             atom, np.linspace(0.0, 1.0, 301), band_width=20.0, mode_spacing=0.05

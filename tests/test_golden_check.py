@@ -1,6 +1,5 @@
 """The golden comparator accepts an unchanged golden and rejects real changes."""
 
-import inspect
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,12 +41,12 @@ def _with_metadata(table: cli.ResultTable, **changes: str | None) -> cli.ResultT
 
 
 def test_run_records_the_tolerance_the_scenario_passes(free_decay_tolerance, tmp_path):
-    # free-decay leaves rtol and atol at the defaults of integrate_atom_modes
-    rtol = inspect.signature(multimode.integrate_atom_modes).parameters["rtol"].default
-    atol = inspect.signature(multimode.integrate_atom_modes).parameters["atol"].default
-    assert free_decay_tolerance == (rtol, atol)
-    code, ode_tolerance = run_config(GOLDEN_DIR / "jcp-vacuum.cfg", tmp_path / "v.csv")
-    assert code == 0 and ode_tolerance is None
+    # free-decay solves its band spectrally, at the solver's stated bound, which
+    # is no wider than the DOP853 tolerance it replaced (rtol 1e-9, atol 1e-12)
+    assert free_decay_tolerance == multimode._SPECTRAL_ERROR
+    assert 0.0 < free_decay_tolerance <= 1e-12
+    code, ode_bound = run_config(GOLDEN_DIR / "jcp-vacuum.cfg", tmp_path / "v.csv")
+    assert code == 0 and ode_bound is None
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_DIR.glob("*.csv")))
@@ -82,15 +81,17 @@ def test_rejects_closed_form_value_off_by_1e12_relative(name, column, free_decay
 
 
 def test_rejects_ode_value_off_by_ten_tolerances(free_decay_tolerance):
-    rtol, atol = free_decay_tolerance
+    bound = free_decay_tolerance
     golden = _golden("free-decay")
     j = golden.columns.index("p_e")
     for row in (0, len(golden.rows) // 2, len(golden.rows) - 1):
         value = golden.rows[row][j]
-        changed = _with_value(golden, row, "p_e", value + 10 * (rtol * abs(value) + atol))
+        changed = _with_value(golden, row, "p_e", value + 10 * bound)
         assert table_mismatches(changed, golden, free_decay_tolerance) != []
+        within = _with_value(golden, row, "p_e", value + bound / 2)
+        assert table_mismatches(within, golden, free_decay_tolerance) == []
     drift = float(golden.metadata["norm_drift"])
-    changed = _with_metadata(golden, norm_drift=repr(drift + 10 * (rtol * drift + atol)))
+    changed = _with_metadata(golden, norm_drift=repr(drift + 10 * bound))
     assert table_mismatches(changed, golden, free_decay_tolerance) != []
 
 

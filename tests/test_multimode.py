@@ -1,0 +1,104 @@
+"""The exact flat-band solver against dense diagonalization and DOP853."""
+
+from math import pi
+
+import numpy as np
+import pytest
+
+from atomfield import multimode
+
+
+def _arrowhead_eigh(detunings, couplings):
+    """Eigenvalues and weights |<e|j>|^2 of [[0, g^T], [g, diag(delta)]], dense."""
+    n = detunings.size
+    h = np.zeros((n + 1, n + 1))
+    h[0, 1:] = h[1:, 0] = couplings
+    h[1:, 1:] = np.diag(detunings)
+    lam, vectors = np.linalg.eigh(h)
+    return lam, vectors[0] ** 2
+
+
+def _population(lam, weights, times):
+    return np.abs(np.exp(-1j * np.outer(times, lam)) @ weights) ** 2
+
+
+# (Gamma, band width, spacing): 21, 59, 15, 51 and 15 modes
+SMALL_BANDS = [
+    (1.0, 20.0, 1.0),
+    (1.0, 20.0, 0.35),
+    (1.0, 40.0, pi),
+    (2.5, 60.0, 1.2),
+    (1.0, 400.0, 10 * pi),
+]
+
+
+@pytest.mark.parametrize("gamma, band_width, spacing", SMALL_BANDS)
+def test_matches_dense_eigh(gamma, band_width, spacing):
+    times = np.linspace(0.0, 20.0, 401)
+    detunings, couplings = multimode._flat_band(gamma, band_width, spacing)
+    assert detunings.size <= 60
+    trace = multimode._flat_band_evolution(gamma, band_width, spacing, times)
+    want = _population(*_arrowhead_eigh(detunings, couplings), times)
+    assert np.max(np.abs(trace.excited_population - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("half, coupling", [(0, 0.7), (1, 0.7), (1, 20.0), (20, 30.0)])
+def test_smallest_bands_match_dense_eigh(half, coupling):
+    # one mode (the Jaynes-Cummings pair, roots +-|g|) and three modes, the
+    # smallest band `_flat_band` builds; a coupling far above the spacing
+    # pushes the outer roots out beyond sqrt(ratio) spacings
+    spacing = 2.0
+    x, w = multimode._flat_band_spectrum(half, (coupling / spacing) ** 2)
+    detunings = spacing * np.arange(-half, half + 1.0)
+    lam, weights = _arrowhead_eigh(detunings, np.full(detunings.size, coupling))
+    # dense eigh is accurate to a few eps times the spectral radius
+    assert spacing * x == pytest.approx(lam, rel=0.0, abs=2e-15 * max(1.0, np.max(np.abs(lam))))
+    assert w == pytest.approx(weights, rel=1e-14, abs=1e-15)
+    # phases up to 100 rad, so that eigh's eps * |lambda| error stays small
+    times = np.linspace(0.0, 100.0 / np.max(np.abs(lam)), 301)
+    got = _population(spacing * x, w, times)
+    assert np.max(np.abs(got - _population(lam, weights, times))) <= 1e-13
+
+
+def test_matches_dop853_at_criterion_5_size():
+    # Gamma R = 1, band 800: 257 modes at spacing pi
+    times = np.linspace(0.0, 6.0, 601)
+    detunings, couplings = multimode._flat_band(1.0, 800.0, pi)
+    assert detunings.size == 257
+    trace = multimode._flat_band_evolution(1.0, 800.0, pi, times)
+    ode = multimode.integrate_atom_modes(detunings, couplings, times)
+    assert np.max(np.abs(trace.excited_population - ode.excited_population)) <= 1e-8
+    # the amplitude too, phase included (interaction picture, a_e(0) = 1)
+    assert np.max(np.abs(trace.excited_amplitude - ode.excited_amplitude)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "gamma, band_width, spacing", SMALL_BANDS + [(1.0, 800.0, pi), (1.0, 40.0, 0.01)]
+)
+def test_weights_are_unitary(gamma, band_width, spacing):
+    trace = multimode._flat_band_evolution(gamma, band_width, spacing, np.linspace(0.0, 1.0, 3))
+    assert np.all(np.abs(trace.norm - 1.0) <= 1e-14)
+    assert trace.norm == pytest.approx(trace.norm[0], rel=0.0, abs=0.0)
+
+
+def test_time_by_eigenvalue_matrix_too_large_raises_memory_error():
+    # a zero-stride view: 1e14 times x 401 eigenvalues is 4e16 elements,
+    # which numpy refuses at once
+    times = np.broadcast_to(0.0, (10**14,))
+    with pytest.raises(MemoryError):
+        multimode._flat_band_evolution(1.0, 20.0, 0.05, times)
+
+
+@pytest.mark.parametrize(
+    "half, ratio", [(1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9)]
+)
+def test_roots_interlace_the_poles_and_are_symmetric(half, ratio):
+    x, w = multimode._flat_band_spectrum(half, ratio)
+    assert x.size == 2 * half + 2
+    poles = np.arange(-half, half + 1.0)
+    # one root below the band, one in each gap (k, k + 1), one above
+    assert x[0] < poles[0] and x[-1] > poles[-1]
+    assert np.all((poles[:-1] < x[1:-1]) & (x[1:-1] < poles[1:]))
+    assert np.all(w > 0.0)
+    assert np.max(np.abs(x + x[::-1])) <= 1e-13 * half
+    assert w == pytest.approx(w[::-1], rel=1e-12)

@@ -131,3 +131,16 @@ class TestOdeOracle:
         p_closed = sc.excited_probability_closed_form(cav, times)
         assert np.max(np.abs(trace.excited_population - p_closed)) < 1e-2
         assert np.max(np.abs(trace.norm - 1.0)) < 1e-7
+
+    def test_closed_form_is_the_infinite_band_limit(self, atom):
+        # the finite band misses the closed form by ~1.43 / band at Gamma R = 1:
+        # 1.8e-3 at band 800, 1.8e-4 at 8000
+        cav = make_cavity(atom, 1.0)
+        times = np.linspace(0.0, 6.0, 601)
+        p_closed = sc.excited_probability_closed_form(cav, times)
+        scaled = []
+        for band in (800.0, 2400.0, 8000.0):
+            trace = sc.evolve_cavity_ode(cav, times, band_width=band)
+            scaled.append(band * np.max(np.abs(trace.excited_population - p_closed)))
+        assert scaled[2] / 8000.0 < 2e-4
+        assert max(scaled) / min(scaled) < 1.05
