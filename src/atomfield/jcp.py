@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _TRUNCATION_TOL = 1e-12
+_WINDOW_TAIL = 1e-17  # weight inversion may cut from the two ends of the ladder together
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
 _ODE_ATOL = 1e-12
@@ -178,10 +179,13 @@ def amplitudes_closed_form(params: JcpParams, n: int, t: float) -> tuple[complex
 
 
 def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
-    """Inversion w(t) of an initially excited atom, summed over the ladder."""
+    """Inversion w(t) of an initially excited atom, summed over the weighted ladder."""
     times = np.asarray(times, dtype=float)
     p = params.field.weights
-    n = np.arange(p.size)
+    # drop the rows at either end of the ladder that hold at most _WINDOW_TAIL / 2
+    lo, hi = (int(np.searchsorted(np.cumsum(q), _WINDOW_TAIL / 2, "right")) for q in (p, p[::-1]))
+    n = np.arange(lo, p.size - hi)
+    p = p[n]
     omega = rabi_frequency(n, params)
     offset = params.detuning**2 / omega**2
     osc = 4.0 * params.g_abs**2 * (n + 1) / omega**2

@@ -1,4 +1,4 @@
-"""Adaptive quadrature and a cancellation-free alternating series.
+"""Adaptive quadrature and an alternating series summed in exact integers, rounded once.
 
 Everything here is pure and stateless; the physics modules build on these
 primitives.  Unit conventions are left to the callers.
@@ -7,8 +7,7 @@ primitives.  Unit conventions are left to the callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import factorial, isfinite
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -127,19 +126,23 @@ def stable_binomial_series(M: int, u: float) -> float:
     """Sum_{r=0}^{M-1} C(M-1, r) (-u)^(1+r) / (1+r)!  without cancellation.
 
     The alternating terms can exceed the result by many orders of magnitude,
-    so the sum is accumulated in exact rational arithmetic (a float u is an
-    exact rational) and rounded once at the end.
+    so the sum is evaluated exactly: for the float u = a / 2^b, M! 2^(bM) times
+    it is the polynomial -a sum_r c_r (-a)^r 2^(b(M-1-r)) with integer
+    c_r = C(M-1, r) M! / (r+1)!, summed by Horner's rule in Python ints and
+    rounded once by int / int division, which is correctly rounded.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not (u >= 0 and np.isfinite(u)):
+    if not (u >= 0 and isfinite(u)):
         raise ValueError("u must be finite and >= 0")
-    uq = Fraction(u)
-    total = Fraction(0)
-    for r in range(M):
-        total += Fraction(comb(M - 1, r)) * (-uq) ** (1 + r) / factorial(1 + r)
+    a, d = float(u).as_integer_ratio()
+    b = d.bit_length() - 1  # d = 2^b
+    acc = c = 1  # c_r at r = M - 1
+    for r in range(M - 2, -1, -1):
+        c = c * (r + 1) * (r + 2) // (M - 1 - r)
+        acc = (c << b * (M - 1 - r)) - a * acc
     try:
-        return float(total)
+        return -a * acc / (factorial(M) << b * M)
     except OverflowError as exc:
         raise OverflowError(
             f"series value not representable in double precision (M={M}, u={u})"

@@ -33,7 +33,7 @@ __all__ = [
 
 
 class SmallCavityNotice(UserWarning):
-    """Fewer than a handful of modes fit the band: single-mode crossover regime."""
+    """omega_eg R / c < 50: the asymptotic equidistant ladder is questionable."""
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,6 @@ def resonant_mode_set(cavity: SphericalCavity, band_width: float | None = None) 
     if atom.omega_eg * cavity.radius < 50.0:
         warnings.warn(
             "omega_eg R / c < 50: asymptotic ladder approximation is questionable",
-            SmallCavityNotice,
-            stacklevel=2,
-        )
-    if detunings.size < 3:
-        warnings.warn(
-            f"only {detunings.size} mode(s) in the band: single-mode (Jaynes-Cummings) "
-            "crossover regime",
             SmallCavityNotice,
             stacklevel=2,
         )

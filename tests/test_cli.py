@@ -189,6 +189,10 @@ class TestDomainGuards:
             "scenario = jcp-inversion\nmean_n = 4\nt_max = -1\n",
             "scenario = free-decay\nt_max = 0.5\nsamples = 3\nband_width = 19.9\n",
             "scenario = free-decay\nt_max = 0.5\nsamples = 3\nspacing = 0.051\n",
+            # the radius grid runs from 10 / omega_eg = 0.01 to r = time: 1e-3
+            # wrote a descending grid with exit 0, 5e-324 overflowed to inf/nan
+            "scenario = free-wavepacket\ntime = 1e-3\n",
+            "scenario = free-wavepacket\ntime = 5e-324\n",
         ],
     )
     def test_guard_is_a_config_error(self, tmp_path, capsys, text):
@@ -239,12 +243,11 @@ class TestDomainGuards:
         assert not (tmp_path / "w.csv").exists()
 
     def test_non_finite_result_is_a_config_error(self, tmp_path, capsys):
-        # finite keys, but the radius grid ends at r = 5e-324 and the
-        # amplitude ~ 1/r overflows; this wrote inf and nan rows and exited 0
-        text = "scenario = free-wavepacket\ntime = 5e-324\n"
+        # finite keys, but the Rabi phase 2 t overflows to inf and cos gives nan
+        text = "scenario = jcp-vacuum\nt_max = 1e308\nsamples = 3\n"
         assert self._run(tmp_path, text) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and "non-finite values" in err and "energy_density" in err
+        assert "config error" in err and "non-finite values in column(s) w" in err
         assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize(

@@ -112,6 +112,56 @@ class TestClosedForm:
         assert np.all(np.abs(w) <= 1.0 + 1e-9)
 
 
+def _full_ladder_inversion(params, t):
+    """w(t) summed over every row of the ladder, none cut."""
+    p = params.field.weights
+    n = np.arange(p.size)
+    omega = np.sqrt(params.detuning**2 + 4.0 * params.g_abs**2 * (n + 1))
+    w = np.full(t.size, np.sum(p * params.detuning**2 / omega**2))
+    for pk, nk, ok in zip(p, n, omega):
+        w += pk * 4.0 * params.g_abs**2 * (nk + 1) / ok**2 * np.cos(ok * t)
+    return w
+
+
+class TestWeightWindow:
+    @staticmethod
+    def _summed_rows(monkeypatch, params, t):
+        """inversion's w(t) and the ladder rows it summed over."""
+        rows = []
+        rabi = jcp.rabi_frequency
+
+        def spy(n, p):
+            rows.append(np.asarray(n))
+            return rabi(n, p)
+
+        monkeypatch.setattr(jcp, "rabi_frequency", spy)
+        return jcp.inversion(params, t).w, rows[0]
+
+    def test_large_coherent_field_keeps_only_its_poisson_window(self, monkeypatch):
+        params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(100.0))
+        t = np.linspace(0.0, 2000.0, 97)
+        w, rows = self._summed_rows(monkeypatch, params, t)
+        p = params.field.weights
+        assert rows.size < 0.25 * p.size
+        assert np.sum(p[: rows[0]]) + np.sum(p[rows[-1] + 1 :]) <= 1e-17
+        assert w == pytest.approx(_full_ladder_inversion(params, t), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "field, kept",
+        [
+            (jcp.FieldDistribution.fock(7), (7, 7)),
+            # zero-weight rows between the peaks stay in the window
+            (jcp.FieldDistribution.custom(np.r_[0, 0, 0.3, np.zeros(37), 0.7, 0, 0]), (2, 40)),
+        ],
+    )
+    def test_sparse_fields_keep_every_interior_row(self, monkeypatch, field, kept):
+        params = jcp.JcpParams(detuning=0.4, field=field)
+        t = np.linspace(0.0, 50.0, 201)
+        w, rows = self._summed_rows(monkeypatch, params, t)
+        assert rows.tolist() == list(range(kept[0], kept[1] + 1))
+        assert w == pytest.approx(_full_ladder_inversion(params, t), rel=0, abs=1e-15)
+
+
 class TestOdeOracle:
     def test_closed_form_vs_ode_detuned(self):
         params = jcp.JcpParams(

@@ -1,6 +1,7 @@
 """Oracle and property tests for the numerical primitives."""
 
-from math import pi
+from fractions import Fraction
+from math import comb, factorial, pi
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ mpmath = pytest.importorskip("mpmath")
 
 def _series_oracle(M: int, u: float) -> float:
     """Extended-precision reference for the alternating binomial series."""
-    with mpmath.workdps(80):
+    # terms reach ~1e84 at M = 100, u = 200, far above the result
+    with mpmath.workdps(200):
         uq = mpmath.mpf(u)
         total = mpmath.mpf(0)
         for r in range(M):
@@ -28,15 +30,38 @@ def _series_oracle(M: int, u: float) -> float:
         return float(total)
 
 
+def _series_fraction(M: int, u: float) -> float:
+    """The series summed term by term in exact rationals, rounded once."""
+    uq = Fraction(u)
+    return float(
+        sum(Fraction(comb(M - 1, r)) * (-uq) ** (1 + r) / factorial(1 + r) for r in range(M))
+    )
+
+
 class TestStableSeries:
     def test_matches_extended_precision(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
-            M = int(rng.integers(1, 45))
-            u = float(rng.uniform(0.0, 40.0))
+            M = int(rng.integers(1, 101))
+            u = float(rng.uniform(0.0, 200.0))
             got = stable_binomial_series(M, u)
             want = _series_oracle(M, u)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+    def test_equals_exact_rational_sum(self):
+        # the integer evaluation rounds once, exactly as the rational sum does
+        rng = np.random.default_rng(7)
+        pairs = [(M, u) for M in (1, 2, 50, 100) for u in (0.0, 5e-324)]
+        for scale in (1.0, 1e-3, 1e-9):
+            M = rng.integers(1, 101, size=200)
+            u = rng.uniform(0.0, 200.0, size=200) * scale
+            pairs += list(zip(M.tolist(), u.tolist()))
+        for M, u in pairs:
+            assert stable_binomial_series(M, u) == _series_fraction(M, u), (M, u)
+
+    def test_overflow_is_reported(self):
+        with pytest.raises(OverflowError, match="not representable in double precision"):
+            stable_binomial_series(2, 1e300)
 
     def test_cancellation_regime(self):
         # individual terms ~ u^r/r! dwarf the result here
