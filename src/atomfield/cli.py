@@ -66,6 +66,16 @@ def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _rows(*columns) -> list[tuple]:
+    """Table rows from whole columns, as Python ints and floats."""
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _ascending(p: dict[str, Any], low: str, high: str) -> None:
+    if not p[low] < p[high]:
+        raise ValueError(f"{low} = {p[low]:g} must be below {high} = {p[high]:g}")
+
+
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "yes", "1"):
         return True
@@ -233,8 +243,7 @@ def _run_jcp_vacuum(config: ScenarioConfig) -> ResultTable:
     params = jcp.JcpParams(coupling=1.0, detuning=p["detuning"], field=jcp.FieldDistribution.vacuum())
     times = np.linspace(0.0, p["t_max"], p["samples"])
     trace = jcp.inversion(params, times)
-    rows = [(t, w) for t, w in zip(trace.times, trace.w)]
-    return ResultTable(["t", "w"], rows, _meta(config))
+    return ResultTable(["t", "w"], _rows(trace.times, trace.w), _meta(config))
 
 
 def _run_jcp_inversion(config: ScenarioConfig) -> ResultTable:
@@ -246,10 +255,9 @@ def _run_jcp_inversion(config: ScenarioConfig) -> ResultTable:
         t_max = 3.0 * 2.0 * pi * sqrt(p["mean_n"] + 1.0)
     times = np.linspace(0.0, t_max, p["samples"])
     trace = jcp.inversion(params, times)
-    rows = [(t, w) for t, w in zip(trace.times, trace.w)]
     meta = _meta(config)
     meta["t_max_used"] = _num(t_max)
-    return ResultTable(["t", "w"], rows, meta)
+    return ResultTable(["t", "w"], _rows(trace.times, trace.w), meta)
 
 
 def _run_free_decay(config: ScenarioConfig) -> ResultTable:
@@ -259,10 +267,7 @@ def _run_free_decay(config: ScenarioConfig) -> ResultTable:
     trace = free_space.wigner_weisskopf_ode(
         atom, times, band_width=p["band_width"], mode_spacing=p["spacing"]
     )
-    rows = [
-        (t, pe, np.exp(-t))
-        for t, pe in zip(trace.times, trace.excited_population)
-    ]
+    rows = _rows(trace.times, trace.excited_population, np.exp(-trace.times))
     meta = _meta(config)
     meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
     return ResultTable(["t", "p_e", "p_pole"], rows, meta)
@@ -280,10 +285,7 @@ def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:
     r = np.linspace(r_min, t, p["n_r"])
     theta = np.linspace(0.0, pi, p["n_theta"])
     fmap = free_space.field_map(atom, r, theta, t)
-    rows = [
-        (pt[0], pt[1], amp.real, amp.imag, dens)
-        for pt, amp, dens in zip(fmap.points, fmap.amplitude, fmap.energy_density)
-    ]
+    rows = _rows(*fmap.points.T, fmap.amplitude.real, fmap.amplitude.imag, fmap.energy_density)
     return ResultTable(
         ["r", "theta", "re_amplitude", "im_amplitude", "energy_density"],
         rows,
@@ -302,41 +304,37 @@ def _run_sphere_revival(config: ScenarioConfig) -> ResultTable:
     if p["with_ode"]:
         trace = spherical_cavity.evolve_cavity_ode(cavity, times, band_width=p["band_width"])
         meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
-        rows = [
-            (t, pc, po)
-            for t, pc, po in zip(times, p_closed, trace.excited_population)
-        ]
+        rows = _rows(times, p_closed, trace.excited_population)
         return ResultTable(["t", "p_e", "p_e_ode"], rows, meta)
-    rows = [(t, pc) for t, pc in zip(times, p_closed)]
-    return ResultTable(["t", "p_e"], rows, meta)
+    return ResultTable(["t", "p_e"], _rows(times, p_closed), meta)
 
 
 def _run_parabola_eta(config: ScenarioConfig) -> ResultTable:
     p = config.params
+    _ascending(p, "z_min_mm", "z_max_mm")
     geometry = parabolic_mirror.ParabolicGeometry(
         focal_length=p["f_mm"], wavenumber=p["k_per_mm"]
     )
     profile = parabolic_mirror.rate_profile(
         geometry, (p["z_min_mm"], p["z_max_mm"]), p["samples"]
     )
-    rows = [(z, eta) for z, eta in zip(profile.positions, profile.eta)]
     meta = _meta(config)
     # cross-check the closed form against the quadrature at a probe height
     # where the oscillatory integral is still cheap
     z_probe = min(p["z_max_mm"], 50.0 / p["k_per_mm"])
-    if z_probe > 0:
-        spec = QuadratureSpec(rel_tol=p["rel_tol"], abs_tol=p["abs_tol"])
-        eta_q, err = parabolic_mirror.eta_quadrature(geometry, (0.0, 0.0, z_probe), spec)
-        meta["probe_z_mm"] = _num(z_probe)
-        meta["probe_quadrature_error"] = _num(err)
-        meta["probe_closed_vs_quadrature"] = _num(
-            abs(eta_q - parabolic_mirror.on_axis_eta(geometry, z_probe))
-        )
-    return ResultTable(["z_mm", "eta"], rows, meta)
+    spec = QuadratureSpec(rel_tol=p["rel_tol"], abs_tol=p["abs_tol"])
+    eta_q, err = parabolic_mirror.eta_quadrature(geometry, (0.0, 0.0, z_probe), spec)
+    meta["probe_z_mm"] = _num(z_probe)
+    meta["probe_quadrature_error"] = _num(err)
+    meta["probe_closed_vs_quadrature"] = _num(
+        abs(eta_q - parabolic_mirror.on_axis_eta(geometry, z_probe))
+    )
+    return ResultTable(["z_mm", "eta"], _rows(profile.positions, profile.eta), meta)
 
 
 def _run_parabola_field(config: ScenarioConfig) -> ResultTable:
     p = config.params
+    _ascending(p, "z_min", "z_max")
     f = p["f"]
     omega = p["omega_f"] / f
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, omega)
@@ -345,12 +343,8 @@ def _run_parabola_field(config: ScenarioConfig) -> ResultTable:
     z = np.linspace(p["z_min"], p["z_max"], p["n_z"])
     rho = np.linspace(0.0, rho_max, p["n_rho"])
     fmap = parabolic_mirror.field_map(geometry, atom, z, rho, p["time"])
-    rows = [
-        (pt[0], pt[1], s.real, s.imag, w.real, w.imag, dens, int(flag))
-        for pt, s, w, dens, flag in zip(
-            fmap.points, fmap.spherical, fmap.plane, fmap.energy_density, fmap.flags
-        )
-    ]
+    s, w, flags = fmap.spherical, fmap.plane, fmap.flags.astype(int)
+    rows = _rows(*fmap.points.T, s.real, s.imag, w.real, w.imag, fmap.energy_density, flags)
     meta = _meta(config)
     meta["rho_max_used"] = _num(rho_max)
     return ResultTable(
@@ -400,18 +394,19 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 
 
 def write_table(table: ResultTable, path: str) -> None:
-    """Write CSV: '#' metadata lines, header row, then 17-significant-digit rows."""
-    lines = []
-    for key in sorted(table.metadata):
-        lines.append(f"# {key} = {table.metadata[key]}")
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(
-            ",".join(str(v) if isinstance(v, int) else _num(v) for v in row)
-        )
+    """Write CSV: '#' metadata lines, header row, then the data rows.
+
+    Rows are streamed through one template per table, built from the first
+    row: ``%s`` for an ``int`` value, else 17 significant digits (``%.17g``).
+    """
+    head = [f"# {key} = {table.metadata[key]}\n" for key in sorted(table.metadata)]
+    head.append(",".join(table.columns) + "\n")
+    first = table.rows[0] if table.rows else ()
+    template = ",".join("%s" if isinstance(v, int) else "%.17g" for v in first) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(head)
+            handle.writelines(map(template.__mod__, table.rows))
     except OSError as exc:
         raise OSError(f"cannot write table to {path!r}: {exc}") from exc
 

@@ -96,6 +96,24 @@ class TestTableIO:
         cli.write_table(cli.ResultTable(["x"], []), path)
         assert path.read_text() == "x\n"
 
+    def test_bytes_follow_the_per_value_rule(self, tmp_path):
+        # extremes of the double range, and 1/3 and pi as Python floats and
+        # as numpy float64, next to an int column of 0/1 and a bool column
+        big = 1.7976931348623157e308
+        values = [-0.0, 5e-324, big, -big, 1 / 3, np.pi]
+        rows = [(v, np.float64(v), i % 2, i % 2 == 1) for i, v in enumerate(values)]
+        table = cli.ResultTable(["py", "np", "flag", "bool"], rows, {"scenario": "t", "b": "2"})
+        path = tmp_path / "t.csv"
+        cli.write_table(table, path)
+        # the rule the writer must keep: str(v) for an int, else 17 digits
+        want = ["# b = 2", "# scenario = t", "py,np,flag,bool"] + [
+            ",".join(str(v) if isinstance(v, int) else format(float(v), ".17g") for v in row)
+            for row in rows
+        ]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        assert want[3] == "-0,-0,0,False"
+        assert want[4] == "4.9406564584124654e-324,4.9406564584124654e-324,1,True"
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             cli.ResultTable(["a", "b"], [(1.0,)])
@@ -158,6 +176,15 @@ class TestMain:
         assert meta["gamma_R"] == "1"
         assert meta["format_version"] == "1"
 
+    def test_near_boundary_is_an_integer_column(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert cli.main(["run", str(GOLDEN_DIR / "parabola-field.cfg"), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert lines[header].split(",")[-1] == "near_boundary"
+        flags = [line.rsplit(",", 1)[1] for line in lines[header + 1 :]]
+        assert set(flags) == {"0", "1"}
+
     def test_eta_scan_reports_quadrature_error(self, tmp_path):
         cfg = tmp_path / "eta.cfg"
         cfg.write_text(
@@ -199,6 +226,26 @@ class TestDomainGuards:
         assert self._run(tmp_path, text) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    # a reversed range wrote a descending z grid, an equal one a constant
+    # grid (401 identical rows), both with exit 0
+    @pytest.mark.parametrize("low_value, high_value", [(40, 30), (8, 8)])
+    @pytest.mark.parametrize(
+        "text, low, high",
+        [
+            ("scenario = parabola-eta\nk_per_mm = 1\n", "z_min_mm", "z_max_mm"),
+            ("scenario = parabola-field\n", "z_min", "z_max"),
+        ],
+    )
+    def test_empty_or_reversed_z_range_is_a_config_error(
+        self, tmp_path, capsys, text, low, high, low_value, high_value
+    ):
+        text += f"{low} = {low_value}\n{high} = {high_value}\n"
+        assert self._run(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert f"{low} = " in err and f"{high} = " in err
+        assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize(
         "text",
