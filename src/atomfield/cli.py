@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from math import isfinite, pi, sqrt
 from typing import Any, Callable, Sequence
 
@@ -66,9 +65,15 @@ def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _rows(*columns) -> list[tuple]:
-    """Table rows from whole columns, as Python ints and floats."""
-    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+def _table(metadata: dict[str, str], **columns) -> ResultTable:
+    """Table of whole columns, named and ordered by keyword; its rows hold
+    Python ints and floats.  Raises FloatingPointError naming each column
+    that holds a non-finite value."""
+    arrays = {name: np.asarray(c) for name, c in columns.items()}
+    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    if bad:
+        raise FloatingPointError(f"non-finite values in column(s) {', '.join(bad)}")
+    return ResultTable(list(arrays), list(zip(*(a.tolist() for a in arrays.values()))), metadata)
 
 
 def _ascending(p: dict[str, Any], low: str, high: str) -> None:
@@ -243,7 +248,7 @@ def _run_jcp_vacuum(config: ScenarioConfig) -> ResultTable:
     params = jcp.JcpParams(coupling=1.0, detuning=p["detuning"], field=jcp.FieldDistribution.vacuum())
     times = np.linspace(0.0, p["t_max"], p["samples"])
     trace = jcp.inversion(params, times)
-    return ResultTable(["t", "w"], _rows(trace.times, trace.w), _meta(config))
+    return _table(_meta(config), t=trace.times, w=trace.w)
 
 
 def _run_jcp_inversion(config: ScenarioConfig) -> ResultTable:
@@ -257,7 +262,7 @@ def _run_jcp_inversion(config: ScenarioConfig) -> ResultTable:
     trace = jcp.inversion(params, times)
     meta = _meta(config)
     meta["t_max_used"] = _num(t_max)
-    return ResultTable(["t", "w"], _rows(trace.times, trace.w), meta)
+    return _table(meta, t=trace.times, w=trace.w)
 
 
 def _run_free_decay(config: ScenarioConfig) -> ResultTable:
@@ -267,10 +272,11 @@ def _run_free_decay(config: ScenarioConfig) -> ResultTable:
     trace = free_space.wigner_weisskopf_ode(
         atom, times, band_width=p["band_width"], mode_spacing=p["spacing"]
     )
-    rows = _rows(trace.times, trace.excited_population, np.exp(-trace.times))
     meta = _meta(config)
     meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
-    return ResultTable(["t", "p_e", "p_pole"], rows, meta)
+    return _table(
+        meta, t=trace.times, p_e=trace.excited_population, p_pole=np.exp(-trace.times)
+    )
 
 
 def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:
@@ -285,11 +291,13 @@ def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:
     r = np.linspace(r_min, t, p["n_r"])
     theta = np.linspace(0.0, pi, p["n_theta"])
     fmap = free_space.field_map(atom, r, theta, t)
-    rows = _rows(*fmap.points.T, fmap.amplitude.real, fmap.amplitude.imag, fmap.energy_density)
-    return ResultTable(
-        ["r", "theta", "re_amplitude", "im_amplitude", "energy_density"],
-        rows,
+    return _table(
         _meta(config),
+        r=fmap.points[:, 0],
+        theta=fmap.points[:, 1],
+        re_amplitude=fmap.amplitude.real,
+        im_amplitude=fmap.amplitude.imag,
+        energy_density=fmap.energy_density,
     )
 
 
@@ -304,9 +312,8 @@ def _run_sphere_revival(config: ScenarioConfig) -> ResultTable:
     if p["with_ode"]:
         trace = spherical_cavity.evolve_cavity_ode(cavity, times, band_width=p["band_width"])
         meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
-        rows = _rows(times, p_closed, trace.excited_population)
-        return ResultTable(["t", "p_e", "p_e_ode"], rows, meta)
-    return ResultTable(["t", "p_e"], _rows(times, p_closed), meta)
+        return _table(meta, t=times, p_e=p_closed, p_e_ode=trace.excited_population)
+    return _table(meta, t=times, p_e=p_closed)
 
 
 def _run_parabola_eta(config: ScenarioConfig) -> ResultTable:
@@ -329,7 +336,7 @@ def _run_parabola_eta(config: ScenarioConfig) -> ResultTable:
     meta["probe_closed_vs_quadrature"] = _num(
         abs(eta_q - parabolic_mirror.on_axis_eta(geometry, z_probe))
     )
-    return ResultTable(["z_mm", "eta"], _rows(profile.positions, profile.eta), meta)
+    return _table(meta, z_mm=profile.positions, eta=profile.eta)
 
 
 def _run_parabola_field(config: ScenarioConfig) -> ResultTable:
@@ -343,23 +350,18 @@ def _run_parabola_field(config: ScenarioConfig) -> ResultTable:
     z = np.linspace(p["z_min"], p["z_max"], p["n_z"])
     rho = np.linspace(0.0, rho_max, p["n_rho"])
     fmap = parabolic_mirror.field_map(geometry, atom, z, rho, p["time"])
-    s, w, flags = fmap.spherical, fmap.plane, fmap.flags.astype(int)
-    rows = _rows(*fmap.points.T, s.real, s.imag, w.real, w.imag, fmap.energy_density, flags)
     meta = _meta(config)
     meta["rho_max_used"] = _num(rho_max)
-    return ResultTable(
-        [
-            "z",
-            "rho",
-            "re_spherical",
-            "im_spherical",
-            "re_plane",
-            "im_plane",
-            "energy_density",
-            "near_boundary",
-        ],
-        rows,
+    return _table(
         meta,
+        z=fmap.points[:, 0],
+        rho=fmap.points[:, 1],
+        re_spherical=fmap.spherical.real,
+        im_spherical=fmap.spherical.imag,
+        re_plane=fmap.plane.real,
+        im_plane=fmap.plane.imag,
+        energy_density=fmap.energy_density,
+        near_boundary=fmap.flags.astype(int),
     )
 
 
@@ -381,16 +383,11 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
     parameters then over- or underflow double precision somewhere.
     """
     try:
-        table = _RUNNERS[config.scenario](config)
+        return _RUNNERS[config.scenario](config)
     except QuadratureError as exc:
         raise QuadratureError(
             f"scenario {config.scenario!r}: {exc}", exc.estimate, exc.achieved_error
         ) from exc
-    if not all(map(isfinite, chain.from_iterable(table.rows))):
-        finite = np.isfinite(np.array(table.rows, dtype=float)).all(axis=0)
-        bad = [column for column, ok in zip(table.columns, finite) if not ok]
-        raise FloatingPointError(f"non-finite values in column(s) {', '.join(bad)}")
-    return table
 
 
 def write_table(table: ResultTable, path: str) -> None:

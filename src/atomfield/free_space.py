@@ -140,19 +140,25 @@ def _packet(atom: TwoLevelAtom, sin_t, path, dist, t: float):
     return np.where(live, amplitude, 0j)
 
 
+def _check_radiation_zone(atom: TwoLevelAtom, distance, stacklevel: int) -> None:
+    """Warn, at `stacklevel` as seen from the caller, if a distance from the
+    emitter lies below the radiation zone distance * omega_eg >= 10."""
+    if np.any(distance * atom.omega_eg < _RADIATION_ZONE_FACTOR * (1.0 - _GUARD_RTOL)):
+        warnings.warn(
+            "evaluation point below the radiation zone (r * omega_eg < "
+            f"{_RADIATION_ZONE_FACTOR:g}); asymptotic field formulas are unreliable there",
+            RadiationZoneWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def _checked_amplitude(atom: TwoLevelAtom, r, theta, t: float) -> np.ndarray:
     """Electric amplitude at (r, theta) after the radius and radiation-zone checks."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius must be positive")
-    if np.any(r * atom.omega_eg < _RADIATION_ZONE_FACTOR):
-        warnings.warn(
-            "evaluation point below the radiation zone (r * omega_eg < "
-            f"{_RADIATION_ZONE_FACTOR:g}); asymptotic field formulas are unreliable there",
-            RadiationZoneWarning,
-            stacklevel=3,
-        )
+    _check_radiation_zone(atom, r, stacklevel=3)
     return _packet(atom, np.sin(theta), r, r, t)
 
 
@@ -177,12 +183,7 @@ def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def field_energy(
-    atom: TwoLevelAtom,
-    t: float,
-    part: str = "total",
-    spec: QuadratureSpec | None = None,
-) -> FieldEnergy:
+def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEnergy:
     """Spatial integral of the wave-packet energy density at time t.
 
     Quadrature runs over the radiation zone r in [10/omega_eg, |t|]; the
@@ -191,8 +192,6 @@ def field_energy(
     """
     if part not in ("total", "electric"):
         raise ValueError("part must be 'total' or 'electric'")
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=400)
     gamma = atom.gamma
     t_abs = abs(t)
     r_min = _RADIATION_ZONE_FACTOR / atom.omega_eg
@@ -216,7 +215,11 @@ def field_energy(
             * np.sin(theta)
         )
 
-    value, err = integrate_2d(integrand, ((r_min, t_abs), (0.0, pi)), spec)
+    value, err = integrate_2d(
+        integrand,
+        ((r_min, t_abs), (0.0, pi)),
+        QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=400),
+    )
     # analytic r < r_min contribution of the same (asymptotic) energy density
     inner = (
         prefactor
@@ -239,10 +242,7 @@ def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
 
 
 def wigner_weisskopf_ode(
-    atom: TwoLevelAtom,
-    times: np.ndarray,
-    band_width: float | None = None,
-    mode_spacing: float | None = None,
+    atom: TwoLevelAtom, times: np.ndarray, band_width: float, mode_spacing: float
 ) -> AmplitudeTrace:
     """Decay of the atom into a discretized continuum band, sampled on
     `times`: the exact solution of the finite band, by its eigenpairs.
@@ -253,10 +253,6 @@ def wigner_weisskopf_ode(
     """
     gamma = atom.gamma
     times = np.asarray(times, dtype=float)
-    if band_width is None:
-        band_width = 40.0 * gamma
-    if mode_spacing is None:
-        mode_spacing = gamma / 50.0
     if mode_spacing > gamma / 20.0 * (1.0 + _GUARD_RTOL):
         raise ValueError("mode spacing must be at most Gamma / 20")
     recurrence = 2.0 * pi / mode_spacing

@@ -126,12 +126,13 @@ def _flat_band_evolution(
     return AmplitudeTrace(times=times, excited_amplitude=a_e, norm=np.full(times.shape, fsum(w)))
 
 
+# tolerances of the brute-force DOP853 integration below
+_ODE_RTOL = 1e-9
+_ODE_ATOL = 1e-12
+
+
 def integrate_atom_modes(
-    detunings: np.ndarray,
-    couplings: np.ndarray,
-    times: np.ndarray,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    detunings: np.ndarray, couplings: np.ndarray, times: np.ndarray
 ) -> AmplitudeTrace:
     """Integrate the coupled atom + N-mode amplitude system from a_e(0) = 1."""
     detunings = np.asarray(detunings, dtype=float)
@@ -156,8 +157,8 @@ def integrate_atom_modes(
         (0.0, float(times[-1])),
         y0,
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=_ODE_RTOL,
+        atol=_ODE_ATOL,
         t_eval=times,
         dense_output=False,
     )

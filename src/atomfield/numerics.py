@@ -64,11 +64,10 @@ def integrate_1d(
     f: Callable[[float], float],
     interval: Sequence[float],
     spec: QuadratureSpec = QuadratureSpec(),
-    points: Sequence[float] | None = None,
 ) -> QuadResult:
-    """Adaptive Gauss-Kronrod integral of f over [a, b].
+    """Adaptive Gauss-Kronrod integral of f over [a, b] in at most
+    spec.max_subdivisions subintervals.
 
-    `points` may list known breakpoints / oscillation panel boundaries.
     Raises QuadratureError (carrying the best estimate) on non-convergence.
     """
     a, b = float(interval[0]), float(interval[1])
@@ -79,8 +78,7 @@ def integrate_1d(
             b,
             epsabs=spec.abs_tol,
             epsrel=spec.rel_tol,
-            limit=max(spec.max_subdivisions, (len(points) + 10) if points else 50),
-            points=list(points) if points else None,
+            limit=spec.max_subdivisions,
             full_output=True,
         )
     value, abserr = out[0], out[1]

@@ -14,14 +14,13 @@ correction depends on k * z (z = height above the vertex).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import atan, factorial, log, pi, sqrt
 
 import numpy as np
 from scipy.special import j0
 
-from .free_space import RadiationZoneWarning, TwoLevelAtom, _packet
+from .free_space import TwoLevelAtom, _check_radiation_zone, _packet
 from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d, integrate_2d
 
 __all__ = [
@@ -168,20 +167,18 @@ def discrete_mode(geometry: ParabolicGeometry, m: int, theta):
     return out
 
 
-def free_space_rate_integral(
-    atom: TwoLevelAtom, spec: QuadratureSpec | None = None
-) -> float:
+def free_space_rate_integral(atom: TwoLevelAtom) -> float:
     """Golden-rule rate from the half-space mode sum with |f_k| = 1.
 
     Quadrature of (d^2 k^3 / (2)) (1/(2 pi)^2) sin^3(theta) over the sphere;
     must reproduce the closed-form free-space Gamma.
     """
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
     k = atom.omega_eg
     pref = atom.dipole**2 * k**3 / 2.0 / (2.0 * pi) ** 2
     value, _ = integrate_2d(
-        lambda theta, phi: np.sin(theta) ** 3, ((0.0, pi), (0.0, 2.0 * pi)), spec
+        lambda theta, phi: np.sin(theta) ** 3,
+        ((0.0, pi), (0.0, 2.0 * pi)),
+        QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14),
     )
     return pref * value
 
@@ -195,45 +192,30 @@ def _theta_spec(a: float, spec: QuadratureSpec | None) -> QuadratureSpec:
     return QuadratureSpec(base.rel_tol, base.abs_tol, need)
 
 
+def _cavity_point(
+    geometry: ParabolicGeometry, point: tuple[float, float, float]
+) -> tuple[float, float, float, float]:
+    """(x, y, z, rho) of a vertex-based point in the closed cavity: the mirror
+    surface itself (eta = f, e.g. the vertex P) is a legal evaluation point
+    where the field vanishes."""
+    x, y, z = (float(c) for c in point)
+    rho = sqrt(x * x + y * y)
+    eta = ParabolicPoint(z=z, rho=rho).parabolic_eta(geometry)
+    if z < 0 or eta > geometry.focal_length * (1.0 + _GUARD_RTOL):
+        raise ValueError("point lies outside the parabolic cavity")
+    return x, y, z, rho
+
+
 def eta_quadrature(
     geometry: ParabolicGeometry,
     point: tuple[float, float, float],
     spec: QuadratureSpec | None = None,
-    method: str = "auto",
 ) -> QuadResult:
-    """Decay-rate ratio eta at a vertex-based point (x, y, z) by quadrature.
-
-    method="auto" performs the azimuthal integral exactly (Bessel J0 kernel)
-    and integrates the polar angle adaptively; method="quad2d" evaluates the
-    raw iterated 2-D integral of sin^3(theta) sin^2(k n . r) (slow, kept as a
-    cross-check of the reduction).
-    """
-    x, y, z = (float(c) for c in point)
-    rho = sqrt(x * x + y * y)
-    pt = ParabolicPoint(z=z, rho=rho)
-    # closed region: the mirror surface itself (eta = f, e.g. the vertex P)
-    # is a legal evaluation point where the field vanishes
-    if z < 0 or pt.parabolic_eta(geometry) > geometry.focal_length * (1.0 + 1e-12):
-        raise ValueError("point lies outside the parabolic cavity")
+    """Decay-rate ratio eta at a vertex-based point (x, y, z) by quadrature:
+    the azimuthal integral is done exactly (Bessel J0 kernel), the polar
+    angle adaptively."""
+    _, _, z, rho = _cavity_point(geometry, point)
     k = geometry.wavenumber
-    if method == "quad2d":
-        qspec = _theta_spec(k * (abs(z) + rho), spec)
-        value, err = integrate_2d(
-            lambda theta, phi: np.sin(theta) ** 3
-            * np.sin(
-                k
-                * (
-                    (x * np.cos(phi) + y * np.sin(phi)) * np.sin(theta)
-                    + z * np.cos(theta)
-                )
-            )
-            ** 2,
-            ((0.0, pi), (0.0, 2.0 * pi)),
-            qspec,
-        )
-        return QuadResult(3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err)
-    if method != "auto":
-        raise ValueError("method must be 'auto' or 'quad2d'")
     # sin^2 -> (1 - cos)/2; the phi integral of cos(A cos(phi - phi0) + B)
     # is 2 pi J0(A) cos(B)
     qspec = _theta_spec(k * (abs(z) + rho), spec)
@@ -247,15 +229,29 @@ def eta_quadrature(
     return QuadResult(1.0 - 0.75 * value, 0.75 * err)
 
 
+def _eta_quadrature_2d(
+    geometry: ParabolicGeometry, point: tuple[float, float, float], spec: QuadratureSpec
+) -> QuadResult:
+    """eta_quadrature without the J0 reduction: the raw iterated 2-D integral
+    of sin^3(theta) sin^2(k n . r); slow, the reference the reduction is checked against."""
+    x, y, z, rho = _cavity_point(geometry, point)
+    k = geometry.wavenumber
+    value, err = integrate_2d(
+        lambda theta, phi: np.sin(theta) ** 3
+        * np.sin(k * ((x * np.cos(phi) + y * np.sin(phi)) * np.sin(theta) + z * np.cos(theta)))
+        ** 2,
+        ((0.0, pi), (0.0, 2.0 * pi)),
+        _theta_spec(k * (abs(z) + rho), spec),
+    )
+    return QuadResult(3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err)
+
+
 def modified_rate(
-    geometry: ParabolicGeometry,
-    atom: TwoLevelAtom,
-    point: tuple[float, float, float],
-    spec: QuadratureSpec | None = None,
+    geometry: ParabolicGeometry, atom: TwoLevelAtom, point: tuple[float, float, float]
 ) -> float:
     """Spontaneous decay rate at a point inside the mirror, dipole along z."""
     _check_wavenumber(geometry, atom)
-    eta, _ = eta_quadrature(geometry, point, spec)
+    eta, _ = eta_quadrature(geometry, point)
     return eta * atom.gamma
 
 
@@ -299,18 +295,17 @@ def rate_profile(
     return RateProfile(positions=z, eta=on_axis_eta(geometry, z))
 
 
-def angular_cutoff_correction(
-    geometry: ParabolicGeometry, spec: QuadratureSpec | None = None
-) -> float:
+def angular_cutoff_correction(geometry: ParabolicGeometry) -> float:
     """Relative rate reduction from restricting emission to [theta0, pi - theta0].
 
     Scales as (kf)^-4 for large kf and is negligible in the regimes of
     practical interest.
     """
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-    t0 = geometry.theta0
-    value, _ = integrate_1d(lambda theta: np.sin(theta) ** 3, (0.0, t0), spec)
+    value, _ = integrate_1d(
+        lambda theta: np.sin(theta) ** 3,
+        (0.0, geometry.theta0),
+        QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16),
+    )
     return 1.5 * value
 
 
@@ -391,13 +386,7 @@ def semiclassical_field(
         raise ValueError("point lies outside the parabolic cavity")
     if r1 == 0.0:
         raise ValueError("field amplitude is singular at the focus")
-    if r1 * atom.omega_eg < 10.0:
-        warnings.warn(
-            "point below the radiation zone of the emitter; semiclassical "
-            "amplitudes are unreliable there",
-            RadiationZoneWarning,
-            stacklevel=2,
-        )
+    _check_radiation_zone(atom, r1, stacklevel=2)
     spherical, plane, cos_t1 = _two_ray(atom, f, pt.z, pt.rho, t)
     return TwoRayField(
         spherical=complex(spherical),

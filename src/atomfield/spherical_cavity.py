@@ -74,14 +74,7 @@ class CavityModeSet:
             raise ValueError("mode frequencies must be strictly increasing")
 
 
-def _band_width(cavity: SphericalCavity, band_width: float | None) -> float:
-    """The band width asked for; by default 20 Gamma, widened to 40 mode spacings."""
-    if band_width is None:
-        return max(20.0 * cavity.atom.gamma, 40.0 * cavity.mode_spacing)
-    return band_width
-
-
-def resonant_mode_set(cavity: SphericalCavity, band_width: float | None = None) -> CavityModeSet:
+def resonant_mode_set(cavity: SphericalCavity, band_width: float) -> CavityModeSet:
     """Modes of the asymptotic L = 1 ladder within a band around omega_eg.
 
     The ladder is the flat continuum band at spacing pi c / R: its coupling
@@ -89,9 +82,7 @@ def resonant_mode_set(cavity: SphericalCavity, band_width: float | None = None) 
     the ladder density R / (pi c).  One mode is exactly resonant with the atom.
     """
     atom = cavity.atom
-    detunings, couplings = _flat_band(
-        atom.gamma, _band_width(cavity, band_width), cavity.mode_spacing
-    )
+    detunings, couplings = _flat_band(atom.gamma, band_width, cavity.mode_spacing)
     if atom.omega_eg * cavity.radius < 50.0:
         warnings.warn(
             "omega_eg R / c < 50: asymptotic ladder approximation is questionable",
@@ -132,13 +123,9 @@ def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.nd
 
 
 def evolve_cavity_ode(
-    cavity: SphericalCavity,
-    times: np.ndarray,
-    band_width: float | None = None,
+    cavity: SphericalCavity, times: np.ndarray, band_width: float
 ) -> AmplitudeTrace:
     """Atom + N-mode evolution over the resonant ladder, sampled on `times`:
     the exact solution of the finite band `resonant_mode_set` builds."""
     resonant_mode_set(cavity, band_width)  # validates the band, raises its warnings
-    return _flat_band_evolution(
-        cavity.atom.gamma, _band_width(cavity, band_width), cavity.mode_spacing, times
-    )
+    return _flat_band_evolution(cavity.atom.gamma, band_width, cavity.mode_spacing, times)

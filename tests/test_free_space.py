@@ -1,5 +1,6 @@
 """Spontaneous emission into free space and the emitted wave packet."""
 
+import warnings
 from math import pi, sqrt
 
 import numpy as np
@@ -108,6 +109,18 @@ class TestWavePacket:
     def test_radiation_zone_warning(self, atom):
         with pytest.warns(RadiationZoneWarning):
             free_space.energy_density(atom, 5e-3, pi / 2, 1.0)
+        with pytest.warns(RadiationZoneWarning):
+            free_space.energy_density(atom, 0.99 * 10.0 / atom.omega_eg, pi / 2, 1.0)
+
+    def test_radiation_zone_edge_does_not_warn(self):
+        # (10 / omega) * omega rounds to 9.999999999999998 here, one ulp
+        # inside the guard's slack: the radius grid of free-wavepacket starts there
+        atom = TwoLevelAtom.from_linewidth(1.0, 9256.45)
+        r_min = 10.0 / atom.omega_eg
+        assert r_min * atom.omega_eg < 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RadiationZoneWarning)
+            free_space.field_map(atom, np.linspace(r_min, 1.0, 5), np.linspace(0.0, pi, 3), 1.0)
 
     def test_invalid_radius(self, atom):
         with pytest.raises(ValueError):
@@ -196,9 +209,15 @@ class TestDiscretizedContinuum:
 
     def test_guards(self, atom):
         with pytest.raises(ValueError):
-            free_space.wigner_weisskopf_ode(atom, np.linspace(0.0, 1.0, 301), band_width=5.0)
+            free_space.wigner_weisskopf_ode(
+                atom, np.linspace(0.0, 1.0, 301), band_width=5.0, mode_spacing=0.02
+            )
         with pytest.raises(ValueError):
-            free_space.wigner_weisskopf_ode(atom, np.linspace(0.0, 1.0, 301), mode_spacing=0.5)
+            free_space.wigner_weisskopf_ode(
+                atom, np.linspace(0.0, 1.0, 301), band_width=40.0, mode_spacing=0.5
+            )
         with pytest.raises(ValueError):
             # beyond the recurrence time of the discretization
-            free_space.wigner_weisskopf_ode(atom, np.linspace(0.0, 1e4, 301), mode_spacing=0.05)
+            free_space.wigner_weisskopf_ode(
+                atom, np.linspace(0.0, 1e4, 301), band_width=40.0, mode_spacing=0.05
+            )

@@ -96,8 +96,14 @@ class TestQuadrature:
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert err < 1e-10
 
-    def test_breakpoints_help_kinked_integrand(self):
-        value, _ = integrate_1d(lambda x: abs(x - 0.3), (0.0, 1.0), points=(0.3,))
+    def test_subdivision_budget_is_honoured(self):
+        # the kink at 0.3 needs more than 3 subintervals and fewer than 10
+        def kinked(x):
+            return abs(x - 0.3)
+
+        with pytest.raises(QuadratureError):
+            integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(max_subdivisions=3))
+        value, _ = integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(max_subdivisions=10))
         assert value == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, rel=1e-12)
 
     def test_oscillatory(self):

@@ -132,9 +132,9 @@ class TestRateModification:
 
     def test_reduction_matches_raw_2d(self, geometry):
         point = (0.3, 0.4, 2.0)
-        fast, _ = pm.eta_quadrature(geometry, point, method="auto")
-        slow, _ = pm.eta_quadrature(
-            geometry, point, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11), method="quad2d"
+        fast, _ = pm.eta_quadrature(geometry, point)
+        slow, _ = pm._eta_quadrature_2d(
+            geometry, point, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
         )
         assert fast == pytest.approx(slow, rel=1e-7)
 

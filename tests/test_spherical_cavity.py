@@ -49,7 +49,7 @@ class TestModeSet:
     @pytest.mark.parametrize("gamma_R", [0.5, 1.0, 7.0, 10.0])
     def test_couplings_are_the_flat_band_at_spacing_pi_over_R(self, atom, gamma_R):
         cav = make_cavity(atom, gamma_R)
-        modes = sc.resonant_mode_set(cav)
+        modes = sc.resonant_mode_set(cav, band_width=40.0)
         want = np.full(modes.couplings.size, np.sqrt(atom.gamma / (2.0 * cav.radius)))
         assert modes.couplings == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -67,7 +67,7 @@ class TestModeSet:
     def test_small_cavity_warning(self):
         atom = TwoLevelAtom.from_linewidth(1.0, 20.0)
         with pytest.warns(sc.SmallCavityNotice):
-            sc.resonant_mode_set(sc.SphericalCavity(radius=1.0, atom=atom))
+            sc.resonant_mode_set(sc.SphericalCavity(radius=1.0, atom=atom), band_width=40.0)
 
 
 class TestClosedForm:
