@@ -283,10 +283,12 @@ def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:
     p = config.params
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
     t = p["time"]
-    r_min = 10.0 / atom.omega_eg
+    factor = free_space._RADIATION_ZONE_FACTOR
+    r_min = factor / atom.omega_eg
     if not t > r_min:
         raise ValueError(
-            f"time = {t:g} must exceed 10 / omega_eg = {r_min:g}, where the radius grid starts"
+            f"time = {t:g} must exceed {factor:g} / omega_eg = {r_min:g},"
+            " where the radius grid starts"
         )
     r = np.linspace(r_min, t, p["n_r"])
     theta = np.linspace(0.0, pi, p["n_theta"])

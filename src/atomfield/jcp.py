@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from math import ceil, pi, sqrt
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import gammaln, pdtrc
 
 __all__ = [
@@ -201,6 +200,8 @@ def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
     Each (a_{e,n}, a_{g,n+1}) pair evolves independently; all pairs are
     stacked into one vector ODE and solved adaptively.
     """
+    from scipy.integrate import solve_ivp  # deferred: `import atomfield` does not load it
+
     times = np.asarray(times, dtype=float)
     a0 = params.field.amplitudes
     n_states = a0.size

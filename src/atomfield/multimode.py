@@ -14,7 +14,8 @@ ladder) solvers share one model, the flat band of `_flat_band`, and solve it
 exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
 the arrowhead's eigenpairs, each found in O(1) from the closed form of the
 secular sum.  `integrate_atom_modes` integrates any band with DOP853 and is
-the brute-force cross-check.
+the brute-force cross-check; it reaches scipy.integrate through the forwarder
+`solve_ivp` below, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from math import fsum, pi, sqrt
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import polygamma, psi
 
 from .numerics import _GUARD_RTOL
@@ -129,6 +129,14 @@ def _flat_band_evolution(
 # tolerances of the brute-force DOP853 integration below
 _ODE_RTOL = 1e-9
 _ODE_ATOL = 1e-12
+
+
+# A module-level name that `integrate_atom_modes` calls, so a tracer can wrap
+# the solver here, while scipy.integrate loads only on the first call.
+def solve_ivp(*args, **kwargs):
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def integrate_atom_modes(

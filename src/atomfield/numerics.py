@@ -11,7 +11,6 @@ from math import factorial, isfinite
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "QuadratureSpec",
@@ -63,13 +62,15 @@ class QuadResult(NamedTuple):
 def integrate_1d(
     f: Callable[[float], float],
     interval: Sequence[float],
-    spec: QuadratureSpec = QuadratureSpec(),
+    spec: QuadratureSpec,
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod integral of f over [a, b] in at most
     spec.max_subdivisions subintervals.
 
     Raises QuadratureError (carrying the best estimate) on non-convergence.
     """
+    from scipy.integrate import quad  # deferred: `import atomfield` does not load it
+
     a, b = float(interval[0]), float(interval[1])
     with np.errstate(all="ignore"):
         out = quad(
@@ -96,7 +97,7 @@ def integrate_1d(
 def integrate_2d(
     f: Callable[[float, float], float],
     rectangle: Sequence[Sequence[float]],
-    spec: QuadratureSpec = QuadratureSpec(),
+    spec: QuadratureSpec,
 ) -> QuadResult:
     """Iterated 1-D adaptive quadrature of f(x, y) over [x0,x1] x [y0,y1];
     the inner integral runs over x."""

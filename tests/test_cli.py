@@ -1,5 +1,8 @@
 """Config parsing, CSV round trips and scenario plumbing."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ from atomfield import cli, parabolic_mirror
 from golden_check import run_config, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_NAMES = sorted(p.stem for p in GOLDEN_DIR.glob("*.cfg"))
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 class TestParseConfig:
@@ -361,9 +366,7 @@ class TestToleranceKeys:
 
 
 class TestGoldenFiles:
-    @pytest.mark.parametrize(
-        "name", sorted(p.stem for p in GOLDEN_DIR.glob("*.cfg"))
-    )
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_regenerates_exactly(self, name, tmp_path):
         cfg = GOLDEN_DIR / f"{name}.cfg"
         out = tmp_path / f"{name}.csv"
@@ -371,3 +374,31 @@ class TestGoldenFiles:
         assert code == 0
         golden = cli.read_table(GOLDEN_DIR / f"{name}.csv")
         assert table_mismatches(cli.read_table(out), golden, ode_bound) == []
+
+
+class TestImportGraph:
+    """scipy.integrate (with scipy.optimize and scipy.sparse behind it) loads
+    only where quad or DOP853 runs; each case runs in a fresh interpreter."""
+
+    DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+
+    def loaded_after(self, code: str) -> list[str]:
+        probe = f"import sys\nprint(*(m for m in {self.DEFERRED!r} if m in sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-c", f"{code}\n{probe}"],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1].split()
+
+    def test_import_loads_no_integrator(self):
+        assert self.loaded_after("import atomfield") == []
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_only_the_quadrature_probe_loads_scipy_integrate(self, name, tmp_path):
+        run = ["run", str(GOLDEN_DIR / f"{name}.cfg"), "--out", str(tmp_path / "out.csv")]
+        loaded = self.loaded_after(f"from atomfield import cli\nassert cli.main({run!r}) == 0")
+        assert ("scipy.integrate" in loaded) == (name == "parabola-eta")

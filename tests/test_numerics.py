@@ -92,7 +92,7 @@ class TestStableSeries:
 
 class TestQuadrature:
     def test_polynomial_exact(self):
-        value, err = integrate_1d(lambda x: x * x, (0.0, 1.0))
+        value, err = integrate_1d(lambda x: x * x, (0.0, 1.0), QuadratureSpec())
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert err < 1e-10
 
@@ -126,7 +126,7 @@ class TestQuadrature:
 
     def test_2d_separable(self):
         value, err = integrate_2d(
-            lambda x, y: np.sin(x) * y, ((0.0, pi), (0.0, 2.0))
+            lambda x, y: np.sin(x) * y, ((0.0, pi), (0.0, 2.0)), QuadratureSpec()
         )
         assert value == pytest.approx(4.0, rel=1e-10)
         assert err < 1e-6
