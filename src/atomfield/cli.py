@@ -382,10 +382,12 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Dispatch a validated config to its physics module; deterministic output.
 
     Raises FloatingPointError if a data value comes out non-finite: the
-    parameters then over- or underflow double precision somewhere.
+    parameters then over- or underflow double precision somewhere.  numpy's
+    floating-point warnings are silenced, since that check reports them.
     """
     try:
-        return _RUNNERS[config.scenario](config)
+        with np.errstate(all="ignore"):
+            return _RUNNERS[config.scenario](config)
     except QuadratureError as exc:
         raise QuadratureError(
             f"scenario {config.scenario!r}: {exc}", exc.estimate, exc.achieved_error

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from math import ceil, pi, sqrt
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+
+from .numerics import _lgamma, _poisson_tail
 
 __all__ = [
     "FieldDistribution",
@@ -83,14 +84,14 @@ class FieldDistribution:
         n = np.arange(n_max + 1)
         # log-domain magnitudes: |a_n| = exp(-mean/2 + n ln|alpha| - ln(n!)/2)
         with np.errstate(divide="ignore"):
-            log_mag = -mean / 2 + n * np.log(np.maximum(abs(alpha), 1e-300)) - 0.5 * gammaln(n + 1)
+            log_mag = -mean / 2 + n * np.log(np.maximum(abs(alpha), 1e-300)) - 0.5 * _lgamma(n + 1.0)
+            # Poisson weight beyond n_max; 1 - sum(|a_n|^2) is round-off at large <n>
+            tail = _poisson_tail(n_max, mean) if mean > 0 else 0.0
         phase = np.exp(1j * n * np.angle(alpha))
         amps = np.exp(log_mag) * phase
         if alpha == 0:
             amps = np.zeros(n_max + 1, dtype=complex)
             amps[0] = 1.0
-        # Poisson weight beyond n_max; 1 - sum(|a_n|^2) is round-off at large <n>
-        tail = float(pdtrc(n_max, mean))
         if tail > _TRUNCATION_TOL:
             raise ValueError(
                 f"truncation at n_max={n_max} leaves weight {tail:.2e} in the tail"

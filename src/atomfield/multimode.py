@@ -12,10 +12,12 @@ omega_eg the Hamiltonian is the Hermitian arrowhead [[0, g^T], [g*, diag(delta)]
 The free-space (quasi-continuum band) and spherical-cavity (equidistant
 ladder) solvers share one model, the flat band of `_flat_band`, and solve it
 exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
-the arrowhead's eigenpairs, each found in O(1) from the closed form of the
-secular sum.  `integrate_atom_modes` integrates any band with DOP853 and is
-the brute-force cross-check; it reaches scipy.integrate through the forwarder
-`solve_ivp` below, so importing this module does not load it.
+the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
+half is solved, each root by a few safeguarded Newton steps on the closed form
+of the secular sum, which needs only numpy.  `integrate_atom_modes`
+integrates any band with DOP853 and is the brute-force cross-check; it
+reaches scipy.integrate through the forwarder `solve_ivp` below, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 from math import fsum, pi, sqrt
 
 import numpy as np
-from scipy.special import polygamma, psi
 
-from .numerics import _GUARD_RTOL
+from .numerics import _GUARD_RTOL, _psi, _trigamma
 
 __all__ = ["AmplitudeTrace", "integrate_atom_modes"]
 
@@ -36,7 +37,7 @@ class AmplitudeTrace:
     """Time series of the excited-state amplitude of a multimode evolution."""
 
     times: np.ndarray
-    excited_amplitude: np.ndarray  # complex a_e(t)
+    excited_amplitude: np.ndarray  # a_e(t), complex (real for the flat band's mirrored spectrum)
     norm: np.ndarray  # |a_e|^2 + sum_k |b_k|^2 (the spectral solver: sum_j w_j), should stay at 1
 
     @property
@@ -57,14 +58,38 @@ def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndar
 
 # Stated error bound of `_flat_band_evolution`: the largest |Delta P_e| and
 # |sum w - 1| it allows against the exact finite-band solution, for
-# Gamma t up to 1e3.  The roots are bracketed to an ulp of tau and the weights
-# come from a sum of positive terms, so both errors stay at a few eps; phase
-# rounding adds about eps * Gamma t (far modes carry weight ~ |g|^2 / lambda^2).
+# Gamma t up to 1e3.  Each root is Newton-solved inside a bracket until every
+# step is at most 8 eps tau, and the weights come from a sum of positive terms,
+# so both errors stay at a few eps; phase rounding adds about eps * Gamma t
+# (far modes carry weight ~ |g|^2 / lambda^2).
 _SPECTRAL_ERROR = 1e-12
 
-# bisection steps: they shrink a bracket by 2^-60 ~ 8.7e-19, below an ulp
-# of every root x for the brackets below (width 1 in a gap, sqrt((2n+1) ratio) outside)
+# iteration cap of `_newton`, so that it ends even if it never accepts a
+# Newton step: 60 bisections shrink a bracket by 2^-60 ~ 8.7e-19, below an ulp
+# of every root x for the brackets below (width 1 in a gap, under
+# sqrt((2n+1) ratio) outside)
 _BISECTIONS = 60
+_EPS = float(np.finfo(float).eps)
+
+
+def _newton(value_and_slope, t, lo, hi):
+    """Roots t in [lo, hi] of increasing functions, elementwise, by Newton
+    steps.  The sign of each value narrows the bracket, and a step that leaves
+    it is replaced by bisection (Bunch, Nielsen & Sorensen, Numer. Math. 31
+    (1978) 31; R.-C. Li, LAPACK Working Note 89).  Stops once every step is at
+    most 8 eps t, or after _BISECTIONS steps."""
+    for _ in range(_BISECTIONS):
+        value, slope = value_and_slope(t)
+        below = value < 0.0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        new = t - value / slope
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        converged = np.all(np.abs(new - t) <= 8.0 * _EPS * new)
+        t = new
+        if converged:
+            break
+    return t
 
 
 def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -73,41 +98,47 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     |g|^2 = ratio * s^2.
 
     The secular equation x = ratio * sum_k 1 / (x - k) has one root in each of
-    the 2n gaps (k, k + 1) and one beyond each band edge.  With the closed
-    form sum_k 1 / (k - x) = psi(n+1-x) - psi(n+1+x) - pi cot(pi x) (DLMF 5.15,
-    5.5.4), a gap root x = k + tau solves the pole-free equation
-    tau = 1/2 - arctan(R(x) / pi) / pi with R(x) = x / ratio + psi(n+1-x)
-    - psi(n+1+x), which is monotone in tau.  tau is kept apart from k, so
-    lambda - delta_k = s tau carries no cancellation.  The band is symmetric,
-    so the outer roots are +-(n + d); d solves the direct O(N) sum.
+    the 2n gaps (k, k + 1) and one beyond each band edge.  The band is
+    symmetric, so the roots below 0 are -x of those above, with the same
+    weights; only the gaps k = 0..n-1 and the outer root n + d are solved.
+    With the closed form sum_k 1 / (k - x) = psi(n+1-x) - psi(n+1+x)
+    - pi cot(pi x) (DLMF 5.15, 5.5.4), a gap root x = k + tau solves the
+    pole-free equation tau = arctan2(pi, R(x)) / pi with R(x) = x / ratio
+    + psi(n+1-x) - psi(n+1+x).  tau - arctan2(pi, R) / pi increases with
+    tau (slope 1 + R' / (pi^2 + R^2) >= 1 - 2 psi'(1) / pi^2 = 2/3), and arctan2
+    keeps the relative accuracy of a small tau, so lambda - delta_k = s tau
+    carries no cancellation.  d solves the direct O(N) sum.
     """
-    k = np.arange(-n, n, dtype=float)
-    lo, hi = np.zeros(k.size), np.ones(k.size)
-    for _ in range(_BISECTIONS):
-        tau = 0.5 * (lo + hi)
-        x = k + tau
-        r = x / ratio + psi(n + 1 - x) - psi(n + 1 + x)
-        above = 0.5 - np.arctan(r / pi) / pi > tau
-        lo = np.where(above, tau, lo)
-        hi = np.where(above, hi, tau)
-    tau = 0.5 * (lo + hi)
-    x = k + tau
-    inner = pi**2 / np.sin(pi * tau) ** 2 - polygamma(1, n + 1 - x) - polygamma(1, n + 1 + x)
-    w = 1.0 / (1.0 + ratio * inner)
+    k = np.arange(n, dtype=float)
 
-    # outer root n + d: (n + d) / ratio = sum_j 1 / (d + j), j = 0..2n; the
-    # right side is at most (2n + 1) / d, so the root lies below sqrt((2n + 1) ratio)
+    def gap(tau):
+        x = k + tau
+        args = np.concatenate((n + 1 - x, n + 1 + x))
+        psi, trigamma = _psi(args), _trigamma(args)
+        r = x / ratio + psi[:n] - psi[n:]
+        slope = 1.0 + (1.0 / ratio - trigamma[:n] - trigamma[n:]) / (pi**2 + r**2)
+        return tau - np.arctan2(pi, r) / pi, slope
+
+    tau = _newton(gap, np.full(n, 0.5), np.zeros(n), np.ones(n))
+    x = k + tau
+    trigamma = _trigamma(np.concatenate((n + 1 - x, n + 1 + x)))
+    w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * tau) ** 2 - trigamma[:n] - trigamma[n:]))
+
+    # outer root n + d: (n + d) / ratio = sum_j 1 / (d + j), j = 0..2n.  The
+    # difference of the two sides is concave and increasing in d, so Newton
+    # climbs to the root from below; the j = 0 term alone gives the lower
+    # bound, and the right side is at most (2n + 1) / d, the upper one
     j = np.arange(2 * n + 1, dtype=float)
-    d_lo, d_hi = 0.0, sqrt((2 * n + 1) * ratio)
-    for _ in range(_BISECTIONS):
-        d = 0.5 * (d_lo + d_hi)
-        if (n + d) / ratio < np.sum(1.0 / (d + j)):
-            d_lo = d
-        else:
-            d_hi = d
-    d = 0.5 * (d_lo + d_hi)
+
+    def outer(d):
+        q = 1.0 / (d + j)
+        return (n + d) / ratio - np.sum(q), 1.0 / ratio + np.sum(q * q)
+
+    d_lo = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio))
+    d = float(_newton(outer, d_lo, d_lo, sqrt((2 * n + 1) * ratio)))
     w_out = 1.0 / (1.0 + ratio * np.sum(1.0 / (d + j) ** 2))
-    return np.concatenate(([-n - d], x, [n + d])), np.concatenate(([w_out], w, [w_out]))
+    x, w = np.append(x, n + d), np.append(w, w_out)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def _flat_band_evolution(
@@ -115,15 +146,18 @@ def _flat_band_evolution(
 ) -> AmplitudeTrace:
     """Exact a_e(t) from a_e(0) = 1 for the atom coupled to the flat band
     `_flat_band(gamma, band_width, spacing)`: a_e(t) = sum_j w_j exp(-i lambda_j t)
-    over the eigenpairs of the arrowhead Hamiltonian.  The norm is the
-    eigenbasis unitarity sum_j w_j, the same at every time."""
+    over the eigenpairs of the arrowhead Hamiltonian.  The spectrum is
+    mirrored, so the sines cancel and a_e(t) = sum_{lambda_j > 0} 2 w_j
+    cos(lambda_j t) is real.  The norm is the eigenbasis unitarity sum_j w_j,
+    the same at every time."""
     detunings, couplings = _flat_band(gamma, band_width, spacing)
     x, w = _flat_band_spectrum(detunings.size // 2, (couplings[0] / spacing) ** 2)
     times = np.asarray(times, dtype=float)
-    phase = np.multiply.outer(times, spacing * x)
-    # cos, then sin in place: one extra times x modes array at a time
-    a_e = np.cos(phase) @ w - 1j * (np.sin(phase, out=phase) @ w)
-    return AmplitudeTrace(times=times, excited_amplitude=a_e, norm=np.full(times.shape, fsum(w)))
+    upper = slice(x.size // 2, None)
+    a_e = np.cos(np.multiply.outer(times, spacing * x[upper])) @ (2.0 * w[upper])
+    return AmplitudeTrace(
+        times=times, excited_amplitude=a_e.astype(complex), norm=np.full(times.shape, fsum(w))
+    )
 
 
 # tolerances of the brute-force DOP853 integration below

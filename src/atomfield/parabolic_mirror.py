@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import atan, factorial, log, pi, sqrt
 
 import numpy as np
-from scipy.special import j0
 
 from .free_space import TwoLevelAtom, _check_radiation_zone, _packet
 from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d, integrate_2d
@@ -214,6 +213,8 @@ def eta_quadrature(
     """Decay-rate ratio eta at a vertex-based point (x, y, z) by quadrature:
     the azimuthal integral is done exactly (Bessel J0 kernel), the polar
     angle adaptively."""
+    from scipy.special import j0  # deferred: `import atomfield` does not load it
+
     _, _, z, rho = _cavity_point(geometry, point)
     k = geometry.wavenumber
     # sin^2 -> (1 - cos)/2; the phi integral of cos(A cos(phi - phi0) + B)

@@ -14,7 +14,8 @@ columns.  What is compared with a tolerance, per field:
 * values from the finite-band (multimode) solver and its ``norm_drift``
   diagnostic: ``|got - golden| <= bound`` with the error bound the spectral
   solver states, ``multimode._SPECTRAL_ERROR``, recorded when the run calls
-  it.  Its phases and trigamma weights go through libm and scipy.special
+  it.  Its phases and trigamma weights go through libm and the numpy
+  special functions and Newton iterations of ``numerics`` and ``multimode``
   rather than a short chain of rounded operations, so the solver's own
   accuracy, not K eps S, is what is promised across environments.
   The ODE scenarios take no tolerance key; ``rel_tol``/``abs_tol`` are

@@ -302,6 +302,25 @@ class TestDomainGuards:
         assert "config error" in err and "non-finite values in column(s) w" in err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_non_finite_result_prints_only_the_error_line(self, tmp_path):
+        # numpy's overflow and invalid-value RuntimeWarnings, with library
+        # paths, used to come first; a fresh interpreter shows real stderr
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("scenario = jcp-vacuum\nt_max = 1e308\nsamples = 3\n")
+        run = ["run", str(cfg), "--out", str(tmp_path / "w.csv")]
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys\nfrom atomfield import cli\nsys.exit(cli.main({run!r}))"],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            "config error: parameters out of double-precision range: "
+            "non-finite values in column(s) w\n"
+        )
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -377,13 +396,20 @@ class TestGoldenFiles:
 
 
 class TestImportGraph:
-    """scipy.integrate (with scipy.optimize and scipy.sparse behind it) loads
-    only where quad or DOP853 runs; each case runs in a fresh interpreter."""
+    """No scipy module loads with `import atomfield`.  The CLI scenarios load
+    scipy only in parabola-eta's probe, whose J0 kernel (scipy.special) and
+    quad (scipy.integrate, with scipy.optimize and scipy.sparse behind it)
+    load on the first call; each case runs in a fresh interpreter."""
 
     DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 
-    def loaded_after(self, code: str) -> list[str]:
-        probe = f"import sys\nprint(*(m for m in {self.DEFERRED!r} if m in sys.modules))"
+    def loaded_after(self, code: str) -> tuple[list[str], list[str]]:
+        """(the DEFERRED modules, every scipy module) loaded after `code`."""
+        probe = (
+            "import sys\n"
+            f"print(*(m for m in {self.DEFERRED!r} if m in sys.modules))\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         done = subprocess.run(
             [sys.executable, "-c", f"{code}\n{probe}"],
             env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
@@ -392,13 +418,17 @@ class TestImportGraph:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        return done.stdout.splitlines()[-1].split()
+        deferred, scipy = done.stdout.splitlines()[-2:]
+        return deferred.split(), scipy.split()
 
     def test_import_loads_no_integrator(self):
-        assert self.loaded_after("import atomfield") == []
+        deferred, scipy = self.loaded_after("import atomfield")
+        assert deferred == []
+        assert scipy == []
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_only_the_quadrature_probe_loads_scipy_integrate(self, name, tmp_path):
         run = ["run", str(GOLDEN_DIR / f"{name}.cfg"), "--out", str(tmp_path / "out.csv")]
-        loaded = self.loaded_after(f"from atomfield import cli\nassert cli.main({run!r}) == 0")
-        assert ("scipy.integrate" in loaded) == (name == "parabola-eta")
+        deferred, scipy = self.loaded_after(f"from atomfield import cli\nassert cli.main({run!r}) == 0")
+        assert ("scipy.integrate" in deferred) == (name == "parabola-eta")
+        assert bool(scipy) == (name == "parabola-eta")

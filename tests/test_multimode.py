@@ -1,6 +1,7 @@
-"""The exact flat-band solver against dense diagonalization and DOP853."""
+"""The exact flat-band solver against dense diagonalization, DOP853 and the
+bisection solver it replaced."""
 
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -100,5 +101,56 @@ def test_roots_interlace_the_poles_and_are_symmetric(half, ratio):
     assert x[0] < poles[0] and x[-1] > poles[-1]
     assert np.all((poles[:-1] < x[1:-1]) & (x[1:-1] < poles[1:]))
     assert np.all(w > 0.0)
-    assert np.max(np.abs(x + x[::-1])) <= 1e-13 * half
-    assert w == pytest.approx(w[::-1], rel=1e-12)
+    # only the upper half is solved; the lower one is its exact mirror image
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+
+
+def _bisection_spectrum(n, ratio):
+    """The flat-band spectrum by 60 bisections of each root, with
+    scipy.special's psi and trigamma: the solver `_flat_band_spectrum`
+    replaced, kept as its oracle."""
+    from scipy.special import polygamma, psi
+
+    k = np.arange(-n, n, dtype=float)
+    lo, hi = np.zeros(k.size), np.ones(k.size)
+    for _ in range(60):
+        tau = 0.5 * (lo + hi)
+        x = k + tau
+        r = x / ratio + psi(n + 1 - x) - psi(n + 1 + x)
+        above = 0.5 - np.arctan(r / pi) / pi > tau
+        lo = np.where(above, tau, lo)
+        hi = np.where(above, hi, tau)
+    tau = 0.5 * (lo + hi)
+    x = k + tau
+    inner = pi**2 / np.sin(pi * tau) ** 2 - polygamma(1, n + 1 - x) - polygamma(1, n + 1 + x)
+    w = 1.0 / (1.0 + ratio * inner)
+    j = np.arange(2 * n + 1, dtype=float)
+    d_lo, d_hi = 0.0, sqrt((2 * n + 1) * ratio)
+    for _ in range(60):
+        d = 0.5 * (d_lo + d_hi)
+        if (n + d) / ratio < np.sum(1.0 / (d + j)):
+            d_lo = d
+        else:
+            d_hi = d
+    d = 0.5 * (d_lo + d_hi)
+    w_out = 1.0 / (1.0 + ratio * np.sum(1.0 / (d + j) ** 2))
+    return np.concatenate(([-n - d], x, [n + d])), np.concatenate(([w_out], w, [w_out]))
+
+
+@pytest.mark.parametrize(
+    "half, ratio", [(1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9)]
+)
+def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
+    psi_calls = []
+    psi = multimode._psi
+    monkeypatch.setattr(multimode, "_psi", lambda x: psi_calls.append(1) or psi(x))
+    x, w = multimode._flat_band_spectrum(half, ratio)
+    want_x, want_w = _bisection_spectrum(half, ratio)
+    assert np.all(np.abs(x - want_x) <= 1e-13 * np.maximum(1.0, np.abs(want_x)))
+    # the bisection's gap weights lose ~eps / tau where tau is small (its
+    # 1/2 - arctan cancels), which is far below 1e-13 of the weight sum
+    assert np.max(np.abs(w - want_w)) <= 1e-13
+    # one psi call per Newton step on the gap roots; a wrong slope would fall
+    # back to bisection, still correct but 60 steps long
+    assert len(psi_calls) <= 10
