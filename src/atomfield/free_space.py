@@ -249,7 +249,8 @@ def wigner_weisskopf_ode(
 
     Flat per-mode coupling |g|^2 = Gamma * spacing / (2 pi) reproduces the
     golden-rule rate by construction.  Valid until the Poincare recurrence
-    time 2 pi / spacing of the discretization.
+    time 2 pi / spacing of the discretization.  `times` must be a uniform grid,
+    such as np.linspace(0, t_max, samples); another raises ValueError.
     """
     gamma = atom.gamma
     times = np.asarray(times, dtype=float)

@@ -31,6 +31,7 @@ __all__ = [
 
 _TRUNCATION_TOL = 1e-12
 _WINDOW_TAIL = 1e-17  # weight inversion may cut from the two ends of the ladder together
+_TIME_BLOCK = 256  # samples per cosine block in inversion
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
 _ODE_ATOL = 1e-12
@@ -189,8 +190,13 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     omega = rabi_frequency(n, params)
     offset = params.detuning**2 / omega**2
     osc = 4.0 * params.g_abs**2 * (n + 1) / omega**2
-    # deterministic summation order: ascending n
-    w = float(np.sum(p * offset)) + (p * osc) @ np.cos(np.outer(omega, times))
+    # deterministic summation order: ascending n.  Blocks of _TIME_BLOCK
+    # samples bound the rows x times cosine matrix, whatever the time grid.
+    mean, amp = float(np.sum(p * offset)), p * osc
+    w = np.empty(times.size)
+    for start in range(0, times.size, _TIME_BLOCK):
+        block = slice(start, start + _TIME_BLOCK)
+        w[block] = mean + amp @ np.cos(np.outer(omega, times[block]))
     return InversionTrace(times, w)
 
 

@@ -14,7 +14,9 @@ ladder) solvers share one model, the flat band of `_flat_band`, and solve it
 exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
 the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
 half is solved, each root by a few safeguarded Newton steps on the closed form
-of the secular sum, which needs only numpy.  `integrate_atom_modes`
+of the secular sum, which needs only numpy.  The time grid must be uniform:
+`_cos_sum` sums the cosines by angle addition over blocks of the grid, with
+about 4 sqrt(T) sines and cosines per mode instead of T.  `integrate_atom_modes`
 integrates any band with DOP853 and is the brute-force cross-check; it
 reaches scipy.integrate through the forwarder `solve_ivp` below, so importing
 this module does not load it.
@@ -23,7 +25,7 @@ this module does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, pi, sqrt
+from math import ceil, fsum, pi, sqrt
 
 import numpy as np
 
@@ -61,7 +63,10 @@ def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndar
 # Gamma t up to 1e3.  Each root is Newton-solved inside a bracket until every
 # step is at most 8 eps tau, and the weights come from a sum of positive terms,
 # so both errors stay at a few eps; phase rounding adds about eps * Gamma t
-# (far modes carry weight ~ |g|^2 / lambda^2).
+# (far modes carry weight ~ |g|^2 / lambda^2).  `_cos_sum` meets each t_k to
+# an ulp or two of max |t| on its anchored grid, lambda_max ulp(t_max) of phase
+# per mode, weighted as above, and its two products add a few eps sum w;
+# measured against the dense cosine sum, all of it stays below 1e-13 sum w.
 _SPECTRAL_ERROR = 1e-12
 
 # iteration cap of `_newton`, so that it ends even if it never accepts a
@@ -141,6 +146,31 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
+def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_j weights_j cos(frequencies_j t_k) on a uniform grid t_k = t_0 + k h,
+    h = (t_{T-1} - t_0) / (T - 1); a sample off t_0 + k h by more than 4 eps
+    max |t| raises ValueError.
+
+    With S = ceil(sqrt(T)) the grid is read as K = ceil(T / S) rows t_{bS} + j h,
+    j < S, so cos(lambda t_k) = cos(lambda t_{bS}) cos(lambda j h)
+    - sin(lambda t_{bS}) sin(lambda j h) makes the sum two (K x n) @ (n x S)
+    products: 2 n (K + S) ~ 4 n sqrt(T) sines and cosines instead of n T.
+    """
+    size = times.size
+    step = (times[-1] - times[0]) / (size - 1) if size > 1 else 0.0
+    uniform = times[:1] + step * np.arange(size)
+    if np.any(np.abs(times - uniform) > 4.0 * _EPS * np.max(np.abs(times), initial=0.0)):
+        raise ValueError("time grid must be uniform")
+    cols = max(1, ceil(sqrt(size)))
+    # the K x S result first: a grid too large for memory fails before any trig
+    out = np.empty((-(-size // cols), cols))
+    anchors = np.multiply.outer(times[::cols], frequencies)
+    offsets = np.multiply.outer(frequencies, step * np.arange(cols))
+    np.matmul(np.cos(anchors) * weights, np.cos(offsets), out=out)
+    out -= (np.sin(anchors) * weights) @ np.sin(offsets)
+    return out.ravel()[:size]
+
+
 def _flat_band_evolution(
     gamma: float, band_width: float, spacing: float, times: np.ndarray
 ) -> AmplitudeTrace:
@@ -149,12 +179,12 @@ def _flat_band_evolution(
     over the eigenpairs of the arrowhead Hamiltonian.  The spectrum is
     mirrored, so the sines cancel and a_e(t) = sum_{lambda_j > 0} 2 w_j
     cos(lambda_j t) is real.  The norm is the eigenbasis unitarity sum_j w_j,
-    the same at every time."""
+    the same at every time.  `times` must be uniform (see `_cos_sum`)."""
     detunings, couplings = _flat_band(gamma, band_width, spacing)
     x, w = _flat_band_spectrum(detunings.size // 2, (couplings[0] / spacing) ** 2)
     times = np.asarray(times, dtype=float)
     upper = slice(x.size // 2, None)
-    a_e = np.cos(np.multiply.outer(times, spacing * x[upper])) @ (2.0 * w[upper])
+    a_e = _cos_sum(2.0 * w[upper], spacing * x[upper], times)
     return AmplitudeTrace(
         times=times, excited_amplitude=a_e.astype(complex), norm=np.full(times.shape, fsum(w))
     )

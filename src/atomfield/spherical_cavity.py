@@ -126,6 +126,8 @@ def evolve_cavity_ode(
     cavity: SphericalCavity, times: np.ndarray, band_width: float
 ) -> AmplitudeTrace:
     """Atom + N-mode evolution over the resonant ladder, sampled on `times`:
-    the exact solution of the finite band `resonant_mode_set` builds."""
+    the exact solution of the finite band `resonant_mode_set` builds.
+    `times` must be a uniform grid, such as np.linspace(0, t_max, samples);
+    another raises ValueError."""
     resonant_mode_set(cavity, band_width)  # validates the band, raises its warnings
     return _flat_band_evolution(cavity.atom.gamma, band_width, cavity.mode_spacing, times)

@@ -191,6 +191,12 @@ class TestDiscretizedContinuum:
                     atom, np.array(times), band_width=20.0, mode_spacing=0.05
                 )
 
+    def test_non_uniform_grid_raises(self, atom):
+        times = np.linspace(0.0, 1.0, 51)
+        times[7] += 1e-9
+        with pytest.raises(ValueError, match="time grid must be uniform"):
+            free_space.wigner_weisskopf_ode(atom, times, band_width=20.0, mode_spacing=0.05)
+
     def test_flat_band_couplings(self, atom, monkeypatch):
         # the band the spectral solver builds and solves
         seen = []

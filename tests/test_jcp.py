@@ -146,6 +146,20 @@ class TestWeightWindow:
         assert np.sum(p[: rows[0]]) + np.sum(p[rows[-1] + 1 :]) <= 1e-17
         assert w == pytest.approx(_full_ladder_inversion(params, t), rel=0, abs=1e-15)
 
+    def test_time_blocks_match_the_one_shot_sum(self, monkeypatch):
+        # 2000 samples: seven full blocks of 256 and a partial one of 208
+        params = jcp.JcpParams(detuning=0.3, field=jcp.FieldDistribution.coherent(20.0))
+        t = np.linspace(0.0, 300.0, 2000)
+        w, rows = self._summed_rows(monkeypatch, params, t)
+        p = params.field.weights[rows]
+        omega = jcp.rabi_frequency(rows, params)
+        osc = 4.0 * params.g_abs**2 * (rows + 1) / omega**2
+        want = float(np.sum(p * params.detuning**2 / omega**2)) + (p * osc) @ np.cos(
+            np.outer(omega, t)
+        )
+        assert t.size % jcp._TIME_BLOCK and t.size > 2 * jcp._TIME_BLOCK
+        assert w == pytest.approx(want, rel=0, abs=1e-15)
+
     @pytest.mark.parametrize(
         "field, kept",
         [

@@ -82,6 +82,41 @@ def test_weights_are_unitary(gamma, band_width, spacing):
     assert trace.norm == pytest.approx(trace.norm[0], rel=0.0, abs=0.0)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 17, 401, 601])
+@pytest.mark.parametrize("start", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "half, ratio", [(0, 0.5), (1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9)]
+)
+def test_cos_sum_matches_the_dense_sum(half, ratio, start, size):
+    # 1 to 2001 upper-half modes of a flat band at unit spacing, over three
+    # echo periods 2 pi; 16 samples fill a 4 x 4 block, 3, 17, 401 and 601 end
+    # on a partial row, 1 and 2 fill one row
+    x, w = multimode._flat_band_spectrum(half, ratio)
+    weights, frequencies = 2.0 * w[x.size // 2 :], x[x.size // 2 :]
+    times = np.linspace(start, start + 20.0, size)
+    got = multimode._cos_sum(weights, frequencies, times)
+    want = np.cos(np.multiply.outer(times, frequencies)) @ weights
+    # a few eps of the weight sum from the products, plus the anchored grid's
+    # phase rounding: t_k is met to an ulp of max |t|, which moves the phase
+    # of mode j by frequencies_j times that
+    eps = np.finfo(float).eps
+    bound = 1e-14 * np.sum(weights) + eps * np.max(np.abs(times)) * np.sum(weights * frequencies)
+    assert got.shape == times.shape
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_uniform_grid_tolerance_is_a_few_ulps():
+    # k h rounds each sample on its own; t_0 + k h with h = (t_end - t_0) / 50
+    # meets it to an ulp or two
+    trace = multimode._flat_band_evolution(1.0, 20.0, 0.05, 0.02 * np.arange(51.0))
+    want = multimode._flat_band_evolution(1.0, 20.0, 0.05, np.linspace(0.0, 1.0, 51))
+    assert np.max(np.abs(trace.excited_amplitude - want.excited_amplitude)) <= 1e-14
+    times = np.linspace(0.0, 1.0, 51)
+    times[7] += 64 * np.spacing(1.0)
+    with pytest.raises(ValueError, match="uniform"):
+        multimode._flat_band_evolution(1.0, 20.0, 0.05, times)
+
+
 def test_time_by_eigenvalue_matrix_too_large_raises_memory_error():
     # a zero-stride view: 1e14 times x 401 eigenvalues is 4e16 elements,
     # which numpy refuses at once

@@ -132,6 +132,11 @@ class TestOdeOracle:
         assert np.max(np.abs(trace.excited_population - p_closed)) < 1e-2
         assert np.max(np.abs(trace.norm - 1.0)) < 1e-7
 
+    def test_non_uniform_grid_raises(self, atom):
+        times = np.geomspace(1e-3, 4.0, 161)
+        with pytest.raises(ValueError, match="time grid must be uniform"):
+            sc.evolve_cavity_ode(make_cavity(atom, 1.0), times, band_width=400.0)
+
     def test_closed_form_is_the_infinite_band_limit(self, atom):
         # the finite band misses the closed form by ~1.43 / band at Gamma R = 1:
         # 1.8e-3 at band 800, 1.8e-4 at 8000
