@@ -15,7 +15,7 @@ from math import ceil, pi, sqrt
 
 import numpy as np
 
-from .numerics import _lgamma, _poisson_tail
+from .numerics import _cos_sum, _lgamma, _poisson_tail
 
 __all__ = [
     "FieldDistribution",
@@ -31,7 +31,6 @@ __all__ = [
 
 _TRUNCATION_TOL = 1e-12
 _WINDOW_TAIL = 1e-17  # weight inversion may cut from the two ends of the ladder together
-_TIME_BLOCK = 256  # samples per cosine block in inversion
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
 _ODE_ATOL = 1e-12
@@ -180,7 +179,11 @@ def amplitudes_closed_form(params: JcpParams, n: int, t: float) -> tuple[complex
 
 
 def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
-    """Inversion w(t) of an initially excited atom, summed over the weighted ladder."""
+    """Inversion w(t) of an initially excited atom, summed over the weighted ladder.
+
+    `times` must be a uniform grid, such as np.linspace(0, t_max, samples);
+    another raises ValueError (the ladder's cosines are summed by angle
+    addition, see `numerics._cos_sum`)."""
     times = np.asarray(times, dtype=float)
     p = params.field.weights
     # drop the rows at either end of the ladder that hold at most _WINDOW_TAIL / 2
@@ -190,13 +193,7 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     omega = rabi_frequency(n, params)
     offset = params.detuning**2 / omega**2
     osc = 4.0 * params.g_abs**2 * (n + 1) / omega**2
-    # deterministic summation order: ascending n.  Blocks of _TIME_BLOCK
-    # samples bound the rows x times cosine matrix, whatever the time grid.
-    mean, amp = float(np.sum(p * offset)), p * osc
-    w = np.empty(times.size)
-    for start in range(0, times.size, _TIME_BLOCK):
-        block = slice(start, start + _TIME_BLOCK)
-        w[block] = mean + amp @ np.cos(np.outer(omega, times[block]))
+    w = float(np.sum(p * offset)) + _cos_sum(p * osc, omega, times)
     return InversionTrace(times, w)
 
 

@@ -15,21 +15,21 @@ exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
 the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
 half is solved, each root by a few safeguarded Newton steps on the closed form
 of the secular sum, which needs only numpy.  The time grid must be uniform:
-`_cos_sum` sums the cosines by angle addition over blocks of the grid, with
-about 4 sqrt(T) sines and cosines per mode instead of T.  `integrate_atom_modes`
-integrates any band with DOP853 and is the brute-force cross-check; it
-reaches scipy.integrate through the forwarder `solve_ivp` below, so importing
-this module does not load it.
+`numerics._cos_sum` sums the cosines by angle addition over blocks of the
+grid, with about 4 sqrt(T) sines and cosines per mode instead of T.
+`integrate_atom_modes` integrates any band with DOP853 and is the brute-force
+cross-check; it reaches scipy.integrate through the forwarder `solve_ivp`
+below, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, fsum, pi, sqrt
+from math import fsum, pi, sqrt
 
 import numpy as np
 
-from .numerics import _GUARD_RTOL, _psi, _trigamma
+from .numerics import _EPS, _GUARD_RTOL, _cos_sum, _psi, _trigamma
 
 __all__ = ["AmplitudeTrace", "integrate_atom_modes"]
 
@@ -74,7 +74,6 @@ _SPECTRAL_ERROR = 1e-12
 # of every root x for the brackets below (width 1 in a gap, under
 # sqrt((2n+1) ratio) outside)
 _BISECTIONS = 60
-_EPS = float(np.finfo(float).eps)
 
 
 def _newton(value_and_slope, t, lo, hi):
@@ -144,31 +143,6 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     w_out = 1.0 / (1.0 + ratio * np.sum(1.0 / (d + j) ** 2))
     x, w = np.append(x, n + d), np.append(w, w_out)
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
-
-
-def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_j weights_j cos(frequencies_j t_k) on a uniform grid t_k = t_0 + k h,
-    h = (t_{T-1} - t_0) / (T - 1); a sample off t_0 + k h by more than 4 eps
-    max |t| raises ValueError.
-
-    With S = ceil(sqrt(T)) the grid is read as K = ceil(T / S) rows t_{bS} + j h,
-    j < S, so cos(lambda t_k) = cos(lambda t_{bS}) cos(lambda j h)
-    - sin(lambda t_{bS}) sin(lambda j h) makes the sum two (K x n) @ (n x S)
-    products: 2 n (K + S) ~ 4 n sqrt(T) sines and cosines instead of n T.
-    """
-    size = times.size
-    step = (times[-1] - times[0]) / (size - 1) if size > 1 else 0.0
-    uniform = times[:1] + step * np.arange(size)
-    if np.any(np.abs(times - uniform) > 4.0 * _EPS * np.max(np.abs(times), initial=0.0)):
-        raise ValueError("time grid must be uniform")
-    cols = max(1, ceil(sqrt(size)))
-    # the K x S result first: a grid too large for memory fails before any trig
-    out = np.empty((-(-size // cols), cols))
-    anchors = np.multiply.outer(times[::cols], frequencies)
-    offsets = np.multiply.outer(frequencies, step * np.arange(cols))
-    np.matmul(np.cos(anchors) * weights, np.cos(offsets), out=out)
-    out -= (np.sin(anchors) * weights) @ np.sin(offsets)
-    return out.ravel()[:size]
 
 
 def _flat_band_evolution(

@@ -1,5 +1,6 @@
 """Adaptive quadrature, an alternating series summed in exact integers and
-rounded once, and the few special functions the physics needs, in numpy.
+rounded once, a weighted cosine sum on a uniform time grid, and the few
+special functions the physics needs, in numpy.
 
 Everything here is pure and stateless; the physics modules build on these
 primitives.  Unit conventions are left to the callers.  Only the quadrature
@@ -9,7 +10,8 @@ loads scipy (`scipy.integrate`, on its first call).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, factorial, isfinite, log, pi, sqrt
+from functools import lru_cache
+from math import ceil, comb, factorial, isfinite, log, pi, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
 # Gamma = omega_eg^3 d^2 / (3 pi) of an atom built for Gamma = 1 can be one ulp
 # off 1, which must not turn "band = 20 Gamma" into a rejected band.
 _GUARD_RTOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -123,6 +126,14 @@ def integrate_2d(
     return QuadResult(value, outer_err + inner_err)
 
 
+@lru_cache
+def _series_coefficients(M: int) -> tuple[tuple[int, ...], int]:
+    """The integers c_r = C(M-1, r) M! / (r+1)!, r = 0..M-1, of
+    `stable_binomial_series`, and M!."""
+    fact = factorial(M)
+    return tuple(comb(M - 1, r) * (fact // factorial(r + 1)) for r in range(M)), fact
+
+
 def stable_binomial_series(M: int, u: float) -> float:
     """Sum_{r=0}^{M-1} C(M-1, r) (-u)^(1+r) / (1+r)!  without cancellation.
 
@@ -138,16 +149,42 @@ def stable_binomial_series(M: int, u: float) -> float:
         raise ValueError("u must be finite and >= 0")
     a, d = float(u).as_integer_ratio()
     b = d.bit_length() - 1  # d = 2^b
-    acc = c = 1  # c_r at r = M - 1
-    for r in range(M - 2, -1, -1):
-        c = c * (r + 1) * (r + 2) // (M - 1 - r)
-        acc = (c << b * (M - 1 - r)) - a * acc
+    coefficients, fact = _series_coefficients(M)
+    acc, shift = 1, 0  # c_{M-1} = 1
+    for c in coefficients[-2::-1]:
+        shift += b
+        acc = (c << shift) - a * acc
     try:
-        return -a * acc / (factorial(M) << b * M)
+        return -a * acc / (fact << b * M)
     except OverflowError as exc:
         raise OverflowError(
             f"series value not representable in double precision (M={M}, u={u})"
         ) from exc
+
+
+def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_j weights_j cos(frequencies_j t_k) on a uniform grid t_k = t_0 + k h,
+    h = (t_{T-1} - t_0) / (T - 1); a sample off t_0 + k h by more than 4 eps
+    max |t| raises ValueError.
+
+    With S = ceil(sqrt(T)) the grid is read as K = ceil(T / S) rows t_{bS} + j h,
+    j < S, so cos(lambda t_k) = cos(lambda t_{bS}) cos(lambda j h)
+    - sin(lambda t_{bS}) sin(lambda j h) makes the sum two (K x n) @ (n x S)
+    products: 2 n (K + S) ~ 4 n sqrt(T) sines and cosines instead of n T.
+    """
+    size = times.size
+    step = (times[-1] - times[0]) / (size - 1) if size > 1 else 0.0
+    uniform = times[:1] + step * np.arange(size)
+    if np.any(np.abs(times - uniform) > 4.0 * _EPS * np.max(np.abs(times), initial=0.0)):
+        raise ValueError("time grid must be uniform")
+    cols = max(1, ceil(sqrt(size)))
+    # the K x S result first: a grid too large for memory fails before any trig
+    out = np.empty((-(-size // cols), cols))
+    anchors = np.multiply.outer(times[::cols], frequencies)
+    offsets = np.multiply.outer(frequencies, step * np.arange(cols))
+    np.matmul(np.cos(anchors) * weights, np.cos(offsets), out=out)
+    out -= (np.sin(anchors) * weights) @ np.sin(offsets)
+    return out.ravel()[:size]
 
 
 # Bernoulli numbers B_2k, k = 1..7 (DLMF 24.2.1)

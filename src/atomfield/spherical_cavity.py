@@ -117,7 +117,7 @@ def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.nd
     for m in range(1, int(echoes.max(initial=0.0)) + 1):
         live = echoes >= m
         u = gamma * (t_arr[live] - m * rt)
-        amplitude[live] += np.exp(-u / 2.0) * [stable_binomial_series(m, ui) for ui in u]
+        amplitude[live] += np.exp(-u / 2.0) * [stable_binomial_series(m, ui) for ui in u.tolist()]
     p = amplitude * amplitude
     return float(p) if p.ndim == 0 else p
 

@@ -38,11 +38,15 @@ EPS = float(np.finfo(np.float64).eps)
 # Every closed-form column is a short chain of correctly rounded arithmetic,
 # elementary-function calls (each within a few ulp in any conforming libm)
 # and reductions of at most 45 terms (the jcp-inversion Fock ladder at
-# <n> = 4, n_max = ceil(<n> + 10 sqrt(<n>) + 20) = 44).  Summing n terms
-# bounded by S in another order moves the result by at most (n - 1) eps S
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2),
-# i.e. 44 eps S; 64 is the next power of two, leaving room for the
-# elementary-function ulps on top.
+# <n> = 4, n_max = ceil(<n> + 10 sqrt(<n>) + 20) = 44).  The jcp inversion
+# sums its ladder as the two angle-addition products of `numerics._cos_sum`,
+# (cos(A) amp) @ cos(B) - (sin(A) amp) @ sin(B), each a reduction over those
+# rows, on sample times met to an ulp of the largest one; it lies 4.1e-15 and
+# 2.1e-15 from the jcp-inversion and jcp-vacuum goldens, which the dense
+# cosine sum wrote.  Summing n terms bounded by S in another order moves the
+# result by at most (n - 1) eps S (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, sec. 4.2), i.e. 44 eps S; 64 is the next power
+# of two, leaving room for the elementary-function ulps on top.
 K = 64
 
 # Fields produced by the finite-band solver, per scenario.

@@ -5,7 +5,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from atomfield import jcp
+from atomfield import jcp, numerics
 
 
 class TestFieldDistribution:
@@ -103,6 +103,36 @@ class TestClosedForm:
         ).w
         assert w0 == pytest.approx(w1, abs=1e-12)
 
+    def test_non_uniform_grid_raises(self):
+        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(2.0))
+        t = np.linspace(0.0, 10.0, 101)
+        t[7] += 64 * np.spacing(10.0)
+        with pytest.raises(ValueError, match="uniform"):
+            jcp.inversion(params, t)
+        with pytest.raises(ValueError, match="uniform"):
+            jcp.inversion(params, np.geomspace(1.0, 10.0, 50))
+
+    @pytest.mark.parametrize("mean_n", [4.0, 100.0, 1e4])
+    def test_matches_a_long_double_dense_sum(self, mean_n):
+        params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(sqrt(mean_n)))
+        t = np.linspace(0.0, 2000.0, 401)
+        w = jcp.inversion(params, t).w
+        # each cosine taken on its own, in long double, over every row of the
+        # ladder above 1e-40: what is left out weighs far below the bound
+        rows = np.flatnonzero(params.field.weights > 1e-40)
+        p = params.field.weights[rows].astype(np.longdouble)
+        n = rows.astype(np.longdouble)
+        omega = np.sqrt(np.longdouble(params.detuning) ** 2 + 4 * (n + 1))
+        amp = p * 4 * (n + 1) / omega**2
+        mean = np.sum(p * np.longdouble(params.detuning) ** 2 / omega**2)
+        want = [mean + np.sum(amp * np.cos(omega * tk)) for tk in t.astype(np.longdouble)]
+        # the kernel's bound: a few eps of the amplitude sum from the products,
+        # and an ulp of max |t| of phase per row, weighted by amp * omega
+        eps = np.finfo(float).eps
+        amp, omega = amp.astype(float), omega.astype(float)
+        bound = 1e-14 * np.sum(amp) + eps * np.max(np.abs(t)) * np.sum(amp * omega)
+        assert np.max(np.abs(w - np.array(want))) <= bound
+
     def test_inversion_bounds(self):
         params = jcp.JcpParams(
             detuning=1.3, field=jcp.FieldDistribution.coherent(sqrt(8.0))
@@ -113,14 +143,12 @@ class TestClosedForm:
 
 
 def _full_ladder_inversion(params, t):
-    """w(t) summed over every row of the ladder, none cut."""
+    """w(t) summed over every row of the ladder, none cut, by the same cosine sum."""
     p = params.field.weights
     n = np.arange(p.size)
     omega = np.sqrt(params.detuning**2 + 4.0 * params.g_abs**2 * (n + 1))
-    w = np.full(t.size, np.sum(p * params.detuning**2 / omega**2))
-    for pk, nk, ok in zip(p, n, omega):
-        w += pk * 4.0 * params.g_abs**2 * (nk + 1) / ok**2 * np.cos(ok * t)
-    return w
+    amp = p * 4.0 * params.g_abs**2 * (n + 1) / omega**2
+    return np.sum(p * params.detuning**2 / omega**2) + numerics._cos_sum(amp, omega, t)
 
 
 class TestWeightWindow:
@@ -145,20 +173,6 @@ class TestWeightWindow:
         assert rows.size < 0.25 * p.size
         assert np.sum(p[: rows[0]]) + np.sum(p[rows[-1] + 1 :]) <= 1e-17
         assert w == pytest.approx(_full_ladder_inversion(params, t), rel=0, abs=1e-15)
-
-    def test_time_blocks_match_the_one_shot_sum(self, monkeypatch):
-        # 2000 samples: seven full blocks of 256 and a partial one of 208
-        params = jcp.JcpParams(detuning=0.3, field=jcp.FieldDistribution.coherent(20.0))
-        t = np.linspace(0.0, 300.0, 2000)
-        w, rows = self._summed_rows(monkeypatch, params, t)
-        p = params.field.weights[rows]
-        omega = jcp.rabi_frequency(rows, params)
-        osc = 4.0 * params.g_abs**2 * (rows + 1) / omega**2
-        want = float(np.sum(p * params.detuning**2 / omega**2)) + (p * osc) @ np.cos(
-            np.outer(omega, t)
-        )
-        assert t.size % jcp._TIME_BLOCK and t.size > 2 * jcp._TIME_BLOCK
-        assert w == pytest.approx(want, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "field, kept",

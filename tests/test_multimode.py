@@ -6,7 +6,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from atomfield import multimode
+from atomfield import multimode, numerics
 
 
 def _arrowhead_eigh(detunings, couplings):
@@ -94,7 +94,7 @@ def test_cos_sum_matches_the_dense_sum(half, ratio, start, size):
     x, w = multimode._flat_band_spectrum(half, ratio)
     weights, frequencies = 2.0 * w[x.size // 2 :], x[x.size // 2 :]
     times = np.linspace(start, start + 20.0, size)
-    got = multimode._cos_sum(weights, frequencies, times)
+    got = numerics._cos_sum(weights, frequencies, times)
     want = np.cos(np.multiply.outer(times, frequencies)) @ weights
     # a few eps of the weight sum from the products, plus the anchored grid's
     # phase rounding: t_k is met to an ulp of max |t|, which moves the phase

@@ -12,6 +12,7 @@ from atomfield.numerics import (
     _lgamma,
     _poisson_tail,
     _psi,
+    _series_coefficients,
     _trigamma,
     integrate_1d,
     integrate_2d,
@@ -84,6 +85,34 @@ class TestStableSeries:
 
     def test_zero_argument(self):
         assert stable_binomial_series(5, 0.0) == 0.0
+
+    def test_cached_coefficients_are_the_exact_integers(self):
+        for M in range(1, 41):
+            coefficients, fact = _series_coefficients(M)
+            assert fact == factorial(M)
+            assert coefficients == tuple(
+                comb(M - 1, r) * factorial(M) // factorial(r + 1) for r in range(M)
+            )
+
+    def test_bit_identical_to_the_uncached_horner_loop(self):
+        def uncached(M, u):
+            # the coefficients rebuilt by one integer division per step
+            a, d = u.as_integer_ratio()
+            b = d.bit_length() - 1
+            acc = c = 1
+            for r in range(M - 2, -1, -1):
+                c = c * (r + 1) * (r + 2) // (M - 1 - r)
+                acc = (c << b * (M - 1 - r)) - a * acc
+            return -a * acc / (factorial(M) << b * M)
+
+        rng = np.random.default_rng(13)
+        M = rng.integers(1, 61, size=600).tolist()
+        u = (rng.uniform(0.0, 60.0, size=600) * 10.0 ** rng.integers(-12, 1, size=600)).tolist()
+        for Mi, ui in zip(M + [1, 20, 60], u + [0.0, 5e-324, 37.5]):
+            want = uncached(Mi, ui)
+            assert stable_binomial_series(Mi, ui).hex() == want.hex(), (Mi, ui)
+            # a numpy scalar argument gives the same bits as the Python float
+            assert stable_binomial_series(Mi, np.float64(ui)).hex() == want.hex(), (Mi, ui)
 
     def test_invalid_input(self):
         with pytest.raises(ValueError):
