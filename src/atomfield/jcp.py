@@ -23,7 +23,6 @@ __all__ = [
     "InversionTrace",
     "JcpTrace",
     "rabi_frequency",
-    "amplitudes_closed_form",
     "inversion",
     "evolve_ode",
     "collapse_revival_times",
@@ -160,22 +159,6 @@ def rabi_frequency(n, params: JcpParams):
         raise ValueError("photon number must be >= 0")
     omega = np.sqrt(params.detuning**2 + 4.0 * params.g_abs**2 * (n + 1))
     return float(omega) if omega.ndim == 0 else omega
-
-
-def amplitudes_closed_form(params: JcpParams, n: int, t: float) -> tuple[complex, complex]:
-    """Closed-form (a_{e,n}(t), a_{g,n+1}(t)) for an initially excited atom."""
-    if n >= params.field.amplitudes.size:
-        a0 = 0.0 + 0j
-    else:
-        a0 = complex(params.field.amplitudes[n])
-    omega_n = rabi_frequency(n, params)
-    delta = params.detuning
-    c, s = np.cos(omega_n * t / 2), np.sin(omega_n * t / 2)
-    a_e = a0 * (c - 1j * delta / omega_n * s) * np.exp(1j * delta * t / 2)
-    a_g = -a0 * 2j * np.conj(params.coupling) * sqrt(n + 1) / omega_n * s * np.exp(
-        -1j * delta * t / 2
-    )
-    return complex(a_e), complex(a_g)
 
 
 def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:

@@ -1,5 +1,5 @@
-"""Half-open parabolic mirror: mode structure, decay-rate modification and
-two-ray semiclassical field maps.
+"""Half-open parabolic mirror: decay-rate modification and two-ray
+semiclassical field maps.
 
 Geometry convention used throughout this module: Cartesian coordinates with
 the mirror vertex P at the origin, the symmetry axis along +z, the focus at
@@ -15,7 +15,7 @@ correction depends on k * z (z = height above the vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, factorial, log, pi, sqrt
+from math import atan, factorial, pi, sqrt
 
 import numpy as np
 
@@ -28,12 +28,7 @@ __all__ = [
     "RateProfile",
     "TwoRayField",
     "ParabolicFieldMap",
-    "mode_angular_function",
-    "discretized_mu",
-    "discrete_mode",
-    "free_space_rate_integral",
     "eta_quadrature",
-    "modified_rate",
     "on_axis_eta",
     "rate_profile",
     "angular_cutoff_correction",
@@ -70,7 +65,7 @@ class ParabolicGeometry:
 
     @property
     def theta0(self) -> float:
-        """Minimum polar angle of the discretized modes: tan(theta0/2) = 1/(2kf)."""
+        """Emission cutoff angle of `angular_cutoff_correction`: tan(theta0/2) = 1/(2kf)."""
         return 2.0 * atan(1.0 / (2.0 * self.kf))
 
 
@@ -91,10 +86,6 @@ class ParabolicPoint:
     def parabolic_eta(self, geometry: ParabolicGeometry) -> float:
         """Parabolic coordinate eta (focus-centered); the mirror is at eta = f."""
         return float(_focus_distance_eta(self.z, self.rho, geometry.focal_length)[1])
-
-    def parabolic_xi(self, geometry: ParabolicGeometry) -> float:
-        r = self.focus_distance(geometry)
-        return 0.5 * (r + (self.z - geometry.focal_length))
 
     def inside(self, geometry: ParabolicGeometry) -> bool:
         return self.parabolic_eta(geometry) < geometry.focal_length
@@ -117,69 +108,6 @@ class RateProfile:
     def __post_init__(self):
         if np.any(self.eta < -1e-12):
             raise ValueError("rate ratio must be non-negative")
-
-
-def mode_angular_function(ell: int, mu: float, theta, phi):
-    """Angular factor chi_mu(theta) exp(i ell phi) / sqrt(2 pi) of the
-    half-space mode expansion; singular at the poles."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(theta <= 0) or np.any(theta >= pi):
-        raise ValueError("theta must lie strictly inside (0, pi)")
-    chi = np.exp(-1j * mu * np.log(np.tan(theta / 2.0))) / (
-        sqrt(2.0 * pi) * np.sin(theta)
-    )
-    out = chi * np.exp(1j * ell * phi) / sqrt(2.0 * pi)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def discretized_mu(geometry: ParabolicGeometry, m: int) -> float:
-    """Discrete mode index mu_m = m pi / ln(2 k f) selected by the mirror."""
-    if m < 1:
-        raise ValueError("mode number m must be >= 1")
-    if geometry.kf <= 1.0:
-        raise ValueError("discretization requires kf > 1")
-    return m * pi / log(2.0 * geometry.kf)
-
-
-def discrete_mode(geometry: ParabolicGeometry, m: int, theta):
-    """Standing-wave angular mode of the mirror; vanishes outside
-    [theta0, pi - theta0] and at the cutoff angles themselves."""
-    if m < 1:
-        raise ValueError("mode number m must be >= 1")
-    log2kf = log(2.0 * geometry.kf)
-    if log2kf <= 0:
-        raise ValueError("discretization requires kf > 1")
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0) or np.any(theta >= pi):
-        raise ValueError("theta must lie strictly inside (0, pi)")
-    t0 = geometry.theta0
-    inside = (theta >= t0) & (theta <= pi - t0)
-    val = np.sin(m * pi * np.log(np.tan(theta / 2.0)) / log2kf) / (
-        np.sqrt(2.0 * pi * log2kf) * np.sin(theta)
-    )
-    out = np.where(inside, val, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def free_space_rate_integral(atom: TwoLevelAtom) -> float:
-    """Golden-rule rate from the half-space mode sum with |f_k| = 1.
-
-    Quadrature of (d^2 k^3 / (2)) (1/(2 pi)^2) sin^3(theta) over the sphere;
-    must reproduce the closed-form free-space Gamma.
-    """
-    k = atom.omega_eg
-    pref = atom.dipole**2 * k**3 / 2.0 / (2.0 * pi) ** 2
-    value, _ = integrate_2d(
-        lambda theta, phi: np.sin(theta) ** 3,
-        ((0.0, pi), (0.0, 2.0 * pi)),
-        QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14),
-    )
-    return pref * value
 
 
 def _theta_spec(a: float, spec: QuadratureSpec | None) -> QuadratureSpec:
@@ -245,22 +173,6 @@ def _eta_quadrature_2d(
         _theta_spec(k * (abs(z) + rho), spec),
     )
     return QuadResult(3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err)
-
-
-def modified_rate(
-    geometry: ParabolicGeometry, atom: TwoLevelAtom, point: tuple[float, float, float]
-) -> float:
-    """Spontaneous decay rate at a point inside the mirror, dipole along z."""
-    _check_wavenumber(geometry, atom)
-    eta, _ = eta_quadrature(geometry, point)
-    return eta * atom.gamma
-
-
-def _check_wavenumber(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
-    if not np.isclose(geometry.wavenumber, atom.omega_eg, rtol=1e-9):
-        raise ValueError(
-            "geometry wave number must match the atomic transition (k = omega_eg / c)"
-        )
 
 
 def on_axis_eta(geometry: ParabolicGeometry, z):
@@ -362,7 +274,10 @@ def _check_two_ray(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
         raise ValueError(
             "semiclassical two-ray construction requires omega_eg f / c >= 50"
         )
-    _check_wavenumber(geometry, atom)
+    if not np.isclose(geometry.wavenumber, atom.omega_eg, rtol=1e-9):
+        raise ValueError(
+            "geometry wave number must match the atomic transition (k = omega_eg / c)"
+        )
 
 
 def semiclassical_field(

@@ -18,17 +18,14 @@ from math import pi
 import numpy as np
 
 from .free_space import TwoLevelAtom
-from .multimode import AmplitudeTrace, _flat_band, _flat_band_evolution
+from .multimode import AmplitudeTrace, _flat_band_evolution
 from .numerics import stable_binomial_series
 
 __all__ = [
     "SphericalCavity",
-    "CavityModeSet",
     "SmallCavityNotice",
-    "resonant_mode_set",
     "excited_probability_closed_form",
     "evolve_cavity_ode",
-    "echo_times",
 ]
 
 
@@ -53,50 +50,8 @@ class SphericalCavity:
         return pi / self.radius
 
     @property
-    def mode_density_parameter(self) -> float:
-        """Gamma R / (pi c): resonant modes per linewidth."""
-        return self.atom.gamma * self.radius / pi
-
-    @property
     def round_trip_time(self) -> float:
         return 2.0 * self.radius
-
-
-@dataclass(frozen=True)
-class CavityModeSet:
-    """Equidistant resonant ladder with flat couplings."""
-
-    frequencies: np.ndarray
-    couplings: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.frequencies) <= 0):
-            raise ValueError("mode frequencies must be strictly increasing")
-
-
-def resonant_mode_set(cavity: SphericalCavity, band_width: float) -> CavityModeSet:
-    """Modes of the asymptotic L = 1 ladder within a band around omega_eg.
-
-    The ladder is the flat continuum band at spacing pi c / R: its coupling
-    |g_n|^2 = Gamma c / (2 R) reproduces Gamma through the golden rule with
-    the ladder density R / (pi c).  One mode is exactly resonant with the atom.
-    """
-    atom = cavity.atom
-    detunings, couplings = _flat_band(atom.gamma, band_width, cavity.mode_spacing)
-    if atom.omega_eg * cavity.radius < 50.0:
-        warnings.warn(
-            "omega_eg R / c < 50: asymptotic ladder approximation is questionable",
-            SmallCavityNotice,
-            stacklevel=2,
-        )
-    return CavityModeSet(atom.omega_eg + detunings, couplings)
-
-
-def echo_times(cavity: SphericalCavity, count: int) -> np.ndarray:
-    """Round-trip light-travel times 2 M R / c, M = 1..count."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return cavity.round_trip_time * np.arange(1, count + 1, dtype=float)
 
 
 def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.ndarray:
@@ -126,8 +81,15 @@ def evolve_cavity_ode(
     cavity: SphericalCavity, times: np.ndarray, band_width: float
 ) -> AmplitudeTrace:
     """Atom + N-mode evolution over the resonant ladder, sampled on `times`:
-    the exact solution of the finite band `resonant_mode_set` builds.
+    the exact solution of the flat band at spacing pi c / R, whose coupling
+    |g_n|^2 = Gamma c / (2 R) reproduces Gamma through the golden rule with
+    the ladder density R / (pi c); one mode is exactly resonant with the atom.
     `times` must be a uniform grid, such as np.linspace(0, t_max, samples);
     another raises ValueError."""
-    resonant_mode_set(cavity, band_width)  # validates the band, raises its warnings
+    if cavity.atom.omega_eg * cavity.radius < 50.0:
+        warnings.warn(
+            "omega_eg R / c < 50: asymptotic ladder approximation is questionable",
+            SmallCavityNotice,
+            stacklevel=2,
+        )
     return _flat_band_evolution(cavity.atom.gamma, band_width, cavity.mode_spacing, times)

@@ -1,14 +1,14 @@
-"""Parabolic mirror: mode structure, rate modification, two-ray field."""
+"""Parabolic mirror: rate modification, two-ray field."""
 
 import warnings
-from math import log, pi, sqrt
+from math import pi
 
 import numpy as np
 import pytest
 
 from atomfield import free_space, parabolic_mirror as pm
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
-from atomfield.numerics import QuadratureSpec, integrate_1d
+from atomfield.numerics import QuadratureSpec
 
 
 @pytest.fixture
@@ -43,67 +43,14 @@ class TestParabolicCoordinates:
         assert pt.focus_distance(geometry) == 0.0
 
     def test_xi_eta_product(self, geometry):
-        # rho^2 = 4 xi eta in these coordinates
+        # rho^2 = 4 xi eta in these coordinates, with xi = (r1 + (z - f)) / 2
         pt = pm.ParabolicPoint(z=12.0, rho=7.0)
-        xi = pt.parabolic_xi(geometry)
+        xi = 0.5 * (pt.focus_distance(geometry) + (pt.z - geometry.focal_length))
         eta = pt.parabolic_eta(geometry)
         assert 4.0 * xi * eta == pytest.approx(49.0, rel=1e-12)
 
 
-class TestModes:
-    def test_discretized_mu(self):
-        geo = pm.ParabolicGeometry(focal_length=1.0, wavenumber=200.0)
-        assert pm.discretized_mu(geo, 3) == pytest.approx(3.0 * pi / log(400.0))
-        with pytest.raises(ValueError):
-            pm.discretized_mu(geo, 0)
-
-    def test_mode_vanishes_at_cutoff(self):
-        geo = pm.ParabolicGeometry(focal_length=1.0, wavenumber=200.0)
-        t0 = geo.theta0
-        assert pm.discrete_mode(geo, 1, t0 / 2.0) == 0.0
-        assert pm.discrete_mode(geo, 1, pi - t0 / 2.0) == 0.0
-        assert pm.discrete_mode(geo, 1, pi / 2.0) != 0.0
-
-    def test_mode_orthonormality(self):
-        # with the sin(theta) d(theta) weight the discrete angular modes are
-        # orthogonal with norm 1 / (2 pi); the log-tangent substitution turns
-        # the integrand into a plain Fourier sine over m full periods
-        geo = pm.ParabolicGeometry(focal_length=1.0, wavenumber=200.0)
-        t0 = geo.theta0
-        spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=400)
-
-        def overlap(m, n):
-            val, _ = integrate_1d(
-                lambda th: pm.discrete_mode(geo, m, th)
-                * pm.discrete_mode(geo, n, th)
-                * np.sin(th),
-                (t0, pi - t0),
-                spec,
-            )
-            return val
-
-        assert overlap(1, 1) == pytest.approx(1.0 / (2.0 * pi), rel=1e-8)
-        assert overlap(2, 2) == pytest.approx(1.0 / (2.0 * pi), rel=1e-8)
-        assert abs(overlap(1, 2)) < 1e-10
-        assert abs(overlap(1, 3)) < 1e-10
-
-    def test_continuum_angular_function_phase(self):
-        # |chi_mu|^2 = 1 / (4 pi^2 sin^2 theta), independent of mu
-        val = pm.mode_angular_function(0, 1.7, 0.9, 0.0)
-        assert abs(val) ** 2 == pytest.approx(
-            1.0 / (4.0 * pi**2 * np.sin(0.9) ** 2), rel=1e-12
-        )
-
-    def test_angular_function_domain(self):
-        with pytest.raises(ValueError):
-            pm.mode_angular_function(0, 1.0, 0.0, 0.0)
-
-
 class TestRateModification:
-    def test_free_space_rate_recovered(self):
-        atom = TwoLevelAtom.from_linewidth(1.0, 100.0)
-        assert pm.free_space_rate_integral(atom) == pytest.approx(atom.gamma, rel=1e-10)
-
     def test_on_axis_small_height_law(self, geometry):
         # suppressed rate ~ (2/5)(k z)^2 near the vertex
         for z in (1e-4, 1e-3):
@@ -146,10 +93,6 @@ class TestRateModification:
     def test_vertex_is_dark(self, geometry):
         quad, _ = pm.eta_quadrature(geometry, (0.0, 0.0, 0.0))
         assert quad == pytest.approx(0.0, abs=1e-12)
-        atom = TwoLevelAtom(omega_eg=geometry.wavenumber, dipole=1e-3)
-        assert pm.modified_rate(geometry, atom, (0.0, 0.0, 0.0)) == pytest.approx(
-            0.0, abs=1e-12
-        )
 
     def test_outside_point_rejected(self, geometry):
         with pytest.raises(ValueError):
@@ -158,10 +101,14 @@ class TestRateModification:
             # below the mirror surface at large rho
             pm.eta_quadrature(geometry, (100.0, 0.0, 1.0))
 
-    def test_rate_requires_matching_wavenumber(self, geometry):
-        atom = TwoLevelAtom(omega_eg=2.0 * geometry.wavenumber, dipole=1e-3)
-        with pytest.raises(ValueError):
-            pm.modified_rate(geometry, atom, (0.0, 0.0, 1.0))
+    def test_rate_requires_matching_wavenumber(self):
+        # omega_eg f = 50 passes the two-ray size guard, so k = 2 omega_eg is what fails
+        atom = TwoLevelAtom(omega_eg=1.0, dipole=1e-3)
+        mirror = pm.ParabolicGeometry(focal_length=50.0, wavenumber=2.0)
+        with pytest.raises(ValueError, match="wave number must match"):
+            pm.semiclassical_field(mirror, atom, (30.0, 10.0), 60.0)
+        with pytest.raises(ValueError, match="wave number must match"):
+            pm.field_map(mirror, atom, [30.0], [10.0], 60.0)
 
     def test_on_axis_eta_array_matches_scalar(self, geometry):
         z = np.array(

@@ -1,11 +1,12 @@
 """Echo dynamics of an atom at the center of a closed metallic sphere."""
 
+import warnings
 from math import pi
 
 import numpy as np
 import pytest
 
-from atomfield import spherical_cavity as sc
+from atomfield import multimode, spherical_cavity as sc
 from atomfield.free_space import TwoLevelAtom
 
 
@@ -18,18 +19,28 @@ def make_cavity(atom, gamma_R):
     return sc.SphericalCavity(radius=gamma_R, atom=atom)
 
 
+def solved_band(monkeypatch, cavity, band_width):
+    """(detunings, couplings) of the one flat band evolve_cavity_ode builds and solves."""
+    seen = []
+    flat_band = multimode._flat_band
+
+    def spy(*args):
+        seen.append(flat_band(*args))
+        return seen[-1]
+
+    # also where a module binds it by `from .multimode import _flat_band`
+    for module in (multimode, sc):
+        monkeypatch.setattr(module, "_flat_band", spy, raising=False)
+    sc.evolve_cavity_ode(cavity, np.linspace(0.0, 1.0, 11), band_width=band_width)
+    assert len(seen) == 1
+    return seen[0]
+
+
 class TestGeometry:
     def test_mode_spacing_and_round_trip(self, atom):
         cav = make_cavity(atom, 4.0)
         assert cav.mode_spacing == pytest.approx(pi / 4.0)
         assert cav.round_trip_time == pytest.approx(8.0)
-        assert cav.mode_density_parameter == pytest.approx(4.0 / pi)
-
-    def test_echo_times(self, atom):
-        cav = make_cavity(atom, 3.0)
-        assert sc.echo_times(cav, 3) == pytest.approx([6.0, 12.0, 18.0])
-        with pytest.raises(ValueError):
-            sc.echo_times(cav, 0)
 
     def test_invalid_radius(self, atom):
         with pytest.raises(ValueError):
@@ -37,37 +48,41 @@ class TestGeometry:
 
 
 class TestModeSet:
-    def test_ladder_and_couplings(self, atom):
-        cav = make_cavity(atom, 2.0)
-        modes = sc.resonant_mode_set(cav, band_width=40.0)
+    """The resonant ladder evolve_cavity_ode builds and solves."""
+
+    def test_ladder_and_couplings(self, atom, monkeypatch):
+        detunings, couplings = solved_band(monkeypatch, make_cavity(atom, 2.0), 40.0)
         # one mode exactly on resonance, equidistant spacing pi/R
-        assert np.min(np.abs(modes.frequencies - atom.omega_eg)) == 0.0
-        assert np.diff(modes.frequencies) == pytest.approx(pi / 2.0)
-        assert np.all(modes.couplings == modes.couplings[0])
-        assert modes.couplings[0] ** 2 == pytest.approx(atom.gamma / 4.0)
+        assert np.min(np.abs(detunings)) == 0.0
+        assert np.diff(detunings) == pytest.approx(pi / 2.0)
+        assert np.all(couplings == couplings[0])
+        assert couplings[0] ** 2 == pytest.approx(atom.gamma / 4.0)
 
     @pytest.mark.parametrize("gamma_R", [0.5, 1.0, 7.0, 10.0])
-    def test_couplings_are_the_flat_band_at_spacing_pi_over_R(self, atom, gamma_R):
+    def test_couplings_are_the_flat_band_at_spacing_pi_over_R(self, atom, monkeypatch, gamma_R):
         cav = make_cavity(atom, gamma_R)
-        modes = sc.resonant_mode_set(cav, band_width=40.0)
-        want = np.full(modes.couplings.size, np.sqrt(atom.gamma / (2.0 * cav.radius)))
-        assert modes.couplings == pytest.approx(want, rel=1e-15, abs=0.0)
+        _, couplings = solved_band(monkeypatch, cav, 40.0)
+        want = np.full(couplings.size, np.sqrt(atom.gamma / (2.0 * cav.radius)))
+        assert couplings == pytest.approx(want, rel=1e-15, abs=0.0)
 
-    def test_golden_rule_consistency(self, atom):
+    def test_golden_rule_consistency(self, atom, monkeypatch):
         # 2 pi |g|^2 * (modes per unit frequency) recovers Gamma
-        cav = make_cavity(atom, 7.0)
-        modes = sc.resonant_mode_set(cav, band_width=60.0)
-        rate = 2.0 * pi * modes.couplings[0] ** 2 / cav.mode_spacing
+        detunings, couplings = solved_band(monkeypatch, make_cavity(atom, 7.0), 60.0)
+        rate = 2.0 * pi * couplings[0] ** 2 / (detunings[1] - detunings[0])
         assert rate == pytest.approx(atom.gamma, rel=1e-12)
 
     def test_band_guard(self, atom):
         with pytest.raises(ValueError):
-            sc.resonant_mode_set(make_cavity(atom, 2.0), band_width=5.0)
+            sc.evolve_cavity_ode(make_cavity(atom, 2.0), np.linspace(0.0, 1.0, 11), band_width=5.0)
 
-    def test_small_cavity_warning(self):
+    def test_small_cavity_warning(self, monkeypatch):
+        # the notice names the caller's line, and the band is built once
         atom = TwoLevelAtom.from_linewidth(1.0, 20.0)
-        with pytest.warns(sc.SmallCavityNotice):
-            sc.resonant_mode_set(sc.SphericalCavity(radius=1.0, atom=atom), band_width=40.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solved_band(monkeypatch, sc.SphericalCavity(radius=1.0, atom=atom), 40.0)
+        (notice,) = [w for w in caught if issubclass(w.category, sc.SmallCavityNotice)]
+        assert notice.filename == __file__
 
 
 class TestClosedForm:
