@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from math import isfinite, pi, sqrt
+from functools import cache
+from math import inf, isfinite, nextafter, pi, sqrt
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -49,16 +50,25 @@ class ScenarioConfig:
     output: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
+    """Named columns of one length (`data` holds one 1-D array per name) and
+    the CSV's metadata lines."""
+
     columns: list[str]
-    rows: list[tuple]
+    data: tuple[np.ndarray, ...]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("rows must match the column count")
+        data = tuple(np.asarray(a) for a in self.data)
+        if len(data) != len(self.columns) or any(a.shape != data[0].shape or a.ndim != 1 for a in data):
+            raise ValueError("a table needs one 1-D array per column, all of one length")
+        object.__setattr__(self, "data", data)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The data rows as tuples of Python ints and floats, built on each call."""
+        return list(zip(*(a.tolist() for a in self.data)))
 
 
 def _num(x: float) -> str:
@@ -66,14 +76,13 @@ def _num(x: float) -> str:
 
 
 def _table(metadata: dict[str, str], **columns) -> ResultTable:
-    """Table of whole columns, named and ordered by keyword; its rows hold
-    Python ints and floats.  Raises FloatingPointError naming each column
-    that holds a non-finite value."""
+    """Table of whole columns, named and ordered by keyword.  Raises
+    FloatingPointError naming each column that holds a non-finite value."""
     arrays = {name: np.asarray(c) for name, c in columns.items()}
     bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
     if bad:
         raise FloatingPointError(f"non-finite values in column(s) {', '.join(bad)}")
-    return ResultTable(list(arrays), list(zip(*(a.tolist() for a in arrays.values()))), metadata)
+    return ResultTable(list(arrays), tuple(arrays.values()), metadata)
 
 
 def _ascending(p: dict[str, Any], low: str, high: str) -> None:
@@ -394,20 +403,165 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         ) from exc
 
 
-def write_table(table: ResultTable, path: str) -> None:
-    """Write CSV: '#' metadata lines, header row, then the data rows.
+# Float cells are written by integer arithmetic on whole columns, byte for
+# byte what format(v, ".17g") gives (Steele & White, PLDI 1990; Adams,
+# OOPSLA 2019).  A nonzero |v| = m 2**(q - 53) in [10**_LO, 10**(_HI + 1)),
+# with m < 2**53, has the decimal exponent E = floor(log10 |v|) in
+# [_LO, _HI]; for p = 16 - E, 5**p < 2**63 and m 5**p < 2**116, and the 17
+# digits are D = m 5**p 2**(q - 53 + p) rounded half to even.  D never
+# rounds up to 10**17 here: the largest double below each 10**(E + 1) lies
+# at least 4 units of the 17th digit below it.  Zeros print as "0" or "-0".
+# Every other value (|v| < 10**_LO, subnormals included, and large values
+# whose D needs no right shift) goes through format(), and int and bool
+# cells through str().
+#
+# A cell is six words (48 bytes) of which a mask keeps the bytes shown:
+# "-0.000" d0 "." | four words "d.d.d.d." with the digits d1 ... d16 |
+# "e-XX" and the terminator.  So the sign, the lead "0." and -E - 1 zeros of
+# -4 <= E < 0, the '.' after any digit and the exponent of E < -4 all have
+# fixed places.
+# A text cell (format() or str()) holds its text in bytes 0-23 instead.
+_LO, _HI = -11, 15
+_NX = _HI + 1 - _LO  # exponents [_LO, _HI]
+_ZERO = 2 * _NX * 17  # mask _ZERO + sign: "0" and "-0"
+_TEXT = _ZERO + 2  # mask _TEXT + k: the first k bytes of a text
+_BLOCK_ROWS = 2048
 
-    Rows are streamed through one template per table, built from the first
-    row: ``%s`` for an ``int`` value, else 17 significant digits (``%.17g``).
-    """
+
+def _at_least_ten_to(e: int) -> float:
+    """The smallest double >= 10**e."""
+    t = float(f"1e{e}")
+    num, den = t.as_integer_ratio()
+    return t if num * 10 ** max(-e, 0) >= den * 10 ** max(e, 0) else nextafter(t, inf)
+
+
+def _words(parts: list[bytes]) -> np.ndarray:
+    return np.frombuffer(b"".join(parts), dtype=np.uint64)
+
+
+def _cell_masks() -> np.ndarray:
+    """Mask rows, as words: index (sign * _NX + E - _LO) * 17 + digits shown - 1,
+    then the zero and text masks."""
+    neg, x, n, j = np.ix_((0, 1), np.arange(_LO, _HI + 1), np.arange(1, 18), np.arange(48))
+    digit, dot = (j - 6) // 2, (j - 6) % 2 == 1
+    after = np.maximum(x, 0)  # the digit the '.' follows
+    masks = (j == 0) & (neg == 1) | (j >= 6) & (j < 40) & np.where(
+        dot,
+        (digit == after) & (n > after + 1) & ((x >= 0) | (x < -4)),
+        digit < np.where(x >= 0, np.maximum(n, x + 1), n),
+    )
+    masks |= (x < 0) & (x >= -4) & (j >= 1) & (j < 2 - x)  # "0." and -x - 1 zeros
+    masks |= (x < -4) & (j >= 40) & (j < 44)  # the exponent
+    other = np.zeros((2 + 25, 48), dtype=bool)
+    other[:2, 1] = other[1, 0] = True
+    other[2:] = np.arange(48) < np.arange(25)[:, None]
+    masks = np.concatenate([masks.reshape(-1, 48), other])
+    masks[:, 44] = True  # the terminator
+    return masks.view(np.uint64)
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each quad 0 ... 9999: the word "d.d.d.d." of its four digits, and
+    its count of trailing zero digits (4 for 0000)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+    dotted = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    dotted[:, ::2] = digits + ord("0")
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.uint8)
+    return dotted.view(np.uint64).ravel(), trailing
+
+
+_TEN = np.array([_at_least_ten_to(e) for e in range(_LO, _HI + 2)])  # |v| >= _TEN[e - _LO] iff |v| >= 10**e
+_FIVE = np.array([5**p for p in range(17 - _LO)], dtype=np.uint64)
+_DOTTED, _TRAILING = _quad_tables()
+_HEAD = _words([b"-0.000%d." % d for d in range(10)])
+_EXPONENT = _words([b"e%+03d\0\0\0\0" % x for x in range(_LO, _HI + 1)])
+_COMMA, _NEWLINE = _words([b"\0\0\0\0,\0\0\0", b"\0\0\0\0\n\0\0\0"])
+_MASKS = _cell_masks()
+_LOW32, _32, _ONE = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
+
+
+def _rounded_shift(m: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """m f / 2**s rounded half to even, for uint64 m < 2**53, f < 2**63 and
+    1 <= s <= 63 whose result is below 2**63; the product in 32-bit limbs."""
+    m0, m1, f0, f1 = m & _LOW32, m >> _32, f & _LOW32, f >> _32
+    low = m0 * f0
+    mid = m0 * f1 + m1 * f0
+    carry = (low >> _32) + (mid & _LOW32)
+    lo = (low & _LOW32) | (carry << _32)
+    hi = m1 * f1 + (mid >> _32) + (carry >> _32)
+    d = (hi << (np.uint64(64) - s)) | (lo >> s)
+    return d + ((lo & ((_ONE << s) - _ONE)) + (d & _ONE) > (_ONE << (s - _ONE)))
+
+
+def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(words, mask index) of cells showing `texts`, each at most 24 bytes."""
+    words = np.zeros((len(texts), 6), dtype=np.uint64)
+    words[:, :3] = np.array(texts, dtype="S24").view(np.uint64).reshape(-1, 3)
+    return words, _TEXT + np.fromiter(map(len, texts), np.intp, len(texts))
+
+
+def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Lay out the %.17g cells of float64 `v` in `words` (n x 6); returns
+    each cell's mask index."""
+    a = np.abs(v)
+    fast = (a >= _TEN[0]) & (a < _TEN[-1])
+    a = np.where(fast, a, 1.0)
+    mant, q = np.frexp(a)  # a = mant 2**q, 1/2 <= mant < 1
+    e = ((q - 1) * 78913) >> 18  # floor((q - 1) log10 2): E or E - 1
+    e += a >= _TEN[e - _LO + 1]
+    shift = 37 + e - q  # (m 5**p) >> shift = a 10**p for m = mant 2**53
+    fast &= shift > 0
+    shift = np.maximum(shift, 1).astype(np.uint64)
+    d = _rounded_shift((mant * 2.0**53).astype(np.uint64), _FIVE[16 - e], shift).view(np.int64)
+    trailing = np.zeros(len(v), dtype=np.intp)
+    below = np.ones(len(v), dtype=bool)  # every digit after this quad is 0
+    for k in (4, 3, 2, 1):
+        high = d // 10_000
+        quad = d - high * 10_000
+        words[:, k] = _DOTTED[quad]
+        trailing += _TRAILING[quad] * below
+        below &= quad == 0
+        d = high
+    words[:, 0] = _HEAD[d]
+    words[:, 5] = _EXPONENT[e - _LO]
+    neg = np.signbit(v)
+    masks = np.where(v == 0.0, _ZERO + neg, (neg * _NX + e - _LO) * 17 + 16 - trailing)
+    slow = np.flatnonzero(~fast & (v != 0.0))
+    if slow.size:
+        words[slow], masks[slow] = _text_cells([format(x, ".17g") for x in v[slow].tolist()])
+    return masks
+
+
+def _csv_lines(data: Sequence[np.ndarray]) -> bytes:
+    """The CSV lines of equal-length columns: format(v, ".17g") for a float
+    cell, str(v) for an int or bool cell."""
+    rows = len(data[0])
+    words = np.empty((rows, len(data), 6), dtype=np.uint64)
+    values = np.stack(data, axis=1).astype(np.float64, copy=False).ravel()
+    masks = _float_cells(values, words.reshape(-1, 6)).reshape(rows, -1)
+    for j, column in enumerate(data):
+        if column.dtype.kind in "biu":
+            distinct, inverse = np.unique(column, return_inverse=True)
+            text_words, text_masks = _text_cells([str(x) for x in distinct.tolist()])
+            words[:, j], masks[:, j] = text_words[inverse], text_masks[inverse]
+    words[:, :-1, 5] |= _COMMA
+    words[:, -1, 5] |= _NEWLINE
+    keep = _MASKS.take(masks, axis=0).view(bool)
+    return words.view(np.uint8).ravel().take(np.flatnonzero(keep)).tobytes()
+
+
+def write_table(table: ResultTable, path: str) -> None:
+    """Write CSV: '#' metadata lines, header row, then the data rows, in
+    blocks of `_BLOCK_ROWS` rows, each one write.  A float cell holds
+    format(v, ".17g") (17 significant digits), an int or bool cell str(v)."""
     head = [f"# {key} = {table.metadata[key]}\n" for key in sorted(table.metadata)]
     head.append(",".join(table.columns) + "\n")
-    first = table.rows[0] if table.rows else ()
-    template = ",".join("%s" if isinstance(v, int) else "%.17g" for v in first) + "\n"
+    rows = len(table.data[0]) if table.data else 0
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(head)
-            handle.writelines(map(template.__mod__, table.rows))
+        with open(path, "wb") as handle:
+            handle.write("".join(head).encode())
+            for start in range(0, rows, _BLOCK_ROWS):
+                handle.write(_csv_lines([a[start : start + _BLOCK_ROWS] for a in table.data]))
     except OSError as exc:
         raise OSError(f"cannot write table to {path!r}: {exc}") from exc
 
@@ -416,7 +570,7 @@ def read_table(path: str) -> ResultTable:
     """Re-parse a written CSV (metadata, header, float rows)."""
     metadata: dict[str, str] = {}
     columns: list[str] = []
-    rows: list[tuple] = []
+    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.rstrip("\n")
@@ -428,8 +582,8 @@ def read_table(path: str) -> ResultTable:
             elif not columns:
                 columns = line.split(",")
             else:
-                rows.append(tuple(float(v) for v in line.split(",")))
-    return ResultTable(columns, rows, metadata)
+                rows.append([float(v) for v in line.split(",")])
+    return ResultTable(columns, tuple(np.array(rows, dtype=float).reshape(len(rows), len(columns)).T), metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,8 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "list-scenarios":
         for name in sorted(SCENARIOS):
             keys = ", ".join(sorted(SCENARIOS[name]))
@@ -505,7 +664,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {len(table.rows)} rows to {out}")
+    print(f"wrote {len(table.data[0]) if table.data else 0} rows to {out}")
     return 0
 
 

@@ -3,10 +3,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomfield import cli, parabolic_mirror
 from golden_check import run_config, table_mismatches
@@ -83,50 +86,117 @@ class TestParseConfig:
 
 
 class TestTableIO:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)  # 21 rows in three blocks
         rng = np.random.default_rng(3)
-        rows = [tuple(rng.uniform(-1e3, 1e3, 2)) for _ in range(20)]
-        rows.append((1.0 / 3.0, np.pi))
-        table = cli.ResultTable(["a", "b"], rows, {"scenario": "test"})
+        a, b = np.append(rng.uniform(-1e3, 1e3, (2, 20)), [[1.0 / 3.0], [np.pi]], axis=1)
+        table = cli.ResultTable(["a", "b"], (a, b), {"scenario": "test"})
         path = tmp_path / "t.csv"
         cli.write_table(table, path)
         back = cli.read_table(path)
         assert back.columns == ["a", "b"]
         assert back.metadata["scenario"] == "test"
-        for got, want in zip(back.rows, rows):
+        assert len(back.rows) == 21
+        for got, want in zip(back.rows, table.rows):
             assert got == want  # bit-exact, not approx
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
-        cli.write_table(cli.ResultTable(["x"], []), path)
+        cli.write_table(cli.ResultTable(["x"], (np.array([]),)), path)
         assert path.read_text() == "x\n"
 
     def test_bytes_follow_the_per_value_rule(self, tmp_path):
-        # extremes of the double range, and 1/3 and pi as Python floats and
-        # as numpy float64, next to an int column of 0/1 and a bool column
+        # extremes of the double range, and 1/3 and pi, as a column from
+        # Python floats and one of numpy float64, next to an int column of
+        # 0/1 and a bool column
         big = 1.7976931348623157e308
         values = [-0.0, 5e-324, big, -big, 1 / 3, np.pi]
-        rows = [(v, np.float64(v), i % 2, i % 2 == 1) for i, v in enumerate(values)]
-        table = cli.ResultTable(["py", "np", "flag", "bool"], rows, {"scenario": "t", "b": "2"})
+        flags = [i % 2 for i in range(len(values))]
+        columns = (values, np.array(values), np.array(flags), np.array(flags) == 1)
+        table = cli.ResultTable(["py", "np", "flag", "bool"], columns, {"scenario": "t", "b": "2"})
         path = tmp_path / "t.csv"
         cli.write_table(table, path)
-        # the rule the writer must keep: str(v) for an int, else 17 digits
+        # the rule the writer must keep: str(v) for an int or bool, else 17 digits
         want = ["# b = 2", "# scenario = t", "py,np,flag,bool"] + [
-            ",".join(str(v) if isinstance(v, int) else format(float(v), ".17g") for v in row)
-            for row in rows
+            f"{format(v, '.17g')},{format(v, '.17g')},{f},{f == 1}" for v, f in zip(values, flags)
         ]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         assert want[3] == "-0,-0,0,False"
         assert want[4] == "4.9406564584124654e-324,4.9406564584124654e-324,1,True"
 
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_scenario_bytes_follow_the_per_value_rule(self, name, tmp_path):
+        table = cli.run_scenario(cli.parse_config((GOLDEN_DIR / f"{name}.cfg").read_text()))
+        path = tmp_path / "t.csv"
+        cli.write_table(table, path)
+        cells = [
+            [str(v) if a.dtype.kind in "biu" else format(v, ".17g") for v in a.tolist()]
+            for a in table.data
+        ]
+        want = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
+        want += [",".join(table.columns)] + [",".join(row) for row in zip(*cells)]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
-            cli.ResultTable(["a", "b"], [(1.0,)])
+            cli.ResultTable(["a", "b"], ([1.0], []))
+        with pytest.raises(ValueError):
+            cli.ResultTable(["a", "b"], ([1.0],))
 
     def test_write_failure_has_path_context(self, tmp_path):
-        table = cli.ResultTable(["x"], [(1.0,)])
+        table = cli.ResultTable(["x"], ([1.0],))
         with pytest.raises(OSError, match="no/such"):
             cli.write_table(table, str(tmp_path / "no/such/dir.csv"))
+
+
+def _cells(values) -> list[str]:
+    """The CSV cells the writer makes of a one-column float table."""
+    return cli._csv_lines([np.asarray(values, dtype=float)]).decode().splitlines()
+
+
+def _halfway_cases() -> dict[float, int]:
+    """Doubles v exactly halfway between two 17-digit decimals, v 10**p = N + 1/2
+    with 10**16 <= N < 10**17, each with its N: v = k / 2**(p + 1) for an odd
+    k = (2 N + 1) / 5**p."""
+    cases = {}
+    for p in range(1, 25):
+        first = -(-(2 * 10**16 + 1) // 5**p) | 1
+        for k in range(first, first + 8, 2):
+            if k * 5**p < 2 * 10**17 and k < 2**53:
+                cases[k / 2 ** (p + 1)] = (k * 5**p - 1) // 2
+    return cases
+
+
+class TestFloatCells:
+    """The integer %.17g writer against Python's `format(v, ".17g")`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_matches_format(self, values):
+        assert _cells(values) == [format(v, ".17g") for v in values]
+
+    def test_fixed_corpus(self):
+        big = float(np.finfo(float).max)
+        corpus = [0.0, 5e-324, big, 9.9999999999999999e-5, 9.9999999999999998e15]
+        # the edges of the integer path and every power of ten from 1e-12 to
+        # 1e16, each with its neighbours one ulp away
+        for x in [1e-11, 1e16] + [10.0**e for e in range(-12, 17)]:
+            corpus += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf))]
+        # ties at the 17th digit, rounding down (N even) and up (N odd)
+        halfway = _halfway_cases()
+        assert {n % 2 for n in halfway.values()} == {0, 1} and len(halfway) > 40
+        corpus += list(halfway)
+        corpus += [-x for x in corpus]
+        assert _cells(corpus) == [format(v, ".17g") for v in corpus]
+
+    def test_no_carry_to_eighteen_digits(self):
+        # the writer never rounds D up to 10**17: below each power of ten
+        # 10**(e + 1) it covers, the nearest double is over 4 units of the
+        # 17th digit away
+        for e in range(cli._LO, cli._HI + 1):
+            below = float(np.nextafter(cli._TEN[e - cli._LO + 1], 0.0))
+            assert Fraction(below) < Fraction(10) ** (e + 1) <= Fraction(cli._TEN[e - cli._LO + 1])
+            assert Fraction(below) * Fraction(10) ** (16 - e) < 10**17 - 4
 
 
 class TestMain:
@@ -170,6 +240,30 @@ class TestMain:
         table = cli.read_table(out)
         assert table.metadata["t_max"] == "1"
         assert table.rows[-1][0] == 1.0
+
+    def test_parser_is_reused_and_overrides_stay_with_their_call(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("scenario = jcp-vacuum\nsamples = 11\n")
+        assert cli.main(["validate", str(cfg)]) == 0  # the parser exists from here on
+
+        def rebuilt():
+            raise AssertionError("main built a second parser")
+
+        seen = []
+        parse = cli.parse_config
+
+        def spy(text, overrides=()):
+            seen.append(list(overrides))
+            return parse(text, overrides)
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        monkeypatch.setattr(cli, "parse_config", spy)
+        run = ["run", str(cfg), "--out", str(tmp_path / "w.csv")]
+        assert cli.main([*run, "--override", "t_max=1.0"]) == 0
+        assert cli.main(run) == 0
+        assert cli.main([*run, "--override", "t_max=2.0"]) == 0
+        assert seen == [["t_max=1.0"], [], ["t_max=2.0"]]
+        assert cli.read_table(tmp_path / "w.csv").metadata["t_max"] == "2"
 
     def test_metadata_records_parameters(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

@@ -3,6 +3,7 @@
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atomfield import cli, multimode
@@ -24,10 +25,9 @@ def _golden(name: str) -> cli.ResultTable:
 
 
 def _with_value(table: cli.ResultTable, row: int, column: str, value: float) -> cli.ResultTable:
-    j = table.columns.index(column)
-    rows = list(table.rows)
-    rows[row] = rows[row][:j] + (value,) + rows[row][j + 1 :]
-    return replace(table, rows=rows)
+    data = [a.copy() for a in table.data]
+    data[table.columns.index(column)][row] = value
+    return replace(table, data=tuple(data))
 
 
 def _with_metadata(table: cli.ResultTable, **changes: str | None) -> cli.ResultTable:
@@ -126,7 +126,7 @@ def test_rejects_missing_or_extra_metadata_key(free_decay_tolerance):
 def test_rejects_dropped_row(free_decay_tolerance):
     golden = _golden("free-decay")
     for row in (0, len(golden.rows) - 1):
-        changed = replace(golden, rows=golden.rows[:row] + golden.rows[row + 1 :])
+        changed = replace(golden, data=tuple(np.delete(a, row) for a in golden.data))
         assert table_mismatches(changed, golden, free_decay_tolerance) != []
 
 
