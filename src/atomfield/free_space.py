@@ -204,16 +204,11 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
         return FieldEnergy(inner, inner, 0.0)
 
     def integrand(r: float, theta: float) -> float:
-        return (
-            prefactor
-            * np.sin(theta) ** 2
-            / r**2
-            * np.exp(-gamma * (t_abs - r))
-            * 2.0
-            * pi
-            * r**2
-            * np.sin(theta)
-        )
+        if part == "total":
+            density = energy_density(atom, r, theta, t)
+        else:
+            density = abs(electric_amplitude(atom, r, theta, t)) ** 2
+        return density * 2.0 * pi * r**2 * np.sin(theta)
 
     value, err = integrate_2d(
         integrand,

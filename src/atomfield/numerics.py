@@ -1,6 +1,6 @@
 """Adaptive quadrature, an alternating series summed in exact integers and
-rounded once, a weighted cosine sum on a uniform time grid, and the few
-special functions the physics needs, in numpy.
+rounded once, a weighted cosine sum on a uniform time grid, and the
+digamma and trigamma functions of the flat-band solver, in numpy.
 
 Everything here is pure and stateless; the physics modules build on these
 primitives.  Unit conventions are left to the callers.  Only the quadrature
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, comb, factorial, isfinite, log, pi, sqrt
+from math import ceil, comb, factorial, isfinite, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -190,7 +190,6 @@ def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) ->
 # Bernoulli numbers B_2k, k = 1..7 (DLMF 24.2.1)
 _B2K = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6])
 _TWO_K = 2.0 * np.arange(1, 8)
-_LGAMMA_SERIES = _B2K / (_TWO_K * (_TWO_K - 1.0))  # Stirling's series, DLMF 5.11.1
 _RECURRENCE = np.arange(10.0)
 
 
@@ -199,7 +198,7 @@ def _asymptotic(x, coef: np.ndarray, term) -> tuple[np.ndarray, np.ndarray, np.n
     sum_k coef_k y^(-2k), k = 1..7; and sum_{j<10} term(x + j) over the
     lifted entries (zero elsewhere), for the recurrence back from y to x.
     At y >= 10 the first omitted term, which bounds the truncation error, is
-    below 3 eps relative (psi' at y = 10; under an ulp for psi and ln Gamma)."""
+    below 3 eps relative (psi' at y = 10; under an ulp for psi)."""
     x = np.asarray(x, dtype=float)
     small = np.flatnonzero(x < 10.0)
     y = x.copy()
@@ -224,39 +223,3 @@ def _trigamma(x):
     """Trigamma psi'(x) for x >= 1 (DLMF 5.15.8 after 5.15.5)."""
     y, series, lift = _asymptotic(x, _B2K, lambda u: 1.0 / (u * u))
     return (1.0 + 0.5 / y + series) / y + lift
-
-
-def _lgamma(x):
-    """ln Gamma(x) for x >= 1 (DLMF 5.11.1 after ln Gamma(x + 10) - sum_j ln(x + j))."""
-    y, series, lift = _asymptotic(x, _LGAMMA_SERIES, np.log)
-    return (y - 0.5) * np.log(y) - y + 0.5 * log(2.0 * pi) + y * series - lift
-
-
-def _poisson_tail(n: int, mean: float) -> float:
-    """P(N > n) for N ~ Poisson(mean), mean > 0, summed over its positive
-    terms p_m, m > n, until they no longer count: no cancellation, unlike
-    1 - P(N <= n).
-
-    -mean + m ln(mean) - ln m! cancels to about m eps, so the first term
-    takes Loader's saddle-point form ln p_m = -bd0 - S(m) - ln(2 pi m) / 2
-    (C. Loader, "Fast and accurate computation of binomial probabilities",
-    2000), with bd0 = m ln(m / mean) - (m - mean) and S(m) the remainder of
-    Stirling's series for ln m!; the later terms follow by the ratios mean / m.
-    """
-    if n < 0:
-        return 1.0
-    m = n + 1
-    v = (m - mean) / (m + mean)
-    if abs(v) < 0.5:  # bd0 = (m - mean) v + 2 m (atanh v - v), a sum of like-signed terms
-        odd = np.arange(3.0, 61.0, 2.0)
-        bd0 = (m - mean) * v + 2.0 * m * float(np.sum(v**odd / odd))
-    else:
-        bd0 = m * log(m / mean) - (m - mean)
-    if m < 10:  # ln m! is small enough to subtract
-        stirling = float(_lgamma(m + 1.0)) - (m + 0.5) * log(m) + m - 0.5 * log(2.0 * pi)
-    else:
-        stirling = m * float(_asymptotic(float(m), _LGAMMA_SERIES, np.log)[1])
-    # the terms stop 10 sqrt(mean) + 40 past max(m, mean), having fallen by over e^-50
-    ratios = mean / np.arange(m + 1, ceil(max(m, mean) + 10.0 * sqrt(mean) + 40.0))
-    log_p = -bd0 - stirling - 0.5 * log(2.0 * pi * m) + np.concatenate(([0.0], np.cumsum(np.log(ratios))))
-    return float(np.sum(np.exp(log_p)))

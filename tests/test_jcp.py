@@ -34,11 +34,41 @@ class TestFieldDistribution:
         f = jcp.FieldDistribution.coherent(10.0)
         assert np.sum(f.weights) == pytest.approx(1.0, abs=1e-14)
 
-    def test_coherent_truncation_guard(self):
-        with pytest.raises(ValueError):
-            jcp.FieldDistribution.coherent(5.0, n_max=20)
-        with pytest.raises(ValueError):
-            jcp.FieldDistribution.coherent(10.0, n_max=100)
+    @pytest.mark.parametrize("mean_n", [0.5, 4.0, 25.0, 1e3, 5062.08, 1e4])
+    def test_coherent_weights_match_mpmath(self, mean_n):
+        mpmath = pytest.importorskip("mpmath")
+        f = jcp.FieldDistribution.coherent(sqrt(mean_n))
+        with mpmath.workdps(50):
+            mean = mpmath.mpf(abs(sqrt(mean_n)) ** 2)
+            want = np.array(
+                [float(mpmath.exp(-mean) * mean**n / mpmath.factorial(n)) for n in range(f.weights.size)]
+            )
+        live = want > 1e-20
+        assert np.max(np.abs(f.weights[live] / want[live] - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [2.0 * np.exp(0.7j), -3.0, 1.5j])
+    def test_coherent_phases(self, alpha):
+        f = jcp.FieldDistribution.coherent(alpha)
+        n = np.arange(f.amplitudes.size)
+        want = jcp.FieldDistribution.coherent(abs(alpha)).amplitudes * np.exp(1j * n * np.angle(alpha))
+        assert np.allclose(f.amplitudes, want, rtol=1e-14, atol=0.0)
+
+    def test_coherent_ladder_bound(self):
+        # Chernoff: P(N >= m + x) <= exp(-m h(x/m)), h(u) = (1+u) ln(1+u) - u,
+        # with x = 10 sqrt(m) + 20; m h(x/m) falls toward 50 from above
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for m in map(mpmath.mpf, np.logspace(-12, 16, 561)):
+                u = (10 * mpmath.sqrt(m) + 20) / m
+                assert m * ((1 + u) * mpmath.log1p(u) - u) >= 50
+
+    @pytest.mark.parametrize("mean_n", [0.5, 4.0, 228.0, 1e4])
+    def test_coherent_ladder_tail(self, mean_n):
+        mpmath = pytest.importorskip("mpmath")
+        n_max = jcp.FieldDistribution.coherent(sqrt(mean_n)).amplitudes.size - 1
+        with mpmath.workdps(50):
+            tail = mpmath.gammainc(n_max + 1, 0, mean_n, regularized=True)  # P(N > n_max)
+        assert tail < 2e-22
 
     @pytest.mark.parametrize("mean_n", [5062.08, 2251.93, 2043.36, 5298.32])
     def test_coherent_guard_ignores_round_off(self, mean_n):

@@ -9,8 +9,6 @@ import pytest
 from atomfield.numerics import (
     QuadratureError,
     QuadratureSpec,
-    _lgamma,
-    _poisson_tail,
     _psi,
     _series_coefficients,
     _trigamma,
@@ -172,7 +170,7 @@ class TestQuadrature:
 
 
 EPS = float(np.finfo(float).eps)
-# [1, 2e4] on a log grid, the integers the coherent ladder takes, the lift
+# [1, 2e4] on a log grid, every 97th integer up to 11000, the lift
 # boundary 10 and its neighbours one ulp away, psi's zero near 1.4616, 1 and 2
 SPECIAL_ARGS = np.concatenate(
     [
@@ -198,39 +196,3 @@ class TestSpecialFunctions:
     def test_trigamma(self):
         want = _mpmath_values(lambda v: mpmath.psi(1, v), SPECIAL_ARGS)
         assert np.all(np.abs(_trigamma(SPECIAL_ARGS) - want) <= 4 * EPS * want)
-
-    def test_lgamma(self):
-        x = SPECIAL_ARGS
-        want = _mpmath_values(mpmath.loggamma, x)
-        # Stirling's (y - 1/2) ln y - y cancels, at y = x or the lifted x + 10
-        assert np.all(np.abs(_lgamma(x) - want) <= 4 * EPS * (x + 10.0) * np.log(x + 10.0))
-
-
-# <n> of test_jcp.py::test_coherent_guard_ignores_round_off, and <n> = 1e4
-POISSON_MEANS = [5062.08, 2251.93, 2043.36, 5298.32, 1e4]
-
-
-class TestPoissonTail:
-    @pytest.mark.parametrize("mean", POISSON_MEANS)
-    def test_default_truncation_tail_matches_oracles(self, mean):
-        from scipy.special import pdtrc
-
-        n_max = int(np.ceil(mean + 10.0 * np.sqrt(mean) + 20.0))  # the coherent ladder's default
-        got = _poisson_tail(n_max, mean)
-        with mpmath.workdps(50):
-            want = float(mpmath.gammainc(n_max + 1, 0, mean, regularized=True))
-        assert got == pytest.approx(want, rel=1e-14)
-        # pdtrc, which this sum replaces, is itself up to 2.6e-14 off mpmath here
-        assert got == pytest.approx(float(pdtrc(n_max, mean)), rel=5e-14)
-
-    @pytest.mark.parametrize(
-        "n_max, mean", [(0, 0.01), (3, 1.0), (9, 7.3), (10, 7.3), (100, 100.0), (3, 25.0), (44, 4.0)]
-    )
-    def test_small_ladders_and_heavy_tails(self, n_max, mean):
-        # first term below and above the m = 10 switch, tails from 1e-31 to ~1
-        with mpmath.workdps(50):
-            want = float(mpmath.gammainc(n_max + 1, 0, mean, regularized=True))
-        assert _poisson_tail(n_max, mean) == pytest.approx(want, rel=1e-14)
-
-    def test_empty_ladder_leaves_everything_in_the_tail(self):
-        assert _poisson_tail(-1, 2.0) == 1.0

@@ -8,7 +8,7 @@ import pytest
 
 from atomfield import free_space, parabolic_mirror as pm
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
-from atomfield.numerics import QuadratureSpec
+from atomfield.numerics import QuadratureSpec, integrate_1d
 
 
 @pytest.fixture
@@ -139,6 +139,17 @@ class TestRateModification:
         assert profile.eta[0] == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
             pm.rate_profile(geometry, (0.0, 1.0), 1)
+
+    def test_cutoff_correction_matches_quadrature(self):
+        # oracle: 1.5 * integral of sin^3 over [0, theta0] by adaptive quadrature
+        for kf in np.geomspace(0.3, 1e6, 41):
+            geo = pm.ParabolicGeometry(focal_length=1.0, wavenumber=kf)
+            want, _ = integrate_1d(
+                lambda theta: np.sin(theta) ** 3,
+                (0.0, geo.theta0),
+                QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300),
+            )
+            assert pm.angular_cutoff_correction(geo) == pytest.approx(1.5 * want, rel=1e-12)
 
     def test_cutoff_correction_asymptote(self):
         # 1.5 * integral of sin^3 up to theta0 ~ (3/8) (kf)^-4 for large kf
