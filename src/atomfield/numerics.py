@@ -70,7 +70,8 @@ def integrate_1d(
     spec: QuadratureSpec,
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod integral of f over [a, b] in at most
-    spec.max_subdivisions subintervals.
+    spec.max_subdivisions subintervals.  `quad` calls f once per node with a
+    Python float, so integrands should use `math` rather than numpy scalars.
 
     Raises QuadratureError (carrying the best estimate) on non-convergence.
     """

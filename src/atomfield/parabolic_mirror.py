@@ -15,7 +15,7 @@ correction depends on k * z (z = height above the vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, factorial, pi, sqrt
+from math import atan, cos, factorial, pi, sin, sqrt
 
 import numpy as np
 
@@ -141,20 +141,21 @@ def eta_quadrature(
     """Decay-rate ratio eta at a vertex-based point (x, y, z) by quadrature:
     the azimuthal integral is done exactly (Bessel J0 kernel), the polar
     angle adaptively."""
-    from scipy.special import j0  # deferred: `import atomfield` does not load it
-
     _, _, z, rho = _cavity_point(geometry, point)
     k = geometry.wavenumber
     # sin^2 -> (1 - cos)/2; the phi integral of cos(A cos(phi - phi0) + B)
-    # is 2 pi J0(A) cos(B)
+    # is 2 pi J0(A) cos(B), and J0(0) = 1 on the axis
+    a, b = 2.0 * k * rho, 2.0 * k * z
+    if rho > 0.0:
+        from scipy.special import j0  # deferred: `import atomfield` does not load it
+
+    def integrand(theta):
+        s = sin(theta)
+        weight = s**3 * j0(a * s) if rho > 0.0 else s**3
+        return weight * cos(b * cos(theta))
+
     qspec = _theta_spec(k * (abs(z) + rho), spec)
-    value, err = integrate_1d(
-        lambda theta: np.sin(theta) ** 3
-        * j0(2.0 * k * rho * np.sin(theta))
-        * np.cos(2.0 * k * z * np.cos(theta)),
-        (0.0, pi),
-        qspec,
-    )
+    value, err = integrate_1d(integrand, (0.0, pi), qspec)
     return QuadResult(1.0 - 0.75 * value, 0.75 * err)
 
 

@@ -1,5 +1,6 @@
 """Config parsing, CSV round trips and scenario plumbing."""
 
+import json
 import os
 import subprocess
 import sys
@@ -489,11 +490,78 @@ class TestGoldenFiles:
         assert table_mismatches(cli.read_table(out), golden, ode_bound) == []
 
 
+class TestGoldensUnderAnotherBuild:
+    """The goldens hold within tolerance when the two sources of drift that
+    `golden_check` names change: numpy's SIMD loops for the elementary
+    functions, and the BLAS kernels (their reduction order).  Each switch is
+    an environment variable of a child process and the CPU features it turns
+    off; the run without a switch is the reference it must differ from."""
+
+    SWITCHES = {
+        "numpy-simd-off": (
+            {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+            ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+        ),
+        "openblas-prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, ("AVX", "AVX2", "AVX512F")),
+    }
+    RUN_GOLDENS = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from golden_check import run_config\n"
+        "bounds = {}\n"
+        "for cfg in sorted(Path(sys.argv[1]).glob('*.cfg')):\n"
+        "    code, bounds[cfg.stem] = run_config(cfg, Path(sys.argv[2]) / f'{cfg.stem}.csv')\n"
+        "    assert code == 0, cfg.stem\n"
+        "print(json.dumps(bounds))\n"
+    )
+
+    @classmethod
+    def run_goldens(cls, out: Path, switch: dict[str, str]) -> dict[str, float | None]:
+        """Run every golden config in a fresh interpreter whose environment is
+        this one's, without any switch variable, plus `switch`; return the
+        finite-band error bound each run recorded."""
+        unset = {name for variables, _ in cls.SWITCHES.values() for name in variables}
+        env = {k: v for k, v in os.environ.items() if k not in unset}
+        env["PYTHONPATH"] = os.pathsep.join((str(SRC_DIR), str(Path(__file__).parent)))
+        done = subprocess.run(
+            [sys.executable, "-c", cls.RUN_GOLDENS, str(GOLDEN_DIR), str(out)],
+            env={**env, **switch},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reference")
+        self.run_goldens(out, {})
+        return out
+
+    @pytest.mark.parametrize("switch", sorted(SWITCHES))
+    def test_goldens_hold_and_the_switch_changes_a_cell(self, switch, reference, tmp_path):
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        variables, features = self.SWITCHES[switch]
+        if not any(__cpu_features__.get(f) for f in features):
+            pytest.skip(f"this CPU has none of {features}, so {variables} changes nothing")
+        differing = 0
+        for name, ode_bound in self.run_goldens(tmp_path, variables).items():
+            got = cli.read_table(tmp_path / f"{name}.csv")
+            golden = cli.read_table(GOLDEN_DIR / f"{name}.csv")
+            assert table_mismatches(got, golden, ode_bound) == [], name
+            same = cli.read_table(reference / f"{name}.csv")
+            differing += sum(int(np.count_nonzero(a != b)) for a, b in zip(got.data, same.data))
+        # a switch that moves no cell proves nothing about other builds
+        assert differing > 0, f"{variables} changed no cell of the goldens"
+
+
 class TestImportGraph:
     """No scipy module loads with `import atomfield`.  The CLI scenarios load
-    scipy only in parabola-eta's probe, whose J0 kernel (scipy.special) and
-    quad (scipy.integrate, with scipy.optimize and scipy.sparse behind it)
-    load on the first call; each case runs in a fresh interpreter."""
+    scipy only in parabola-eta's on-axis probe, whose quad (scipy.integrate,
+    with scipy.optimize and scipy.sparse behind it) loads on the first call;
+    each case runs in a fresh interpreter."""
 
     DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 

@@ -52,6 +52,13 @@ class TestAmplitudes:
                 np.exp(t / 2.0)
             )
 
+    def test_advanced_is_time_reversed_retarded(self, atom):
+        # the absorbed branch is the complex conjugate of the emitted one
+        for t in (0.0, 0.5, 3.0):
+            assert free_space.absorbing_state_amplitude(atom, -t) == pytest.approx(
+                np.conj(free_space.excited_amplitude(atom, t)), rel=1e-15, abs=0.0
+            )
+
     def test_branch_domains(self, atom):
         with pytest.raises(ValueError):
             free_space.excited_amplitude(atom, -0.1)

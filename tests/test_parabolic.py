@@ -71,19 +71,21 @@ class TestRateModification:
             assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     def test_quadrature_matches_closed_form_on_axis(self, geometry):
-        for z in (0.3, 2.0, 17.0):
+        # z = 50/k is the height cap of the parabola-eta CLI probe
+        for z in (0.3, 2.0, 17.0, 50.0):
             closed = pm.on_axis_eta(geometry, z)
             quad, err = pm.eta_quadrature(geometry, (0.0, 0.0, z))
             assert quad == pytest.approx(closed, rel=1e-9)
             assert err < 1e-8
 
     def test_reduction_matches_raw_2d(self, geometry):
-        point = (0.3, 0.4, 2.0)
-        fast, _ = pm.eta_quadrature(geometry, point)
-        slow, _ = pm._eta_quadrature_2d(
-            geometry, point, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
-        )
-        assert fast == pytest.approx(slow, rel=1e-7)
+        # the second point has 2 k rho = 12, where the J0 factor oscillates
+        for point in ((0.3, 0.4, 2.0), (3.6, 4.8, 2.0)):
+            fast, _ = pm.eta_quadrature(geometry, point)
+            slow, _ = pm._eta_quadrature_2d(
+                geometry, point, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+            )
+            assert fast == pytest.approx(slow, rel=1e-7)
 
     def test_off_axis_far_field_approaches_unity(self, geometry):
         # many wavelengths from the mirror axis the correction dies off
