@@ -198,9 +198,11 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
     prefactor = 3.0 * gamma * atom.omega_eg / (8.0 * pi)
     if part == "electric":
         prefactor /= 2.0
+    # analytic r < min(r_min, |t|) contribution of the same (asymptotic) energy density
+    r_in = min(r_min, t_abs)
+    inner = prefactor * (8.0 * pi / 3.0) * np.exp(-gamma * t_abs) * np.expm1(gamma * r_in) / gamma
     if t_abs <= r_min:
         # causal shell entirely inside the near zone: analytic value only
-        inner = prefactor * (8.0 * pi / 3.0) * (1.0 - np.exp(-gamma * t_abs)) / gamma
         return FieldEnergy(inner, inner, 0.0)
 
     def integrand(r: float, theta: float) -> float:
@@ -214,14 +216,6 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
         integrand,
         ((r_min, t_abs), (0.0, pi)),
         QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=400),
-    )
-    # analytic r < r_min contribution of the same (asymptotic) energy density
-    inner = (
-        prefactor
-        * (8.0 * pi / 3.0)
-        * np.exp(-gamma * t_abs)
-        * (np.exp(gamma * r_min) - 1.0)
-        / gamma
     )
     return FieldEnergy(value + inner, inner, err)
 

@@ -1,5 +1,5 @@
-"""Adaptive quadrature, an alternating series summed in exact integers and
-rounded once, a weighted cosine sum on a uniform time grid, and the
+"""Adaptive quadrature, an alternating binomial series summed as a Laguerre
+recurrence, a weighted cosine sum on a uniform time grid, and the
 digamma and trigamma functions of the flat-band solver, in numpy.
 
 Everything here is pure and stateless; the physics modules build on these
@@ -10,8 +10,7 @@ loads scipy (`scipy.integrate`, on its first call).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import ceil, comb, factorial, isfinite, sqrt
+from math import ceil, isfinite, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -127,40 +126,31 @@ def integrate_2d(
     return QuadResult(value, outer_err + inner_err)
 
 
-@lru_cache
-def _series_coefficients(M: int) -> tuple[tuple[int, ...], int]:
-    """The integers c_r = C(M-1, r) M! / (r+1)!, r = 0..M-1, of
-    `stable_binomial_series`, and M!."""
-    fact = factorial(M)
-    return tuple(comb(M - 1, r) * (fact // factorial(r + 1)) for r in range(M)), fact
-
-
 def stable_binomial_series(M: int, u: float) -> float:
-    """Sum_{r=0}^{M-1} C(M-1, r) (-u)^(1+r) / (1+r)!  without cancellation.
+    """S_M(u) = sum_{r=0}^{M-1} C(M-1, r) (-u)^(1+r) / (1+r)!, M >= 1, u >= 0,
+    whose alternating terms can exceed the result by many orders of magnitude.
 
-    The alternating terms can exceed the result by many orders of magnitude,
-    so the sum is evaluated exactly: for the float u = a / 2^b, M! 2^(bM) times
-    it is the polynomial -a sum_r c_r (-a)^r 2^(b(M-1-r)) with integer
-    c_r = C(M-1, r) M! / (r+1)!, summed by Horner's rule in Python ints and
-    rounded once by int / int division, which is correctly rounded.
+    S_M = L_M - L_{M-1} = -(u / M) L^(1)_{M-1}(u) (DLMF sec. 18.9), with L^(1)
+    from k L_k = (2k - u) L_{k-1} - k L_{k-2}, L_{-1} = 0, L_0 = 1, in M - 1
+    steps.  The echo series adds e^(-u/2) S_M(u), and that is what is accurate:
+    e^(-u/2) |S_M - S_exact| <= 8 eps; near a zero of L^(1)_{M-1} the relative
+    error can be far larger.  u multiplies L before the division by M, so a
+    subnormal u such as 5e-324 is not flushed to zero.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if not (u >= 0 and isfinite(u)):
         raise ValueError("u must be finite and >= 0")
-    a, d = float(u).as_integer_ratio()
-    b = d.bit_length() - 1  # d = 2^b
-    coefficients, fact = _series_coefficients(M)
-    acc, shift = 1, 0  # c_{M-1} = 1
-    for c in coefficients[-2::-1]:
-        shift += b
-        acc = (c << shift) - a * acc
-    try:
-        return -a * acc / (fact << b * M)
-    except OverflowError as exc:
+    u = float(u)
+    lag, laguerre = 0.0, 1.0
+    for k in range(1, M):
+        lag, laguerre = laguerre, ((2 * k - u) * laguerre - k * lag) / k
+    value = -(u * laguerre) / M
+    if not isfinite(value):
         raise OverflowError(
             f"series value not representable in double precision (M={M}, u={u})"
-        ) from exc
+        )
+    return value
 
 
 def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:

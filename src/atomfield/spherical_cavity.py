@@ -57,9 +57,10 @@ class SphericalCavity:
 def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.ndarray:
     """P_e(t): exponential decay plus echo terms at multiples of 2R/c.
 
-    Echo M contributes Theta(t - 2MR/c) exp(-Gamma(t - 2MR/c)/2) times the
-    stable binomial series; the real amplitude envelope (global phase
-    exp(-i E_e t) removed) is accumulated before squaring.
+    Echo M contributes Theta(u) exp(-u/2) S_M(u), u = Gamma(t - 2MR/c), with
+    S_M = L_M - L_{M-1} the Laguerre difference (`stable_binomial_series`);
+    the real amplitude envelope (global phase exp(-i E_e t) removed) is
+    accumulated before squaring.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):

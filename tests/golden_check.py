@@ -46,7 +46,11 @@ EPS = float(np.finfo(np.float64).eps)
 # cosine sum wrote.  Summing n terms bounded by S in another order moves the
 # result by at most (n - 1) eps S (Higham, Accuracy and Stability of
 # Numerical Algorithms, 2002, sec. 4.2), i.e. 44 eps S; 64 is the next power
-# of two, leaving room for the elementary-function ulps on top.
+# of two, leaving room for the elementary-function ulps on top.  A
+# sphere-revival echo term is an (M - 1)-step Laguerre recurrence
+# (`numerics.stable_binomial_series`, damped error <= 8 eps); against the
+# exact sum rounded once it moved p_e by at most 1.2e-15 over the seeds 1-10
+# `echo-series` batches (up to 20 echoes), 8.6 % of 64 eps S.
 K = 64
 
 # Fields produced by the finite-band solver, per scenario.

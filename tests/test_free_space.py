@@ -151,6 +151,9 @@ class TestFieldEnergy:
         t = 1.0 / atom.omega_eg  # causal shell below the radiation zone
         fe = free_space.field_energy(atom, t)
         assert fe.value == pytest.approx(fe.inner_correction)
+        # omega_eg (1 - e^{-Gamma t}) without the cancellation at Gamma t ~ 1e-3
+        want = atom.omega_eg * -np.expm1(-atom.gamma * t)
+        assert fe.value == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_part_validation(self, atom):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Echo dynamics of an atom at the center of a closed metallic sphere."""
 
 import warnings
-from math import pi
+from fractions import Fraction
+from math import comb, factorial, pi
 
 import numpy as np
 import pytest
@@ -125,6 +126,30 @@ class TestClosedForm:
         p = sc.excited_probability_closed_form(cav, t)
         want = (np.exp(-t / 2.0) + np.exp(-u / 2.0) * (-u)) ** 2
         assert p == pytest.approx(want, rel=1e-12)
+
+    def test_twenty_echoes_match_the_exact_series(self, atom):
+        """The closed form is a(t) = sum_{M>=0} Theta(u) e^{-u/2} [L_M(u) - L_{M-1}(u)],
+        u = Gamma (t - 2MR), L_{-1} = 0: with x = e^{-2sR} the flat ladder's
+        self-energy (Gamma/2) coth(sR) gives a(s) = (1 - x) / ((s + Gamma/2)
+        - x (s - Gamma/2)), whose powers of x are the Laplace pairs of
+        e^{-Gamma t/2} L_M(Gamma t).  Here each bracket is the binomial sum
+        in exact rationals, rounded once."""
+        cav = make_cavity(atom, 3.0)
+        t = np.linspace(0.0, 120.0, 201)
+        amplitude = np.exp(-t / 2.0)
+        for m in range(1, 21):
+            for i in np.flatnonzero(t >= m * cav.round_trip_time):
+                u = t[i] - m * cav.round_trip_time  # Gamma = 1
+                uq = Fraction(u)
+                series = sum(
+                    Fraction(comb(m - 1, r)) * (-uq) ** (1 + r) / factorial(1 + r)
+                    for r in range(m)
+                )
+                amplitude[i] += np.exp(-u / 2.0) * float(series)
+        want = amplitude * amplitude
+        got = sc.excited_probability_closed_form(cav, t)
+        # golden_check's closed-form bound, 64 eps S
+        assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(want)
 
     def test_negative_time_rejected(self, atom):
         with pytest.raises(ValueError):
