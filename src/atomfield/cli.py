@@ -283,9 +283,8 @@ def _run_free_decay(config: ScenarioConfig) -> ResultTable:
     )
     meta = _meta(config)
     meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
-    return _table(
-        meta, t=trace.times, p_e=trace.excited_population, p_pole=np.exp(-trace.times)
-    )
+    p_pole = np.abs(free_space.excited_amplitude(atom, trace.times)) ** 2
+    return _table(meta, t=trace.times, p_e=trace.excited_population, p_pole=p_pole)
 
 
 def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:

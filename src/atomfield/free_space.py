@@ -26,7 +26,6 @@ __all__ = [
     "FieldEnergy",
     "RadiationZoneWarning",
     "excited_amplitude",
-    "absorbing_state_amplitude",
     "energy_density",
     "electric_amplitude",
     "field_energy",
@@ -100,40 +99,31 @@ class FieldMap:
             raise ValueError("energy density must be non-negative")
 
 
-def excited_amplitude(atom: TwoLevelAtom, t: float) -> complex:
-    """Excited-state amplitude exp(-i omega_eg t) exp(-Gamma t / 2) for t >= 0.
+def excited_amplitude(atom: TwoLevelAtom, t):
+    """Excited-state amplitude exp(-i omega_eg t) exp(-Gamma |t| / 2) at real
+    t of either sign, a scalar (giving a complex) or an array.
 
-    Convention E_g = 0, so E_e = omega_eg.
+    Convention E_g = 0, so E_e = omega_eg.  For t >= 0 the atom, excited at
+    t = 0, decays by emission; t < 0 is the time-reversed atom, which absorbs
+    the incoming packet and is fully excited at t = 0, so a(-t) = conj(a(t)).
     """
-    if t < 0:
-        raise ValueError("retarded branch requires t >= 0")
-    return np.exp(-1j * atom.omega_eg * t) * np.exp(-atom.gamma * t / 2.0)
-
-
-def absorbing_state_amplitude(atom: TwoLevelAtom, t: float) -> complex:
-    """Excited amplitude of the perfectly absorbed (advanced) solution, t <= 0.
-
-    Magnitude exp(+Gamma t / 2) grows toward t = 0 where the atom is fully
-    excited; for t > 0 the retarded branch `excited_amplitude` applies.
-    """
-    if t > 0:
-        raise ValueError("advanced branch requires t <= 0; use excited_amplitude")
-    return np.exp(-1j * atom.omega_eg * t) * np.exp(atom.gamma * t / 2.0)
+    t = np.asarray(t, dtype=float)
+    out = np.exp(-1j * atom.omega_eg * t) * np.exp(-atom.gamma * np.abs(t) / 2.0)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _packet(atom: TwoLevelAtom, sin_t, path, dist, t: float):
     """Energy-density amplitude of one ray family of the one-photon packet:
-    causal front at |t| = path/c, geometric factor sin(theta)/dist, zero
-    before the front; outgoing for t > 0, incoming (absorbed) for t < 0."""
-    gamma = atom.gamma
+    the atom's amplitude excited_amplitude(-sign(t) u) at the retarded time
+    u = |t| - path/c times the geometric factor sin(theta)/dist, zero before
+    the causal front u = 0; outgoing for t > 0, incoming (absorbed) for t < 0."""
     u = abs(t) - path
     live = u >= 0
-    u = np.where(live, u, 0.0)  # keeps exp() finite where the ray has not arrived
+    u = np.where(live, u, 0.0)  # the points before the front are discarded: exp(0) is cheap
     amplitude = (
         -1j
-        * sqrt(3.0 * gamma * atom.omega_eg / (16.0 * pi))
-        * np.exp(1j * np.sign(t) * atom.omega_eg * u)
-        * np.exp(-gamma * u / 2.0)
+        * sqrt(3.0 * atom.gamma * atom.omega_eg / (16.0 * pi))
+        * excited_amplitude(atom, -np.sign(t) * u)
         * sin_t
         / dist
     )

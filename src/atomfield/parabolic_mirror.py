@@ -226,6 +226,9 @@ class TwoRayField:
 
     `spherical` multiplies the e_theta1 polarization of the direct ray,
     `plane` the e_rho polarization of the mirror-reflected ray family.
+    `energy_density` is the electric energy density |E_s + E_p|^2, without
+    the factor 2 of free_space.energy_density (electric plus magnetic):
+    before the reflection arrives it is half the free-space value.
     """
 
     spherical: complex
@@ -247,7 +250,8 @@ def _energy_density(spherical, plane, cos_theta1):
 
 @dataclass(frozen=True)
 class ParabolicFieldMap:
-    """Grid of two-ray field samples restricted to the cavity interior."""
+    """Grid of two-ray field samples restricted to the cavity interior;
+    `energy_density` is the electric one, as in TwoRayField."""
 
     points: np.ndarray  # shape (n, 2): (z, rho)
     spherical: np.ndarray

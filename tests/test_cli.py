@@ -85,6 +85,18 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config("scenario = jcp-vacuum\n", overrides=["detuning"])
 
+    def test_empty_key(self):
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config("scenario = jcp-vacuum\n\n= 5\n")
+        assert info.value.errors == ["line 3: empty key"]
+
+    def test_unparsable_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "ode.cfg"
+        cfg.write_text("scenario = sphere-revival\ngamma_R = 1\nwith_ode = maybe\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "w.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "key 'with_ode': cannot parse value 'maybe'" in err and "Traceback" not in err
+
 
 class TestTableIO:
     def test_round_trip_bit_exact(self, tmp_path, monkeypatch):
@@ -209,6 +221,15 @@ class TestMain:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg"), "--out", "x.csv"]) == 3
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("scenario = jcp-vacuum\nsamples = 11\n")
+        out = tmp_path / "no" / "w.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: cannot write table to {str(out)!r}")
+        assert not out.parent.exists()
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -439,6 +460,19 @@ class TestDomainGuards:
         monkeypatch.setitem(cli._RUNNERS, "jcp-vacuum", fail)
         assert self._run(tmp_path, "scenario = jcp-vacuum\n") == 2
         assert "solver gave up" in capsys.readouterr().err
+
+    def test_quadrature_failure_names_the_scenario(self, tmp_path, capsys):
+        # no quadrature meets a tolerance of 1e-300
+        text = (
+            "scenario = parabola-eta\nk_per_mm = 1\nsamples = 11\n"
+            "rel_tol = 1e-300\nabs_tol = 1e-300\n"
+        )
+        assert self._run(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical error: scenario 'parabola-eta': quadrature did not converge"
+        )
+        assert "Traceback" not in err and not (tmp_path / "w.csv").exists()
 
 
 class TestToleranceKeys:

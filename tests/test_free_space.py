@@ -21,7 +21,7 @@ class TestAtom:
         assert a.gamma == pytest.approx(5.0**3 * 0.01 / (3.0 * pi))
 
     def test_from_linewidth_round_trip(self, atom):
-        assert atom.gamma == pytest.approx(1.0, rel=1e-12)
+        assert atom.gamma == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert atom.omega_eg == pytest.approx(1e3)
 
     def test_validation(self):
@@ -43,31 +43,37 @@ class TestAmplitudes:
     def test_retarded_magnitude(self, atom):
         for t in (0.0, 0.5, 3.0):
             assert abs(free_space.excited_amplitude(atom, t)) == pytest.approx(
-                np.exp(-t / 2.0)
+                np.exp(-t / 2.0), rel=1e-12, abs=0.0
             )
 
     def test_advanced_magnitude(self, atom):
+        # the time-reversed atom grows toward full excitation at t = 0
         for t in (-3.0, -0.5, 0.0):
-            assert abs(free_space.absorbing_state_amplitude(atom, t)) == pytest.approx(
-                np.exp(t / 2.0)
+            assert abs(free_space.excited_amplitude(atom, t)) == pytest.approx(
+                np.exp(t / 2.0), rel=1e-12, abs=0.0
             )
 
     def test_advanced_is_time_reversed_retarded(self, atom):
         # the absorbed branch is the complex conjugate of the emitted one
         for t in (0.0, 0.5, 3.0):
-            assert free_space.absorbing_state_amplitude(atom, -t) == pytest.approx(
+            assert free_space.excited_amplitude(atom, -t) == pytest.approx(
                 np.conj(free_space.excited_amplitude(atom, t)), rel=1e-15, abs=0.0
             )
 
-    def test_branch_domains(self, atom):
-        with pytest.raises(ValueError):
-            free_space.excited_amplitude(atom, -0.1)
-        with pytest.raises(ValueError):
-            free_space.absorbing_state_amplitude(atom, 0.1)
-
     def test_branches_join_at_zero(self, atom):
-        assert free_space.excited_amplitude(atom, 0.0) == pytest.approx(
-            free_space.absorbing_state_amplitude(atom, 0.0)
+        at_zero = free_space.excited_amplitude(atom, 0.0)
+        assert free_space.excited_amplitude(atom, -0.0) == at_zero == 1.0
+
+    def test_array_matches_scalar_calls(self, atom):
+        t = np.array([-3.0, -0.5, -1e-9, 0.0, 0.25, 0.5, 3.0, 40.0])
+        got = free_space.excited_amplitude(atom, t)
+        assert got.shape == t.shape
+        assert all(type(free_space.excited_amplitude(atom, float(x))) is complex for x in t)
+        assert got.tolist() == [free_space.excited_amplitude(atom, float(x)) for x in t]
+        envelope = np.exp(-atom.gamma * np.abs(t) / 2.0)
+        assert np.abs(got) == pytest.approx(envelope, rel=1e-15, abs=0.0)
+        assert free_space.excited_amplitude(atom, -t) == pytest.approx(
+            np.conj(got), rel=1e-15, abs=0.0
         )
 
 
@@ -88,7 +94,7 @@ class TestWavePacket:
         # sin^2 theta angular factor, node along the dipole axis
         u_eq = free_space.energy_density(atom, 0.5, pi / 2, 1.0)
         u_mid = free_space.energy_density(atom, 0.5, pi / 4, 1.0)
-        assert u_mid / u_eq == pytest.approx(0.5, rel=1e-12)
+        assert u_mid / u_eq == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("t", [1.5, -1.5])
     def test_density_matches_closed_form(self, atom, t):
@@ -111,7 +117,20 @@ class TestWavePacket:
         # emission (t > 0) and absorption (t < 0) packets are conjugate
         amp_p = free_space.electric_amplitude(atom, 0.4, 1.0, 2.0)
         amp_m = free_space.electric_amplitude(atom, 0.4, 1.0, -2.0)
-        assert amp_m == pytest.approx(-np.conj(amp_p), rel=1e-12)
+        assert amp_m == pytest.approx(-np.conj(amp_p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [1.5, -1.5])
+    def test_retarded_time_dependence(self, atom, t):
+        # moving out by delta while |t| grows by delta keeps the retarded time
+        # |t| - r (exact in these dyadic values), so only the 1/r factor changes
+        r = np.array([0.5, 0.75, 1.0, 1.25, 1.5, 1.75])  # the last one lies outside |t|
+        theta = np.array([1.0, 0.25, 2.5, 1.5, 0.75, 2.0])
+        delta = 0.125
+        later = t + np.sign(t) * delta
+        here = free_space.electric_amplitude(atom, r, theta, t)
+        there = free_space.electric_amplitude(atom, r + delta, theta, later)
+        assert np.all(here[:-1] != 0.0) and here[-1] == there[-1] == 0.0
+        assert there == pytest.approx(here * r / (r + delta), rel=1e-15, abs=0.0)
 
     def test_radiation_zone_warning(self, atom):
         with pytest.warns(RadiationZoneWarning):
@@ -138,13 +157,13 @@ class TestFieldEnergy:
     def test_energy_balance(self, atom):
         fe = free_space.field_energy(atom, 1.0)
         want = atom.omega_eg * (1.0 - np.exp(-1.0))
-        assert fe.value == pytest.approx(want, rel=1e-6)
+        assert fe.value == pytest.approx(want, rel=1e-6, abs=0.0)
         assert fe.inner_correction >= 0.0
         assert fe.quadrature_error < 1e-3 * fe.value
 
     def test_negative_time_symmetric(self, atom):
         assert free_space.field_energy(atom, -1.0).value == pytest.approx(
-            free_space.field_energy(atom, 1.0).value, rel=1e-9
+            free_space.field_energy(atom, 1.0).value, rel=1e-9, abs=0.0
         )
 
     def test_early_time_inside_near_zone(self, atom):
@@ -170,7 +189,7 @@ class TestFieldMap:
         assert np.all(fmap.energy_density >= 0.0)
         # density equals twice the squared electric amplitude everywhere
         assert fmap.energy_density == pytest.approx(
-            2.0 * np.abs(fmap.amplitude) ** 2, rel=1e-12
+            2.0 * np.abs(fmap.amplitude) ** 2, rel=1e-12, abs=0.0
         )
 
 
@@ -218,7 +237,7 @@ class TestDiscretizedContinuum:
             atom, np.linspace(0.0, 1.0, 301), band_width=20.0, mode_spacing=0.05
         )
         detunings, couplings = seen[0]
-        assert np.diff(detunings) == pytest.approx(0.05, rel=1e-12)
+        assert np.diff(detunings) == pytest.approx(0.05, rel=1e-12, abs=0.0)
         assert couplings == pytest.approx(
             np.full(detunings.size, sqrt(atom.gamma * 0.05 / (2.0 * pi))), rel=1e-15, abs=0.0
         )

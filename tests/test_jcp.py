@@ -22,13 +22,13 @@ class TestFieldDistribution:
     def test_coherent_poisson_weights(self):
         alpha = 2.0
         f = jcp.FieldDistribution.coherent(alpha)
-        assert f.mean_photon_number == pytest.approx(abs(alpha) ** 2, rel=1e-10)
+        assert f.mean_photon_number == pytest.approx(abs(alpha) ** 2, rel=1e-10, abs=0.0)
         # Poisson check at a few n
         from math import exp, factorial
 
         for n in (0, 2, 5):
             want = exp(-4.0) * 4.0**n / factorial(n)
-            assert f.weights[n] == pytest.approx(want, rel=1e-10)
+            assert f.weights[n] == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_coherent_large_amplitude_normalized(self):
         f = jcp.FieldDistribution.coherent(10.0)
@@ -74,7 +74,7 @@ class TestFieldDistribution:
     def test_coherent_guard_ignores_round_off(self, mean_n):
         # 1 - sum(|a_n|^2) exceeds 1e-12 from round-off alone at these <n>
         f = jcp.FieldDistribution.coherent(sqrt(mean_n))
-        assert f.mean_photon_number == pytest.approx(mean_n, rel=1e-12)
+        assert f.mean_photon_number == pytest.approx(mean_n, rel=1e-12, abs=0.0)
 
     def test_coherent_zero_is_vacuum(self):
         f = jcp.FieldDistribution.coherent(0.0)
@@ -251,7 +251,7 @@ class TestTimescales:
         params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(5.0))
         t_c, t_r = jcp.collapse_revival_times(params)
         assert t_c == pytest.approx(2.0 * pi)
-        assert t_r == pytest.approx(2.0 * pi * sqrt(26.0), rel=1e-9)
+        assert t_r == pytest.approx(2.0 * pi * sqrt(26.0), rel=1e-9, abs=0.0)
 
     def test_requires_coherent_field(self):
         with pytest.raises(ValueError):

@@ -81,7 +81,7 @@ class TestStableSeries:
         # individual terms ~ u^r/r! dwarf the result here
         got = stable_binomial_series(30, 25.0)
         want = _series_oracle(30, 25.0)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_laguerre_identity(self):
         # S_M(u) = -(u / M) L^{(1)}_{M-1}(u)
@@ -90,7 +90,7 @@ class TestStableSeries:
         for M, u in ((1, 0.3), (4, 2.0), (12, 7.5), (25, 18.0)):
             got = stable_binomial_series(M, u)
             want = -(u / M) * eval_genlaguerre(M - 1, 1, u)
-            assert got == pytest.approx(want, rel=1e-10)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_zero_argument(self):
         assert stable_binomial_series(5, 0.0) == 0.0
@@ -118,7 +118,7 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(max_subdivisions=3))
         value, _ = integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(max_subdivisions=10))
-        assert value == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, rel=1e-12)
+        assert value == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, rel=1e-12, abs=0.0)
 
     def test_oscillatory(self):
         a = 100.0
@@ -142,7 +142,7 @@ class TestQuadrature:
         value, err = integrate_2d(
             lambda x, y: np.sin(x) * y, ((0.0, pi), (0.0, 2.0)), QuadratureSpec()
         )
-        assert value == pytest.approx(4.0, rel=1e-10)
+        assert value == pytest.approx(4.0, rel=1e-10, abs=0.0)
         assert err < 1e-6
 
     def test_spec_validation(self):

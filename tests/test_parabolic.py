@@ -19,7 +19,7 @@ def geometry():
 class TestGeometry:
     def test_cutoff_angle_identity(self, geometry):
         assert np.tan(geometry.theta0 / 2.0) == pytest.approx(
-            1.0 / (2.0 * geometry.kf), rel=1e-15
+            1.0 / (2.0 * geometry.kf), rel=1e-15, abs=0.0
         )
 
     def test_validation(self):
@@ -34,7 +34,7 @@ class TestParabolicCoordinates:
         f = geometry.focal_length
         for rho in (0.0, 3.0, 20.0):
             pt = pm.ParabolicPoint(z=rho**2 / (4.0 * f), rho=rho)
-            assert pt.parabolic_eta(geometry) == pytest.approx(f, rel=1e-12)
+            assert pt.parabolic_eta(geometry) == pytest.approx(f, rel=1e-12, abs=0.0)
             assert not pt.inside(geometry)
 
     def test_focus_coordinates(self, geometry):
@@ -47,7 +47,7 @@ class TestParabolicCoordinates:
         pt = pm.ParabolicPoint(z=12.0, rho=7.0)
         xi = 0.5 * (pt.focus_distance(geometry) + (pt.z - geometry.focal_length))
         eta = pt.parabolic_eta(geometry)
-        assert 4.0 * xi * eta == pytest.approx(49.0, rel=1e-12)
+        assert 4.0 * xi * eta == pytest.approx(49.0, rel=1e-12, abs=0.0)
 
 
 class TestRateModification:
@@ -55,7 +55,7 @@ class TestRateModification:
         # suppressed rate ~ (2/5)(k z)^2 near the vertex
         for z in (1e-4, 1e-3):
             a = geometry.wavenumber * z
-            assert pm.on_axis_eta(geometry, z) == pytest.approx(0.4 * a * a, rel=1e-5)
+            assert pm.on_axis_eta(geometry, z) == pytest.approx(0.4 * a * a, rel=1e-5, abs=0.0)
 
     def test_series_matches_closed_form_at_crossover(self, geometry):
         mpmath = pytest.importorskip("mpmath")
@@ -75,7 +75,7 @@ class TestRateModification:
         for z in (0.3, 2.0, 17.0, 50.0):
             closed = pm.on_axis_eta(geometry, z)
             quad, err = pm.eta_quadrature(geometry, (0.0, 0.0, z))
-            assert quad == pytest.approx(closed, rel=1e-9)
+            assert quad == pytest.approx(closed, rel=1e-9, abs=0.0)
             assert err < 1e-8
 
     def test_reduction_matches_raw_2d(self, geometry):
@@ -85,7 +85,7 @@ class TestRateModification:
             slow, _ = pm._eta_quadrature_2d(
                 geometry, point, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
             )
-            assert fast == pytest.approx(slow, rel=1e-7)
+            assert fast == pytest.approx(slow, rel=1e-7, abs=0.0)
 
     def test_off_axis_far_field_approaches_unity(self, geometry):
         # many wavelengths from the mirror axis the correction dies off
@@ -151,13 +151,15 @@ class TestRateModification:
                 (0.0, geo.theta0),
                 QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300),
             )
-            assert pm.angular_cutoff_correction(geo) == pytest.approx(1.5 * want, rel=1e-12)
+            assert pm.angular_cutoff_correction(geo) == pytest.approx(
+                1.5 * want, rel=1e-12, abs=0.0
+            )
 
     def test_cutoff_correction_asymptote(self):
         # 1.5 * integral of sin^3 up to theta0 ~ (3/8) (kf)^-4 for large kf
         geo = pm.ParabolicGeometry(focal_length=1.0, wavenumber=100.0)
         got = pm.angular_cutoff_correction(geo)
-        assert got == pytest.approx(0.375 * 100.0**-4, rel=1e-3)
+        assert got == pytest.approx(0.375 * 100.0**-4, rel=1e-3, abs=0.0)
 
 
 class TestTwoRayField:
@@ -178,14 +180,14 @@ class TestTwoRayField:
         for point in ((12.0, 3.0), (4.0, 8.0)):
             u_p = pm.semiclassical_field(mirror, atom, point, 30.0).energy_density
             u_m = pm.semiclassical_field(mirror, atom, point, -30.0).energy_density
-            assert u_m == pytest.approx(u_p, rel=1e-12)
+            assert u_m == pytest.approx(u_p, rel=1e-12, abs=0.0)
 
     def test_plane_term_rides_on_z_plus_f(self, mirror, atom):
         # equal t - (z + f) at fixed rho gives the identical reflected term
         rho = 4.0
         a = pm.semiclassical_field(mirror, atom, (6.0, rho), 30.0).plane
         b = pm.semiclassical_field(mirror, atom, (11.0, rho), 35.0).plane
-        assert b == pytest.approx(a, rel=1e-12)
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
     def test_near_boundary_flag(self, mirror, atom):
         f = mirror.focal_length
@@ -201,7 +203,7 @@ class TestTwoRayField:
         assert fld.spherical != 0.0 and fld.plane != 0.0
         u_sum = abs(fld.spherical) ** 2 + abs(fld.plane) ** 2
         cross = 2.0 * (fld.spherical * np.conj(fld.plane)).real * fld.cos_theta1
-        assert fld.energy_density == pytest.approx(u_sum + cross, rel=1e-12)
+        assert fld.energy_density == pytest.approx(u_sum + cross, rel=1e-12, abs=0.0)
 
     def test_guards(self, mirror, atom):
         with pytest.raises(ValueError):
@@ -269,4 +271,4 @@ class TestTwoRayField:
         theta1 = np.arcsin(4.0 / r1)
         free = free_space.electric_amplitude(atom, r1, theta1, 8.0)
         assert fld.plane == 0.0
-        assert fld.spherical == pytest.approx(free, rel=1e-12)
+        assert fld.spherical == pytest.approx(free, rel=1e-12, abs=0.0)

@@ -2,11 +2,10 @@
 
 A name in a module's `__all__` counts as called when some `ast.Name` or
 `ast.Attribute` in the library itself, in the acceptance criteria or in the
-benchmark's output checker spells it.  The match is by name only: for
-example `free_space.excited_amplitude` passes only because `AmplitudeTrace`
-has a field of that name.  The package `__init__` is not scanned for exports:
-its `__all__` lists the submodules and re-exports names checked in their own
-modules.
+benchmark's output checker spells it.  The match is by name only, so a
+field or local of the same name would count as well.  The package `__init__`
+is not scanned for exports: its `__all__` lists the submodules and re-exports
+names checked in their own modules.
 """
 
 import ast
@@ -22,8 +21,6 @@ CALLERS = [
 
 # public names without a product caller yet, each with what gives it one
 UNCALLED = {
-    # ROADMAP item 2: the absorption scenario becomes its caller
-    "free_space.absorbing_state_amplitude",
     # ROADMAP item 1: the benchmark tracer wraps `multimode.solve_ivp` by name,
     # so the DOP853 cross-check cannot move into tests/ before it changes
     "multimode.integrate_atom_modes",

@@ -70,7 +70,7 @@ class TestModeSet:
         # 2 pi |g|^2 * (modes per unit frequency) recovers Gamma
         detunings, couplings = solved_band(monkeypatch, make_cavity(atom, 7.0), 60.0)
         rate = 2.0 * pi * couplings[0] ** 2 / (detunings[1] - detunings[0])
-        assert rate == pytest.approx(atom.gamma, rel=1e-12)
+        assert rate == pytest.approx(atom.gamma, rel=1e-12, abs=0.0)
 
     def test_band_guard(self, atom):
         with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ class TestClosedForm:
         cav = make_cavity(atom, 5.0)
         t = np.linspace(0.0, 2.0 * cav.radius - 1e-9, 200)
         p = sc.excited_probability_closed_form(cav, t)
-        assert p == pytest.approx(np.exp(-t), rel=1e-12)
+        assert p == pytest.approx(np.exp(-t), rel=1e-12, abs=0.0)
 
     def test_continuous_across_echo(self, atom):
         cav = make_cavity(atom, 3.0)
@@ -125,7 +125,7 @@ class TestClosedForm:
         t = 2.0 * cav.radius + u
         p = sc.excited_probability_closed_form(cav, t)
         want = (np.exp(-t / 2.0) + np.exp(-u / 2.0) * (-u)) ** 2
-        assert p == pytest.approx(want, rel=1e-12)
+        assert p == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_twenty_echoes_match_the_exact_series(self, atom):
         """The closed form is a(t) = sum_{M>=0} Theta(u) e^{-u/2} [L_M(u) - L_{M-1}(u)],
