@@ -53,7 +53,8 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class ResultTable:
     """Named columns of one length (`data` holds one 1-D array per name) and
-    the CSV's metadata lines."""
+    the CSV's metadata lines.  An integer column must stay within +-2**53,
+    where every integer is a double, so that its CSV cells are exact."""
 
     columns: list[str]
     data: tuple[np.ndarray, ...]
@@ -63,6 +64,8 @@ class ResultTable:
         data = tuple(np.asarray(a) for a in self.data)
         if len(data) != len(self.columns) or any(a.shape != data[0].shape or a.ndim != 1 for a in data):
             raise ValueError("a table needs one 1-D array per column, all of one length")
+        if any(a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) > 2**53 for a in data):
+            raise ValueError("an integer column holds a value beyond +-2**53, which a CSV cell would round")
         object.__setattr__(self, "data", data)
 
     @property
@@ -73,16 +76,6 @@ class ResultTable:
 
 def _num(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _table(metadata: dict[str, str], **columns) -> ResultTable:
-    """Table of whole columns, named and ordered by keyword.  Raises
-    FloatingPointError naming each column that holds a non-finite value."""
-    arrays = {name: np.asarray(c) for name, c in columns.items()}
-    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
-    if bad:
-        raise FloatingPointError(f"non-finite values in column(s) {', '.join(bad)}")
-    return ResultTable(list(arrays), tuple(arrays.values()), metadata)
 
 
 def _ascending(p: dict[str, Any], low: str, high: str) -> None:
@@ -119,59 +112,19 @@ _COMMON_KEYS: dict[str, _Key] = {
     "output": _Key(str, default=None, describe="output CSV path (overridden by --out)"),
 }
 
-SCENARIOS: dict[str, dict[str, _Key]] = {
-    "jcp-vacuum": {
-        "detuning": _Key(float, default=0.0, describe="Delta / |g|"),
-        "t_max": _Key(float, default=4 * pi, check=_pos, describe="end time in 1/|g|"),
-        "samples": _Key(int, default=401, check=lambda v: v >= 2),
-    },
-    "jcp-inversion": {
-        "mean_n": _Key(float, required=True, check=_nonneg, describe="coherent <n>"),
-        "detuning": _Key(float, default=0.0),
-        "t_max": _Key(float, default=None, check=_pos, describe="end time in 1/|g|; default 3 T_r"),
-        "samples": _Key(int, default=601, check=lambda v: v >= 2),
-    },
-    "free-decay": {
-        "band_width": _Key(float, default=40.0, check=_pos, describe="mode band in Gamma"),
-        "spacing": _Key(float, default=0.02, check=_pos, describe="mode spacing in Gamma"),
-        "t_max": _Key(float, default=4.0, check=_pos, describe="end time in 1/Gamma"),
-        "samples": _Key(int, default=201, check=lambda v: v >= 2),
-        "omega_over_gamma": _Key(float, default=1e3, check=lambda v: v >= 10),
-    },
-    "free-wavepacket": {
-        "omega_over_gamma": _Key(float, default=1e3, check=lambda v: v >= 10),
-        "time": _Key(float, default=1.0, check=_pos, describe="snapshot time in 1/Gamma"),
-        "n_r": _Key(int, default=80, check=lambda v: v >= 2),
-        "n_theta": _Key(int, default=9, check=lambda v: v >= 2),
-    },
-    "sphere-revival": {
-        "gamma_R": _Key(float, required=True, check=_pos, describe="Gamma R / c"),
-        "t_max_R": _Key(float, default=6.0, check=_pos, describe="end time in R/c"),
-        "samples": _Key(int, default=601, check=lambda v: v >= 2),
-        "with_ode": _Key(_parse_bool, default=False, describe="add the finite-band column p_e_ode"),
-        "band_width": _Key(float, default=400.0, check=_pos, describe="finite band in Gamma"),
-        "omega_over_gamma": _Key(float, default=1e3, check=lambda v: v >= 10),
-    },
-    "parabola-eta": {
-        "k_per_mm": _Key(float, required=True, check=_pos, describe="wave number in 1/mm"),
-        "f_mm": _Key(float, default=2.0, check=_pos, describe="focal length in mm"),
-        "z_min_mm": _Key(float, default=0.0, check=_nonneg, describe="start height above vertex"),
-        "z_max_mm": _Key(float, default=8.0, check=_pos),
-        "samples": _Key(int, default=401, check=lambda v: v >= 2),
-        "rel_tol": _Key(float, default=1e-10, check=_pos, describe="probe quadrature relative tolerance"),
-        "abs_tol": _Key(float, default=1e-13, check=_pos, describe="probe quadrature absolute tolerance"),
-    },
-    "parabola-field": {
-        "f": _Key(float, default=10.0, check=_pos, describe="focal length in c/Gamma"),
-        "omega_f": _Key(float, default=500.0, check=lambda v: v >= 50, describe="omega_eg f / c"),
-        "time": _Key(float, default=25.0, describe="snapshot time in 1/Gamma"),
-        "z_min": _Key(float, default=0.5, check=_nonneg),
-        "z_max": _Key(float, default=30.0, check=_pos),
-        "n_z": _Key(int, default=40, check=lambda v: v >= 2),
-        "rho_max": _Key(float, default=None, check=_pos, describe="default 2 f"),
-        "n_rho": _Key(int, default=30, check=lambda v: v >= 2),
-    },
-}
+SCENARIOS: dict[str, dict[str, _Key]] = {}
+_RUNNERS: dict[str, Callable[[dict[str, Any], dict[str, str]], dict[str, Any]]] = {}
+
+
+def _scenario(name: str, **keys: _Key):
+    """Declare scenario `name`, its config keys in order, on its runner, which
+    takes (params, metadata), adds derived metadata and returns named columns."""
+
+    def declare(runner):
+        SCENARIOS[name], _RUNNERS[name] = keys, runner
+        return runner
+
+    return declare
 
 
 def _schema(scenario: str) -> dict[str, _Key]:
@@ -244,24 +197,27 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
     return ScenarioConfig(scenario=scenario, params=params, output=output)
 
 
-def _meta(config: ScenarioConfig) -> dict[str, str]:
-    meta = {"scenario": config.scenario, "format_version": "1"}
-    for key in sorted(config.params):
-        value = config.params[key]
-        meta[key] = _num(value) if isinstance(value, float) else str(value)
-    return meta
-
-
-def _run_jcp_vacuum(config: ScenarioConfig) -> ResultTable:
-    p = config.params
+@_scenario(
+    "jcp-vacuum",
+    detuning=_Key(float, default=0.0, describe="Delta / |g|"),
+    t_max=_Key(float, default=4 * pi, check=_pos, describe="end time in 1/|g|"),
+    samples=_Key(int, default=401, check=lambda v: v >= 2),
+)
+def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     params = jcp.JcpParams(coupling=1.0, detuning=p["detuning"], field=jcp.FieldDistribution.vacuum())
     times = np.linspace(0.0, p["t_max"], p["samples"])
     trace = jcp.inversion(params, times)
-    return _table(_meta(config), t=trace.times, w=trace.w)
+    return dict(t=trace.times, w=trace.w)
 
 
-def _run_jcp_inversion(config: ScenarioConfig) -> ResultTable:
-    p = config.params
+@_scenario(
+    "jcp-inversion",
+    mean_n=_Key(float, required=True, check=_nonneg, describe="coherent <n>"),
+    detuning=_Key(float, default=0.0),
+    t_max=_Key(float, default=None, check=_pos, describe="end time in 1/|g|; default 3 T_r"),
+    samples=_Key(int, default=601, check=lambda v: v >= 2),
+)
+def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     fieldstate = jcp.FieldDistribution.coherent(sqrt(p["mean_n"]))
     params = jcp.JcpParams(coupling=1.0, detuning=p["detuning"], field=fieldstate)
     t_max = p["t_max"]
@@ -269,26 +225,37 @@ def _run_jcp_inversion(config: ScenarioConfig) -> ResultTable:
         t_max = 3.0 * 2.0 * pi * sqrt(p["mean_n"] + 1.0)
     times = np.linspace(0.0, t_max, p["samples"])
     trace = jcp.inversion(params, times)
-    meta = _meta(config)
     meta["t_max_used"] = _num(t_max)
-    return _table(meta, t=trace.times, w=trace.w)
+    return dict(t=trace.times, w=trace.w)
 
 
-def _run_free_decay(config: ScenarioConfig) -> ResultTable:
-    p = config.params
+@_scenario(
+    "free-decay",
+    band_width=_Key(float, default=40.0, check=_pos, describe="mode band in Gamma"),
+    spacing=_Key(float, default=0.02, check=_pos, describe="mode spacing in Gamma"),
+    t_max=_Key(float, default=4.0, check=_pos, describe="end time in 1/Gamma"),
+    samples=_Key(int, default=201, check=lambda v: v >= 2),
+    omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
+)
+def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
     times = np.linspace(0.0, p["t_max"], p["samples"])
     trace = free_space.wigner_weisskopf_ode(
         atom, times, band_width=p["band_width"], mode_spacing=p["spacing"]
     )
-    meta = _meta(config)
     meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
     p_pole = np.abs(free_space.excited_amplitude(atom, trace.times)) ** 2
-    return _table(meta, t=trace.times, p_e=trace.excited_population, p_pole=p_pole)
+    return dict(t=trace.times, p_e=trace.excited_population, p_pole=p_pole)
 
 
-def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:
-    p = config.params
+@_scenario(
+    "free-wavepacket",
+    omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
+    time=_Key(float, default=1.0, check=_pos, describe="snapshot time in 1/Gamma"),
+    n_r=_Key(int, default=80, check=lambda v: v >= 2),
+    n_theta=_Key(int, default=9, check=lambda v: v >= 2),
+)
+def _run_free_wavepacket(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
     t = p["time"]
     factor = free_space._RADIATION_ZONE_FACTOR
@@ -301,8 +268,7 @@ def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:
     r = np.linspace(r_min, t, p["n_r"])
     theta = np.linspace(0.0, pi, p["n_theta"])
     fmap = free_space.field_map(atom, r, theta, t)
-    return _table(
-        _meta(config),
+    return dict(
         r=fmap.points[:, 0],
         theta=fmap.points[:, 1],
         re_amplitude=fmap.amplitude.real,
@@ -311,23 +277,39 @@ def _run_free_wavepacket(config: ScenarioConfig) -> ResultTable:
     )
 
 
-def _run_sphere_revival(config: ScenarioConfig) -> ResultTable:
-    p = config.params
+@_scenario(
+    "sphere-revival",
+    gamma_R=_Key(float, required=True, check=_pos, describe="Gamma R / c"),
+    t_max_R=_Key(float, default=6.0, check=_pos, describe="end time in R/c"),
+    samples=_Key(int, default=601, check=lambda v: v >= 2),
+    with_ode=_Key(_parse_bool, default=False, describe="add the finite-band column p_e_ode"),
+    band_width=_Key(float, default=400.0, check=_pos, describe="finite band in Gamma"),
+    omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
+)
+def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
     cavity = spherical_cavity.SphericalCavity(radius=p["gamma_R"], atom=atom)
     t_max = p["t_max_R"] * cavity.radius
     times = np.linspace(0.0, t_max, p["samples"])
     p_closed = spherical_cavity.excited_probability_closed_form(cavity, times)
-    meta = _meta(config)
     if p["with_ode"]:
         trace = spherical_cavity.evolve_cavity_ode(cavity, times, band_width=p["band_width"])
         meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
-        return _table(meta, t=times, p_e=p_closed, p_e_ode=trace.excited_population)
-    return _table(meta, t=times, p_e=p_closed)
+        return dict(t=times, p_e=p_closed, p_e_ode=trace.excited_population)
+    return dict(t=times, p_e=p_closed)
 
 
-def _run_parabola_eta(config: ScenarioConfig) -> ResultTable:
-    p = config.params
+@_scenario(
+    "parabola-eta",
+    k_per_mm=_Key(float, required=True, check=_pos, describe="wave number in 1/mm"),
+    f_mm=_Key(float, default=2.0, check=_pos, describe="focal length in mm"),
+    z_min_mm=_Key(float, default=0.0, check=_nonneg, describe="start height above vertex"),
+    z_max_mm=_Key(float, default=8.0, check=_pos),
+    samples=_Key(int, default=401, check=lambda v: v >= 2),
+    rel_tol=_Key(float, default=1e-10, check=_pos, describe="probe quadrature relative tolerance"),
+    abs_tol=_Key(float, default=1e-13, check=_pos, describe="probe quadrature absolute tolerance"),
+)
+def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     _ascending(p, "z_min_mm", "z_max_mm")
     geometry = parabolic_mirror.ParabolicGeometry(
         focal_length=p["f_mm"], wavenumber=p["k_per_mm"]
@@ -335,7 +317,6 @@ def _run_parabola_eta(config: ScenarioConfig) -> ResultTable:
     profile = parabolic_mirror.rate_profile(
         geometry, (p["z_min_mm"], p["z_max_mm"]), p["samples"]
     )
-    meta = _meta(config)
     # cross-check the closed form against the quadrature at a probe height
     # where the oscillatory integral is still cheap
     z_probe = min(p["z_max_mm"], 50.0 / p["k_per_mm"])
@@ -346,11 +327,21 @@ def _run_parabola_eta(config: ScenarioConfig) -> ResultTable:
     meta["probe_closed_vs_quadrature"] = _num(
         abs(eta_q - parabolic_mirror.on_axis_eta(geometry, z_probe))
     )
-    return _table(meta, z_mm=profile.positions, eta=profile.eta)
+    return dict(z_mm=profile.positions, eta=profile.eta)
 
 
-def _run_parabola_field(config: ScenarioConfig) -> ResultTable:
-    p = config.params
+@_scenario(
+    "parabola-field",
+    f=_Key(float, default=10.0, check=_pos, describe="focal length in c/Gamma"),
+    omega_f=_Key(float, default=500.0, check=lambda v: v >= 50, describe="omega_eg f / c"),
+    time=_Key(float, default=25.0, describe="snapshot time in 1/Gamma"),
+    z_min=_Key(float, default=0.5, check=_nonneg),
+    z_max=_Key(float, default=30.0, check=_pos),
+    n_z=_Key(int, default=40, check=lambda v: v >= 2),
+    rho_max=_Key(float, default=None, check=_pos, describe="default 2 f"),
+    n_rho=_Key(int, default=30, check=lambda v: v >= 2),
+)
+def _run_parabola_field(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     _ascending(p, "z_min", "z_max")
     f = p["f"]
     omega = p["omega_f"] / f
@@ -360,10 +351,8 @@ def _run_parabola_field(config: ScenarioConfig) -> ResultTable:
     z = np.linspace(p["z_min"], p["z_max"], p["n_z"])
     rho = np.linspace(0.0, rho_max, p["n_rho"])
     fmap = parabolic_mirror.field_map(geometry, atom, z, rho, p["time"])
-    meta = _meta(config)
     meta["rho_max_used"] = _num(rho_max)
-    return _table(
-        meta,
+    return dict(
         z=fmap.points[:, 0],
         rho=fmap.points[:, 1],
         re_spherical=fmap.spherical.real,
@@ -375,31 +364,30 @@ def _run_parabola_field(config: ScenarioConfig) -> ResultTable:
     )
 
 
-_RUNNERS = {
-    "jcp-vacuum": _run_jcp_vacuum,
-    "jcp-inversion": _run_jcp_inversion,
-    "free-decay": _run_free_decay,
-    "free-wavepacket": _run_free_wavepacket,
-    "sphere-revival": _run_sphere_revival,
-    "parabola-eta": _run_parabola_eta,
-    "parabola-field": _run_parabola_field,
-}
-
-
 def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Dispatch a validated config to its physics module; deterministic output.
+    The metadata echoes the config, plus what the scenario derives.
 
-    Raises FloatingPointError if a data value comes out non-finite: the
-    parameters then over- or underflow double precision somewhere.  numpy's
-    floating-point warnings are silenced, since that check reports them.
+    Raises FloatingPointError naming each column that holds a non-finite
+    value: the parameters then over- or underflow double precision somewhere.
+    numpy's floating-point warnings are silenced, since that check reports them.
     """
+    meta = {"scenario": config.scenario, "format_version": "1"}
+    for key in sorted(config.params):
+        value = config.params[key]
+        meta[key] = _num(value) if isinstance(value, float) else str(value)
     try:
         with np.errstate(all="ignore"):
-            return _RUNNERS[config.scenario](config)
+            columns = _RUNNERS[config.scenario](config.params, meta)
     except QuadratureError as exc:
         raise QuadratureError(
             f"scenario {config.scenario!r}: {exc}", exc.estimate, exc.achieved_error
         ) from exc
+    table = ResultTable(list(columns), tuple(columns.values()), meta)
+    bad = [name for name, a in zip(table.columns, table.data) if not np.isfinite(a).all()]
+    if bad:
+        raise FloatingPointError(f"non-finite values in column(s) {', '.join(bad)}")
+    return table
 
 
 # Float cells are written by integer arithmetic on whole columns, byte for
@@ -411,15 +399,15 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # rounds up to 10**17 here: the largest double below each 10**(E + 1) lies
 # at least 4 units of the 17th digit below it.  Zeros print as "0" or "-0".
 # Every other value (|v| < 10**_LO, subnormals included, and large values
-# whose D needs no right shift) goes through format(), and int and bool
-# cells through str().
+# whose D needs no right shift) goes through format().  An int or bool cell
+# is written as float(v): for |v| <= 2**53 that is str(v), and 0/1 for a bool.
 #
 # A cell is six words (48 bytes) of which a mask keeps the bytes shown:
 # "-0.000" d0 "." | four words "d.d.d.d." with the digits d1 ... d16 |
 # "e-XX" and the terminator.  So the sign, the lead "0." and -E - 1 zeros of
 # -4 <= E < 0, the '.' after any digit and the exponent of E < -4 all have
 # fixed places.
-# A text cell (format() or str()) holds its text in bytes 0-23 instead.
+# A text cell (from format()) holds its text in bytes 0-23 instead.
 _LO, _HI = -11, 15
 _NX = _HI + 1 - _LO  # exponents [_LO, _HI]
 _ZERO = 2 * _NX * 17  # mask _ZERO + sign: "0" and "-0"
@@ -532,17 +520,11 @@ def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _csv_lines(data: Sequence[np.ndarray]) -> bytes:
-    """The CSV lines of equal-length columns: format(v, ".17g") for a float
-    cell, str(v) for an int or bool cell."""
+    """The CSV lines of equal-length columns, each cell format(float(v), ".17g")."""
     rows = len(data[0])
     words = np.empty((rows, len(data), 6), dtype=np.uint64)
     values = np.stack(data, axis=1).astype(np.float64, copy=False).ravel()
     masks = _float_cells(values, words.reshape(-1, 6)).reshape(rows, -1)
-    for j, column in enumerate(data):
-        if column.dtype.kind in "biu":
-            distinct, inverse = np.unique(column, return_inverse=True)
-            text_words, text_masks = _text_cells([str(x) for x in distinct.tolist()])
-            words[:, j], masks[:, j] = text_words[inverse], text_masks[inverse]
     words[:, :-1, 5] |= _COMMA
     words[:, -1, 5] |= _NEWLINE
     keep = _MASKS.take(masks, axis=0).view(bool)
@@ -551,8 +533,10 @@ def _csv_lines(data: Sequence[np.ndarray]) -> bytes:
 
 def write_table(table: ResultTable, path: str) -> None:
     """Write CSV: '#' metadata lines, header row, then the data rows, in
-    blocks of `_BLOCK_ROWS` rows, each one write.  A float cell holds
-    format(v, ".17g") (17 significant digits), an int or bool cell str(v)."""
+    blocks of `_BLOCK_ROWS` rows, each one write.  Every cell holds
+    format(float(v), ".17g") (17 significant digits): str(v) for an int
+    column, whose values `ResultTable` keeps within +-2**53, and 0/1 for a
+    bool column."""
     head = [f"# {key} = {table.metadata[key]}\n" for key in sorted(table.metadata)]
     head.append(",".join(table.columns) + "\n")
     rows = len(table.data[0]) if table.data else 0

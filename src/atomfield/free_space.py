@@ -66,7 +66,7 @@ class TwoLevelAtom:
         return self.omega_eg**3 * self.dipole**2 / (3.0 * pi)
 
     @classmethod
-    def from_linewidth(cls, gamma: float = 1.0, omega_over_gamma: float = 1e3) -> "TwoLevelAtom":
+    def from_linewidth(cls, gamma: float, omega_over_gamma: float) -> "TwoLevelAtom":
         """Atom with the requested decay rate; omega_eg = omega_over_gamma * gamma."""
         omega = omega_over_gamma * gamma
         d = sqrt(3.0 * pi * gamma / omega**3)
@@ -92,11 +92,6 @@ class FieldMap:
     points: np.ndarray  # shape (n, 2)
     amplitude: np.ndarray  # complex, shape (n,)
     energy_density: np.ndarray  # real >= 0, shape (n,)
-    time: float
-
-    def __post_init__(self):
-        if np.any(self.energy_density < -1e-30):
-            raise ValueError("energy density must be non-negative")
 
 
 def excited_amplitude(atom: TwoLevelAtom, t):
@@ -217,7 +212,7 @@ def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
     rr, tt = np.meshgrid(r_values, theta_values, indexing="ij")
     pts = np.column_stack((rr.ravel(), tt.ravel()))
     amp = electric_amplitude(atom, pts[:, 0], pts[:, 1], t)
-    return FieldMap(points=pts, amplitude=amp, energy_density=2.0 * np.abs(amp) ** 2, time=t)
+    return FieldMap(points=pts, amplitude=amp, energy_density=2.0 * np.abs(amp) ** 2)
 
 
 def wigner_weisskopf_ode(

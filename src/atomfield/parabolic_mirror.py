@@ -216,7 +216,8 @@ def angular_cutoff_correction(geometry: ParabolicGeometry) -> float:
     = 1 / (1 + 4 (kf)^2), free of cancellation; ~ (3/8) (kf)^-4 for large kf,
     negligible in the regimes of practical interest.
     """
-    s2 = 1.0 / (1.0 + 4.0 * geometry.kf**2)
+    kf = geometry.kf
+    s2 = 1.0 / (1.0 + 4.0 * (kf * kf))  # kf * kf is inf, not OverflowError, for kf > 1e154
     return 2.0 * s2 * s2 * (3.0 - 2.0 * s2)
 
 
@@ -233,12 +234,8 @@ class TwoRayField:
 
     spherical: complex
     plane: complex
-    cos_theta1: float  # e_theta1 . e_rho, needed for the interference term
+    energy_density: float
     near_boundary: bool
-
-    @property
-    def energy_density(self) -> float:
-        return _energy_density(self.spherical, self.plane, self.cos_theta1)
 
 
 def _energy_density(spherical, plane, cos_theta1):
@@ -258,7 +255,6 @@ class ParabolicFieldMap:
     plane: np.ndarray
     energy_density: np.ndarray
     flags: np.ndarray  # True where the point is semiclassically unreliable
-    time: float
 
 
 def _two_ray(atom: TwoLevelAtom, f: float, z, rho, t: float):
@@ -306,10 +302,11 @@ def semiclassical_field(
         raise ValueError("field amplitude is singular at the focus")
     _check_radiation_zone(atom, r1, stacklevel=2)
     spherical, plane, cos_t1 = _two_ray(atom, f, pt.z, pt.rho, t)
+    spherical, plane = complex(spherical), complex(plane)
     return TwoRayField(
-        spherical=complex(spherical),
-        plane=complex(plane),
-        cos_theta1=float(cos_t1),
+        spherical=spherical,
+        plane=plane,
+        energy_density=float(_energy_density(spherical, plane, cos_t1)),
         near_boundary=bool(eta_coord >= _BOUNDARY_FLAG_FRACTION * f),
     )
 
@@ -340,5 +337,4 @@ def field_map(
         plane=plane,
         energy_density=_energy_density(spherical, plane, cos_t1),
         flags=eta_coord[keep] >= _BOUNDARY_FLAG_FRACTION * f,
-        time=t,
     )

@@ -121,7 +121,7 @@ class TestTableIO:
     def test_bytes_follow_the_per_value_rule(self, tmp_path):
         # extremes of the double range, and 1/3 and pi, as a column from
         # Python floats and one of numpy float64, next to an int column of
-        # 0/1 and a bool column
+        # 0/1 and a bool column, which is written as 0/1
         big = 1.7976931348623157e308
         values = [-0.0, 5e-324, big, -big, 1 / 3, np.pi]
         flags = [i % 2 for i in range(len(values))]
@@ -129,13 +129,29 @@ class TestTableIO:
         table = cli.ResultTable(["py", "np", "flag", "bool"], columns, {"scenario": "t", "b": "2"})
         path = tmp_path / "t.csv"
         cli.write_table(table, path)
-        # the rule the writer must keep: str(v) for an int or bool, else 17 digits
+        # the rule the writer must keep: str(v) for an int, 0/1 for a bool, else 17 digits
         want = ["# b = 2", "# scenario = t", "py,np,flag,bool"] + [
-            f"{format(v, '.17g')},{format(v, '.17g')},{f},{f == 1}" for v, f in zip(values, flags)
+            f"{format(v, '.17g')},{format(v, '.17g')},{f},{int(f == 1)}" for v, f in zip(values, flags)
         ]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
-        assert want[3] == "-0,-0,0,False"
-        assert want[4] == "4.9406564584124654e-324,4.9406564584124654e-324,1,True"
+        assert want[3] == "-0,-0,0,0"
+        assert want[4] == "4.9406564584124654e-324,4.9406564584124654e-324,1,1"
+
+    def test_integer_columns_stay_exact(self, tmp_path):
+        # every integer up to 2**53 in magnitude is a double and prints as
+        # str(n); beyond it a cell would round, so the table refuses it
+        edge = np.array([2**53, -(2**53), 2**53 - 1, 0])
+        path = tmp_path / "n.csv"
+        cli.write_table(cli.ResultTable(["n"], (edge,)), path)
+        assert path.read_text() == "n\n" + "".join(f"{n}\n" for n in edge.tolist())
+        for column in (
+            np.array([0, 2**53 + 1]),
+            np.array([-(2**53) - 1]),
+            np.array([np.iinfo(np.int64).min]),
+            np.array([2**64 - 1], dtype=np.uint64),
+        ):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                cli.ResultTable(["n"], (column,))
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_scenario_bytes_follow_the_per_value_rule(self, name, tmp_path):
@@ -454,7 +470,7 @@ class TestDomainGuards:
         assert not (tmp_path / "w.csv").exists()
 
     def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
-        def fail(config):
+        def fail(params, meta):
             raise RuntimeError("solver gave up")
 
         monkeypatch.setitem(cli._RUNNERS, "jcp-vacuum", fail)

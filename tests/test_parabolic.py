@@ -1,7 +1,7 @@
 """Parabolic mirror: rate modification, two-ray field."""
 
 import warnings
-from math import pi
+from math import hypot, pi
 
 import numpy as np
 import pytest
@@ -156,10 +156,13 @@ class TestRateModification:
             )
 
     def test_cutoff_correction_asymptote(self):
-        # 1.5 * integral of sin^3 up to theta0 ~ (3/8) (kf)^-4 for large kf
+        # 1.5 * integral of sin^3 up to theta0 ~ (3/8) (kf)^-4 for large kf,
+        # which is 0.0 where (kf)^2 overflows a double
         geo = pm.ParabolicGeometry(focal_length=1.0, wavenumber=100.0)
         got = pm.angular_cutoff_correction(geo)
         assert got == pytest.approx(0.375 * 100.0**-4, rel=1e-3, abs=0.0)
+        far = pm.ParabolicGeometry(focal_length=1.0, wavenumber=1e200)
+        assert pm.angular_cutoff_correction(far) == 0.0
 
 
 class TestTwoRayField:
@@ -199,10 +202,13 @@ class TestTwoRayField:
         assert not center.near_boundary
 
     def test_energy_density_includes_interference(self, mirror, atom):
-        fld = pm.semiclassical_field(mirror, atom, (12.0, 14.0), 26.0)
+        z, rho = 12.0, 14.0
+        fld = pm.semiclassical_field(mirror, atom, (z, rho), 26.0)
         assert fld.spherical != 0.0 and fld.plane != 0.0
         u_sum = abs(fld.spherical) ** 2 + abs(fld.plane) ** 2
-        cross = 2.0 * (fld.spherical * np.conj(fld.plane)).real * fld.cos_theta1
+        f = mirror.focal_length
+        cos_theta1 = (z - f) / hypot(z - f, rho)  # e_theta1 . e_rho
+        cross = 2.0 * (fld.spherical * np.conj(fld.plane)).real * cos_theta1
         assert fld.energy_density == pytest.approx(u_sum + cross, rel=1e-12, abs=0.0)
 
     def test_guards(self, mirror, atom):
