@@ -16,7 +16,8 @@ the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
 half is solved, each root by a few safeguarded Newton steps on the closed form
 of the secular sum, which needs only numpy.  The time grid must be uniform:
 `numerics._cos_sum` sums the cosines by angle addition over blocks of the
-grid, with about 4 sqrt(T) sines and cosines per mode instead of T.
+grid, with about 2 log2(T) + 2 sines and cosines per mode instead of T
+(about 4 sqrt(T) for the smallest bands and grids, see `numerics._cos_sum`).
 `integrate_atom_modes` integrates any band with DOP853 and is the brute-force
 cross-check; it reaches scipy.integrate through the forwarder `solve_ivp`
 below, so importing this module does not load it.
@@ -63,10 +64,13 @@ def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndar
 # Gamma t up to 1e3.  Each root is Newton-solved inside a bracket until every
 # step is at most 8 eps tau, and the weights come from a sum of positive terms,
 # so both errors stay at a few eps; phase rounding adds about eps * Gamma t
-# (far modes carry weight ~ |g|^2 / lambda^2).  `_cos_sum` meets each t_k to
-# an ulp or two of max |t| on its anchored grid, lambda_max ulp(t_max) of phase
-# per mode, weighted as above, and its two products add a few eps sum w;
-# measured against the dense cosine sum, all of it stays below 1e-13 sum w.
+# (far modes carry weight ~ |g|^2 / lambda^2).  `_cos_sum` builds each phase
+# lambda_j (t_0 + k h) from at most 1 + log2 T angles, each rounded once, so
+# it is off by about eps lambda_j max |t|, weighted as above; where it fills a
+# table by doubling, the at most ceil(log2 T) rotations behind each entry add
+# about 2 log2(T) eps sum w, and its two products a few eps sum w.  Measured
+# against a long-double dense cosine sum to Gamma t = 2000, all of it stays
+# below 1e-13 sum w (9.2e-14 at Gamma t = 2000, 5.6e-14 at 1000).
 _SPECTRAL_ERROR = 1e-12
 
 # iteration cap of `_newton`, so that it ends even if it never accepts a

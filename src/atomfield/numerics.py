@@ -142,9 +142,12 @@ def stable_binomial_series(M: int, u: float) -> float:
     if not (u >= 0 and isfinite(u)):
         raise ValueError("u must be finite and >= 0")
     u = float(u)
-    lag, laguerre = 0.0, 1.0
-    for k in range(1, M):
-        lag, laguerre = laguerre, ((2 * k - u) * laguerre - k * lag) / k
+    lag, laguerre, k = 0.0, 1.0, 0.0
+    # a float k: every k < 2^53 is exact, so each step gives the bits of the
+    # int-k recurrence without mixing int and float
+    for _ in range(1, M):
+        k += 1.0
+        lag, laguerre = laguerre, ((k + k - u) * laguerre - k * lag) / k
     value = -(u * laguerre) / M
     if not isfinite(value):
         raise OverflowError(
@@ -161,7 +164,15 @@ def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) ->
     With S = ceil(sqrt(T)) the grid is read as K = ceil(T / S) rows t_{bS} + j h,
     j < S, so cos(lambda t_k) = cos(lambda t_{bS}) cos(lambda j h)
     - sin(lambda t_{bS}) sin(lambda j h) makes the sum two (K x n) @ (n x S)
-    products: 2 n (K + S) ~ 4 n sqrt(T) sines and cosines instead of n T.
+    products.  A phase table of fewer than _DOUBLING_MIN entries takes its
+    2 n K or 2 n S sines and cosines directly, and is off the exact sum by
+    about eps max |t| sum |w_j lambda_j| from the phases plus a few eps
+    sum |w_j| from the products.  A larger one is filled by doubling in
+    `_turns`, from t_0 + b S h, with 2 (1 + ceil(log2 K)) or 2 ceil(log2 S)
+    per mode (26 instead of 180 for both at T = 2000): each entry is a product
+    of at most ceil(log2 T) rotations, each rounded a few eps, and its phase
+    the sum of the same angles, each rounded once, which adds about
+    2 log2(T) eps sum |w_j| to that bound.
     """
     size = times.size
     step = (times[-1] - times[0]) / (size - 1) if size > 1 else 0.0
@@ -169,13 +180,50 @@ def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) ->
     if np.any(np.abs(times - uniform) > 4.0 * _EPS * np.max(np.abs(times), initial=0.0)):
         raise ValueError("time grid must be uniform")
     cols = max(1, ceil(sqrt(size)))
+    rows = -(-size // cols)
     # the K x S result first: a grid too large for memory fails before any trig
-    out = np.empty((-(-size // cols), cols))
-    anchors = np.multiply.outer(times[::cols], frequencies)
-    offsets = np.multiply.outer(frequencies, step * np.arange(cols))
-    np.matmul(np.cos(anchors) * weights, np.cos(offsets), out=out)
-    out -= (np.sin(anchors) * weights) @ np.sin(offsets)
+    out = np.empty((rows, cols))
+    if rows * frequencies.size < _DOUBLING_MIN:
+        anchors = np.multiply.outer(times[::cols], frequencies)
+        cos_a, sin_a = np.cos(anchors) * weights, np.sin(anchors) * weights
+    else:
+        cos_a, sin_a = _turns(weights, frequencies * times[0], frequencies * (cols * step), rows)
+    if cols * frequencies.size < _DOUBLING_MIN:
+        offsets = np.multiply.outer(frequencies, step * np.arange(cols))
+        cos_o, sin_o = np.cos(offsets), np.sin(offsets)
+    else:
+        cos_o, sin_o = _turns(1.0, 0.0, frequencies * step, cols).transpose(0, 2, 1)
+    np.matmul(cos_a, cos_o, out=out)
+    out -= sin_a @ sin_o
     return out.ravel()[:size]
+
+
+# A phase table of fewer entries (rows x modes) takes its sines and cosines
+# directly: below about this size the numpy call overhead of the doubling
+# steps in `_turns` costs more than the trig they save.
+_DOUBLING_MIN = 4096
+
+
+def _turns(amplitude, phase, angle: np.ndarray, count: int) -> np.ndarray:
+    """The table [r cos; r sin](phase + i angle), shape (2, count, n), i < count,
+    for amplitudes r.  Rows [p, 2p) are rows [0, p) turned by p angle, so the
+    only sines and cosines taken are those of phase and of the doublings of
+    angle (subvector scaling: Van Loan, Computational Frameworks for the Fast
+    Fourier Transform, SIAM 1992, sec. 1.4)."""
+    table = np.empty((2, count, angle.size))
+    table[0, 0], table[1, 0] = amplitude * np.cos(phase), amplitude * np.sin(phase)
+    done = 1
+    while done < count:
+        new = min(done, count - done)
+        turn = done * angle
+        c, s = np.cos(turn), np.sin(turn)
+        (cos0, sin0), (cos1, sin1) = table[:, :new], table[:, done : done + new]
+        np.multiply(cos0, c, out=cos1)
+        cos1 -= sin0 * s
+        np.multiply(sin0, c, out=sin1)
+        sin1 += cos0 * s
+        done += new
+    return table
 
 
 # Bernoulli numbers B_2k, k = 1..7 (DLMF 24.2.1)

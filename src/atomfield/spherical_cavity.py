@@ -63,8 +63,9 @@ def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.nd
     accumulated before squaring.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("closed form is defined for t >= 0")
+    # NaN fails t >= 0; inf would reach int() as an unbounded echo count
+    if not (np.all(t_arr >= 0) and np.all(np.isfinite(t_arr))):
+        raise ValueError("closed form is defined for t finite and >= 0")
     gamma = cavity.atom.gamma
     rt = cavity.round_trip_time
     # np.array keeps a 0-d time an array, so the masked updates below apply

@@ -235,6 +235,21 @@ class TestMain:
         for name in cli.SCENARIOS:
             assert name in out
 
+    def test_module_entry_point_lists_the_scenarios(self):
+        # `-m atomfield.cli` would warn on stderr: importing the package has
+        # already loaded `cli` before it runs again as __main__
+        done = subprocess.run(
+            [sys.executable, "-m", "atomfield", "list-scenarios"],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        names = [line.split(":")[0] for line in done.stdout.splitlines()]
+        assert names == sorted(cli.SCENARIOS) and len(names) == 7
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg"), "--out", "x.csv"]) == 3
 

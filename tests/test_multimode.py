@@ -6,7 +6,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from atomfield import multimode, numerics
+from atomfield import jcp, multimode, numerics
 
 
 def _arrowhead_eigh(detunings, couplings):
@@ -82,23 +82,58 @@ def test_weights_are_unitary(gamma, band_width, spacing):
     assert trace.norm == pytest.approx(trace.norm[0], rel=0.0, abs=0.0)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 16, 17, 401, 601])
-@pytest.mark.parametrize("start", [0.0, 0.3])
-@pytest.mark.parametrize(
-    "half, ratio", [(0, 0.5), (1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9)]
-)
-def test_cos_sum_matches_the_dense_sum(half, ratio, start, size):
-    # 1 to 2001 upper-half modes of a flat band at unit spacing, over three
-    # echo periods 2 pi; 16 samples fill a 4 x 4 block, 3, 17, 401 and 601 end
-    # on a partial row, 1 and 2 fill one row
+def _band_terms(half, ratio):
+    """Weights and frequencies of the 1 to 2001 upper-half modes of a flat
+    band at unit spacing."""
     x, w = multimode._flat_band_spectrum(half, ratio)
-    weights, frequencies = 2.0 * w[x.size // 2 :], x[x.size // 2 :]
-    times = np.linspace(start, start + 20.0, size)
+    return 2.0 * w[x.size // 2 :], x[x.size // 2 :]
+
+
+def _jcp_terms(mean_n):
+    """Weights and Rabi frequencies of the Poisson window that `jcp.inversion`
+    sums for a resonant coherent field."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jcp, "_cos_sum", lambda w, f, t: seen.append((w, f)) or 0.0 * t)
+        jcp.inversion(jcp.JcpParams(field=jcp.FieldDistribution.coherent(sqrt(mean_n))), [0.0])
+    return seen[0]
+
+
+# Over three echo periods 2 pi of each band: 16 and 64 samples fill a 4 x 4 and
+# an 8 x 8 block, 65 fills 8 rows of 9, 3, 5, 17, 63, 401, 601 and 2000 end on
+# a partial row or fill one of 45 x 45, 1 and 2 fill one row.  The band
+# (1000, 1 / (0.04 pi)) is `free-decay`'s default (40 Gamma at spacing
+# Gamma / 50) to Gamma t = 1000; (2000, 15.9) reaches Gamma t = 2000.  The
+# jcp window at <n> = 1e4 (1715 rows) runs over 3 revival times.
+_COS_SUM_CASES = [
+    pytest.param(
+        _band_terms, (half, ratio), np.linspace(start, start + 20.0, size),
+        id=f"{half}-{ratio}-{start}-{size}",
+    )
+    for half, ratio in [
+        (0, 0.5), (1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9),
+        (1000, 1.0 / (0.04 * pi)),
+    ]
+    for start in (0.0, 0.3)
+    for size in (1, 2, 3, 5, 16, 17, 63, 64, 65, 401, 601, 2000)
+] + [
+    pytest.param(
+        _jcp_terms, (1e4,), np.linspace(0.0, 6.0 * pi * sqrt(1e4 + 1.0), 2000),
+        id="jcp-1e4-2000",
+    )
+]
+
+
+@pytest.mark.parametrize("terms, args, times", _COS_SUM_CASES)
+def test_cos_sum_matches_the_dense_sum(terms, args, times):
+    weights, frequencies = terms(*args)
     got = numerics._cos_sum(weights, frequencies, times)
-    want = np.cos(np.multiply.outer(times, frequencies)) @ weights
+    ld = np.longdouble
+    want = np.cos(np.multiply.outer(times.astype(ld), frequencies.astype(ld))) @ weights.astype(ld)
     # a few eps of the weight sum from the products, plus the anchored grid's
     # phase rounding: t_k is met to an ulp of max |t|, which moves the phase
-    # of mode j by frequencies_j times that
+    # of mode j by frequencies_j times that.  The 1e-14 (45 eps) also holds the
+    # 2 log2(T) eps (22 eps at T = 2000) of a table filled by doubling.
     eps = np.finfo(float).eps
     bound = 1e-14 * np.sum(weights) + eps * np.max(np.abs(times)) * np.sum(weights * frequencies)
     assert got.shape == times.shape

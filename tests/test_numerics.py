@@ -42,7 +42,26 @@ def _series_fraction(M: int, u: float) -> float:
     )
 
 
+def _int_k_series(M: int, u: float) -> float:
+    """`stable_binomial_series` with the recurrence stepped by an int k."""
+    lag, laguerre = 0.0, 1.0
+    for k in range(1, M):
+        lag, laguerre = laguerre, ((2 * k - u) * laguerre - k * lag) / k
+    return -(u * laguerre) / M
+
+
 class TestStableSeries:
+    def test_float_steps_give_the_bits_of_the_int_k_recurrence(self):
+        # every k < 2^53 converts exactly, at any M: a table of float k that
+        # stopped short of M would show here
+        rng = np.random.default_rng(21)
+        pairs = [
+            (M, u) for M in (1, 2, 3, 100, 4097, 10_000) for u in (0.0, 5e-324, 0.75, 19.5, 200.0)
+        ]
+        pairs += zip(rng.integers(1, 300, size=1000).tolist(), rng.uniform(0.0, 200.0, 1000).tolist())
+        for M, u in pairs:
+            assert stable_binomial_series(M, u).hex() == _int_k_series(M, u).hex(), (M, u)
+
     def test_matches_extended_precision(self):
         # the damped error is the contract; near a zero of L^(1)_{M-1} the
         # relative error of the recurrence can reach 5e-13

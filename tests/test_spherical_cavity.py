@@ -155,6 +155,12 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             sc.excited_probability_closed_form(make_cavity(atom, 1.0), -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, [0.5, np.nan], [np.inf, 0.5]])
+    def test_non_finite_time_rejected(self, atom, bad):
+        # NaN used to reach int(nan) and inf to raise OverflowError
+        with pytest.raises(ValueError, match="t finite and >= 0"):
+            sc.excited_probability_closed_form(make_cavity(atom, 1.0), bad)
+
     def test_scalar_and_array_shapes(self, atom):
         cav = make_cavity(atom, 1.0)
         scalar = sc.excited_probability_closed_form(cav, 0.5)
