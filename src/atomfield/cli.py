@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import inf, isfinite, nextafter, pi, sqrt
 from typing import Any, Callable, Sequence
@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     scenario: str
     params: dict[str, Any]
-    output: str | None = None
+    output: str | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ class ResultTable:
 
     columns: list[str]
     data: tuple[np.ndarray, ...]
-    metadata: dict[str, str] = field(default_factory=dict)
+    metadata: dict[str, str]
 
     def __post_init__(self):
         data = tuple(np.asarray(a) for a in self.data)
@@ -94,10 +94,9 @@ def _parse_bool(s: str) -> bool:
 @dataclass(frozen=True)
 class _Key:
     parse: Callable[[str], Any]
-    default: Any = None  # None and required=True -> must be present
+    default: Any = None  # the value of an absent key; a required key must be present
     required: bool = False
     check: Callable[[Any], bool] | None = None
-    describe: str = ""
 
 
 def _pos(v) -> bool:
@@ -107,10 +106,6 @@ def _pos(v) -> bool:
 def _nonneg(v) -> bool:
     return v >= 0
 
-
-_COMMON_KEYS: dict[str, _Key] = {
-    "output": _Key(str, default=None, describe="output CSV path (overridden by --out)"),
-}
 
 SCENARIOS: dict[str, dict[str, _Key]] = {}
 _RUNNERS: dict[str, Callable[[dict[str, Any], dict[str, str]], dict[str, Any]]] = {}
@@ -125,10 +120,6 @@ def _scenario(name: str, **keys: _Key):
         return runner
 
     return declare
-
-
-def _schema(scenario: str) -> dict[str, _Key]:
-    return {**SCENARIOS[scenario], **_COMMON_KEYS}
 
 
 def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
@@ -168,9 +159,9 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
     if scenario is None:
         raise ConfigError(errors)
 
-    schema = _schema(scenario)
+    output = raw.pop("output", None)  # every scenario's output CSV path; --out overrides it
     params: dict[str, Any] = {}
-    for key, spec in schema.items():
+    for key, spec in SCENARIOS[scenario].items():
         if key in raw:
             text_value = raw.pop(key)
             try:
@@ -193,28 +184,26 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
         errors.append(f"unknown key {key!r} for scenario {scenario!r}")
     if errors:
         raise ConfigError(errors)
-    output = params.pop("output")
     return ScenarioConfig(scenario=scenario, params=params, output=output)
 
 
 @_scenario(
     "jcp-vacuum",
-    detuning=_Key(float, default=0.0, describe="Delta / |g|"),
-    t_max=_Key(float, default=4 * pi, check=_pos, describe="end time in 1/|g|"),
+    detuning=_Key(float, default=0.0),  # Delta / |g|
+    t_max=_Key(float, default=4 * pi, check=_pos),  # end time in 1/|g|
     samples=_Key(int, default=401, check=lambda v: v >= 2),
 )
 def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     params = jcp.JcpParams(coupling=1.0, detuning=p["detuning"], field=jcp.FieldDistribution.vacuum())
     times = np.linspace(0.0, p["t_max"], p["samples"])
-    trace = jcp.inversion(params, times)
-    return dict(t=trace.times, w=trace.w)
+    return dict(t=times, w=jcp.inversion(params, times).w)
 
 
 @_scenario(
     "jcp-inversion",
-    mean_n=_Key(float, required=True, check=_nonneg, describe="coherent <n>"),
+    mean_n=_Key(float, required=True, check=_nonneg),  # coherent <n>
     detuning=_Key(float, default=0.0),
-    t_max=_Key(float, default=None, check=_pos, describe="end time in 1/|g|; default 3 T_r"),
+    t_max=_Key(float, default=None, check=_pos),  # end time in 1/|g|; default 3 T_r
     samples=_Key(int, default=601, check=lambda v: v >= 2),
 )
 def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
@@ -224,16 +213,15 @@ def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any
     if t_max is None:
         t_max = 3.0 * 2.0 * pi * sqrt(p["mean_n"] + 1.0)
     times = np.linspace(0.0, t_max, p["samples"])
-    trace = jcp.inversion(params, times)
     meta["t_max_used"] = _num(t_max)
-    return dict(t=trace.times, w=trace.w)
+    return dict(t=times, w=jcp.inversion(params, times).w)
 
 
 @_scenario(
     "free-decay",
-    band_width=_Key(float, default=40.0, check=_pos, describe="mode band in Gamma"),
-    spacing=_Key(float, default=0.02, check=_pos, describe="mode spacing in Gamma"),
-    t_max=_Key(float, default=4.0, check=_pos, describe="end time in 1/Gamma"),
+    band_width=_Key(float, default=40.0, check=_pos),  # mode band in Gamma
+    spacing=_Key(float, default=0.02, check=_pos),  # mode spacing in Gamma
+    t_max=_Key(float, default=4.0, check=_pos),  # end time in 1/Gamma
     samples=_Key(int, default=201, check=lambda v: v >= 2),
     omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
 )
@@ -244,14 +232,14 @@ def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
         atom, times, band_width=p["band_width"], mode_spacing=p["spacing"]
     )
     meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
-    p_pole = np.abs(free_space.excited_amplitude(atom, trace.times)) ** 2
-    return dict(t=trace.times, p_e=trace.excited_population, p_pole=p_pole)
+    p_pole = np.abs(free_space.excited_amplitude(atom, times)) ** 2
+    return dict(t=times, p_e=trace.excited_population, p_pole=p_pole)
 
 
 @_scenario(
     "free-wavepacket",
     omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
-    time=_Key(float, default=1.0, check=_pos, describe="snapshot time in 1/Gamma"),
+    time=_Key(float, default=1.0, check=_pos),  # snapshot time in 1/Gamma
     n_r=_Key(int, default=80, check=lambda v: v >= 2),
     n_theta=_Key(int, default=9, check=lambda v: v >= 2),
 )
@@ -279,11 +267,11 @@ def _run_free_wavepacket(p: dict[str, Any], meta: dict[str, str]) -> dict[str, A
 
 @_scenario(
     "sphere-revival",
-    gamma_R=_Key(float, required=True, check=_pos, describe="Gamma R / c"),
-    t_max_R=_Key(float, default=6.0, check=_pos, describe="end time in R/c"),
+    gamma_R=_Key(float, required=True, check=_pos),  # Gamma R / c
+    t_max_R=_Key(float, default=6.0, check=_pos),  # end time in R/c
     samples=_Key(int, default=601, check=lambda v: v >= 2),
-    with_ode=_Key(_parse_bool, default=False, describe="add the finite-band column p_e_ode"),
-    band_width=_Key(float, default=400.0, check=_pos, describe="finite band in Gamma"),
+    with_ode=_Key(_parse_bool, default=False),  # add the finite-band column p_e_ode
+    band_width=_Key(float, default=400.0, check=_pos),  # finite band in Gamma
     omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
 )
 def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
@@ -301,13 +289,13 @@ def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, An
 
 @_scenario(
     "parabola-eta",
-    k_per_mm=_Key(float, required=True, check=_pos, describe="wave number in 1/mm"),
-    f_mm=_Key(float, default=2.0, check=_pos, describe="focal length in mm"),
-    z_min_mm=_Key(float, default=0.0, check=_nonneg, describe="start height above vertex"),
+    k_per_mm=_Key(float, required=True, check=_pos),  # wave number in 1/mm
+    f_mm=_Key(float, default=2.0, check=_pos),  # focal length in mm
+    z_min_mm=_Key(float, default=0.0, check=_nonneg),  # start height above vertex
     z_max_mm=_Key(float, default=8.0, check=_pos),
     samples=_Key(int, default=401, check=lambda v: v >= 2),
-    rel_tol=_Key(float, default=1e-10, check=_pos, describe="probe quadrature relative tolerance"),
-    abs_tol=_Key(float, default=1e-13, check=_pos, describe="probe quadrature absolute tolerance"),
+    rel_tol=_Key(float, default=1e-10, check=_pos),  # probe quadrature relative tolerance
+    abs_tol=_Key(float, default=1e-13, check=_pos),  # probe quadrature absolute tolerance
 )
 def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     _ascending(p, "z_min_mm", "z_max_mm")
@@ -332,13 +320,13 @@ def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]
 
 @_scenario(
     "parabola-field",
-    f=_Key(float, default=10.0, check=_pos, describe="focal length in c/Gamma"),
-    omega_f=_Key(float, default=500.0, check=lambda v: v >= 50, describe="omega_eg f / c"),
-    time=_Key(float, default=25.0, describe="snapshot time in 1/Gamma"),
+    f=_Key(float, default=10.0, check=_pos),  # focal length in c/Gamma
+    omega_f=_Key(float, default=500.0, check=lambda v: v >= 50),  # omega_eg f / c
+    time=_Key(float, default=25.0),  # snapshot time in 1/Gamma
     z_min=_Key(float, default=0.5, check=_nonneg),
     z_max=_Key(float, default=30.0, check=_pos),
     n_z=_Key(int, default=40, check=lambda v: v >= 2),
-    rho_max=_Key(float, default=None, check=_pos, describe="default 2 f"),
+    rho_max=_Key(float, default=None, check=_pos),  # default 2 f
     n_rho=_Key(int, default=30, check=lambda v: v >= 2),
 )
 def _run_parabola_field(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:

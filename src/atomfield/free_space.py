@@ -83,10 +83,9 @@ class FieldEnergy(NamedTuple):
 
 @dataclass(frozen=True)
 class FieldMap:
-    """Field samples on a grid of points at one instant.
+    """Free-space field samples on a grid of points at one instant.
 
-    `points` holds the grid coordinates, one row per point; the meaning of
-    the two columns ((r, theta) or (z, rho)) is up to the producer.
+    `points` holds the grid coordinates (r, theta), one row per point.
     """
 
     points: np.ndarray  # shape (n, 2)

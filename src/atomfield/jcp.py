@@ -119,7 +119,6 @@ class JcpParams:
 class InversionTrace:
     """Sampled inversion w(t) in [-1, 1]."""
 
-    times: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
@@ -131,13 +130,12 @@ class InversionTrace:
 class JcpTrace:
     """Per-pair amplitudes from the ODE solver; rows indexed by photon number n."""
 
-    times: np.ndarray
     a_e: np.ndarray  # shape (n_max + 1, n_times): a_{e,n}(t)
     a_g: np.ndarray  # shape (n_max + 1, n_times): a_{g,n+1}(t)
 
     def inversion(self) -> InversionTrace:
         w = np.sum(np.abs(self.a_e) ** 2 - np.abs(self.a_g) ** 2, axis=0)
-        return InversionTrace(self.times, w)
+        return InversionTrace(w)
 
 
 def rabi_frequency(n, params: JcpParams):
@@ -166,7 +164,7 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     offset = params.detuning**2 / omega**2
     osc = 4.0 * params.g_abs**2 * (n + 1) / omega**2
     w = float(np.sum(p * offset)) + _cos_sum(p * osc, omega, times)
-    return InversionTrace(times, w)
+    return InversionTrace(w)
 
 
 def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
@@ -199,7 +197,7 @@ def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
     )
     if not sol.success:
         raise RuntimeError(f"ladder integration failed: {sol.message}")
-    return JcpTrace(times, sol.y[:n_states], sol.y[n_states:])
+    return JcpTrace(sol.y[:n_states], sol.y[n_states:])
 
 
 def collapse_revival_times(params: JcpParams) -> tuple[float, float]:

@@ -39,7 +39,6 @@ __all__ = ["AmplitudeTrace", "integrate_atom_modes"]
 class AmplitudeTrace:
     """Time series of the excited-state amplitude of a multimode evolution."""
 
-    times: np.ndarray
     excited_amplitude: np.ndarray  # a_e(t), complex (real for the flat band's mirrored spectrum)
     norm: np.ndarray  # |a_e|^2 + sum_k |b_k|^2 (the spectral solver: sum_j w_j), should stay at 1
 
@@ -163,9 +162,7 @@ def _flat_band_evolution(
     times = np.asarray(times, dtype=float)
     upper = slice(x.size // 2, None)
     a_e = _cos_sum(2.0 * w[upper], spacing * x[upper], times)
-    return AmplitudeTrace(
-        times=times, excited_amplitude=a_e.astype(complex), norm=np.full(times.shape, fsum(w))
-    )
+    return AmplitudeTrace(excited_amplitude=a_e.astype(complex), norm=np.full(times.shape, fsum(w)))
 
 
 # tolerances of the brute-force DOP853 integration below
@@ -216,4 +213,4 @@ def integrate_atom_modes(
         raise RuntimeError(f"multimode integration failed: {sol.message}")
     a_e = sol.y[0]
     norm = np.sum(np.abs(sol.y) ** 2, axis=0)
-    return AmplitudeTrace(times=times, excited_amplitude=a_e, norm=norm)
+    return AmplitudeTrace(excited_amplitude=a_e, norm=norm)

@@ -47,8 +47,8 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tolerances and subdivision budget for adaptive quadrature."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float
+    abs_tol: float
     max_subdivisions: int = 200
 
     def __post_init__(self):

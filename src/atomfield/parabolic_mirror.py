@@ -24,7 +24,6 @@ from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d, int
 
 __all__ = [
     "ParabolicGeometry",
-    "ParabolicPoint",
     "RateProfile",
     "TwoRayField",
     "ParabolicFieldMap",
@@ -69,31 +68,10 @@ class ParabolicGeometry:
         return 2.0 * atan(1.0 / (2.0 * self.kf))
 
 
-@dataclass(frozen=True)
-class ParabolicPoint:
-    """Point (z, rho) in the meridional plane, vertex-based coordinates."""
-
-    z: float
-    rho: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-
-    def focus_distance(self, geometry: ParabolicGeometry) -> float:
-        return float(_focus_distance_eta(self.z, self.rho, geometry.focal_length)[0])
-
-    def parabolic_eta(self, geometry: ParabolicGeometry) -> float:
-        """Parabolic coordinate eta (focus-centered); the mirror is at eta = f."""
-        return float(_focus_distance_eta(self.z, self.rho, geometry.focal_length)[1])
-
-    def inside(self, geometry: ParabolicGeometry) -> bool:
-        return self.parabolic_eta(geometry) < geometry.focal_length
-
-
 def _focus_distance_eta(z, rho, f):
     """Distance r1 from the focus and parabolic coordinate eta = (r1 - (z - f)) / 2
-    of vertex-based (z, rho), scalars or arrays."""
+    (focus-centered; the mirror is eta = f, the interior eta < f) of
+    vertex-based (z, rho), scalars or arrays."""
     r1 = np.sqrt((z - f) ** 2 + rho**2)
     return r1, 0.5 * (r1 - (z - f))
 
@@ -127,7 +105,7 @@ def _cavity_point(
     where the field vanishes."""
     x, y, z = (float(c) for c in point)
     rho = sqrt(x * x + y * y)
-    eta = ParabolicPoint(z=z, rho=rho).parabolic_eta(geometry)
+    _, eta = _focus_distance_eta(z, rho, geometry.focal_length)
     if z < 0 or eta > geometry.focal_length * (1.0 + _GUARD_RTOL):
         raise ValueError("point lies outside the parabolic cavity")
     return x, y, z, rho
@@ -294,14 +272,16 @@ def semiclassical_field(
     """
     _check_two_ray(geometry, atom)
     f = geometry.focal_length
-    pt = ParabolicPoint(z=float(point[0]), rho=float(point[1]))
-    r1, eta_coord = _focus_distance_eta(pt.z, pt.rho, f)
+    z, rho = float(point[0]), float(point[1])
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    r1, eta_coord = _focus_distance_eta(z, rho, f)
     if eta_coord >= f:
         raise ValueError("point lies outside the parabolic cavity")
     if r1 == 0.0:
         raise ValueError("field amplitude is singular at the focus")
     _check_radiation_zone(atom, r1, stacklevel=2)
-    spherical, plane, cos_t1 = _two_ray(atom, f, pt.z, pt.rho, t)
+    spherical, plane, cos_t1 = _two_ray(atom, f, z, rho, t)
     spherical, plane = complex(spherical), complex(plane)
     return TwoRayField(
         spherical=spherical,

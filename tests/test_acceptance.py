@@ -222,9 +222,8 @@ def test_criterion_9_two_ray_field_map():
     for _ in range(200):
         zi = rng.uniform(3.0, 17.0)
         rhoi = rng.uniform(0.0, 6.0)
-        pt = pm.ParabolicPoint(z=zi, rho=rhoi)
-        r1 = pt.focus_distance(geometry)
-        if not pt.inside(geometry) or r1 * atom.omega_eg < 10.0:
+        r1, eta = pm._focus_distance_eta(zi, rhoi, geometry.focal_length)
+        if not eta < geometry.focal_length or r1 * atom.omega_eg < 10.0:
             continue
         fld = pm.semiclassical_field(geometry, atom, (zi, rhoi), t_early)
         theta1 = np.arcsin(min(rhoi / r1, 1.0))

@@ -115,7 +115,7 @@ class TestTableIO:
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
-        cli.write_table(cli.ResultTable(["x"], (np.array([]),)), path)
+        cli.write_table(cli.ResultTable(["x"], (np.array([]),), {}), path)
         assert path.read_text() == "x\n"
 
     def test_bytes_follow_the_per_value_rule(self, tmp_path):
@@ -142,7 +142,7 @@ class TestTableIO:
         # str(n); beyond it a cell would round, so the table refuses it
         edge = np.array([2**53, -(2**53), 2**53 - 1, 0])
         path = tmp_path / "n.csv"
-        cli.write_table(cli.ResultTable(["n"], (edge,)), path)
+        cli.write_table(cli.ResultTable(["n"], (edge,), {}), path)
         assert path.read_text() == "n\n" + "".join(f"{n}\n" for n in edge.tolist())
         for column in (
             np.array([0, 2**53 + 1]),
@@ -151,7 +151,7 @@ class TestTableIO:
             np.array([2**64 - 1], dtype=np.uint64),
         ):
             with pytest.raises(ValueError, match="2\\*\\*53"):
-                cli.ResultTable(["n"], (column,))
+                cli.ResultTable(["n"], (column,), {})
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_scenario_bytes_follow_the_per_value_rule(self, name, tmp_path):
@@ -168,12 +168,12 @@ class TestTableIO:
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
-            cli.ResultTable(["a", "b"], ([1.0], []))
+            cli.ResultTable(["a", "b"], ([1.0], []), {})
         with pytest.raises(ValueError):
-            cli.ResultTable(["a", "b"], ([1.0],))
+            cli.ResultTable(["a", "b"], ([1.0],), {})
 
     def test_write_failure_has_path_context(self, tmp_path):
-        table = cli.ResultTable(["x"], ([1.0],))
+        table = cli.ResultTable(["x"], ([1.0],), {})
         with pytest.raises(OSError, match="no/such"):
             cli.write_table(table, str(tmp_path / "no/such/dir.csv"))
 
@@ -516,7 +516,7 @@ class TestToleranceKeys:
         err = capsys.readouterr().err
         assert "unknown key 'rel_tol'" in err and "Traceback" not in err
         for scenario in set(cli.SCENARIOS) - {"parabola-eta"}:
-            assert not {"rel_tol", "abs_tol"} & set(cli._schema(scenario))
+            assert not {"rel_tol", "abs_tol"} & set(cli.SCENARIOS[scenario])
 
     def test_parabola_eta_passes_them_to_the_probe(self, tmp_path, monkeypatch):
         specs = []

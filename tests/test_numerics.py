@@ -125,7 +125,7 @@ class TestStableSeries:
 
 class TestQuadrature:
     def test_polynomial_exact(self):
-        value, err = integrate_1d(lambda x: x * x, (0.0, 1.0), QuadratureSpec())
+        value, err = integrate_1d(lambda x: x * x, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert err < 1e-10
 
@@ -135,8 +135,8 @@ class TestQuadrature:
             return abs(x - 0.3)
 
         with pytest.raises(QuadratureError):
-            integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(max_subdivisions=3))
-        value, _ = integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(max_subdivisions=10))
+            integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, max_subdivisions=3))
+        value, _ = integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, max_subdivisions=10))
         assert value == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, rel=1e-12, abs=0.0)
 
     def test_oscillatory(self):
@@ -144,7 +144,7 @@ class TestQuadrature:
         value, _ = integrate_1d(
             lambda t: np.sin(t) ** 3 * np.cos(a * np.cos(t)),
             (0.0, pi),
-            QuadratureSpec(max_subdivisions=1000),
+            QuadratureSpec(1e-10, 1e-12, max_subdivisions=1000),
         )
         # exact: 4 (sin a - a cos a) / a^3
         want = 4.0 * (np.sin(a) - a * np.cos(a)) / a**3
@@ -159,16 +159,16 @@ class TestQuadrature:
 
     def test_2d_separable(self):
         value, err = integrate_2d(
-            lambda x, y: np.sin(x) * y, ((0.0, pi), (0.0, 2.0)), QuadratureSpec()
+            lambda x, y: np.sin(x) * y, ((0.0, pi), (0.0, 2.0)), QuadratureSpec(1e-10, 1e-12)
         )
         assert value == pytest.approx(4.0, rel=1e-10, abs=0.0)
         assert err < 1e-6
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
+            QuadratureSpec(rel_tol=0.0, abs_tol=1e-12)
         with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+            QuadratureSpec(1e-10, 1e-12, max_subdivisions=0)
 
 
 # [1, 2e4] on a log grid, every 97th integer up to 11000, the lift
