@@ -194,7 +194,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
     samples=_Key(int, default=401, check=lambda v: v >= 2),
 )
 def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
-    params = jcp.JcpParams(coupling=1.0, detuning=p["detuning"], field=jcp.FieldDistribution.vacuum())
+    params = jcp.JcpParams(detuning=p["detuning"], field=jcp.FieldDistribution.vacuum())
     times = np.linspace(0.0, p["t_max"], p["samples"])
     return dict(t=times, w=jcp.inversion(params, times).w)
 
@@ -208,7 +208,7 @@ def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
 )
 def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     fieldstate = jcp.FieldDistribution.coherent(sqrt(p["mean_n"]))
-    params = jcp.JcpParams(coupling=1.0, detuning=p["detuning"], field=fieldstate)
+    params = jcp.JcpParams(detuning=p["detuning"], field=fieldstate)
     t_max = p["t_max"]
     if t_max is None:
         t_max = 3.0 * 2.0 * pi * sqrt(p["mean_n"] + 1.0)

@@ -42,35 +42,30 @@ class RadiationZoneWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TwoLevelAtom:
-    """Two-level emitter with transition frequency and dipole magnitude.
+    """Two-level emitter with transition frequency omega_eg and free-space
+    decay rate Gamma.
 
-    The free-space decay rate Gamma = omega_eg^3 d^2 / (3 pi) follows from
-    the golden rule in these units.
+    Gamma = omega_eg^3 d^2 / (3 pi) for a dipole moment d, by the golden rule
+    in these units; every formula here reads Gamma, not d.
     """
 
     omega_eg: float
-    dipole: float
+    gamma: float
 
     def __post_init__(self):
         if not 0 < self.omega_eg < inf:
             raise ValueError("transition frequency must be positive and finite")
-        if not 0 <= self.dipole < inf:
-            raise ValueError("dipole magnitude must be finite and >= 0")
-        if self.dipole > 0 and self.omega_eg / self.gamma < 10.0:
+        if not 0 <= self.gamma < inf:
+            raise ValueError("decay rate must be finite and >= 0")
+        if self.gamma > 0 and self.omega_eg / self.gamma < 10.0:
             raise ValueError(
                 "omega_eg / Gamma < 10: outside the validity of the pole approximation"
             )
 
-    @property
-    def gamma(self) -> float:
-        return self.omega_eg**3 * self.dipole**2 / (3.0 * pi)
-
     @classmethod
     def from_linewidth(cls, gamma: float, omega_over_gamma: float) -> "TwoLevelAtom":
         """Atom with the requested decay rate; omega_eg = omega_over_gamma * gamma."""
-        omega = omega_over_gamma * gamma
-        d = sqrt(3.0 * pi * gamma / omega**3)
-        return cls(omega_eg=omega, dipole=d)
+        return cls(omega_eg=omega_over_gamma * gamma, gamma=gamma)
 
 
 class FieldEnergy(NamedTuple):

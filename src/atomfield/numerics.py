@@ -25,8 +25,10 @@ __all__ = [
 ]
 
 # Relative slack of the physics-domain guards at their documented boundaries:
-# Gamma = omega_eg^3 d^2 / (3 pi) of an atom built for Gamma = 1 can be one ulp
-# off 1, which must not turn "band = 20 Gamma" into a rejected band.
+# the guarded quantity is often a rounded product, such as r_min * omega_eg
+# (the radiation zone at the start of a radius grid), (omega_f / f) * f (the
+# two-ray size guard) or eta of a point computed on the mirror surface, which
+# must not turn a value on its boundary into a rejected one.
 _GUARD_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 

@@ -53,9 +53,9 @@ class ParabolicGeometry:
     wavenumber: float
 
     def __post_init__(self):
-        if self.focal_length <= 0:
+        if not self.focal_length > 0:
             raise ValueError("focal length must be positive")
-        if self.wavenumber <= 0:
+        if not self.wavenumber > 0:
             raise ValueError("wave number must be positive")
 
     @property
@@ -84,7 +84,7 @@ class RateProfile:
     eta: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.eta < -1e-12):
+        if not np.all(self.eta >= -1e-12):
             raise ValueError("rate ratio must be non-negative")
 
 

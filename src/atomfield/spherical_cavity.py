@@ -41,7 +41,7 @@ class SphericalCavity:
     atom: TwoLevelAtom
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("cavity radius must be positive")
 
     @property

@@ -115,8 +115,11 @@ def table_mismatches(
     """Every difference between a CSV and its golden that the contract forbids."""
     if got.columns != golden.columns:
         return [f"header {got.columns} != golden {golden.columns}"]
-    if len(got.rows) != len(golden.rows):
-        return [f"{len(got.rows)} rows != golden {len(golden.rows)}"]
+    # one row per sample, one column per name
+    have = np.array(got.data, dtype=float).T
+    want = np.array(golden.data, dtype=float).T
+    if have.shape != want.shape:
+        return [f"{have.shape[0]} rows != golden {want.shape[0]}"]
     missing = sorted(set(golden.metadata) - set(got.metadata))
     extra = sorted(set(got.metadata) - set(golden.metadata))
     if missing or extra:
@@ -126,8 +129,6 @@ def table_mismatches(
     if ode_bound is None and (ode_fields & (set(golden.columns) | set(golden.metadata))):
         return ["golden holds finite-band output but the run never solved a band"]
 
-    have = np.array(got.rows, dtype=float).reshape(len(got.rows), len(got.columns))
-    want = np.array(golden.rows, dtype=float).reshape(have.shape)
     scale = dict(zip(golden.columns, np.max(np.abs(want), axis=0, initial=0.0)))
     problems: list[str] = []
     for j, column in enumerate(golden.columns):

@@ -109,9 +109,9 @@ class TestTableIO:
         back = cli.read_table(path)
         assert back.columns == ["a", "b"]
         assert back.metadata["scenario"] == "test"
-        assert len(back.rows) == 21
-        for got, want in zip(back.rows, table.rows):
-            assert got == want  # bit-exact, not approx
+        assert len(back.data[0]) == 21
+        for got, want in zip(back.data, table.data):
+            assert got.tolist() == want.tolist()  # bit-exact, not approx
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -292,7 +292,7 @@ class TestMain:
         assert cli.main(["run", str(cfg), "--out", str(out), "--override", "t_max=1.0"]) == 0
         table = cli.read_table(out)
         assert table.metadata["t_max"] == "1"
-        assert table.rows[-1][0] == 1.0
+        assert table.data[0][-1] == 1.0
 
     def test_parser_is_reused_and_overrides_stay_with_their_call(self, tmp_path, monkeypatch):
         cfg = tmp_path / "ok.cfg"
@@ -402,12 +402,12 @@ class TestDomainGuards:
     @pytest.mark.parametrize(
         "text",
         [
-            # Gamma of these atoms rounds one ulp off 1, so each value sits
-            # one ulp on the wrong side of its documented boundary
+            # each value sits inside the documented 1e-12 slack, on the wrong
+            # side of its boundary (band >= 20 Gamma, spacing <= Gamma / 20)
             "scenario = free-decay\nt_max = 0.5\nsamples = 3\n"
-            "band_width = 20\nomega_over_gamma = 622.264\n",
+            "band_width = 19.9999999999999\n",
             "scenario = free-decay\nt_max = 0.5\nsamples = 3\n"
-            "spacing = 0.05\nomega_over_gamma = 4358.13\n",
+            "spacing = 0.05000000000001\n",
             "scenario = parabola-field\nomega_f = 50\nf = 4.1\nn_z = 3\nn_rho = 3\n",
         ],
     )

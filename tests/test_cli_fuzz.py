@@ -135,4 +135,4 @@ def test_main_keeps_its_exit_code_contract(scenario, data):
             assert (code == 0) == out.exists(), (text, err)
         if code == 0:
             table = cli.read_table(str(out))
-            assert np.all(np.isfinite(np.array(table.rows, dtype=float))), text
+            assert np.all(np.isfinite(np.array(table.data, dtype=float))), text

@@ -75,8 +75,8 @@ def test_rejects_closed_form_value_off_by_1e12_relative(name, column, free_decay
     j = golden.columns.index(column)
     # the value that sets the column scale S; one far below S may move by
     # K eps S in absolute terms, which is more than 1e-12 of itself
-    row = max(range(len(golden.rows)), key=lambda i: abs(golden.rows[i][j]))
-    changed = _with_value(golden, row, column, golden.rows[row][j] * (1 + 1e-12))
+    row = int(np.argmax(np.abs(golden.data[j])))
+    changed = _with_value(golden, row, column, golden.data[j][row] * (1 + 1e-12))
     assert table_mismatches(changed, golden, free_decay_tolerance) != []
 
 
@@ -84,8 +84,9 @@ def test_rejects_ode_value_off_by_ten_tolerances(free_decay_tolerance):
     bound = free_decay_tolerance
     golden = _golden("free-decay")
     j = golden.columns.index("p_e")
-    for row in (0, len(golden.rows) // 2, len(golden.rows) - 1):
-        value = golden.rows[row][j]
+    rows = len(golden.data[j])
+    for row in (0, rows // 2, rows - 1):
+        value = golden.data[j][row]
         changed = _with_value(golden, row, "p_e", value + 10 * bound)
         assert table_mismatches(changed, golden, free_decay_tolerance) != []
         within = _with_value(golden, row, "p_e", value + bound / 2)
@@ -125,7 +126,7 @@ def test_rejects_missing_or_extra_metadata_key(free_decay_tolerance):
 
 def test_rejects_dropped_row(free_decay_tolerance):
     golden = _golden("free-decay")
-    for row in (0, len(golden.rows) - 1):
+    for row in (0, len(golden.data[0]) - 1):
         changed = replace(golden, data=tuple(np.delete(a, row) for a in golden.data))
         assert table_mismatches(changed, golden, free_decay_tolerance) != []
 
@@ -139,7 +140,7 @@ def test_rejects_renamed_column(free_decay_tolerance):
 def test_rejects_flipped_integer_flag_and_nan():
     golden = _golden("parabola-field")
     j = golden.columns.index("near_boundary")
-    flipped = _with_value(golden, 0, "near_boundary", 1.0 - golden.rows[0][j])
+    flipped = _with_value(golden, 0, "near_boundary", 1.0 - golden.data[j][0])
     assert table_mismatches(flipped, golden, None) != []
     nan = _with_value(golden, 0, "energy_density", float("nan"))
     assert table_mismatches(nan, golden, None) != []

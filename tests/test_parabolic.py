@@ -105,7 +105,7 @@ class TestRateModification:
 
     def test_rate_requires_matching_wavenumber(self):
         # omega_eg f = 50 passes the two-ray size guard, so k = 2 omega_eg is what fails
-        atom = TwoLevelAtom(omega_eg=1.0, dipole=1e-3)
+        atom = TwoLevelAtom(omega_eg=1.0, gamma=1e-3)
         mirror = pm.ParabolicGeometry(focal_length=50.0, wavenumber=2.0)
         with pytest.raises(ValueError, match="wave number must match"):
             pm.semiclassical_field(mirror, atom, (30.0, 10.0), 60.0)

@@ -1,4 +1,5 @@
-"""Every public name has a product caller, and every public default is pinned.
+"""Every public name has a product caller, and every public default and
+record field is pinned.
 
 A name in a module's `__all__` counts as called when some `ast.Name` or
 `ast.Attribute` in the library itself, in the acceptance criteria or in the
@@ -34,11 +35,58 @@ DEFAULTS = {
     "cli.main(argv)",
     "cli.parse_config(overrides)",
     "free_space.field_energy(part)",
-    "jcp.JcpParams.coupling",
     "jcp.JcpParams.detuning",
     "jcp.JcpParams.field",
     "numerics.QuadratureSpec.max_subdivisions",
     "parabolic_mirror.eta_quadrature(spec)",
+}
+
+# every annotated field of a public class: what a caller can set on a record;
+# a new field, or one brought back, needs an edit here
+FIELDS = {
+    "cli.ScenarioConfig.scenario",
+    "cli.ScenarioConfig.params",
+    "cli.ScenarioConfig.output",
+    "cli.ResultTable.columns",
+    "cli.ResultTable.data",
+    "cli.ResultTable.metadata",
+    "free_space.TwoLevelAtom.omega_eg",
+    "free_space.TwoLevelAtom.gamma",
+    "free_space.FieldEnergy.value",
+    "free_space.FieldEnergy.inner_correction",
+    "free_space.FieldEnergy.quadrature_error",
+    "free_space.FieldMap.points",
+    "free_space.FieldMap.amplitude",
+    "free_space.FieldMap.energy_density",
+    "jcp.FieldDistribution.kind",
+    "jcp.FieldDistribution.amplitudes",
+    "jcp.JcpParams.detuning",
+    "jcp.JcpParams.field",
+    "jcp.InversionTrace.w",
+    "jcp.JcpTrace.a_e",
+    "jcp.JcpTrace.a_g",
+    "multimode.AmplitudeTrace.excited_amplitude",
+    "multimode.AmplitudeTrace.norm",
+    "numerics.QuadratureSpec.rel_tol",
+    "numerics.QuadratureSpec.abs_tol",
+    "numerics.QuadratureSpec.max_subdivisions",
+    "numerics.QuadResult.value",
+    "numerics.QuadResult.error",
+    "parabolic_mirror.ParabolicGeometry.focal_length",
+    "parabolic_mirror.ParabolicGeometry.wavenumber",
+    "parabolic_mirror.RateProfile.positions",
+    "parabolic_mirror.RateProfile.eta",
+    "parabolic_mirror.TwoRayField.spherical",
+    "parabolic_mirror.TwoRayField.plane",
+    "parabolic_mirror.TwoRayField.energy_density",
+    "parabolic_mirror.TwoRayField.near_boundary",
+    "parabolic_mirror.ParabolicFieldMap.points",
+    "parabolic_mirror.ParabolicFieldMap.spherical",
+    "parabolic_mirror.ParabolicFieldMap.plane",
+    "parabolic_mirror.ParabolicFieldMap.energy_density",
+    "parabolic_mirror.ParabolicFieldMap.flags",
+    "spherical_cavity.SphericalCavity.radius",
+    "spherical_cavity.SphericalCavity.atom",
 }
 
 
@@ -81,23 +129,37 @@ def _optional_parameters(name: str, node: ast.FunctionDef) -> set[str]:
     return {f"{name}({arg.arg})" for arg in with_default}
 
 
-def _public_defaults() -> set[str]:
+def _public_definitions():
+    """(module.name, node) of every top-level definition named in `__all__`."""
     exports = _exports()
-    found = set()
     for module, tree in _modules().items():
         for node in tree.body:
-            if getattr(node, "name", None) not in exports.get(module, ()):
-                continue
-            name = f"{module}.{node.name}"
-            if isinstance(node, ast.FunctionDef):
-                found |= _optional_parameters(name, node)
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.AnnAssign) and item.value is not None:
-                        found.add(f"{name}.{item.target.id}")
-                    elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        found |= _optional_parameters(f"{name}.{item.name}", item)
+            if getattr(node, "name", None) in exports.get(module, ()):
+                yield f"{module}.{node.name}", node
+
+
+def _public_defaults() -> set[str]:
+    found = set()
+    for name, node in _public_definitions():
+        if isinstance(node, ast.FunctionDef):
+            found |= _optional_parameters(name, node)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.value is not None:
+                    found.add(f"{name}.{item.target.id}")
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found |= _optional_parameters(f"{name}.{item.name}", item)
     return found
+
+
+def _public_fields() -> set[str]:
+    return {
+        f"{name}.{item.target.id}"
+        for name, node in _public_definitions()
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    }
 
 
 def test_every_public_name_has_a_caller():
@@ -115,3 +177,8 @@ def test_every_public_name_has_a_caller():
 def test_public_defaults_are_pinned():
     # an equality, so a removed default fails too until DEFAULTS drops it
     assert _public_defaults() == DEFAULTS
+
+
+def test_public_fields_are_pinned():
+    # an equality, so a removed field fails too until FIELDS drops it
+    assert _public_fields() == FIELDS
