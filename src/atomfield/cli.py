@@ -14,7 +14,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from functools import cache
-from math import inf, isfinite, nextafter, pi, sqrt
+from math import inf, isfinite, nextafter, pi
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -207,11 +207,11 @@ def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     samples=_Key(int, default=601, check=lambda v: v >= 2),
 )
 def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
-    fieldstate = jcp.FieldDistribution.coherent(sqrt(p["mean_n"]))
+    fieldstate = jcp.FieldDistribution.coherent(p["mean_n"])
     params = jcp.JcpParams(detuning=p["detuning"], field=fieldstate)
     t_max = p["t_max"]
     if t_max is None:
-        t_max = 3.0 * 2.0 * pi * sqrt(p["mean_n"] + 1.0)
+        t_max = 3.0 * jcp.collapse_revival_times(p["mean_n"])[1]
     times = np.linspace(0.0, t_max, p["samples"])
     meta["t_max_used"] = _num(t_max)
     return dict(t=times, w=jcp.inversion(params, times).w)
@@ -535,26 +535,6 @@ def write_table(table: ResultTable, path: str) -> None:
                 handle.write(_csv_lines([a[start : start + _BLOCK_ROWS] for a in table.data]))
     except OSError as exc:
         raise OSError(f"cannot write table to {path!r}: {exc}") from exc
-
-
-def read_table(path: str) -> ResultTable:
-    """Re-parse a written CSV (metadata, header, float rows)."""
-    metadata: dict[str, str] = {}
-    columns: list[str] = []
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                metadata[key.strip()] = value.strip()
-            elif not columns:
-                columns = line.split(",")
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    return ResultTable(columns, tuple(np.array(rows, dtype=float).reshape(len(rows), len(columns)).T), metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -222,8 +222,9 @@ def wigner_weisskopf_ode(
     """
     gamma = atom.gamma
     times = np.asarray(times, dtype=float)
-    if mode_spacing > gamma / 20.0 * (1.0 + _GUARD_RTOL):
-        raise ValueError("mode spacing must be at most Gamma / 20")
+    # negated, so a NaN fails too
+    if not 0 < mode_spacing <= gamma / 20.0 * (1.0 + _GUARD_RTOL):
+        raise ValueError("mode spacing must be at most Gamma / 20 and > 0")
     recurrence = 2.0 * pi / mode_spacing
     reach = np.max(np.abs(times))
     if reach >= recurrence:

@@ -3,6 +3,9 @@
 Closed-form Rabi solutions, the inversion of an initially excited atom
 coupled to a diagonal photon-number distribution, collapse/revival time
 estimates and a brute-force ODE solver used as an independent oracle.
+Every result reads the initial field only through its photon-number
+weights p_n, the one field of `FieldDistribution`; a coherent field is
+given by its mean photon number <n>.
 
 Units: the vacuum coupling |g| = 1, so times are in 1/|g| and the detuning
 in |g|.  Another coupling is the rescaling t -> |g| t, Delta -> Delta / |g|;
@@ -12,7 +15,7 @@ the phase of g drops out of every population.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, floor, isfinite, pi, sqrt
+from math import ceil, floor, inf, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -37,58 +40,51 @@ _ODE_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class FieldDistribution:
-    """Diagonal photon-number distribution via initial amplitudes a_{e,n}(0)."""
+    """Diagonal photon-number distribution p_n of the initial field."""
 
-    kind: str  # "vacuum" | "fock" | "coherent", or a caller's label
-    amplitudes: np.ndarray  # complex, index = photon number n
+    weights: np.ndarray  # p_n, index = photon number n
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        total = float(np.sum(np.abs(amps) ** 2))
-        # a NaN total fails too
+        p = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", p)
+        total = float(np.sum(p))
+        # a NaN weight fails both checks
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"photon-number weights must sum to 1, got {total}")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    @property
-    def mean_photon_number(self) -> float:
-        n = np.arange(self.amplitudes.size)
-        return float(np.sum(n * self.weights))
+        if not np.all(p >= 0):
+            raise ValueError("photon-number weights must be >= 0")
 
     @staticmethod
     def vacuum() -> "FieldDistribution":
-        return FieldDistribution("vacuum", np.array([1.0 + 0j]))
+        return FieldDistribution(np.array([1.0]))
 
     @staticmethod
     def fock(n: int) -> "FieldDistribution":
         if n < 0:
             raise ValueError("photon number must be >= 0")
-        amps = np.zeros(n + 1, dtype=complex)
-        amps[n] = 1.0
-        return FieldDistribution("fock", amps)
+        p = np.zeros(n + 1)
+        p[n] = 1.0
+        return FieldDistribution(p)
 
     @staticmethod
-    def coherent(alpha: complex) -> "FieldDistribution":
-        """Coherent-state amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!).
+    def coherent(mean: float) -> "FieldDistribution":
+        """Poisson weights exp(-<n>) <n>^n / n! of a coherent field with mean
+        photon number <n> = `mean`.
 
         The Fock ladder ends at n_max = ceil(<n> + 10 sqrt(<n>) + 20).  The
-        Poisson weights are built from p = 1 at n = floor(<n>) by the ratios
+        weights are built from p = 1 at n = floor(<n>) by the ratios
         <n>/(n+1) upward and n/<n> downward, all <= 1, and normalized once.
         With x = n_max - <n>, the Chernoff bound P(N >= <n> + x) <=
         exp(-<n> h(x/<n>)), h(u) = (1+u) ln(1+u) - u, leaves at most e^-50
         ~ 2e-22 beyond the ladder for every <n>.
         """
-        mean = abs(alpha) ** 2
+        if not 0 <= mean < inf:
+            raise ValueError("mean photon number must be finite and >= 0")
         n = np.arange(ceil(mean + 10.0 * sqrt(mean) + 20.0) + 1)
         mode = floor(mean)
         down = np.cumprod(n[mode:0:-1] / mean)[::-1]
         p = np.concatenate((down, [1.0], np.cumprod(mean / n[mode + 1 :])))
-        amps = np.sqrt(p / np.sum(p)) * np.exp(1j * n * np.angle(alpha))
-        return FieldDistribution("coherent", amps)
+        return FieldDistribution(p / np.sum(p))
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,8 @@ def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
     from scipy.integrate import solve_ivp  # deferred: `import atomfield` does not load it
 
     times = np.asarray(times, dtype=float)
-    a0 = params.field.amplitudes
+    # the pairs evolve apart, so the phases of a_{e,n}(0) reach no |a|^2
+    a0 = np.sqrt(params.field.weights)
     n_states = a0.size
     n_idx = np.arange(n_states)
     root = np.sqrt(n_idx + 1.0)
@@ -188,11 +185,8 @@ def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
     return JcpTrace(sol.y[:n_states], sol.y[n_states:])
 
 
-def collapse_revival_times(params: JcpParams) -> tuple[float, float]:
-    """Order-of-magnitude collapse and revival times for a coherent field."""
-    if params.field.kind != "coherent":
-        raise ValueError("collapse/revival estimates require a coherent initial field")
-    mean = params.field.mean_photon_number
-    t_c = 2.0 * pi
-    t_r = 2.0 * pi * sqrt(mean + 1.0)
-    return t_c, t_r
+def collapse_revival_times(mean: float) -> tuple[float, float]:
+    """Collapse time 2 pi and revival time T_r = 2 pi sqrt(<n> + 1), in
+    1/|g|, of the inversion for a coherent field of mean photon number
+    <n> = `mean` (order of magnitude)."""
+    return 2.0 * pi, 2.0 * pi * sqrt(mean + 1.0)

@@ -51,7 +51,10 @@ def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndar
     """Detunings spacing * (-n..n) covering band_width, with the flat coupling
     |g|^2 = Gamma * spacing / (2 pi) that gives the golden-rule rate Gamma at
     the mode density 1 / spacing."""
-    if band_width < 20.0 * gamma * (1.0 - _GUARD_RTOL):
+    # negated, so a NaN fails too
+    if not gamma > 0:
+        raise ValueError("decay rate Gamma must be > 0 to fill a band")
+    if not band_width >= 20.0 * gamma * (1.0 - _GUARD_RTOL):
         raise ValueError("band width must be at least 20 Gamma")
     half = int(np.ceil(band_width / 2.0 / spacing))
     detunings = spacing * np.arange(-half, half + 1)

@@ -94,6 +94,26 @@ def run_config(cfg: Path, out: Path) -> tuple[int, float | None]:
     return code, (multimode._SPECTRAL_ERROR if calls else None)
 
 
+def read_table(path: str) -> cli.ResultTable:
+    """Re-parse a written CSV (metadata, header, float rows)."""
+    metadata: dict[str, str] = {}
+    columns: list[str] = []
+    rows: list[list[float]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                metadata[key.strip()] = value.strip()
+            elif not columns:
+                columns = line.split(",")
+            else:
+                rows.append([float(v) for v in line.split(",")])
+    return cli.ResultTable(columns, tuple(np.array(rows, dtype=float).reshape(len(rows), len(columns)).T), metadata)
+
+
 def _excess(got: np.ndarray, want: np.ndarray, bound: np.ndarray | float, name: str) -> list[str]:
     delta = np.abs(got - want)
     bad = ~(delta <= bound)  # NaN counts as a mismatch

@@ -16,7 +16,7 @@ from atomfield import cli, free_space, jcp, parabolic_mirror as pm, spherical_ca
 from atomfield.numerics import QuadratureSpec
 
 from conftest import record_acceptance
-from golden_check import run_config, table_mismatches
+from golden_check import read_table, run_config, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -26,8 +26,8 @@ def test_criterion_1_jcp_closed_form_vs_ode():
     t_start = time.perf_counter()
     worst = 0.0
     for mean_n in (0.5, 25.0):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(sqrt(mean_n)))
-        t_r = 2.0 * pi * sqrt(mean_n + 1.0)
+        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
+        t_r = jcp.collapse_revival_times(mean_n)[1]
         times = np.linspace(0.0, 3.0 * t_r, 601)
         w_closed = jcp.inversion(params, times).w
         w_ode = jcp.evolve_ode(params, times).inversion().w
@@ -42,8 +42,8 @@ def test_criterion_1_jcp_closed_form_vs_ode():
 def test_criterion_2_collapse_and_revival():
     """Collapse below 0.1 before two vacuum-Rabi periods; revival > 0.3 near T_r."""
     mean_n = 25.0
-    params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(sqrt(mean_n)))
-    t_c, t_r = jcp.collapse_revival_times(params)
+    params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
+    t_c, t_r = jcp.collapse_revival_times(mean_n)
     times = np.linspace(0.0, 1.2 * t_r, 12001)
     w = jcp.inversion(params, times).w
     # envelope probe: max |w| over the last few Rabi cycles before 2 T_c
@@ -261,8 +261,8 @@ def test_criterion_10_cli_determinism_and_goldens(tmp_path):
         assert code == 0
         assert cli.main(["run", str(cfg), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes(), f"{cfg.stem}: runs differ"
-        golden = cli.read_table(GOLDEN_DIR / (cfg.stem + ".csv"))
-        if table_mismatches(cli.read_table(out_a), golden, ode_bound):
+        golden = read_table(GOLDEN_DIR / (cfg.stem + ".csv"))
+        if table_mismatches(read_table(out_a), golden, ode_bound):
             stale.append(cfg.stem)
     ok = not stale
     record_acceptance(

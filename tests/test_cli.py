@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomfield import cli, parabolic_mirror
-from golden_check import run_config, table_mismatches
+from golden_check import read_table, run_config, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = sorted(p.stem for p in GOLDEN_DIR.glob("*.cfg"))
@@ -106,7 +106,7 @@ class TestTableIO:
         table = cli.ResultTable(["a", "b"], (a, b), {"scenario": "test"})
         path = tmp_path / "t.csv"
         cli.write_table(table, path)
-        back = cli.read_table(path)
+        back = read_table(path)
         assert back.columns == ["a", "b"]
         assert back.metadata["scenario"] == "test"
         assert len(back.data[0]) == 21
@@ -290,7 +290,7 @@ class TestMain:
         cfg.write_text("scenario = jcp-vacuum\nsamples = 11\n")
         out = tmp_path / "w.csv"
         assert cli.main(["run", str(cfg), "--out", str(out), "--override", "t_max=1.0"]) == 0
-        table = cli.read_table(out)
+        table = read_table(out)
         assert table.metadata["t_max"] == "1"
         assert table.data[0][-1] == 1.0
 
@@ -316,14 +316,14 @@ class TestMain:
         assert cli.main(run) == 0
         assert cli.main([*run, "--override", "t_max=2.0"]) == 0
         assert seen == [["t_max=1.0"], [], ["t_max=2.0"]]
-        assert cli.read_table(tmp_path / "w.csv").metadata["t_max"] == "2"
+        assert read_table(tmp_path / "w.csv").metadata["t_max"] == "2"
 
     def test_metadata_records_parameters(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = sphere-revival\ngamma_R = 1\nsamples = 31\n")
         out = tmp_path / "w.csv"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
-        meta = cli.read_table(out).metadata
+        meta = read_table(out).metadata
         assert meta["scenario"] == "sphere-revival"
         assert meta["gamma_R"] == "1"
         assert meta["format_version"] == "1"
@@ -344,7 +344,7 @@ class TestMain:
         )
         out = tmp_path / "w.csv"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
-        meta = cli.read_table(out).metadata
+        meta = read_table(out).metadata
         assert float(meta["probe_quadrature_error"]) < 1e-8
         assert float(meta["probe_closed_vs_quadrature"]) < 1e-9
 
@@ -535,7 +535,7 @@ class TestToleranceKeys:
         out = tmp_path / "w.csv"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
         assert [(s.rel_tol, s.abs_tol) for s in specs] == [(1e-7, 1e-9)]
-        meta = cli.read_table(out).metadata
+        meta = read_table(out).metadata
         assert float(meta["rel_tol"]) == 1e-7 and float(meta["abs_tol"]) == 1e-9
         config = cli.parse_config("scenario = parabola-eta\nk_per_mm = 1\n")
         assert (config.params["rel_tol"], config.params["abs_tol"]) == (1e-10, 1e-13)
@@ -551,8 +551,8 @@ class TestGoldenFiles:
         out = tmp_path / f"{name}.csv"
         code, ode_bound = run_config(cfg, out)
         assert code == 0
-        golden = cli.read_table(GOLDEN_DIR / f"{name}.csv")
-        assert table_mismatches(cli.read_table(out), golden, ode_bound) == []
+        golden = read_table(GOLDEN_DIR / f"{name}.csv")
+        assert table_mismatches(read_table(out), golden, ode_bound) == []
 
 
 class TestGoldensUnderAnotherBuild:
@@ -613,10 +613,10 @@ class TestGoldensUnderAnotherBuild:
             pytest.skip(f"this CPU has none of {features}, so {variables} changes nothing")
         differing = 0
         for name, ode_bound in self.run_goldens(tmp_path, variables).items():
-            got = cli.read_table(tmp_path / f"{name}.csv")
-            golden = cli.read_table(GOLDEN_DIR / f"{name}.csv")
+            got = read_table(tmp_path / f"{name}.csv")
+            golden = read_table(GOLDEN_DIR / f"{name}.csv")
             assert table_mismatches(got, golden, ode_bound) == [], name
-            same = cli.read_table(reference / f"{name}.csv")
+            same = read_table(reference / f"{name}.csv")
             differing += sum(int(np.count_nonzero(a != b)) for a, b in zip(got.data, same.data))
         # a switch that moves no cell proves nothing about other builds
         assert differing > 0, f"{variables} changed no cell of the goldens"

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomfield import cli
+from golden_check import read_table
 
 # valid draws of the work-setting and domain-sensitive keys; any other key
 # draws from a wide range of its type
@@ -134,5 +135,5 @@ def test_main_keeps_its_exit_code_contract(scenario, data):
             assert code in (0, 1, 2), (text, err)
             assert (code == 0) == out.exists(), (text, err)
         if code == 0:
-            table = cli.read_table(str(out))
+            table = read_table(str(out))
             assert np.all(np.isfinite(np.array(table.data, dtype=float))), text

@@ -6,7 +6,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from atomfield import free_space, multimode
+from atomfield import free_space, multimode, spherical_cavity
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
 
 
@@ -254,3 +254,42 @@ class TestDiscretizedContinuum:
             free_space.wigner_weisskopf_ode(
                 atom, np.linspace(0.0, 1e4, 301), band_width=40.0, mode_spacing=0.05
             )
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(
+            lambda t: free_space.wigner_weisskopf_ode(TwoLevelAtom(1e3, 1.0), t, 40.0, 0.0),
+            "mode spacing must",
+            id="zero-spacing",
+        ),
+        pytest.param(
+            lambda t: free_space.wigner_weisskopf_ode(TwoLevelAtom(1e3, 1.0), t, 40.0, -0.02),
+            "mode spacing must",
+            id="negative-spacing",
+        ),
+        pytest.param(
+            lambda t: free_space.wigner_weisskopf_ode(TwoLevelAtom(1e3, 1.0), t, 40.0, float("nan")),
+            "mode spacing must",
+            id="nan-spacing",
+        ),
+        pytest.param(
+            lambda t: free_space.wigner_weisskopf_ode(TwoLevelAtom(1e3, 1.0), t, float("nan"), 0.02),
+            "band width must",
+            id="nan-band-width",
+        ),
+        pytest.param(
+            lambda t: spherical_cavity.evolve_cavity_ode(
+                spherical_cavity.SphericalCavity(radius=1.0, atom=TwoLevelAtom(1e3, 0.0)), t, 400.0
+            ),
+            "decay rate",
+            id="cavity-without-decay",
+        ),
+    ],
+)
+def test_flat_band_guards_hold_for_every_input(run, message):
+    # each guard is a negated in-range test, so zero, negative and NaN inputs
+    # all stop at it, before any division or int() they would reach
+    with pytest.raises(ValueError, match=message):
+        run(np.linspace(0.0, 1.0, 11))

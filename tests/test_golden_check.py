@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from atomfield import cli, multimode
-from golden_check import run_config, table_mismatches
+from golden_check import read_table, run_config, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -21,7 +21,7 @@ def free_decay_tolerance(tmp_path_factory):
 
 
 def _golden(name: str) -> cli.ResultTable:
-    return cli.read_table(GOLDEN_DIR / f"{name}.csv")
+    return read_table(GOLDEN_DIR / f"{name}.csv")
 
 
 def _with_value(table: cli.ResultTable, row: int, column: str, value: float) -> cli.ResultTable:

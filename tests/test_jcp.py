@@ -11,18 +11,17 @@ from atomfield import jcp, numerics
 class TestFieldDistribution:
     def test_vacuum(self):
         f = jcp.FieldDistribution.vacuum()
-        assert f.mean_photon_number == 0.0
+        assert np.arange(f.weights.size) @ f.weights == 0.0
         assert f.weights == pytest.approx([1.0])
 
     def test_fock(self):
         f = jcp.FieldDistribution.fock(3)
         assert f.weights[3] == 1.0
-        assert f.mean_photon_number == 3.0
+        assert np.arange(f.weights.size) @ f.weights == 3.0
 
     def test_coherent_poisson_weights(self):
-        alpha = 2.0
-        f = jcp.FieldDistribution.coherent(alpha)
-        assert f.mean_photon_number == pytest.approx(abs(alpha) ** 2, rel=1e-10, abs=0.0)
+        f = jcp.FieldDistribution.coherent(4.0)
+        assert np.arange(f.weights.size) @ f.weights == pytest.approx(4.0, rel=1e-10, abs=0.0)
         # Poisson check at a few n
         from math import exp, factorial
 
@@ -31,27 +30,21 @@ class TestFieldDistribution:
             assert f.weights[n] == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_coherent_large_amplitude_normalized(self):
-        f = jcp.FieldDistribution.coherent(10.0)
+        f = jcp.FieldDistribution.coherent(100.0)
         assert np.sum(f.weights) == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("mean_n", [0.5, 4.0, 25.0, 1e3, 5062.08, 1e4])
+    @pytest.mark.parametrize("mean_n", [0.5, 4.0, 10.0, 25.0, 158.489, 1e3, 5062.08, 1e4])
     def test_coherent_weights_match_mpmath(self, mean_n):
+        # the oracle is taken at the requested <n> itself
         mpmath = pytest.importorskip("mpmath")
-        f = jcp.FieldDistribution.coherent(sqrt(mean_n))
+        f = jcp.FieldDistribution.coherent(mean_n)
         with mpmath.workdps(50):
-            mean = mpmath.mpf(abs(sqrt(mean_n)) ** 2)
+            mean = mpmath.mpf(mean_n)
             want = np.array(
                 [float(mpmath.exp(-mean) * mean**n / mpmath.factorial(n)) for n in range(f.weights.size)]
             )
         live = want > 1e-20
         assert np.max(np.abs(f.weights[live] / want[live] - 1.0)) <= 1e-13
-
-    @pytest.mark.parametrize("alpha", [2.0 * np.exp(0.7j), -3.0, 1.5j])
-    def test_coherent_phases(self, alpha):
-        f = jcp.FieldDistribution.coherent(alpha)
-        n = np.arange(f.amplitudes.size)
-        want = jcp.FieldDistribution.coherent(abs(alpha)).amplitudes * np.exp(1j * n * np.angle(alpha))
-        assert np.allclose(f.amplitudes, want, rtol=1e-14, atol=0.0)
 
     def test_coherent_ladder_bound(self):
         # Chernoff: P(N >= m + x) <= exp(-m h(x/m)), h(u) = (1+u) ln(1+u) - u,
@@ -65,20 +58,34 @@ class TestFieldDistribution:
     @pytest.mark.parametrize("mean_n", [0.5, 4.0, 228.0, 1e4])
     def test_coherent_ladder_tail(self, mean_n):
         mpmath = pytest.importorskip("mpmath")
-        n_max = jcp.FieldDistribution.coherent(sqrt(mean_n)).amplitudes.size - 1
+        n_max = jcp.FieldDistribution.coherent(mean_n).weights.size - 1
         with mpmath.workdps(50):
             tail = mpmath.gammainc(n_max + 1, 0, mean_n, regularized=True)  # P(N > n_max)
         assert tail < 2e-22
 
     @pytest.mark.parametrize("mean_n", [5062.08, 2251.93, 2043.36, 5298.32])
     def test_coherent_guard_ignores_round_off(self, mean_n):
-        # 1 - sum(|a_n|^2) exceeds 1e-12 from round-off alone at these <n>
-        f = jcp.FieldDistribution.coherent(sqrt(mean_n))
-        assert f.mean_photon_number == pytest.approx(mean_n, rel=1e-12, abs=0.0)
+        # 1 - sum(p_n) exceeds 1e-12 from round-off alone at these <n>
+        f = jcp.FieldDistribution.coherent(mean_n)
+        assert np.arange(f.weights.size) @ f.weights == pytest.approx(mean_n, rel=1e-12, abs=0.0)
 
     def test_coherent_zero_is_vacuum(self):
         f = jcp.FieldDistribution.coherent(0.0)
         assert f.weights[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: jcp.FieldDistribution(np.array([-0.5, 1.5])), ">= 0"),
+            (lambda: jcp.FieldDistribution.coherent(-1.0), "mean photon number"),
+            (lambda: jcp.FieldDistribution.coherent(float("nan")), "mean photon number"),
+            (lambda: jcp.FieldDistribution.coherent(float("inf")), "mean photon number"),
+        ],
+        ids=["negative-weight", "negative-mean", "nan-mean", "infinite-mean"],
+    )
+    def test_invalid_distribution_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestClosedForm:
@@ -103,18 +110,8 @@ class TestClosedForm:
         w = jcp.inversion(params, t).w
         assert w == pytest.approx(np.cos(omega * t), abs=1e-12)
 
-    def test_phase_of_alpha_is_irrelevant(self):
-        t = np.linspace(0.0, 30.0, 300)
-        w0 = jcp.inversion(
-            jcp.JcpParams(field=jcp.FieldDistribution.coherent(2.0)), t
-        ).w
-        w1 = jcp.inversion(
-            jcp.JcpParams(field=jcp.FieldDistribution.coherent(2.0 * np.exp(0.7j))), t
-        ).w
-        assert w0 == pytest.approx(w1, abs=1e-12)
-
     def test_non_uniform_grid_raises(self):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(2.0))
+        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(4.0))
         t = np.linspace(0.0, 10.0, 101)
         t[7] += 64 * np.spacing(10.0)
         with pytest.raises(ValueError, match="uniform"):
@@ -124,7 +121,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("mean_n", [4.0, 100.0, 1e4])
     def test_matches_a_long_double_dense_sum(self, mean_n):
-        params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(sqrt(mean_n)))
+        params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(mean_n))
         t = np.linspace(0.0, 2000.0, 401)
         w = jcp.inversion(params, t).w
         # each cosine taken on its own, in long double, over every row of the
@@ -145,7 +142,7 @@ class TestClosedForm:
 
     def test_inversion_bounds(self):
         params = jcp.JcpParams(
-            detuning=1.3, field=jcp.FieldDistribution.coherent(sqrt(8.0))
+            detuning=1.3, field=jcp.FieldDistribution.coherent(8.0)
         )
         t = np.linspace(0.0, 100.0, 2000)
         w = jcp.inversion(params, t).w
@@ -176,7 +173,7 @@ class TestWeightWindow:
         return jcp.inversion(params, t).w, rows[0]
 
     def test_large_coherent_field_keeps_only_its_poisson_window(self, monkeypatch):
-        params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(100.0))
+        params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(1e4))
         t = np.linspace(0.0, 2000.0, 97)
         w, rows = self._summed_rows(monkeypatch, params, t)
         p = params.field.weights
@@ -189,7 +186,7 @@ class TestWeightWindow:
         [
             (jcp.FieldDistribution.fock(7), (7, 7)),
             # zero-weight rows between the peaks stay in the window
-            (jcp.FieldDistribution("sparse", np.sqrt(np.r_[0, 0, 0.3, np.zeros(37), 0.7, 0, 0])), (2, 40)),
+            (jcp.FieldDistribution(np.r_[0, 0, 0.3, np.zeros(37), 0.7, 0, 0]), (2, 40)),
         ],
     )
     def test_sparse_fields_keep_every_interior_row(self, monkeypatch, field, kept):
@@ -202,7 +199,7 @@ class TestWeightWindow:
 
 def _amplitudes_closed_form(params, n, t):
     """Rabi solution (a_{e,n}(t), a_{g,n+1}(t)) of one ladder pair from an excited atom."""
-    a0 = complex(params.field.amplitudes[n])
+    a0 = sqrt(params.field.weights[n])
     omega_n = jcp.rabi_frequency(n, params)
     delta = params.detuning
     c, s = np.cos(omega_n * t / 2), np.sin(omega_n * t / 2)
@@ -215,7 +212,7 @@ class TestOdeOracle:
     def test_closed_form_vs_ode_detuned(self):
         params = jcp.JcpParams(
             detuning=1.7,
-            field=jcp.FieldDistribution.coherent(sqrt(2.0)),
+            field=jcp.FieldDistribution.coherent(2.0),
         )
         t = np.linspace(0.0, 25.0, 101)
         trace = jcp.evolve_ode(params, t)
@@ -232,7 +229,7 @@ class TestOdeOracle:
             assert trace.a_g[2, i] == pytest.approx(a_g, abs=1e-9)
 
     def test_norm_conserved(self):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(1.5))
+        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(2.25))
         t = np.linspace(0.0, 40.0, 81)
         trace = jcp.evolve_ode(params, t)
         norm = np.sum(np.abs(trace.a_e) ** 2 + np.abs(trace.a_g) ** 2, axis=0)
@@ -241,14 +238,9 @@ class TestOdeOracle:
 
 class TestTimescales:
     def test_collapse_revival_values(self):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(5.0))
-        t_c, t_r = jcp.collapse_revival_times(params)
+        t_c, t_r = jcp.collapse_revival_times(25.0)
         assert t_c == pytest.approx(2.0 * pi)
         assert t_r == pytest.approx(2.0 * pi * sqrt(26.0), rel=1e-9, abs=0.0)
-
-    def test_requires_coherent_field(self):
-        with pytest.raises(ValueError):
-            jcp.collapse_revival_times(jcp.JcpParams(field=jcp.FieldDistribution.fock(2)))
 
 
 def test_rabi_frequency_array_matches_scalar():

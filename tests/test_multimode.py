@@ -95,7 +95,7 @@ def _jcp_terms(mean_n):
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(jcp, "_cos_sum", lambda w, f, t: seen.append((w, f)) or 0.0 * t)
-        jcp.inversion(jcp.JcpParams(field=jcp.FieldDistribution.coherent(sqrt(mean_n))), [0.0])
+        jcp.inversion(jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n)), [0.0])
     return seen[0]
 
 

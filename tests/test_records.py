@@ -39,10 +39,10 @@ NAN = float("nan")
         ),
         pytest.param(lambda: jcp.JcpParams(detuning=NAN), "detuning", id="JcpParams.detuning"),
         pytest.param(
-            lambda: jcp.FieldDistribution("sparse", np.array([NAN])), "sum to 1", id="FieldDistribution"
+            lambda: jcp.FieldDistribution(np.array([NAN])), "sum to 1", id="FieldDistribution"
         ),
         pytest.param(
-            lambda: jcp.FieldDistribution("sparse", np.array([NAN, 1.0])),
+            lambda: jcp.FieldDistribution(np.array([NAN, 1.0])),
             "sum to 1",
             id="FieldDistribution-with-a-full-row",
         ),
