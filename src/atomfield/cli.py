@@ -194,7 +194,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
     samples=_Key(int, default=401, check=lambda v: v >= 2),
 )
 def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
-    params = jcp.JcpParams(detuning=p["detuning"], field=jcp.FieldDistribution.vacuum())
+    params = jcp.JcpParams(detuning=p["detuning"], field=jcp.FieldDistribution.fock(0))
     times = np.linspace(0.0, p["t_max"], p["samples"])
     return dict(t=times, w=jcp.inversion(params, times).w)
 

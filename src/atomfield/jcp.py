@@ -4,8 +4,8 @@ Closed-form Rabi solutions, the inversion of an initially excited atom
 coupled to a diagonal photon-number distribution, collapse/revival time
 estimates and a brute-force ODE solver used as an independent oracle.
 Every result reads the initial field only through its photon-number
-weights p_n, the one field of `FieldDistribution`; a coherent field is
-given by its mean photon number <n>.
+weights p_n over the window n >= n_min where they live, the two fields of
+`FieldDistribution`; a coherent field is given by its mean photon number <n>.
 
 Units: the vacuum coupling |g| = 1, so times are in 1/|g| and the detuning
 in |g|.  Another coupling is the rescaling t -> |g| t, Delta -> Delta / |g|;
@@ -32,7 +32,7 @@ __all__ = [
     "collapse_revival_times",
 ]
 
-_WINDOW_TAIL = 1e-17  # weight inversion may cut from the two ends of the ladder together
+_WINDOW_TAIL = 1e-17  # weight coherent() cuts from the two ends of its Poisson window together
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
 _ODE_ATOL = 1e-12
@@ -40,9 +40,11 @@ _ODE_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class FieldDistribution:
-    """Diagonal photon-number distribution p_n of the initial field."""
+    """Diagonal photon-number distribution of the initial field: p_n for
+    n = n_min, n_min + 1, ..., and 0 outside that window."""
 
-    weights: np.ndarray  # p_n, index = photon number n
+    weights: np.ndarray  # p_n, index = n - n_min
+    n_min: int  # photon number of weights[0]
 
     def __post_init__(self):
         p = np.asarray(self.weights, dtype=float)
@@ -53,38 +55,39 @@ class FieldDistribution:
             raise ValueError(f"photon-number weights must sum to 1, got {total}")
         if not np.all(p >= 0):
             raise ValueError("photon-number weights must be >= 0")
-
-    @staticmethod
-    def vacuum() -> "FieldDistribution":
-        return FieldDistribution(np.array([1.0]))
+        # NaN fails n_min >= 0, inf is_integer()
+        if not (self.n_min >= 0 and float(self.n_min).is_integer()):
+            raise ValueError(f"photon number n_min must be an integer >= 0, got {self.n_min}")
+        object.__setattr__(self, "n_min", int(self.n_min))
 
     @staticmethod
     def fock(n: int) -> "FieldDistribution":
-        if n < 0:
-            raise ValueError("photon number must be >= 0")
-        p = np.zeros(n + 1)
-        p[n] = 1.0
-        return FieldDistribution(p)
+        return FieldDistribution(np.ones(1), n)
 
     @staticmethod
     def coherent(mean: float) -> "FieldDistribution":
         """Poisson weights exp(-<n>) <n>^n / n! of a coherent field with mean
         photon number <n> = `mean`.
 
-        The Fock ladder ends at n_max = ceil(<n> + 10 sqrt(<n>) + 20).  The
-        weights are built from p = 1 at n = floor(<n>) by the ratios
-        <n>/(n+1) upward and n/<n> downward, all <= 1, and normalized once.
-        With x = n_max - <n>, the Chernoff bound P(N >= <n> + x) <=
-        exp(-<n> h(x/<n>)), h(u) = (1+u) ln(1+u) - u, leaves at most e^-50
-        ~ 2e-22 beyond the ladder for every <n>.
+        The weights are built over <n> -+ d, d = 10 sqrt(<n>) + 20 (clamped
+        at 0), from p = 1 at n = floor(<n>) by the ratios <n>/(n+1) upward
+        and n/<n> downward, all <= 1, and normalized once.  Chernoff bounds
+        leave at most e^-50 ~ 2e-22 outside that range on either side:
+        exp(-<n> h(x/<n>)), h(u) = (1+u) ln(1+u) - u, x = ceil(<n> + d) - <n>
+        above, and exp(-d^2 / 2<n>) below.  The rows at either end that hold
+        at most _WINDOW_TAIL / 2 are then dropped; about 17.1 sqrt(<n>) stay.
         """
         if not 0 <= mean < inf:
             raise ValueError("mean photon number must be finite and >= 0")
-        n = np.arange(ceil(mean + 10.0 * sqrt(mean) + 20.0) + 1)
-        mode = floor(mean)
+        d = 10.0 * sqrt(mean) + 20.0
+        lo = max(floor(mean - d), 0)
+        n = np.arange(lo, ceil(mean + d) + 1)
+        mode = floor(mean) - lo
         down = np.cumprod(n[mode:0:-1] / mean)[::-1]
         p = np.concatenate((down, [1.0], np.cumprod(mean / n[mode + 1 :])))
-        return FieldDistribution(p / np.sum(p))
+        p /= np.sum(p)
+        cut, top = (int(np.searchsorted(np.cumsum(q), _WINDOW_TAIL / 2, "right")) for q in (p, p[::-1]))
+        return FieldDistribution(p[cut : p.size - top], lo + cut)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class JcpParams:
     """Detuning and initial field of a single-mode scenario, in units of |g|."""
 
     detuning: float = 0.0  # Delta = (E_e - E_g)/hbar - omega
-    field: FieldDistribution = field(default_factory=FieldDistribution.vacuum)
+    field: FieldDistribution = field(default_factory=lambda: FieldDistribution.fock(0))
 
     def __post_init__(self):
         # a NaN or infinite detuning would make every Rabi frequency non-finite
@@ -113,10 +116,10 @@ class InversionTrace:
 
 @dataclass(frozen=True)
 class JcpTrace:
-    """Per-pair amplitudes from the ODE solver; rows indexed by photon number n."""
+    """Per-pair amplitudes from the ODE solver; row i is photon number n_min + i."""
 
-    a_e: np.ndarray  # shape (n_max + 1, n_times): a_{e,n}(t)
-    a_g: np.ndarray  # shape (n_max + 1, n_times): a_{g,n+1}(t)
+    a_e: np.ndarray  # shape (weights.size, n_times): a_{e,n}(t)
+    a_g: np.ndarray  # shape (weights.size, n_times): a_{g,n+1}(t)
 
     def inversion(self) -> InversionTrace:
         w = np.sum(np.abs(self.a_e) ** 2 - np.abs(self.a_g) ** 2, axis=0)
@@ -141,10 +144,7 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     addition, see `numerics._cos_sum`)."""
     times = np.asarray(times, dtype=float)
     p = params.field.weights
-    # drop the rows at either end of the ladder that hold at most _WINDOW_TAIL / 2
-    lo, hi = (int(np.searchsorted(np.cumsum(q), _WINDOW_TAIL / 2, "right")) for q in (p, p[::-1]))
-    n = np.arange(lo, p.size - hi)
-    p = p[n]
+    n = params.field.n_min + np.arange(p.size)
     omega = rabi_frequency(n, params)
     offset = params.detuning**2 / omega**2
     osc = 4.0 * (n + 1) / omega**2
@@ -165,8 +165,7 @@ def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
     # the pairs evolve apart, so the phases of a_{e,n}(0) reach no |a|^2
     a0 = np.sqrt(params.field.weights)
     n_states = a0.size
-    n_idx = np.arange(n_states)
-    root = np.sqrt(n_idx + 1.0)
+    root = np.sqrt(params.field.n_min + np.arange(n_states) + 1.0)
     delta = params.detuning
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import pi
+from math import inf, pi
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class SphericalCavity:
     atom: TwoLevelAtom
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("cavity radius must be positive")
+        if not 0 < self.radius < inf:
+            raise ValueError("cavity radius must be finite and > 0")
 
     @property
     def mode_spacing(self) -> float:
@@ -73,7 +73,8 @@ def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.nd
     echoes = np.floor(t_arr / rt)
     for m in range(1, int(echoes.max(initial=0.0)) + 1):
         live = echoes >= m
-        u = gamma * (t_arr[live] - m * rt)
+        # t / 2R can round up to m at t = m 2R - ulp; Theta(u) S_M(u) is 0 there, as S_M(0)
+        u = np.maximum(gamma * (t_arr[live] - m * rt), 0.0)
         amplitude[live] += np.exp(-u / 2.0) * [stable_binomial_series(m, ui) for ui in u.tolist()]
     p = amplitude * amplitude
     return float(p) if p.ndim == 0 else p

@@ -37,9 +37,10 @@ EPS = float(np.finfo(np.float64).eps)
 
 # Every closed-form column is a short chain of correctly rounded arithmetic,
 # elementary-function calls (each within a few ulp in any conforming libm)
-# and reductions of at most 45 terms (the jcp-inversion Fock ladder at
-# <n> = 4, n_max = ceil(<n> + 10 sqrt(<n>) + 20) = 44).  The jcp inversion
-# sums its ladder as the two angle-addition products of `numerics._cos_sum`,
+# and reductions of at most 45 terms (the Poisson range the jcp-inversion
+# field is normalized over at <n> = 4, n = 0 .. ceil(<n> + 10 sqrt(<n>) + 20)
+# = 44; the window it keeps, n = 0 .. 31, is 32 rows).  The jcp inversion
+# sums that window as the two angle-addition products of `numerics._cos_sum`,
 # (cos(A) amp) @ cos(B) - (sin(A) amp) @ sin(B), each a reduction over those
 # rows, on sample times met to an ulp of the largest one; it lies 4.1e-15 and
 # 2.1e-15 from the jcp-inversion and jcp-vacuum goldens, which the dense

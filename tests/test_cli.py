@@ -414,6 +414,11 @@ class TestDomainGuards:
     def test_boundary_value_is_accepted(self, tmp_path, text):
         assert self._run(tmp_path, text) == 0
 
+    def test_sample_on_an_echo_time_runs(self, tmp_path):
+        # t = 17 * 2R rounds one ulp short of the 17th echo, u = -4.4e-16: exited 1
+        text = "scenario = sphere-revival\ngamma_R = 0.1\nt_max_R = 40\nsamples = 101\n"
+        assert self._run(tmp_path, text) == 0
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -113,6 +113,7 @@ FIELDS = {
     "free_space.FieldMap.amplitude",
     "free_space.FieldMap.energy_density",
     "jcp.FieldDistribution.weights",
+    "jcp.FieldDistribution.n_min",
     "jcp.JcpParams.detuning",
     "jcp.JcpParams.field",
     "jcp.InversionTrace.w",

@@ -1,4 +1,5 @@
-"""Every model record rejects a NaN in its checked fields.
+"""Every model record rejects a NaN, and a value out of its range, in its
+checked fields.
 
 Each check is written as the negated in-range test, so a NaN, which fails
 every comparison, is refused instead of passing through to an all-NaN result.
@@ -39,15 +40,42 @@ NAN = float("nan")
         ),
         pytest.param(lambda: jcp.JcpParams(detuning=NAN), "detuning", id="JcpParams.detuning"),
         pytest.param(
-            lambda: jcp.FieldDistribution(np.array([NAN])), "sum to 1", id="FieldDistribution"
+            lambda: jcp.FieldDistribution(np.array([NAN]), 0), "sum to 1", id="FieldDistribution"
         ),
         pytest.param(
-            lambda: jcp.FieldDistribution(np.array([NAN, 1.0])),
+            lambda: jcp.FieldDistribution(np.array([NAN, 1.0]), 0),
             "sum to 1",
             id="FieldDistribution-with-a-full-row",
+        ),
+        pytest.param(
+            lambda: jcp.FieldDistribution(np.array([1.0]), NAN), "n_min", id="FieldDistribution.n_min"
         ),
     ],
 )
 def test_nan_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # passed the radius check, then divided by zero in the flat band
+        pytest.param(
+            lambda: sc.SphericalCavity(radius=float("inf"), atom=TwoLevelAtom.from_linewidth(1.0, 1e3)),
+            "cavity radius",
+            id="SphericalCavity.radius-inf",
+        ),
+        pytest.param(
+            lambda: jcp.FieldDistribution(np.array([1.0]), -1), "n_min", id="FieldDistribution.n_min-negative"
+        ),
+        pytest.param(
+            lambda: jcp.FieldDistribution(np.array([1.0]), 2.5),
+            "n_min",
+            id="FieldDistribution.n_min-non-integer",
+        ),
+    ],
+)
+def test_out_of_range_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

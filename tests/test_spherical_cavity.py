@@ -127,6 +127,21 @@ class TestClosedForm:
         want = (np.exp(-t / 2.0) + np.exp(-u / 2.0) * (-u)) ** 2
         assert p == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @staticmethod
+    def _exact_series(cav, t):
+        """P_e on `t` from the exact echo series, each bracket in rationals (Gamma = 1)."""
+        amplitude = np.exp(-t / 2.0)
+        for m in range(1, int(np.max(t) // cav.round_trip_time) + 1):
+            for i in np.flatnonzero(t >= m * cav.round_trip_time):
+                u = t[i] - m * cav.round_trip_time
+                uq = Fraction(u)
+                series = sum(
+                    Fraction(comb(m - 1, r)) * (-uq) ** (1 + r) / factorial(1 + r)
+                    for r in range(m)
+                )
+                amplitude[i] += np.exp(-u / 2.0) * float(series)
+        return amplitude * amplitude
+
     def test_twenty_echoes_match_the_exact_series(self, atom):
         """The closed form is a(t) = sum_{M>=0} Theta(u) e^{-u/2} [L_M(u) - L_{M-1}(u)],
         u = Gamma (t - 2MR), L_{-1} = 0: with x = e^{-2sR} the flat ladder's
@@ -136,19 +151,20 @@ class TestClosedForm:
         in exact rationals, rounded once."""
         cav = make_cavity(atom, 3.0)
         t = np.linspace(0.0, 120.0, 201)
-        amplitude = np.exp(-t / 2.0)
-        for m in range(1, 21):
-            for i in np.flatnonzero(t >= m * cav.round_trip_time):
-                u = t[i] - m * cav.round_trip_time  # Gamma = 1
-                uq = Fraction(u)
-                series = sum(
-                    Fraction(comb(m - 1, r)) * (-uq) ** (1 + r) / factorial(1 + r)
-                    for r in range(m)
-                )
-                amplitude[i] += np.exp(-u / 2.0) * float(series)
-        want = amplitude * amplitude
+        want = self._exact_series(cav, t)
         got = sc.excited_probability_closed_form(cav, t)
         # golden_check's closed-form bound, 64 eps S
+        assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(want)
+
+    @pytest.mark.parametrize("gamma_R", [0.1, 0.3, 1.7])
+    @pytest.mark.parametrize("per_trip", [1, 2, 5])
+    def test_samples_on_the_echo_times(self, atom, gamma_R, per_trip):
+        # t = k 2R / p puts a sample on every echo time, some an ulp short of
+        # it: at Gamma R = 0.1, p = 5, t / 2R rounds to 17 where u = -4.4e-16
+        cav = make_cavity(atom, gamma_R)
+        t = np.linspace(0.0, 20 * cav.round_trip_time, 20 * per_trip + 1)
+        want = self._exact_series(cav, t)
+        got = sc.excited_probability_closed_form(cav, t)
         assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(want)
 
     def test_negative_time_rejected(self, atom):
