@@ -227,7 +227,7 @@ def wigner_weisskopf_ode(
         raise ValueError("mode spacing must be at most Gamma / 20 and > 0")
     recurrence = 2.0 * pi / mode_spacing
     reach = np.max(np.abs(times))
-    if reach >= recurrence:
+    if not reach < recurrence:
         raise ValueError(
             f"time grid reaches {reach:g}, past the discretization recurrence time "
             f"{recurrence:g}; decrease the mode spacing"

@@ -160,43 +160,59 @@ def stable_binomial_series(M: int, u: float) -> float:
 
 def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:
     """sum_j weights_j cos(frequencies_j t_k) on a uniform grid t_k = t_0 + k h,
-    h = (t_{T-1} - t_0) / (T - 1); a sample off t_0 + k h by more than 4 eps
-    max |t| raises ValueError.
+    h = (t_{T-1} - t_0) / (T - 1); a grid that is not 1-D, holds a NaN or inf,
+    or has a sample off t_0 + k h by more than 4 eps max |t| raises ValueError.
 
     With S = ceil(sqrt(T)) the grid is read as K = ceil(T / S) rows t_{bS} + j h,
     j < S, so cos(lambda t_k) = cos(lambda t_{bS}) cos(lambda j h)
     - sin(lambda t_{bS}) sin(lambda j h) makes the sum two (K x n) @ (n x S)
-    products.  A phase table of fewer than _DOUBLING_MIN entries takes its
-    2 n K or 2 n S sines and cosines directly, and is off the exact sum by
-    about eps max |t| sum |w_j lambda_j| from the phases plus a few eps
-    sum |w_j| from the products.  A larger one is filled by doubling in
-    `_turns`, from t_0 + b S h, with 2 (1 + ceil(log2 K)) or 2 ceil(log2 S)
-    per mode (26 instead of 180 for both at T = 2000): each entry is a product
-    of at most ceil(log2 T) rotations, each rounded a few eps, and its phase
-    the sum of the same angles, each rounded once, which adds about
-    2 log2(T) eps sum |w_j| to that bound.
+    products.  The modes are taken in blocks of b = floor(_TABLE_MAX / S),
+    so no phase table exceeds _TABLE_MAX entries whatever n is, and each
+    block adds its two (K x b) @ (b x S) products into the K x S result.  A
+    phase table of fewer than _DOUBLING_MIN entries takes its 2 b K or 2 b S
+    sines and cosines directly, and is off the exact sum by about
+    eps max |t| sum |w_j lambda_j| from the phases plus a few eps sum |w_j|
+    from the products; blocks only reorder the same products, which stays
+    within those few eps sum |w_j|, and a sum of one block is exactly the
+    unblocked one.  A larger table is filled by doubling in `_turns`, from
+    t_0 + b S h, with 2 (1 + ceil(log2 K)) or 2 ceil(log2 S) per mode (26
+    instead of 180 for both at T = 2000): each entry is a product of at most
+    ceil(log2 T) rotations, each rounded a few eps, and its phase the sum of
+    the same angles, each rounded once, which adds about 2 log2(T) eps
+    sum |w_j| to that bound.
     """
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValueError("time grid must be uniform, finite and 1-D")
     size = times.size
     step = (times[-1] - times[0]) / (size - 1) if size > 1 else 0.0
     uniform = times[:1] + step * np.arange(size)
-    if np.any(np.abs(times - uniform) > 4.0 * _EPS * np.max(np.abs(times), initial=0.0)):
+    # negated, so a NaN difference (0 * inf where the step overflows) fails too
+    if not np.all(np.abs(times - uniform) <= 4.0 * _EPS * np.max(np.abs(times), initial=0.0)):
         raise ValueError("time grid must be uniform")
     cols = max(1, ceil(sqrt(size)))
     rows = -(-size // cols)
     # the K x S result first: a grid too large for memory fails before any trig
     out = np.empty((rows, cols))
-    if rows * frequencies.size < _DOUBLING_MIN:
-        anchors = np.multiply.outer(times[::cols], frequencies)
-        cos_a, sin_a = np.cos(anchors) * weights, np.sin(anchors) * weights
-    else:
-        cos_a, sin_a = _turns(weights, frequencies * times[0], frequencies * (cols * step), rows)
-    if cols * frequencies.size < _DOUBLING_MIN:
-        offsets = np.multiply.outer(frequencies, step * np.arange(cols))
-        cos_o, sin_o = np.cos(offsets), np.sin(offsets)
-    else:
-        cos_o, sin_o = _turns(1.0, 0.0, frequencies * step, cols).transpose(0, 2, 1)
-    np.matmul(cos_a, cos_o, out=out)
-    out -= sin_a @ sin_o
+    # rows <= cols, so the offset tables set the block width; no modes still
+    # take one (empty) pass, which writes the zeros
+    width = max(1, _TABLE_MAX // cols)
+    for lo in range(0, max(1, frequencies.size), width):
+        w, f = weights[lo : lo + width], frequencies[lo : lo + width]
+        if rows * f.size < _DOUBLING_MIN:
+            anchors = np.multiply.outer(times[::cols], f)
+            cos_a, sin_a = np.cos(anchors) * w, np.sin(anchors) * w
+        else:
+            cos_a, sin_a = _turns(w, f * times[0], f * (cols * step), rows)
+        if cols * f.size < _DOUBLING_MIN:
+            offsets = np.multiply.outer(f, step * np.arange(cols))
+            cos_o, sin_o = np.cos(offsets), np.sin(offsets)
+        else:
+            cos_o, sin_o = _turns(1.0, 0.0, f * step, cols).transpose(0, 2, 1)
+        if lo:
+            out += cos_a @ cos_o
+        else:
+            np.matmul(cos_a, cos_o, out=out)
+        out -= sin_a @ sin_o
     return out.ravel()[:size]
 
 
@@ -204,6 +220,12 @@ def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) ->
 # directly: below about this size the numpy call overhead of the doubling
 # steps in `_turns` costs more than the trig they save.
 _DOUBLING_MIN = 4096
+# No phase table (a block's cosines or its sines) holds more entries than
+# this, 256 KiB of doubles, so `_cos_sum` needs about 2 MB however many modes
+# it sums.  Each block costs about 100 numpy calls: measured on `perfbench`,
+# 2^14 takes 0.3-0.5 MB more off the `echo-series` peak RSS but makes
+# `continuum-ode` about 5 % slower, where 2^15 leaves it within 1 %.
+_TABLE_MAX = 2**15
 
 
 def _turns(amplitude, phase, angle: np.ndarray, count: int) -> np.ndarray:

@@ -211,8 +211,11 @@ class TestDiscretizedContinuum:
 
     def test_grid_past_recurrence_raises(self, atom):
         # the guard checks every time the exact solution is evaluated at,
-        # not only the last
-        for times in ([0.0, 50.0, 100.0, 150.0, 200.0], [0.0, 200.0, 1.0], [-200.0, 0.0]):
+        # not only the last; a NaN reach used to pass it
+        for times in (
+            [0.0, 50.0, 100.0, 150.0, 200.0], [0.0, 200.0, 1.0], [-200.0, 0.0],
+            [np.nan, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, np.inf],
+        ):
             with pytest.raises(ValueError, match="recurrence"):
                 free_space.wigner_weisskopf_ode(
                     atom, np.array(times), band_width=20.0, mode_spacing=0.05
@@ -223,6 +226,9 @@ class TestDiscretizedContinuum:
         times[7] += 1e-9
         with pytest.raises(ValueError, match="time grid must be uniform"):
             free_space.wigner_weisskopf_ode(atom, times, band_width=20.0, mode_spacing=0.05)
+        # a scalar used to end in an IndexError
+        with pytest.raises(ValueError, match="time grid must be uniform"):
+            free_space.wigner_weisskopf_ode(atom, np.asarray(0.5), band_width=20.0, mode_spacing=0.05)
 
     def test_flat_band_couplings(self, atom, monkeypatch):
         # the band the spectral solver builds and solves

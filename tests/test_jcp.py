@@ -142,6 +142,11 @@ class TestClosedForm:
             jcp.inversion(params, t)
         with pytest.raises(ValueError, match="uniform"):
             jcp.inversion(params, np.geomspace(1.0, 10.0, 50))
+        # a NaN or inf sample used to pass the check and give NaN rows, a
+        # scalar an IndexError
+        for times in ([np.nan, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, np.inf], 0.5, [[0.0, 1.0]] * 2):
+            with pytest.raises(ValueError, match="time grid must be uniform"):
+                jcp.inversion(params, times)
 
     @pytest.mark.parametrize("mean_n", [4.0, 100.0, 1e4])
     def test_matches_a_long_double_dense_sum(self, mean_n):

@@ -1,6 +1,7 @@
 """The exact flat-band solver against dense diagonalization, DOP853 and the
 bisection solver it replaced."""
 
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_weights_are_unitary(gamma, band_width, spacing):
 
 
 def _band_terms(half, ratio):
-    """Weights and frequencies of the 1 to 2001 upper-half modes of a flat
+    """Weights and frequencies of the 1 to 8193 upper-half modes of a flat
     band at unit spacing."""
     x, w = multimode._flat_band_spectrum(half, ratio)
     return 2.0 * w[x.size // 2 :], x[x.size // 2 :]
@@ -105,6 +106,15 @@ def _jcp_terms(mean_n):
 # (1000, 1 / (0.04 pi)) is `free-decay`'s default (40 Gamma at spacing
 # Gamma / 50) to Gamma t = 1000; (2000, 15.9) reaches Gamma t = 2000.  The
 # jcp window at <n> = 1e4 (1715 rows) runs over 3 revival times.
+#
+# A block holds floor(_TABLE_MAX / S) modes (728 at 2000 samples, 1310 at
+# 601, 1560 at 401), so the band of 2001 modes at 401, 601 and 2000 samples,
+# that of 1001 modes at 2000, and the <n> = 1e4 window (3 blocks) are summed
+# in several blocks; every other case fits in one.  At 64 samples (S = 8) the
+# block-edge cases put each table just below the cap, at it and one mode above
+# it, where the last block holds a single mode, and at two blocks and a
+# single mode.
+_BLOCK = numerics._TABLE_MAX // 8
 _COS_SUM_CASES = [
     pytest.param(
         _band_terms, (half, ratio), np.linspace(start, start + 20.0, size),
@@ -121,6 +131,13 @@ _COS_SUM_CASES = [
         _jcp_terms, (1e4,), np.linspace(0.0, 6.0 * pi * sqrt(1e4 + 1.0), 2000),
         id="jcp-1e4-2000",
     )
+] + [
+    pytest.param(
+        _band_terms, (modes - 1, 0.0159), np.linspace(start, start + 20.0, 64),
+        id=f"block-edge-{modes}-{start}",
+    )
+    for modes in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+    for start in (0.0, 0.3)
 ]
 
 
@@ -138,6 +155,22 @@ def test_cos_sum_matches_the_dense_sum(terms, args, times):
     bound = 1e-14 * np.sum(weights) + eps * np.max(np.abs(times)) * np.sum(weights * frequencies)
     assert got.shape == times.shape
     assert np.max(np.abs(got - want)) <= bound
+
+
+def test_cos_sum_memory_stops_at_the_table_cap():
+    # the <n> = 1e6 window (17 149 rows) at 2000 samples: whole phase tables
+    # took 27 MB; capped ones take four of 256 KiB at a time, plus the
+    # doubling's temporaries (1.8 MB in all)
+    weights, frequencies = _jcp_terms(1e6)
+    times = np.linspace(0.0, 6.0 * pi * sqrt(1e6 + 1.0), 2000)
+    tracemalloc.start()
+    try:
+        numerics._cos_sum(weights, frequencies, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frequencies.size == 17149
+    assert peak < 4e6
 
 
 def test_uniform_grid_tolerance_is_a_few_ulps():

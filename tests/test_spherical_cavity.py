@@ -195,9 +195,10 @@ class TestOdeOracle:
         assert np.max(np.abs(trace.norm - 1.0)) < 1e-7
 
     def test_non_uniform_grid_raises(self, atom):
-        times = np.geomspace(1e-3, 4.0, 161)
-        with pytest.raises(ValueError, match="time grid must be uniform"):
-            sc.evolve_cavity_ode(make_cavity(atom, 1.0), times, band_width=400.0)
+        # [0, inf] used to give a NaN amplitude, a scalar an IndexError
+        for times in (np.geomspace(1e-3, 4.0, 161), [0.0, np.inf], [np.nan, 1.0, 2.0], 0.5):
+            with pytest.raises(ValueError, match="time grid must be uniform"):
+                sc.evolve_cavity_ode(make_cavity(atom, 1.0), np.asarray(times), band_width=400.0)
 
     def test_closed_form_is_the_infinite_band_limit(self, atom):
         # the finite band misses the closed form by ~1.43 / band at Gamma R = 1:
