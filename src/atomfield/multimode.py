@@ -13,8 +13,9 @@ The free-space (quasi-continuum band) and spherical-cavity (equidistant
 ladder) solvers share one model, the flat band of `_flat_band`, and solve it
 exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
 the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
-half is solved, each root by a few safeguarded Newton steps on the closed form
-of the secular sum, which needs only numpy.  The time grid must be uniform:
+half is solved: all its roots together by two or three safeguarded Newton
+steps on the closed form of the secular sum, from starts that model each
+root's nearest poles, with psi and psi' taken in one numpy pass per step.  The time grid must be uniform:
 `numerics._cos_sum` sums the cosines by angle addition over blocks of the
 grid, with about 2 log2(T) + 2 sines and cosines per mode instead of T
 (about 4 sqrt(T) for the smallest bands and grids, see `numerics._cos_sum`).
@@ -30,7 +31,7 @@ from math import fsum, pi, sqrt
 
 import numpy as np
 
-from .numerics import _EPS, _GUARD_RTOL, _cos_sum, _psi, _trigamma
+from .numerics import _EPS, _GUARD_RTOL, _cos_sum, _psi_trigamma
 
 __all__ = ["AmplitudeTrace", "integrate_atom_modes"]
 
@@ -90,15 +91,12 @@ def _newton(value_and_slope, t, lo, hi):
     most 8 eps t, or after _BISECTIONS steps."""
     for _ in range(_BISECTIONS):
         value, slope = value_and_slope(t)
-        below = value < 0.0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
+        lo, hi = np.where(value < 0.0, (t, hi), (lo, t))
         new = t - value / slope
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        converged = np.all(np.abs(new - t) <= 8.0 * _EPS * new)
+        if np.all(np.abs(new - t) <= 8.0 * _EPS * new):
+            return new
         t = new
-        if converged:
-            break
     return t
 
 
@@ -110,44 +108,65 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     The secular equation x = ratio * sum_k 1 / (x - k) has one root in each of
     the 2n gaps (k, k + 1) and one beyond each band edge.  The band is
     symmetric, so the roots below 0 are -x of those above, with the same
-    weights; only the gaps k = 0..n-1 and the outer root n + d are solved.
+    weights; only the gaps k = 0..n-1 and the outer root n + d are solved,
+    all in one `_newton` call whose every step takes one `_psi_trigamma` pass.
     With the closed form sum_k 1 / (k - x) = psi(n+1-x) - psi(n+1+x)
     - pi cot(pi x) (DLMF 5.15, 5.5.4), a gap root x = k + tau solves the
     pole-free equation tau = arctan2(pi, R(x)) / pi with R(x) = x / ratio
     + psi(n+1-x) - psi(n+1+x).  tau - arctan2(pi, R) / pi increases with
     tau (slope 1 + R' / (pi^2 + R^2) >= 1 - 2 psi'(1) / pi^2 = 2/3), and arctan2
     keeps the relative accuracy of a small tau, so lambda - delta_k = s tau
-    carries no cancellation.  d solves the direct O(N) sum.
+    carries no cancellation.  The outer root solves (n + d) / ratio
+    = sum_j 1 / (d + j), j = 0..2n, by its direct sums, two reductions per
+    step: the closed form psi(d + 2n + 1) - psi(d) cancels where
+    d >> 2n + 1, and put (n, ratio) = (3, 1e4) 1.3e-14 from the oracle.
+
+    Each root starts from a local model of its nearest poles, so that the
+    bands `_flat_band` builds take 2-3 steps, 3-4 polygamma passes with the
+    weights' (from tau = 1/2 they took 4-7 steps of a psi and a psi' pass
+    each, and the outer root a Newton loop of its own from d_lo):
+    - gap k >= 1: R with the psi difference replaced by its logarithm,
+      tau_0 = arctan2(pi, (k + 1/2) / ratio + ln((n + 1/2 - k) / (n + 3/2 + k)))
+      / pi;
+    - gap 0: cot(pi tau) ~ 1 / (pi tau) - pi tau / 3 against the poles 0 and
+      1, tau_0 = min(1/2, (1 / ratio + pi^2 / 3)^(-1/2));
+    - then two Newton steps on the model R ~ x / ratio + ln((n + 1/2 - x)
+      / (n + 1/2 + x)) (psi(a) ~ ln(a - 1/2)), which cost no polygamma and
+      bring the roots beside the poles of a small-ratio band from up to 30 %
+      off to about 1e-5;
+    - outer root: the direct sum to first order in d, 1 / d + H - d H2 with
+      H, H2 = sum_{j>=1} 1 / j, 1 / j^2, so d_0 is the positive root of
+      d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at
+      d_hi; where A <= 0 (ratio > n / H, which `_flat_band` never builds:
+      it keeps ratio <= n / (20 pi)) d is not small and d_0 = d_hi.
     """
-    k = np.arange(n, dtype=float)
+    k, j = np.arange(n, dtype=float), np.arange(2 * n + 1, dtype=float)
 
-    def gap(tau):
-        x = k + tau
-        args = np.concatenate((n + 1 - x, n + 1 + x))
-        psi, trigamma = _psi(args), _trigamma(args)
+    def roots(t):
+        x, q = k + t[:n], 1.0 / (t[n] + j)
+        psi, trigamma = _psi_trigamma(np.concatenate((n + 1 - x, n + 1 + x)))
         r = x / ratio + psi[:n] - psi[n:]
+        value = np.append(t[:n] - np.arctan2(pi, r) / pi, (n + t[n]) / ratio - np.sum(q))
         slope = 1.0 + (1.0 / ratio - trigamma[:n] - trigamma[n:]) / (pi**2 + r**2)
-        return tau - np.arctan2(pi, r) / pi, slope
+        return value, np.append(slope, 1.0 / ratio + np.sum(q * q))
 
-    tau = _newton(gap, np.full(n, 0.5), np.zeros(n), np.ones(n))
-    x = k + tau
-    trigamma = _trigamma(np.concatenate((n + 1 - x, n + 1 + x)))
-    w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * tau) ** 2 - trigamma[:n] - trigamma[n:]))
-
-    # outer root n + d: (n + d) / ratio = sum_j 1 / (d + j), j = 0..2n.  The
-    # difference of the two sides is concave and increasing in d, so Newton
-    # climbs to the root from below; the j = 0 term alone gives the lower
-    # bound, and the right side is at most (2n + 1) / d, the upper one
-    j = np.arange(2 * n + 1, dtype=float)
-
-    def outer(d):
-        q = 1.0 / (d + j)
-        return (n + d) / ratio - np.sum(q), 1.0 / ratio + np.sum(q * q)
-
-    d_lo = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio))
-    d = float(_newton(outer, d_lo, d_lo, sqrt((2 * n + 1) * ratio)))
-    w_out = 1.0 / (1.0 + ratio * np.sum(1.0 / (d + j) ** 2))
-    x, w = np.append(x, n + d), np.append(w, w_out)
+    tau = np.arctan2(pi, (k + 0.5) / ratio + np.log((n + 0.5 - k) / (n + 1.5 + k))) / pi
+    tau[:1] = min(0.5, (1.0 / ratio + pi**2 / 3.0) ** -0.5)
+    for _ in range(2):
+        a, b = n + 0.5 - k - tau, n + 0.5 + k + tau
+        r = (k + tau) / ratio + np.log(a / b)
+        slope = 1.0 + (1.0 / ratio - 1.0 / a - 1.0 / b) / (pi**2 + r**2)
+        tau -= (tau - np.arctan2(pi, r) / pi) / slope
+    a, b = n / ratio - np.sum(1.0 / j[1:]), 1.0 / ratio + np.sum(1.0 / j[1:] ** 2)
+    # brackets: (0, 1) in a gap; beyond the edge the j = 0 term alone gives
+    # the lower bound, and the right side is at most (2n + 1) / d, the upper one
+    d_lo, d_hi = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio)), sqrt((2 * n + 1) * ratio)
+    d = min(2.0 / (a + sqrt(a * a + 4.0 * b)), d_hi) if a > 0.0 else d_hi
+    t = _newton(roots, np.append(tau, d), np.append(np.zeros(n), d_lo), np.append(np.ones(n), d_hi))
+    x = np.arange(n + 1.0) + t
+    trigamma = _psi_trigamma(np.concatenate((n + 1 - x[:n], n + 1 + x[:n])))[1]
+    w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * t[:n]) ** 2 - trigamma[:n] - trigamma[n:]))
+    w = np.append(w, 1.0 / (1.0 + ratio * np.sum(1.0 / (t[n] + j) ** 2)))
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 

@@ -250,39 +250,37 @@ def _turns(amplitude, phase, angle: np.ndarray, count: int) -> np.ndarray:
     return table
 
 
-# Bernoulli numbers B_2k, k = 1..7 (DLMF 24.2.1)
+# Bernoulli numbers B_2k, k = 1..7 (DLMF 24.2.1): B_2k / 2k are the
+# coefficients of psi's asymptotic series, B_2k those of psi'
 _B2K = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6])
-_TWO_K = 2.0 * np.arange(1, 8)
+_PSI_SERIES = _B2K / (2.0 * np.arange(1, 8))
 _RECURRENCE = np.arange(10.0)
 
 
-def _asymptotic(x, coef: np.ndarray, term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For x >= 1: y = x + 10 where x < 10, else y = x; the Bernoulli sum
-    sum_k coef_k y^(-2k), k = 1..7; and sum_{j<10} term(x + j) over the
-    lifted entries (zero elsewhere), for the recurrence back from y to x.
-    At y >= 10 the first omitted term, which bounds the truncation error, is
-    below 3 eps relative (psi' at y = 10; under an ulp for psi)."""
-    x = np.asarray(x, dtype=float)
+def _psi_trigamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digamma psi(x) and trigamma psi'(x) of a 1-D array x >= 1 (DLMF
+    5.11.2, 5.15.8), in one pass.  Entries x < 10 are lifted to y = x + 10,
+    the rest keep y = x; one Horner loop in z = y^-2 sums both Bernoulli
+    series, and the recurrences back from y to x (DLMF 5.5.2, 5.15.5)
+    subtract sum_{j<10} 1 / (x + j) from psi and add sum_{j<10} 1 / (x + j)^2
+    to psi' at the lifted entries.  At y >= 10 the first omitted term, which
+    bounds the truncation error, is below 3 eps relative (psi' at y = 10;
+    under an ulp for psi).  The two series keep their own arrays: stacked as
+    one (2, m) array with a (2, 1) coefficient column they take about 1.4x as
+    long, numpy's broadcasting loops being slower than its scalar ones."""
     small = np.flatnonzero(x < 10.0)
-    y = x.copy()
-    y.flat[small] += 10.0
+    y = x.astype(float)
+    y[small] += 10.0
     z = 1.0 / (y * y)
-    series = coef[-1] * z
-    for c in coef[-2::-1]:
-        series += c
-        series *= z
-    lift = np.zeros(x.shape)
-    lift.flat[small] = term(x.flat[small][:, None] + _RECURRENCE).sum(axis=1)
-    return y, series, lift
-
-
-def _psi(x):
-    """Digamma psi(x) for x >= 1 (DLMF 5.11.2 after 5.5.2)."""
-    y, series, lift = _asymptotic(x, _B2K / _TWO_K, np.reciprocal)
-    return np.log(y) - 0.5 / y - series - lift
-
-
-def _trigamma(x):
-    """Trigamma psi'(x) for x >= 1 (DLMF 5.15.8 after 5.15.5)."""
-    y, series, lift = _asymptotic(x, _B2K, lambda u: 1.0 / (u * u))
-    return (1.0 + 0.5 / y + series) / y + lift
+    psi, trigamma = _PSI_SERIES[-1] * z, _B2K[-1] * z
+    for a, b in zip(_PSI_SERIES[-2::-1], _B2K[-2::-1]):
+        psi += a
+        psi *= z
+        trigamma += b
+        trigamma *= z
+    half = 0.5 / y
+    psi, trigamma = np.log(y) - half - psi, (1.0 + half + trigamma) / y
+    u = x[small, None] + _RECURRENCE
+    psi[small] -= (1.0 / u).sum(axis=1)
+    trigamma[small] += (1.0 / (u * u)).sum(axis=1)
+    return psi, trigamma

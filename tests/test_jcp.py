@@ -148,6 +148,10 @@ class TestClosedForm:
             with pytest.raises(ValueError, match="time grid must be uniform"):
                 jcp.inversion(params, times)
 
+    def test_empty_grid_gives_an_empty_trace(self):
+        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(4.0))
+        assert jcp.inversion(params, np.array([])).w.shape == (0,)
+
     @pytest.mark.parametrize("mean_n", [4.0, 100.0, 1e4])
     def test_matches_a_long_double_dense_sum(self, mean_n):
         params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(mean_n))

@@ -242,18 +242,30 @@ def _bisection_spectrum(n, ratio):
 
 
 @pytest.mark.parametrize(
-    "half, ratio", [(1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9)]
+    "half, ratio",
+    [(1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9), (3, 1e4), (5, 100.0)],
 )
 def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
-    psi_calls = []
-    psi = multimode._psi
-    monkeypatch.setattr(multimode, "_psi", lambda x: psi_calls.append(1) or psi(x))
+    passes = []
+    psi_trigamma = multimode._psi_trigamma
+    monkeypatch.setattr(multimode, "_psi_trigamma", lambda x: passes.append(1) or psi_trigamma(x))
     x, w = multimode._flat_band_spectrum(half, ratio)
     want_x, want_w = _bisection_spectrum(half, ratio)
     assert np.all(np.abs(x - want_x) <= 1e-13 * np.maximum(1.0, np.abs(want_x)))
     # the bisection's gap weights lose ~eps / tau where tau is small (its
     # 1/2 - arctan cancels), which is far below 1e-13 of the weight sum
     assert np.max(np.abs(w - want_w)) <= 1e-13
-    # one psi call per Newton step on the gap roots; a wrong slope would fall
-    # back to bisection, still correct but 60 steps long
-    assert len(psi_calls) <= 10
+    # the outer root by its direct sums: psi(d + 2n + 1) - psi(d) cancels
+    # where d >> 2n + 1 and puts (3, 1e4) 1.3e-14 off.  The bisection's outer
+    # weight is accurate only absolutely (it resolves d to 2^-60 of its bracket)
+    assert abs(x[-1] - want_x[-1]) <= 4e-16 * want_x[-1]
+    assert abs(w[-1] - want_w[-1]) <= 4e-16
+    # one psi/psi' pass per Newton step on all the roots, and one for the
+    # weights; a wrong slope would fall back to bisection, still correct but
+    # 60 steps long
+    assert len(passes) <= 10
+    if (half, ratio) in ((20, 0.016), (128, 0.0507), (2000, 0.0159)):
+        # the analytic starts: 4, 3 and 3 passes (5 each without the two
+        # Newton steps on the log model; 15, 13 and 15 psi and psi' passes
+        # from tau = 1/2 and d_lo)
+        assert len(passes) <= 4
