@@ -15,8 +15,8 @@ exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
 the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
 half is solved: all its roots together by two or three safeguarded Newton
 steps on the closed form of the secular sum, from starts that model each
-root's nearest poles, with psi and psi' taken in one numpy pass per step.  The time grid must be uniform:
-`numerics._cos_sum` sums the cosines by angle addition over blocks of the
+root's nearest poles, with psi and psi' taken in one numpy pass per step.
+The time grid must be uniform: `numerics._cos_sum` sums the cosines by angle addition over blocks of the
 grid, with about 2 log2(T) + 2 sines and cosines per mode instead of T
 (about 4 sqrt(T) for the smallest bands and grids, see `numerics._cos_sum`).
 `integrate_atom_modes` integrates any band with DOP853 and is the brute-force
@@ -131,14 +131,15 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     - gap 0: cot(pi tau) ~ 1 / (pi tau) - pi tau / 3 against the poles 0 and
       1, tau_0 = min(1/2, (1 / ratio + pi^2 / 3)^(-1/2));
     - then two Newton steps on the model R ~ x / ratio + ln((n + 1/2 - x)
-      / (n + 1/2 + x)) (psi(a) ~ ln(a - 1/2)), which cost no polygamma and
-      bring the roots beside the poles of a small-ratio band from up to 30 %
-      off to about 1e-5;
+      / (n + 1/2 + x)) (psi(a) ~ ln(a - 1/2)), kept in the gap, which cost
+      no polygamma and bring the roots beside the poles of a small-ratio
+      band from up to 30 % off to about 1e-5;
     - outer root: the direct sum to first order in d, 1 / d + H - d H2 with
       H, H2 = sum_{j>=1} 1 / j, 1 / j^2, so d_0 is the positive root of
-      d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at
-      d_hi; where A <= 0 (ratio > n / H, which `_flat_band` never builds:
-      it keeps ratio <= n / (20 pi)) d is not small and d_0 = d_hi.
+      d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at the
+      bracket's upper end d_hi = sqrt((2n + 1) ratio).  Where A <= 0, d is
+      not small and d_0 = d_hi; that takes up to 16 steps, but needs
+      ratio > n / H, and `_flat_band` keeps ratio <= n / (20 pi).
     """
     k, j = np.arange(n, dtype=float), np.arange(2 * n + 1, dtype=float)
 
@@ -156,14 +157,14 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
         a, b = n + 0.5 - k - tau, n + 0.5 + k + tau
         r = (k + tau) / ratio + np.log(a / b)
         slope = 1.0 + (1.0 / ratio - 1.0 / a - 1.0 / b) / (pi**2 + r**2)
-        tau -= (tau - np.arctan2(pi, r) / pi) / slope
+        tau = np.clip(tau - (tau - np.arctan2(pi, r) / pi) / slope, 0.0, 1.0)
     a, b = n / ratio - np.sum(1.0 / j[1:]), 1.0 / ratio + np.sum(1.0 / j[1:] ** 2)
     # brackets: (0, 1) in a gap; beyond the edge the j = 0 term alone gives
     # the lower bound, and the right side is at most (2n + 1) / d, the upper one
     d_lo, d_hi = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio)), sqrt((2 * n + 1) * ratio)
     d = min(2.0 / (a + sqrt(a * a + 4.0 * b)), d_hi) if a > 0.0 else d_hi
     t = _newton(roots, np.append(tau, d), np.append(np.zeros(n), d_lo), np.append(np.ones(n), d_hi))
-    x = np.arange(n + 1.0) + t
+    x = np.arange(n + 1.0) + t  # the gap roots k + tau, then n + d
     trigamma = _psi_trigamma(np.concatenate((n + 1 - x[:n], n + 1 + x[:n])))[1]
     w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * t[:n]) ** 2 - trigamma[:n] - trigamma[n:]))
     w = np.append(w, 1.0 / (1.0 + ratio * np.sum(1.0 / (t[n] + j) ** 2)))
