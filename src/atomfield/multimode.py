@@ -147,9 +147,9 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
         x, q = k + t[:n], 1.0 / (t[n] + j)
         psi, trigamma = _psi_trigamma(np.concatenate((n + 1 - x, n + 1 + x)))
         r = x / ratio + psi[:n] - psi[n:]
-        value = np.append(t[:n] - np.arctan2(pi, r) / pi, (n + t[n]) / ratio - np.sum(q))
+        value = np.append(t[:n] - np.arctan2(pi, r) / pi, (n + t[n]) / ratio - q.sum())
         slope = 1.0 + (1.0 / ratio - trigamma[:n] - trigamma[n:]) / (pi**2 + r**2)
-        return value, np.append(slope, 1.0 / ratio + np.sum(q * q))
+        return value, np.append(slope, 1.0 / ratio + (q * q).sum())
 
     tau = np.arctan2(pi, (k + 0.5) / ratio + np.log((n + 0.5 - k) / (n + 1.5 + k))) / pi
     tau[:1] = min(0.5, (1.0 / ratio + pi**2 / 3.0) ** -0.5)
@@ -158,7 +158,7 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
         r = (k + tau) / ratio + np.log(a / b)
         slope = 1.0 + (1.0 / ratio - 1.0 / a - 1.0 / b) / (pi**2 + r**2)
         tau = np.clip(tau - (tau - np.arctan2(pi, r) / pi) / slope, 0.0, 1.0)
-    a, b = n / ratio - np.sum(1.0 / j[1:]), 1.0 / ratio + np.sum(1.0 / j[1:] ** 2)
+    a, b = n / ratio - (1.0 / j[1:]).sum(), 1.0 / ratio + (1.0 / j[1:] ** 2).sum()
     # brackets: (0, 1) in a gap; beyond the edge the j = 0 term alone gives
     # the lower bound, and the right side is at most (2n + 1) / d, the upper one
     d_lo, d_hi = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio)), sqrt((2 * n + 1) * ratio)
@@ -167,7 +167,7 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.arange(n + 1.0) + t  # the gap roots k + tau, then n + d
     trigamma = _psi_trigamma(np.concatenate((n + 1 - x[:n], n + 1 + x[:n])))[1]
     w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * t[:n]) ** 2 - trigamma[:n] - trigamma[n:]))
-    w = np.append(w, 1.0 / (1.0 + ratio * np.sum(1.0 / (t[n] + j) ** 2)))
+    w = np.append(w, 1.0 / (1.0 + ratio * (1.0 / (t[n] + j) ** 2).sum()))
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
