@@ -225,7 +225,8 @@ def wigner_weisskopf_ode(
     # negated, so a NaN fails too
     if not 0 < mode_spacing <= gamma / 20.0 * (1.0 + _GUARD_RTOL):
         raise ValueError("mode spacing must be at most Gamma / 20 and > 0")
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
+    # before the recurrence guard, whose advice cannot mend a NaN or inf
+    if not np.all(np.isfinite(times)):
         raise ValueError("time grid must be uniform, finite and 1-D")
     recurrence = 2.0 * pi / mode_spacing
     reach = np.max(np.abs(times), initial=0.0)

@@ -16,9 +16,10 @@ the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
 half is solved: all its roots together by two or three safeguarded Newton
 steps on the closed form of the secular sum, from starts that model each
 root's nearest poles, with psi and psi' taken in one numpy pass per step.
-The time grid must be uniform: `numerics._cos_sum` sums the cosines by angle addition over blocks of the
-grid, with about 2 log2(T) + 2 sines and cosines per mode instead of T
-(about 4 sqrt(T) for the smallest bands and grids, see `numerics._cos_sum`).
+The time grid must be uniform: `numerics._cos_sum` sums the cosines by angle
+addition over blocks of the grid, with about 2 log2(T) + 2 sines and cosines
+per mode instead of T (about 4 sqrt(T) for the smallest bands and grids, see
+`numerics._cos_sum`).
 `integrate_atom_modes` integrates any band with DOP853 and is the brute-force
 cross-check; it reaches scipy.integrate through the forwarder `solve_ivp`
 below, so importing this module does not load it.

@@ -266,8 +266,9 @@ def _psi_trigamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to psi' at the lifted entries.  At y >= 10 the first omitted term, which
     bounds the truncation error, is below 3 eps relative (psi' at y = 10;
     under an ulp for psi).  The two series keep their own arrays: stacked as
-    one (2, m) array with a (2, 1) coefficient column they take about 1.4x as
-    long, numpy's broadcasting loops being slower than its scalar ones."""
+    one (2, m) array with a (2, 1) coefficient column they took 1.1x as long
+    at 150 entries and 1.4x at 4000, numpy's broadcasting loops being slower
+    than its scalar ones."""
     small = np.flatnonzero(x < 10.0)
     y = x.astype(float)
     y[small] += 10.0
