@@ -468,7 +468,7 @@ def _rounded_shift(m: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray:
     return d + ((lo & ((_ONE << s) - _ONE)) + (d & _ONE) > (_ONE << (s - _ONE)))
 
 
-def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _text_cells(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """(words, mask index) of cells showing `texts`, each at most 24 bytes."""
     words = np.zeros((len(texts), 6), dtype=np.uint64)
     words[:, :3] = np.array(texts, dtype="S24").view(np.uint64).reshape(-1, 3)
@@ -503,7 +503,8 @@ def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
     masks = np.where(v == 0.0, _ZERO + neg, (neg * _NX + e - _LO) * 17 + 16 - trailing)
     slow = np.flatnonzero(~fast & (v != 0.0))
     if slow.size:
-        words[slow], masks[slow] = _text_cells([format(x, ".17g") for x in v[slow].tolist()])
+        cells = tuple(v[slow].tolist())  # one %-format of them all, as format(x, ".17g") each
+        words[slow], masks[slow] = _text_cells((b"%.17g\n" * len(cells) % cells).splitlines())
     return masks
 
 

@@ -28,7 +28,7 @@ below, so importing this module does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, pi, sqrt
+from math import fsum, log, pi, sqrt
 
 import numpy as np
 
@@ -138,9 +138,15 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     - outer root: the direct sum to first order in d, 1 / d + H - d H2 with
       H, H2 = sum_{j>=1} 1 / j, 1 / j^2, so d_0 is the positive root of
       d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at the
-      bracket's upper end d_hi = sqrt((2n + 1) ratio).  Where A <= 0, d is
-      not small and d_0 = d_hi; that takes up to 16 steps, but needs
-      ratio > n / H, and `_flat_band` keeps ratio <= n / (20 pi).
+      bracket's upper end d_hi = sqrt((2n + 1) ratio).  Where A <= 0
+      (ratio >= n / H, which `_flat_band`'s ratio <= n / (20 pi) never
+      reaches), d is not small: d_0 is then the root of the log model
+      (n + d) / ratio = 1 / d + ln((d + 2n + 1/2) / (d + 1/2)) of the direct
+      sum, by Newton steps from d_lo, which rise monotonically to it (the
+      model is increasing and concave in d), capped at d_hi.  On n = 1-5000,
+      ratio up to 1e7 that takes at most 5 steps, (n, ratio) = (5000, 562)
+      among them, where the last gap root sets the count (from d_0 = d_hi it
+      took 16).
     """
     k, j = np.arange(n, dtype=float), np.arange(2 * n + 1, dtype=float)
 
@@ -163,7 +169,18 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     # brackets: (0, 1) in a gap; beyond the edge the j = 0 term alone gives
     # the lower bound, and the right side is at most (2n + 1) / d, the upper one
     d_lo, d_hi = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio)), sqrt((2 * n + 1) * ratio)
-    d = min(2.0 / (a + sqrt(a * a + 4.0 * b)), d_hi) if a > 0.0 else d_hi
+    if a > 0.0:
+        d = min(2.0 / (a + sqrt(a * a + 4.0 * b)), d_hi)
+    else:
+        # Newton steps on the log model, from d_lo up to its root
+        d, c = d_lo, 2 * n + 0.5
+        for _ in range(_BISECTIONS):
+            g = (n + d) / ratio - 1.0 / d - log((d + c) / (d + 0.5))
+            step = g / (1.0 / ratio + 1.0 / d**2 + 1.0 / (d + 0.5) - 1.0 / (d + c))
+            d -= step
+            if -step <= 1e-4 * d:
+                break
+        d = min(d, d_hi)
     t = _newton(roots, np.append(tau, d), np.append(np.zeros(n), d_lo), np.append(np.ones(n), d_hi))
     x = np.arange(n + 1.0) + t  # the gap roots k + tau, then n + d
     trigamma = _psi_trigamma(np.concatenate((n + 1 - x[:n], n + 1 + x[:n])))[1]

@@ -1,16 +1,19 @@
 """Adaptive quadrature, an alternating binomial series summed as a Laguerre
 recurrence, a weighted cosine sum on a uniform time grid, and the
-digamma and trigamma functions of the flat-band solver, in numpy.
+digamma and trigamma functions of the flat-band solver.
 
 Everything here is pure and stateless; the physics modules build on these
-primitives.  Unit conventions are left to the callers.  Only the quadrature
-loads scipy (`scipy.integrate`, on its first call).
+primitives.  Unit conventions are left to the callers.  The quadrature is
+QUADPACK's QAGS ported to plain Python floats (`_qagse`), which gives
+scipy.integrate.quad's results bit for bit without loading scipy; the rest
+is numpy, and nothing here imports scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite, sqrt
+import sys
+from math import ceil, inf, isfinite, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +33,7 @@ __all__ = [
 # two-ray size guard) or eta of a point computed on the mirror surface, which
 # must not turn a value on its boundary into a rejected one.
 _GUARD_RTOL = 1e-12
-_EPS = float(np.finfo(float).eps)
+_EPS = 2.0**-52  # machine epsilon, QUADPACK's d1mach(4)
 
 
 class QuadratureError(RuntimeError):
@@ -70,35 +73,344 @@ def integrate_1d(
     interval: Sequence[float],
     spec: QuadratureSpec,
 ) -> QuadResult:
-    """Adaptive Gauss-Kronrod integral of f over [a, b] in at most
-    spec.max_subdivisions subintervals.  `quad` calls f once per node with a
-    Python float, so integrands should use `math` rather than numpy scalars.
+    """Adaptive Gauss-Kronrod integral of f over a finite [a, b] in at most
+    spec.max_subdivisions subintervals, by `_qagse`, a port of QUADPACK's
+    QAGS that gives scipy.integrate.quad's value and error bit for bit.  f is
+    called once per node with a Python float, so integrands should use `math`
+    rather than numpy scalars.  a > b integrates over [b, a] and negates the
+    value, as `quad` does; an infinite end raises ValueError.
 
-    Raises QuadratureError (carrying the best estimate) on non-convergence.
+    Raises QuadratureError (carrying the best estimate) when QAGS reports a
+    failure and the error exceeds max(abs_tol, rel_tol |value|), or when the
+    value or the error is not finite.
     """
-    from scipy.integrate import quad  # deferred: `import atomfield` does not load it
-
     a, b = float(interval[0]), float(interval[1])
-    with np.errstate(all="ignore"):
-        out = quad(
-            f,
-            a,
-            b,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-            full_output=True,
+    if not (isfinite(a) and isfinite(b)):
+        raise ValueError("quadrature interval must be finite")
+    lo, hi = min(a, b), max(a, b)
+    value, abserr, ier, _ = _qagse(f, lo, hi, spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
+    # Python floats, as quad returns, also where f returns numpy scalars
+    value, abserr = float(value), float(abserr)
+    if b < a:
+        value = -value
+    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+    # negated, so a NaN value or error fails too
+    if not (isfinite(value) and isfinite(abserr)) or (ier and abserr > tol):
+        raise QuadratureError(
+            f"quadrature did not converge: value {value:.6g}, achieved {abserr:.3e}, tol {tol:.3e}",
+            estimate=value,
+            achieved_error=abserr,
         )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # explanation string present -> warning raised internally
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if abserr > tol:
-            raise QuadratureError(
-                f"quadrature did not converge: achieved {abserr:.3e} > tol {tol:.3e}",
-                estimate=value,
-                achieved_error=abserr,
-            )
     return QuadResult(value, abserr)
+
+
+# QAGS (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK,
+# Springer 1983), ported from the Fortran routines DQAGSE, DQK21, DQPSRT and
+# DQELG in their operation order, so that each result, error and subinterval
+# count is the one QUADPACK (and so scipy.integrate.quad) gives.  Sums run in
+# the Fortran's order with plain `+` (`sum` compensates floats from Python
+# 3.12 on), and the lists are indexed from 1, as in the Fortran.
+_UFLOW, _OFLOW = sys.float_info.min, sys.float_info.max  # d1mach(1), d1mach(2)
+# DQK21's nodes xgk(1..10) (xgk(11) = 0 is the centre), Kronrod weights
+# wgk(1..11), and Gauss weights wg(1..5) of the nodes xgk(2), xgk(4), ...
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)  # fmt: skip
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)  # fmt: skip
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)  # fmt: skip
+
+
+def _qk21(f, a, b):
+    """DQK21: the 21-point Kronrod rule on [a, b] and its 10-point Gauss
+    rule; returns (result, abserr, resabs, resasc).  Written out straight,
+    which was faster than a loop: node pair j, f(centr -+ hlgth xgk(j)), is
+    evaluated once, in the order of the Fortran's two loops (the Gauss pairs
+    j = 2, 4, ..., 10, then j = 1, 3, ..., 9), and summed in that order."""
+    x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK
+    w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11 = _WGK
+    g2, g4, g6, g8, g10 = _WG
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(centr)
+    l2, u2 = f(centr - (absc := hlgth * x2)), f(centr + absc)
+    l4, u4 = f(centr - (absc := hlgth * x4)), f(centr + absc)
+    l6, u6 = f(centr - (absc := hlgth * x6)), f(centr + absc)
+    l8, u8 = f(centr - (absc := hlgth * x8)), f(centr + absc)
+    l10, u10 = f(centr - (absc := hlgth * x10)), f(centr + absc)
+    l1, u1 = f(centr - (absc := hlgth * x1)), f(centr + absc)
+    l3, u3 = f(centr - (absc := hlgth * x3)), f(centr + absc)
+    l5, u5 = f(centr - (absc := hlgth * x5)), f(centr + absc)
+    l7, u7 = f(centr - (absc := hlgth * x7)), f(centr + absc)
+    l9, u9 = f(centr - (absc := hlgth * x9)), f(centr + absc)
+    s1, s2, s3, s4, s5 = l1 + u1, l2 + u2, l3 + u3, l4 + u4, l5 + u5
+    s6, s7, s8, s9, s10 = l6 + u6, l7 + u7, l8 + u8, l9 + u9, l10 + u10
+    resg = g2 * s2 + g4 * s4 + g6 * s6 + g8 * s8 + g10 * s10
+    resk = w11 * fc
+    resabs = abs(resk)
+    resk = (
+        resk + w2 * s2 + w4 * s4 + w6 * s6 + w8 * s8 + w10 * s10
+        + w1 * s1 + w3 * s3 + w5 * s5 + w7 * s7 + w9 * s9
+    )  # fmt: skip
+    resabs = (
+        resabs + w2 * (abs(l2) + abs(u2)) + w4 * (abs(l4) + abs(u4)) + w6 * (abs(l6) + abs(u6))
+        + w8 * (abs(l8) + abs(u8)) + w10 * (abs(l10) + abs(u10)) + w1 * (abs(l1) + abs(u1))
+        + w3 * (abs(l3) + abs(u3)) + w5 * (abs(l5) + abs(u5)) + w7 * (abs(l7) + abs(u7))
+        + w9 * (abs(l9) + abs(u9))
+    )  # fmt: skip
+    h = resk * 0.5  # reskh
+    resasc = (
+        w11 * abs(fc - h) + w1 * (abs(l1 - h) + abs(u1 - h)) + w2 * (abs(l2 - h) + abs(u2 - h))
+        + w3 * (abs(l3 - h) + abs(u3 - h)) + w4 * (abs(l4 - h) + abs(u4 - h))
+        + w5 * (abs(l5 - h) + abs(u5 - h)) + w6 * (abs(l6 - h) + abs(u6 - h))
+        + w7 * (abs(l7 - h) + abs(u7 - h)) + w8 * (abs(l8 - h) + abs(u8 - h))
+        + w9 * (abs(l9 - h) + abs(u9 - h)) + w10 * (abs(l10 - h) + abs(u10 - h))
+    )  # fmt: skip
+    dhlgth = abs(hlgth)
+    resabs, resasc = resabs * dhlgth, resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPS):
+        abserr = max((_EPS * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
+
+
+def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+    """DQPSRT: keep iord ordered by descending elist (its first jupbn
+    entries) after interval maxerr was split into maxerr and last; returns
+    the next interval to bisect, (maxerr, errmax, nrmax)."""
+    if last <= 2:
+        iord[1], iord[2] = 1, 2
+        return iord[nrmax], elist[iord[nrmax]], nrmax
+    errmax = elist[maxerr]
+    for _ in range(nrmax - 1):
+        isucc = iord[nrmax - 1]
+        if errmax <= elist[isucc]:
+            break
+        iord[nrmax] = isucc
+        nrmax -= 1
+    jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+    errmin = elist[last]
+    jbnd = jupbn - 1
+    for i in range(nrmax + 1, jbnd + 1):  # insert errmax top-down
+        isucc = iord[i]
+        if errmax >= elist[isucc]:
+            iord[i - 1] = maxerr
+            for k in range(jbnd, i - 1, -1):  # insert errmin bottom-up
+                isucc = iord[k]
+                if errmin < elist[isucc]:
+                    iord[k + 1] = last
+                    break
+                iord[k + 1] = isucc
+            else:
+                iord[i] = last
+            break
+        iord[i - 1] = isucc
+    else:
+        iord[jbnd], iord[jupbn] = maxerr, last
+    return iord[nrmax], elist[iord[nrmax]], nrmax
+
+
+def _qelg(n, epstab, res3la, nres):
+    """DQELG: Wynn's epsilon algorithm on the n entries of epstab, the last
+    the newest partial sum; updates epstab and the last three results res3la
+    in place, and returns (n, result, abserr, nres)."""
+    nres += 1
+    abserr, result = _OFLOW, epstab[n]
+    if n >= 3:
+        epstab[n + 2] = epstab[n]
+        newelm = (n - 1) // 2
+        epstab[n] = _OFLOW
+        num = k1 = n
+        for i in range(1, newelm + 1):
+            e0, e1, e2 = epstab[k1 - 2], epstab[k1 - 1], (res := epstab[k1 + 2])
+            e1abs = abs(e1)
+            err2, tol2 = abs(delta2 := e2 - e1), max(abs(e2), e1abs) * _EPS
+            err3, tol3 = abs(delta3 := e1 - e0), max(e1abs, abs(e0)) * _EPS
+            if not (err2 > tol2 or err3 > tol3):  # e0, e1, e2 equal to machine accuracy
+                result, abserr = res, err2 + err3
+                return n, result, max(abserr, 5.0 * _EPS * abs(result)), nres
+            e3, epstab[k1] = epstab[k1], e1
+            err1, tol1 = abs(delta1 := e1 - e3), max(e1abs, abs(e3)) * _EPS
+            # two close elements, or irregular behaviour: omit part of the table
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            if not abs(ss * e1) > 1e-4:
+                n = i + i - 1
+                break
+            res = epstab[k1] = e1 + 1.0 / ss
+            k1 -= 2
+            error = err2 + abs(res - e2) + err3
+            if not error > abserr:
+                abserr, result = error, res
+        if n == 50:  # limexp
+            n = 49
+        ib = 2 if num % 2 == 0 else 1  # shift the table
+        for _ in range(newelm + 1):
+            epstab[ib] = epstab[ib + 2]
+            ib += 2
+        if num != n:
+            epstab[1 : n + 1] = epstab[num - n + 1 : num + 1]
+        if nres < 4:
+            res3la[nres], abserr = result, _OFLOW
+        else:
+            abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+            res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
+    return n, result, max(abserr, 5.0 * _EPS * abs(result)), nres
+
+
+def _qagse(f, a, b, epsabs, epsrel, limit):
+    """DQAGSE: bisect the subinterval of largest error until the summed
+    error meets max(epsabs, epsrel |area|), extrapolating the partial sums by
+    `_qelg` once the interval to bisect is the smallest, for a <= b and
+    epsabs > 0.  Returns (result, abserr, ier, last): QUADPACK's error code
+    (0 on success), and f was called 42 last - 21 times."""
+    alist, blist, rlist, elist = ([0.0] * (limit + 1) for _ in range(4))
+    iord, rlist2, res3la = [0] * (limit + 1), [0.0] * 53, [0.0] * 4
+    alist[1], blist[1] = a, b
+    ier = ierro = 0
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    rlist[1], elist[1], iord[1] = result, abserr, 1
+    if abserr <= 100.0 * _EPS * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, ier, 1
+    rlist2[1], errmax, maxerr, area, errsum = result, abserr, 1, result, abserr
+    abserr, nrmax, nres, numrl2, ktmin = _OFLOW, 1, 0, 2, 0
+    extrap = noext = summed = False  # summed: the Fortran's "go to 115"
+    iroff1 = iroff2 = iroff3 = 0
+    ksgn = 1 if dres >= (1.0 - 50.0 * _EPS) * defabs else -1
+    for last in range(2, limit + 1):
+        a1, b2 = alist[maxerr], blist[maxerr]
+        a2 = b1 = 0.5 * (a1 + b2)
+        erlast = errmax
+        area1, error1, resabs, defab1 = _qk21(f, a1, b1)
+        area2, error2, resabs, defab2 = _qk21(f, a2, b2)
+        area12, erro12 = area1 + area2, error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr], rlist[last] = area1, area2
+        errbnd = max(epsabs, epsrel * abs(area))
+        # roundoff, the subdivision limit, bad behaviour at a point
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPS) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        if error2 > error1:
+            alist[maxerr], alist[last], blist[last] = a2, a1, b1
+            rlist[maxerr], rlist[last] = area2, area1
+            elist[maxerr], elist[last] = error2, error1
+        else:
+            alist[last], blist[maxerr], blist[last] = a2, b1, b2
+            elist[maxerr], elist[last] = error1, error2
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            summed = True
+            break
+        if ier != 0:
+            break
+        if last == 2:
+            small, erlarg, ertest, rlist2[2] = abs(b - a) * 0.375, errsum, errbnd, area
+            continue
+        if noext:
+            continue
+        erlarg -= erlast
+        if abs(b1 - a1) > small:
+            erlarg += erro12
+        if not extrap:
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue  # the interval to bisect next is not the smallest
+            extrap, nrmax = True, 2
+        if ierro != 3 and erlarg > ertest:
+            # the smallest interval has the largest error: bisect the
+            # larger intervals first, while there are any
+            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+            large = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if large := abs(blist[maxerr] - alist[maxerr]) > small:
+                    break
+                nrmax += 1
+            if large:
+                continue
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin, abserr, result, correc = 0, abseps, reseps, erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+        # prepare the bisection of the smallest interval
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax, nrmax, extrap, small, erlarg = elist[maxerr], 1, False, small * 0.5, errsum
+    # labels 100-130: the extrapolated result, or the sum of rlist where
+    # that is the better estimate, and the test on divergence
+    summed = summed or abserr == _OFLOW
+    if not summed:
+        test = True
+        if ier + ierro != 0:
+            if ierro == 3:
+                abserr += correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                summed = abserr / abs(result) > errsum / abs(area)
+            else:
+                summed, test = abserr > errsum, area != 0.0
+        test = test and not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01)
+        if not summed and test:
+            # result / area, or IEEE's +-inf or NaN where area = 0 (the
+            # sign does not matter here)
+            q = result / area if area else result * inf
+            if 0.01 > q or q > 100.0 or errsum > abs(area):
+                ier = 6
+    if summed:
+        result = 0.0
+        for k in range(1, last + 1):
+            result += rlist[k]
+        abserr = errsum
+    return result, abserr, ier - 1 if ier > 2 else ier, last
 
 
 def integrate_2d(

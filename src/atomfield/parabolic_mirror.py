@@ -122,15 +122,20 @@ def eta_quadrature(
     _, _, z, rho = _cavity_point(geometry, point)
     k = geometry.wavenumber
     # sin^2 -> (1 - cos)/2; the phi integral of cos(A cos(phi - phi0) + B)
-    # is 2 pi J0(A) cos(B), and J0(0) = 1 on the axis
+    # is 2 pi J0(A) cos(B), and J0(0) = 1 on the axis, whose integrand has no J0
     a, b = 2.0 * k * rho, 2.0 * k * z
     if rho > 0.0:
         from scipy.special import j0  # deferred: `import atomfield` does not load it
 
-    def integrand(theta):
-        s = sin(theta)
-        weight = s**3 * j0(a * s) if rho > 0.0 else s**3
-        return weight * cos(b * cos(theta))
+        def integrand(theta):
+            s = sin(theta)
+            # j0 gives a numpy scalar; as a float, the quadrature stays in Python floats
+            return s**3 * float(j0(a * s)) * cos(b * cos(theta))
+
+    else:
+
+        def integrand(theta):
+            return sin(theta) ** 3 * cos(b * cos(theta))
 
     qspec = _theta_spec(k * (abs(z) + rho), spec)
     value, err = integrate_1d(integrand, (0.0, pi), qspec)

@@ -628,20 +628,14 @@ class TestGoldensUnderAnotherBuild:
 
 
 class TestImportGraph:
-    """No scipy module loads with `import atomfield`.  The CLI scenarios load
-    scipy only in parabola-eta's on-axis probe, whose quad (scipy.integrate,
-    with scipy.optimize and scipy.sparse behind it) loads on the first call;
-    each case runs in a fresh interpreter."""
+    """No scipy module loads with `import atomfield`, nor in any golden
+    scenario: parabola-eta's on-axis probe runs `numerics`' own port of
+    QUADPACK, so scipy.integrate (with scipy.optimize and scipy.sparse behind
+    it) serves only the DOP853 oracles; each case runs in a fresh interpreter."""
 
-    DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
-
-    def loaded_after(self, code: str) -> tuple[list[str], list[str]]:
-        """(the DEFERRED modules, every scipy module) loaded after `code`."""
-        probe = (
-            "import sys\n"
-            f"print(*(m for m in {self.DEFERRED!r} if m in sys.modules))\n"
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+    def scipy_loaded_after(self, code: str) -> list[str]:
+        """The scipy modules loaded after `code`."""
+        probe = "import sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         done = subprocess.run(
             [sys.executable, "-c", f"{code}\n{probe}"],
             env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
@@ -650,17 +644,13 @@ class TestImportGraph:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        deferred, scipy = done.stdout.splitlines()[-2:]
-        return deferred.split(), scipy.split()
+        return done.stdout.splitlines()[-1].split()
 
     def test_import_loads_no_integrator(self):
-        deferred, scipy = self.loaded_after("import atomfield")
-        assert deferred == []
-        assert scipy == []
+        assert self.scipy_loaded_after("import atomfield") == []
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
-    def test_only_the_quadrature_probe_loads_scipy_integrate(self, name, tmp_path):
+    def test_no_golden_scenario_loads_scipy(self, name, tmp_path):
         run = ["run", str(GOLDEN_DIR / f"{name}.cfg"), "--out", str(tmp_path / "out.csv")]
-        deferred, scipy = self.loaded_after(f"from atomfield import cli\nassert cli.main({run!r}) == 0")
-        assert ("scipy.integrate" in deferred) == (name == "parabola-eta")
-        assert bool(scipy) == (name == "parabola-eta")
+        code = f"from atomfield import cli\nassert cli.main({run!r}) == 0"
+        assert self.scipy_loaded_after(code) == []

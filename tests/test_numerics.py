@@ -1,7 +1,7 @@
 """Oracle and property tests for the numerical primitives."""
 
 from fractions import Fraction
-from math import comb, exp, factorial, pi
+from math import comb, copysign, cos, exp, factorial, inf, log, nan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from atomfield.numerics import (
     integrate_2d,
     stable_binomial_series,
 )
+from atomfield.parabolic_mirror import _theta_spec
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -122,7 +123,96 @@ class TestStableSeries:
             stable_binomial_series(3, np.inf)
 
 
+def _probe_case(b: float):
+    """eta_quadrature's on-axis integrand at b = 2 k z, with its spec."""
+    return (
+        lambda theta: sin(theta) ** 3 * cos(b * cos(theta)),
+        (0.0, pi),
+        _theta_spec(b / 2.0, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)),
+    )
+
+
+# (integrand, interval, spec): the parabola-eta probe (b = 4 pi is the
+# golden's), the other TestQuadrature integrands, end-point singularities
+# where the epsilon extrapolation decides, budget-limited failures, a
+# reported failure within the tolerance and a reversed interval
+QUAD_CASES = {
+    **{f"probe-{b:.4g}": _probe_case(b) for b in (4.0 * pi, 0.5, 7.7, 22.3, 47.3, 92.2, 100.0)},
+    "square": (lambda x: x * x, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12)),
+    "kink-limit-3": (lambda x: abs(x - 0.3), (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, 3)),
+    "kink-limit-10": (lambda x: abs(x - 0.3), (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, 10)),
+    "oscillatory": (
+        lambda t: np.sin(t) ** 3 * np.cos(100.0 * np.cos(t)),
+        (0.0, pi),
+        QuadratureSpec(1e-10, 1e-12, 1000),
+    ),
+    "sin-1/x-limit-3": (lambda x: np.sin(1.0 / x), (1e-6, 1.0), QuadratureSpec(1e-13, 1e-15, 3)),
+    "sin-1/x-limit-200": (lambda x: np.sin(1.0 / x), (1e-6, 1.0), QuadratureSpec(1e-13, 1e-15)),
+    "separable-inner": (lambda x: np.sin(x) * 2.0, (0.0, pi), QuadratureSpec(1e-11, 1e-13)),
+    "sqrt-log": (lambda x: sqrt(x) * log(x), (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
+    "inverse-sqrt": (lambda x: 1.0 / sqrt(x), (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
+    "log": (log, (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
+    "power-0.9": (lambda x: x**-0.9, (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
+    # QAGS reports divergence (ier = 5) with an error inside the tolerance
+    "odd-singularity": (
+        lambda x: copysign(abs(x) ** -0.5, x) if x else 0.0,
+        (-1.0, 2.0),
+        QuadratureSpec(1e-10, 1e-13),
+    ),
+    "reversed": (lambda x: exp(-x) * cos(30.0 * x), (2.0, -1.0), QuadratureSpec(1e-10, 1e-13)),
+}
+
+
 class TestQuadrature:
+    @pytest.mark.parametrize("case", QUAD_CASES)
+    def test_matches_scipy_quad(self, case):
+        """scipy.integrate.quad is the reference implementation: on this build
+        integrate_1d's port of QAGS gives its value and error bit for bit,
+        calls the integrand as often (neval = 42 last - 21), and raises
+        QuadratureError exactly when quad reports a failure (ier != 0) with
+        an error above max(abs_tol, rel_tol |value|)."""
+        from scipy.integrate import quad
+
+        f, (a, b), spec = QUAD_CASES[case]
+        out = quad(
+            f,
+            a,
+            b,
+            epsabs=spec.abs_tol,
+            epsrel=spec.rel_tol,
+            limit=spec.max_subdivisions,
+            full_output=True,
+        )
+        want, info = out[:2], out[2]
+        failed = len(out) > 3 and out[1] > max(spec.abs_tol, spec.rel_tol * abs(out[0]))
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        if failed:
+            with pytest.raises(QuadratureError) as error:
+                integrate_1d(counted, (a, b), spec)
+            got = (error.value.estimate, error.value.achieved_error)
+        else:
+            got = integrate_1d(counted, (a, b), spec)
+        assert tuple(got) == want
+        assert len(calls) == info["neval"] == 42 * info["last"] - 21
+
+    @pytest.mark.parametrize("interval", [(0.0, inf), (-inf, 1.0), (0.0, nan)])
+    def test_infinite_interval_raises(self, interval):
+        # QAGS only: no QAGI transformation of an infinite range
+        with pytest.raises(ValueError, match="finite"):
+            integrate_1d(lambda x: exp(-x), interval, QuadratureSpec(1e-10, 1e-12))
+
+    @pytest.mark.parametrize("f", [lambda x: nan, lambda x: nan if x > 0.9 else 1.0])
+    def test_nan_integrand_raises(self, f):
+        # max(abs_tol, rel_tol * nan) is abs_tol and nan > tol is False, so
+        # only the finiteness test catches a NaN estimate
+        with pytest.raises(QuadratureError):
+            integrate_1d(f, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12))
+
     def test_polynomial_exact(self):
         value, err = integrate_1d(lambda x: x * x, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
