@@ -1,7 +1,8 @@
 """Dynamics of a two-level atom coupled to quantized radiation in four mode
 geometries: a single cavity mode, free space, a closed metallic sphere and a
-half-open parabolic mirror.  Closed-form results ship together with the
-brute-force solvers used to cross-validate them."""
+half-open parabolic mirror.  Closed-form results are cross-validated
+against brute-force solvers; the scipy-backed ones are test oracles, so the
+runtime needs only numpy."""
 
 from . import cli, free_space, jcp, multimode, numerics, parabolic_mirror, spherical_cavity
 from .free_space import TwoLevelAtom

@@ -1,9 +1,10 @@
 """Single-mode atom-field dynamics (Jaynes-Cummings ladder).
 
 Closed-form Rabi solutions, the inversion of an initially excited atom
-coupled to a diagonal photon-number distribution, collapse/revival time
-estimates and a brute-force ODE solver used as an independent oracle.
-Every result reads the initial field only through its photon-number
+coupled to a diagonal photon-number distribution, and collapse/revival time
+estimates.  The independent oracle, a brute-force DOP853 integration of the
+ladder, lives with the tests (`tests/oracles.py`), so this module needs only
+numpy.  Every result reads the initial field only through its photon-number
 weights p_n over the window n >= n_min where they live, the two fields of
 `FieldDistribution`; a coherent field is given by its mean photon number <n>.
 
@@ -25,17 +26,12 @@ __all__ = [
     "FieldDistribution",
     "JcpParams",
     "InversionTrace",
-    "JcpTrace",
     "rabi_frequency",
     "inversion",
-    "evolve_ode",
     "collapse_revival_times",
 ]
 
 _WINDOW_TAIL = 1e-17  # weight coherent() cuts from the two ends of its Poisson window together
-# tolerances of the brute-force ladder integration in evolve_ode
-_ODE_RTOL = 1e-10
-_ODE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,18 +110,6 @@ class InversionTrace:
             raise ValueError("inversion must stay within [-1, 1]")
 
 
-@dataclass(frozen=True)
-class JcpTrace:
-    """Per-pair amplitudes from the ODE solver; row i is photon number n_min + i."""
-
-    a_e: np.ndarray  # shape (weights.size, n_times): a_{e,n}(t)
-    a_g: np.ndarray  # shape (weights.size, n_times): a_{g,n+1}(t)
-
-    def inversion(self) -> InversionTrace:
-        w = np.sum(np.abs(self.a_e) ** 2 - np.abs(self.a_g) ** 2, axis=0)
-        return InversionTrace(w)
-
-
 def rabi_frequency(n, params: JcpParams):
     """n-photon Rabi frequency sqrt(Delta^2 + 4 (n+1)); n is a scalar
     (float result) or an array."""
@@ -150,38 +134,6 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     osc = 4.0 * (n + 1) / omega**2
     w = float(np.sum(p * offset)) + _cos_sum(p * osc, omega, times)
     return InversionTrace(w)
-
-
-def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
-    """Brute-force integration of the coupled pair equations (oracle) from
-    t = 0, sampled on `times`.
-
-    Each (a_{e,n}, a_{g,n+1}) pair evolves independently; all pairs are
-    stacked into one vector ODE and solved adaptively.
-    """
-    from scipy.integrate import solve_ivp  # deferred: `import atomfield` does not load it
-
-    times = np.asarray(times, dtype=float)
-    # the pairs evolve apart, so the phases of a_{e,n}(0) reach no |a|^2
-    a0 = np.sqrt(params.field.weights)
-    n_states = a0.size
-    root = np.sqrt(params.field.n_min + np.arange(n_states) + 1.0)
-    delta = params.detuning
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a_e, a_g = y[:n_states], y[n_states:]
-        ph = np.exp(1j * delta * t)
-        return np.concatenate(
-            (-1j * root * ph * a_g, -1j * root * np.conj(ph) * a_e)
-        )
-
-    y0 = np.concatenate((a0.astype(complex), np.zeros(n_states, dtype=complex)))
-    sol = solve_ivp(
-        rhs, (0.0, float(times[-1])), y0, method="DOP853", t_eval=times, rtol=_ODE_RTOL, atol=_ODE_ATOL
-    )
-    if not sol.success:
-        raise RuntimeError(f"ladder integration failed: {sol.message}")
-    return JcpTrace(sol.y[:n_states], sol.y[n_states:])
 
 
 def collapse_revival_times(mean: float) -> tuple[float, float]:

@@ -21,8 +21,11 @@ addition over blocks of the grid, with about 2 log2(T) + 2 sines and cosines
 per mode instead of T (about 4 sqrt(T) for the smallest bands and grids, see
 `numerics._cos_sum`).
 `integrate_atom_modes` integrates any band with DOP853 and is the brute-force
-cross-check; it reaches scipy.integrate through the forwarder `solve_ivp`
-below, so importing this module does not load it.
+cross-check.  It is the one library path that needs scipy, which the `test`
+extra brings (the runtime needs only numpy): it reaches scipy.integrate
+through the forwarder `solve_ivp` below, so importing this module does not
+load it.  It stays here, not with the tests' oracles, because the
+benchmark's tracer wraps `multimode.solve_ivp` by name.
 """
 
 from __future__ import annotations
@@ -222,7 +225,8 @@ def solve_ivp(*args, **kwargs):
 def integrate_atom_modes(
     detunings: np.ndarray, couplings: np.ndarray, times: np.ndarray
 ) -> AmplitudeTrace:
-    """Integrate the coupled atom + N-mode amplitude system from a_e(0) = 1."""
+    """Integrate the coupled atom + N-mode amplitude system from a_e(0) = 1
+    (DOP853; needs scipy, from the `test` extra)."""
     detunings = np.asarray(detunings, dtype=float)
     couplings = np.asarray(couplings, dtype=complex)
     if detunings.shape != couplings.shape:

@@ -10,6 +10,11 @@ focus the surface is eta = f and the interior is eta < f.
 The decay-rate interference phase is k * n . r with r measured from the
 vertex, so the standing-wave field vanishes at P and the on-axis rate
 correction depends on k * z (z = height above the vertex).
+
+The rate is given on the axis only: `on_axis_eta` in closed form, checked by
+the polar-angle quadrature `eta_quadrature`.  Off the axis the tests keep
+the reference pair (the J0-reduced integral and the raw 2-D one, in
+`tests/test_parabolic.py`) that a closed form there would be checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from math import atan, cos, factorial, pi, sin, sqrt
 import numpy as np
 
 from .free_space import TwoLevelAtom, _check_radiation_zone, _packet
-from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d, integrate_2d
+from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d
 
 __all__ = [
     "ParabolicGeometry",
@@ -116,47 +121,21 @@ def eta_quadrature(
     point: tuple[float, float, float],
     spec: QuadratureSpec | None = None,
 ) -> QuadResult:
-    """Decay-rate ratio eta at a vertex-based point (x, y, z) by quadrature:
-    the azimuthal integral is done exactly (Bessel J0 kernel), the polar
-    angle adaptively."""
+    """Decay-rate ratio eta at a point (0, 0, z) of the axis by adaptive
+    quadrature over the polar angle, the independent check of `on_axis_eta`;
+    a point off the axis raises ValueError."""
     _, _, z, rho = _cavity_point(geometry, point)
-    k = geometry.wavenumber
-    # sin^2 -> (1 - cos)/2; the phi integral of cos(A cos(phi - phi0) + B)
-    # is 2 pi J0(A) cos(B), and J0(0) = 1 on the axis, whose integrand has no J0
-    a, b = 2.0 * k * rho, 2.0 * k * z
     if rho > 0.0:
-        from scipy.special import j0  # deferred: `import atomfield` does not load it
-
-        def integrand(theta):
-            s = sin(theta)
-            # j0 gives a numpy scalar; as a float, the quadrature stays in Python floats
-            return s**3 * float(j0(a * s)) * cos(b * cos(theta))
-
-    else:
-
-        def integrand(theta):
-            return sin(theta) ** 3 * cos(b * cos(theta))
-
-    qspec = _theta_spec(k * (abs(z) + rho), spec)
-    value, err = integrate_1d(integrand, (0.0, pi), qspec)
-    return QuadResult(1.0 - 0.75 * value, 0.75 * err)
-
-
-def _eta_quadrature_2d(
-    geometry: ParabolicGeometry, point: tuple[float, float, float], spec: QuadratureSpec
-) -> QuadResult:
-    """eta_quadrature without the J0 reduction: the raw iterated 2-D integral
-    of sin^3(theta) sin^2(k n . r); slow, the reference the reduction is checked against."""
-    x, y, z, rho = _cavity_point(geometry, point)
+        raise ValueError("eta_quadrature integrates on the mirror axis only (x = y = 0)")
     k = geometry.wavenumber
-    value, err = integrate_2d(
-        lambda theta, phi: np.sin(theta) ** 3
-        * np.sin(k * ((x * np.cos(phi) + y * np.sin(phi)) * np.sin(theta) + z * np.cos(theta)))
-        ** 2,
-        ((0.0, pi), (0.0, 2.0 * pi)),
-        _theta_spec(k * (abs(z) + rho), spec),
-    )
-    return QuadResult(3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err)
+    # sin^2 -> (1 - cos)/2 leaves the polar integral of sin^3 cos(2 k z cos(theta))
+    b = 2.0 * k * z
+
+    def integrand(theta):
+        return sin(theta) ** 3 * cos(b * cos(theta))
+
+    value, err = integrate_1d(integrand, (0.0, pi), _theta_spec(k * abs(z), spec))
+    return QuadResult(1.0 - 0.75 * value, 0.75 * err)
 
 
 def on_axis_eta(geometry: ParabolicGeometry, z):

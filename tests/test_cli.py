@@ -631,7 +631,22 @@ class TestImportGraph:
     """No scipy module loads with `import atomfield`, nor in any golden
     scenario: parabola-eta's on-axis probe runs `numerics`' own port of
     QUADPACK, so scipy.integrate (with scipy.optimize and scipy.sparse behind
-    it) serves only the DOP853 oracles; each case runs in a fresh interpreter."""
+    it) serves only the DOP853 oracles; each case runs in a fresh interpreter.
+    With scipy made unimportable, every scenario still runs and writes the
+    same bytes, so numpy is the only runtime dependency."""
+
+    RUN_ALL = (
+        "import contextlib, sys\n"
+        "from pathlib import Path\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from atomfield import cli\n"
+        "out = Path(sys.argv[2])\n"
+        "for cfg in map(Path, sys.argv[3:]):\n"
+        "    assert cli.main(['run', str(cfg), '--out', str(out / f'{cfg.stem}.csv')]) == 0, cfg\n"
+        "with open(out / 'list-scenarios.txt', 'w') as f, contextlib.redirect_stdout(f):\n"
+        "    assert cli.main(['list-scenarios']) == 0\n"
+    )
 
     def scipy_loaded_after(self, code: str) -> list[str]:
         """The scipy modules loaded after `code`."""
@@ -654,3 +669,24 @@ class TestImportGraph:
         run = ["run", str(GOLDEN_DIR / f"{name}.cfg"), "--out", str(tmp_path / "out.csv")]
         code = f"from atomfield import cli\nassert cli.main({run!r}) == 0"
         assert self.scipy_loaded_after(code) == []
+
+    def test_every_scenario_runs_without_scipy(self, tmp_path):
+        with_ode = tmp_path / "sphere-revival-ode.cfg"
+        with_ode.write_text((GOLDEN_DIR / "sphere-revival.cfg").read_text() + "with_ode = true\n")
+        configs = [str(GOLDEN_DIR / f"{name}.cfg") for name in GOLDEN_NAMES] + [str(with_ode)]
+        outputs = {}
+        for mode in ("blocked", "plain"):
+            out = tmp_path / mode
+            out.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c", self.RUN_ALL, mode, str(out), *configs],
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[mode] = {path.name: path.read_bytes() for path in out.iterdir()}
+        blocked, plain = outputs["blocked"], outputs["plain"]
+        assert len(blocked) == len(configs) + 1 and blocked.keys() == plain.keys()
+        assert [name for name in sorted(blocked) if blocked[name] != plain[name]] == []

@@ -1,5 +1,6 @@
 """Parabolic mirror: rate modification, two-ray field."""
 
+import sys
 import warnings
 from math import cos, exp, hypot, pi, sin, sqrt
 
@@ -8,12 +9,48 @@ import pytest
 
 from atomfield import free_space, parabolic_mirror as pm
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
-from atomfield.numerics import QuadratureSpec, integrate_1d
+from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d, integrate_2d
 
 
 @pytest.fixture
 def geometry():
     return pm.ParabolicGeometry(focal_length=50.0, wavenumber=1.0)
+
+
+def _eta_j0(geometry, point):
+    """eta at a vertex-based cavity point (x, y, z), on or off the axis: the
+    azimuthal integral is done exactly (Bessel J0 kernel), the polar angle
+    adaptively.  The off-axis reference, with `_eta_raw_2d`, for a closed
+    form of eta(z, rho)."""
+    from scipy.special import j0
+
+    _, _, z, rho = pm._cavity_point(geometry, point)
+    k = geometry.wavenumber
+    # sin^2 -> (1 - cos)/2; the phi integral of cos(A cos(phi - phi0) + B) is 2 pi J0(A) cos(B)
+    a, b = 2.0 * k * rho, 2.0 * k * z
+
+    def integrand(theta):
+        s = sin(theta)
+        # j0 gives a numpy scalar; as a float, the quadrature stays in Python floats
+        return s**3 * float(j0(a * s)) * cos(b * cos(theta))
+
+    value, err = integrate_1d(integrand, (0.0, pi), pm._theta_spec(k * (abs(z) + rho), None))
+    return QuadResult(1.0 - 0.75 * value, 0.75 * err)
+
+
+def _eta_raw_2d(geometry, point, spec):
+    """`_eta_j0` without the J0 reduction: the raw iterated 2-D integral of
+    sin^3(theta) sin^2(k n . r); slow, the reference the reduction is checked against."""
+    x, y, z, rho = pm._cavity_point(geometry, point)
+    k = geometry.wavenumber
+    value, err = integrate_2d(
+        lambda theta, phi: np.sin(theta) ** 3
+        * np.sin(k * ((x * np.cos(phi) + y * np.sin(phi)) * np.sin(theta) + z * np.cos(theta)))
+        ** 2,
+        ((0.0, pi), (0.0, 2.0 * pi)),
+        pm._theta_spec(k * (abs(z) + rho), spec),
+    )
+    return QuadResult(3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err)
 
 
 class TestGeometry:
@@ -81,20 +118,29 @@ class TestRateModification:
     def test_reduction_matches_raw_2d(self, geometry):
         # the second point has 2 k rho = 12, where the J0 factor oscillates
         for point in ((0.3, 0.4, 2.0), (3.6, 4.8, 2.0)):
-            fast, _ = pm.eta_quadrature(geometry, point)
-            slow, _ = pm._eta_quadrature_2d(
+            fast, _ = _eta_j0(geometry, point)
+            slow, _ = _eta_raw_2d(
                 geometry, point, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
             )
             assert fast == pytest.approx(slow, rel=1e-7, abs=0.0)
 
     def test_off_axis_far_field_approaches_unity(self, geometry):
         # many wavelengths from the mirror axis the correction dies off
-        quad, _ = pm.eta_quadrature(geometry, (30.0, 0.0, 30.0))
+        quad, _ = _eta_j0(geometry, (30.0, 0.0, 30.0))
         assert abs(quad - 1.0) < 0.01
 
     def test_vertex_is_dark(self, geometry):
         quad, _ = pm.eta_quadrature(geometry, (0.0, 0.0, 0.0))
         assert quad == pytest.approx(0.0, abs=1e-12)
+
+    def test_off_axis_point_rejected(self, geometry, monkeypatch):
+        # refused before any quadrature runs, and without scipy importable
+        monkeypatch.setattr(pm, "integrate_1d", None)
+        for module in ("scipy", "scipy.special"):
+            monkeypatch.setitem(sys.modules, module, None)
+        for point in ((0.3, 0.4, 2.0), (0.0, 1e-3, 2.0), (30.0, 0.0, 30.0)):
+            with pytest.raises(ValueError, match="on the mirror axis"):
+                pm.eta_quadrature(geometry, point)
 
     def test_outside_point_rejected(self, geometry):
         with pytest.raises(ValueError):

@@ -53,10 +53,8 @@ EXPORTS = {
     "jcp.FieldDistribution",
     "jcp.JcpParams",
     "jcp.InversionTrace",
-    "jcp.JcpTrace",
     "jcp.rabi_frequency",
     "jcp.inversion",
-    "jcp.evolve_ode",
     "jcp.collapse_revival_times",
     "multimode.AmplitudeTrace",
     "multimode.integrate_atom_modes",
@@ -117,8 +115,6 @@ FIELDS = {
     "jcp.JcpParams.detuning",
     "jcp.JcpParams.field",
     "jcp.InversionTrace.w",
-    "jcp.JcpTrace.a_e",
-    "jcp.JcpTrace.a_g",
     "multimode.AmplitudeTrace.excited_amplitude",
     "multimode.AmplitudeTrace.norm",
     "numerics.QuadratureSpec.rel_tol",
