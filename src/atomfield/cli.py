@@ -294,8 +294,9 @@ def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, An
     z_min_mm=_Key(float, default=0.0, check=_nonneg),  # start height above vertex
     z_max_mm=_Key(float, default=8.0, check=_pos),
     samples=_Key(int, default=401, check=lambda v: v >= 2),
-    rel_tol=_Key(float, default=1e-10, check=_pos),  # probe quadrature relative tolerance
-    abs_tol=_Key(float, default=1e-13, check=_pos),  # probe quadrature absolute tolerance
+    # probe quadrature tolerances, by default eta_quadrature's own
+    rel_tol=_Key(float, default=parabolic_mirror._THETA_TOLERANCES.rel_tol, check=_pos),
+    abs_tol=_Key(float, default=parabolic_mirror._THETA_TOLERANCES.abs_tol, check=_pos),
 )
 def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     _ascending(p, "z_min_mm", "z_max_mm")

@@ -23,7 +23,6 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "integrate_1d",
-    "integrate_2d",
     "stable_binomial_series",
 ]
 
@@ -411,33 +410,6 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
             result += rlist[k]
         abserr = errsum
     return result, abserr, ier - 1 if ier > 2 else ier, last
-
-
-def integrate_2d(
-    f: Callable[[float, float], float],
-    rectangle: Sequence[Sequence[float]],
-    spec: QuadratureSpec,
-) -> QuadResult:
-    """Iterated 1-D adaptive quadrature of f(x, y) over [x0,x1] x [y0,y1];
-    the inner integral runs over x."""
-    (x0, x1), (y0, y1) = rectangle
-    # inner tolerance slightly tighter than requested so the outer loop
-    # sees a smooth integrand
-    inner_spec = QuadratureSpec(
-        rel_tol=spec.rel_tol * 0.1,
-        abs_tol=spec.abs_tol * 0.1,
-        max_subdivisions=spec.max_subdivisions,
-    )
-    inner_errs: list[float] = []
-
-    def g(y: float) -> float:
-        val, err = integrate_1d(lambda x: f(x, y), (x0, x1), inner_spec)
-        inner_errs.append(err)
-        return val
-
-    value, outer_err = integrate_1d(g, (y0, y1), spec)
-    inner_err = max(inner_errs) * abs(y1 - y0) if inner_errs else 0.0
-    return QuadResult(value, outer_err + inner_err)
 
 
 def stable_binomial_series(M: int, u: float) -> float:

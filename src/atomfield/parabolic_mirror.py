@@ -44,6 +44,8 @@ _BOUNDARY_FLAG_FRACTION = 0.95
 # below a = k z = 0.5 on_axis_eta sums the Taylor series: the far form loses
 # ~2/a^4 ulps to cancellation there, the 9-term series stays below 1e-15
 _SERIES_CROSSOVER = 0.5
+# eta_quadrature's tolerances without a spec, and parabola-eta's probe defaults
+_THETA_TOLERANCES = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 # Taylor coefficients of eta(a) in a^2, a^4, ...: (-1)^(j+1) 3 4^j (2j+2) / (2j+3)!
 _ETA_SERIES = tuple(
     (-1) ** (j + 1) * 3 * 4**j * (2 * j + 2) / factorial(2 * j + 3) for j in range(1, 10)
@@ -95,7 +97,7 @@ class RateProfile:
 
 def _theta_spec(a: float, spec: QuadratureSpec | None) -> QuadratureSpec:
     # subdivision budget scaled with the oscillation count ~ 2a / pi
-    base = spec or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+    base = spec or _THETA_TOLERANCES
     need = int(8 * abs(a)) + 100
     if base.max_subdivisions >= need:
         return base

@@ -3,17 +3,22 @@
 `evolve_ode` integrates the single-mode ladder with scipy's DOP853, the
 independent check of `jcp.inversion`'s closed form (acceptance criterion 1
 and `test_jcp.py`).  It needs scipy, which the `test` extra brings; the
-library itself needs only numpy.
+library itself needs only numpy.  `integrate_2d` is the iterated 1-D
+quadrature that the reduced integrals are checked against:
+`free_space.field_energy`'s radial one and the J0-reduced off-axis rate of
+`test_parabolic.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from atomfield.jcp import InversionTrace, JcpParams
+from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d
 
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
@@ -60,3 +65,30 @@ def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
     if not sol.success:
         raise RuntimeError(f"ladder integration failed: {sol.message}")
     return JcpTrace(sol.y[:n_states], sol.y[n_states:])
+
+
+def integrate_2d(
+    f: Callable[[float, float], float],
+    rectangle: Sequence[Sequence[float]],
+    spec: QuadratureSpec,
+) -> QuadResult:
+    """Iterated 1-D adaptive quadrature of f(x, y) over [x0,x1] x [y0,y1];
+    the inner integral runs over x."""
+    (x0, x1), (y0, y1) = rectangle
+    # inner tolerance slightly tighter than requested so the outer loop
+    # sees a smooth integrand
+    inner_spec = QuadratureSpec(
+        rel_tol=spec.rel_tol * 0.1,
+        abs_tol=spec.abs_tol * 0.1,
+        max_subdivisions=spec.max_subdivisions,
+    )
+    inner_errs: list[float] = []
+
+    def g(y: float) -> float:
+        val, err = integrate_1d(lambda x: f(x, y), (x0, x1), inner_spec)
+        inner_errs.append(err)
+        return val
+
+    value, outer_err = integrate_1d(g, (y0, y1), spec)
+    inner_err = max(inner_errs) * abs(y1 - y0) if inner_errs else 0.0
+    return QuadResult(value, outer_err + inner_err)

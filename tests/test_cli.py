@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomfield import cli, parabolic_mirror
+from atomfield.numerics import QuadratureSpec
 from golden_check import read_table, run_config, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -544,6 +545,9 @@ class TestToleranceKeys:
         assert float(meta["rel_tol"]) == 1e-7 and float(meta["abs_tol"]) == 1e-9
         config = cli.parse_config("scenario = parabola-eta\nk_per_mm = 1\n")
         assert (config.params["rel_tol"], config.params["abs_tol"]) == (1e-10, 1e-13)
+        # the probe's defaults are eta_quadrature's own, from one definition
+        probe = QuadratureSpec(config.params["rel_tol"], config.params["abs_tol"])
+        assert probe == parabolic_mirror._theta_spec(0.0, None)
         for bad in ("rel_tol = 0", "abs_tol = -1e-9"):
             with pytest.raises(cli.ConfigError):
                 cli.parse_config(f"scenario = parabola-eta\nk_per_mm = 1\n{bad}\n")
@@ -648,18 +652,38 @@ class TestImportGraph:
         "    assert cli.main(['list-scenarios']) == 0\n"
     )
 
-    def scipy_loaded_after(self, code: str) -> list[str]:
-        """The scipy modules loaded after `code`."""
-        probe = "import sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the library's own quadratures off the CLI paths: the field energy, both
+    # parts, and the rate quadrature with its default spec
+    LIBRARY_CALLS = (
+        "import sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from atomfield import free_space, parabolic_mirror as pm\n"
+        "atom = free_space.TwoLevelAtom.from_linewidth(1.0, 1e3)\n"
+        "geometry = pm.ParabolicGeometry(focal_length=2.0, wavenumber=0.7853981633974483)\n"
+        "values = [*free_space.field_energy(atom, 1.0)]\n"
+        "values += free_space.field_energy(atom, 1.0, 'electric')\n"
+        "values += pm.eta_quadrature(geometry, (0.0, 0.0, 3.0))\n"
+        "print(*map(repr, values))\n"
+    )
+
+    @staticmethod
+    def fresh_run(code: str, *argv: str, timeout: float = 120) -> str:
+        """The stdout of `code` run with `argv` in a fresh interpreter."""
         done = subprocess.run(
-            [sys.executable, "-c", f"{code}\n{probe}"],
+            [sys.executable, "-c", code, *argv],
             env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
             capture_output=True,
             text=True,
-            timeout=120,
+            timeout=timeout,
         )
         assert done.returncode == 0, done.stderr
-        return done.stdout.splitlines()[-1].split()
+        return done.stdout
+
+    def scipy_loaded_after(self, code: str) -> list[str]:
+        """The scipy modules loaded after `code`."""
+        probe = "import sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        return self.fresh_run(f"{code}\n{probe}").splitlines()[-1].split()
 
     def test_import_loads_no_integrator(self):
         assert self.scipy_loaded_after("import atomfield") == []
@@ -678,15 +702,14 @@ class TestImportGraph:
         for mode in ("blocked", "plain"):
             out = tmp_path / mode
             out.mkdir()
-            done = subprocess.run(
-                [sys.executable, "-c", self.RUN_ALL, mode, str(out), *configs],
-                env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert done.returncode == 0, done.stderr
+            self.fresh_run(self.RUN_ALL, mode, str(out), *configs, timeout=300)
             outputs[mode] = {path.name: path.read_bytes() for path in out.iterdir()}
         blocked, plain = outputs["blocked"], outputs["plain"]
         assert len(blocked) == len(configs) + 1 and blocked.keys() == plain.keys()
         assert [name for name in sorted(blocked) if blocked[name] != plain[name]] == []
+
+    def test_library_quadratures_run_without_scipy(self):
+        blocked, plain = (
+            self.fresh_run(self.LIBRARY_CALLS, mode).split() for mode in ("blocked", "plain")
+        )
+        assert len(plain) == 8 and blocked == plain

@@ -1,13 +1,15 @@
 """Spontaneous emission into free space and the emitted wave packet."""
 
 import warnings
-from math import pi, sqrt
+from math import pi, sin, sqrt
 
 import numpy as np
 import pytest
 
 from atomfield import free_space, multimode, spherical_cavity
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
+from atomfield.numerics import QuadratureSpec, integrate_1d
+from oracles import integrate_2d
 
 
 @pytest.fixture
@@ -175,6 +177,45 @@ class TestFieldEnergy:
     def test_part_validation(self, atom):
         with pytest.raises(ValueError):
             free_space.field_energy(atom, 1.0, part="magnetic-only")
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0])
+    def test_zero_decay_rate_has_no_energy(self, t):
+        # Gamma = 0 emits nothing; the inner part must not divide by Gamma
+        atom = TwoLevelAtom(omega_eg=1e3, gamma=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fe = free_space.field_energy(atom, t)
+        assert fe == (0.0, 0.0, 0.0)
+        assert all(type(x) is float for x in fe)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, -1.0])
+    def test_one_radial_quadrature(self, atom, t, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return integrate_1d(*args)
+
+        monkeypatch.setattr(free_space, "integrate_1d", counted)
+        free_space.field_energy(atom, t, part="electric")
+        assert calls == [(10.0 / atom.omega_eg, abs(t))]
+
+    @pytest.mark.parametrize("part", ["total", "electric"])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 30.0, -1.0])
+    def test_theta_reduction_matches_2d_quadrature(self, atom, t, part):
+        # the polar integral done exactly (4/3) against the iterated (r, theta) one
+        share = 1.0 if part == "total" else 0.5
+
+        def density(r, theta):
+            shell = 2.0 * pi * r**2 * sin(theta)
+            return share * free_space.energy_density(atom, r, theta, t) * shell
+
+        r_min = 10.0 / atom.omega_eg
+        value, err = integrate_2d(
+            density, ((r_min, abs(t)), (0.0, pi)), QuadratureSpec(1e-9, 1e-12, max_subdivisions=400)
+        )
+        fe = free_space.field_energy(atom, t, part=part)
+        assert abs(fe.value - fe.inner_correction - value) <= fe.quadrature_error + err
 
 
 class TestFieldMap:

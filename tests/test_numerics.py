@@ -11,10 +11,10 @@ from atomfield.numerics import (
     QuadratureSpec,
     _psi_trigamma,
     integrate_1d,
-    integrate_2d,
     stable_binomial_series,
 )
 from atomfield.parabolic_mirror import _theta_spec
+from oracles import integrate_2d
 
 mpmath = pytest.importorskip("mpmath")
 

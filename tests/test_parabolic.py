@@ -9,7 +9,8 @@ import pytest
 
 from atomfield import free_space, parabolic_mirror as pm
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
-from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d, integrate_2d
+from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d
+from oracles import integrate_2d
 
 
 @pytest.fixture

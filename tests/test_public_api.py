@@ -62,7 +62,6 @@ EXPORTS = {
     "numerics.QuadResult",
     "numerics.QuadratureError",
     "numerics.integrate_1d",
-    "numerics.integrate_2d",
     "numerics.stable_binomial_series",
     "parabolic_mirror.ParabolicGeometry",
     "parabolic_mirror.RateProfile",
