@@ -53,8 +53,9 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class ResultTable:
     """Named columns of one length (`data` holds one 1-D array per name) and
-    the CSV's metadata lines.  An integer column must stay within +-2**53,
-    where every integer is a double, so that its CSV cells are exact."""
+    the CSV's metadata lines.  A column is bool, integer or real float, and
+    an integer column must stay within +-2**53, where every integer is a
+    double, so that its CSV cells are exact."""
 
     columns: list[str]
     data: tuple[np.ndarray, ...]
@@ -64,6 +65,9 @@ class ResultTable:
         data = tuple(np.asarray(a) for a in self.data)
         if len(data) != len(self.columns) or any(a.shape != data[0].shape or a.ndim != 1 for a in data):
             raise ValueError("a table needs one 1-D array per column, all of one length")
+        for name, a in zip(self.columns, data):
+            if a.dtype.kind not in "biuf":
+                raise ValueError(f"column {name!r} has dtype {a.dtype}, not bool, integer or real float")
         if any(a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) > 2**53 for a in data):
             raise ValueError("an integer column holds a value beyond +-2**53, which a CSV cell would round")
         object.__setattr__(self, "data", data)
@@ -401,7 +405,7 @@ _LO, _HI = -11, 15
 _NX = _HI + 1 - _LO  # exponents [_LO, _HI]
 _ZERO = 2 * _NX * 17  # mask _ZERO + sign: "0" and "-0"
 _TEXT = _ZERO + 2  # mask _TEXT + k: the first k bytes of a text
-_BLOCK_ROWS = 2048
+_BLOCK_CELLS = 6144  # cells per write: the writer's temporaries scale with it
 
 
 def _at_least_ten_to(e: int) -> float:
@@ -522,19 +526,21 @@ def _csv_lines(data: Sequence[np.ndarray]) -> bytes:
 
 
 def write_table(table: ResultTable, path: str) -> None:
-    """Write CSV: '#' metadata lines, header row, then the data rows, in
-    blocks of `_BLOCK_ROWS` rows, each one write.  Every cell holds
-    format(float(v), ".17g") (17 significant digits): str(v) for an int
-    column, whose values `ResultTable` keeps within +-2**53, and 0/1 for a
-    bool column."""
+    """Write CSV: '#' metadata lines, header row, then the data rows in
+    blocks of about `_BLOCK_CELLS` cells (whole rows, at least one), each
+    one write, so the writer's working set does not grow with the column
+    count.  Every cell holds format(float(v), ".17g") (17 significant
+    digits): str(v) for an int column, whose values `ResultTable` keeps
+    within +-2**53, and 0/1 for a bool column."""
     head = [f"# {key} = {table.metadata[key]}\n" for key in sorted(table.metadata)]
     head.append(",".join(table.columns) + "\n")
     rows = len(table.data[0]) if table.data else 0
+    block = max(1, _BLOCK_CELLS // max(1, len(table.data)))
     try:
         with open(path, "wb") as handle:
             handle.write("".join(head).encode())
-            for start in range(0, rows, _BLOCK_ROWS):
-                handle.write(_csv_lines([a[start : start + _BLOCK_ROWS] for a in table.data]))
+            for start in range(0, rows, block):
+                handle.write(_csv_lines([a[start : start + block] for a in table.data]))
     except OSError as exc:
         raise OSError(f"cannot write table to {path!r}: {exc}") from exc
 

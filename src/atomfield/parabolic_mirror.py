@@ -295,12 +295,14 @@ def field_map(
     z, rho = np.meshgrid(np.asarray(z_values, dtype=float), rho_values, indexing="ij")
     r1, eta_coord = _focus_distance_eta(z, rho, f)
     keep = (r1 != 0.0) & (eta_coord < f)
+    flags = eta_coord[keep] >= _BOUNDARY_FLAG_FRACTION * f
     z, rho = z[keep], rho[keep]
+    del r1, eta_coord, keep  # the whole grid's arrays, not needed by the ray sums
     spherical, plane, cos_t1 = _two_ray(atom, f, z, rho, t)
     return ParabolicFieldMap(
         points=np.column_stack((z, rho)),
         spherical=spherical,
         plane=plane,
         energy_density=_energy_density(spherical, plane, cos_t1),
-        flags=eta_coord[keep] >= _BOUNDARY_FLAG_FRACTION * f,
+        flags=flags,
     )

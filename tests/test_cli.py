@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,7 +102,7 @@ class TestParseConfig:
 
 class TestTableIO:
     def test_round_trip_bit_exact(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)  # 21 rows in three blocks
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 16)  # 8 rows of 2 columns: 21 rows in three blocks
         rng = np.random.default_rng(3)
         a, b = np.append(rng.uniform(-1e3, 1e3, (2, 20)), [[1.0 / 3.0], [np.pi]], axis=1)
         table = cli.ResultTable(["a", "b"], (a, b), {"scenario": "test"})
@@ -114,10 +115,55 @@ class TestTableIO:
         for got, want in zip(back.data, table.data):
             assert got.tolist() == want.tolist()  # bit-exact, not approx
 
+    @pytest.mark.parametrize("columns", [1, 2, 5, 8])
+    def test_blocks_of_whole_rows_follow_the_per_value_rule(self, columns, tmp_path, monkeypatch):
+        # 24 cells a block: 24, 12, 4 and 3 rows; three full blocks and one row more
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 24)
+        rows = 3 * (24 // columns) + 1
+        rng = np.random.default_rng(columns)
+        data = rng.standard_normal((columns, rows)) * 10.0 ** rng.integers(-14, 18, (columns, rows))
+        data[0, :2] = 0.0, -0.0
+        names = [f"c{j}" for j in range(columns)]
+        path = tmp_path / "t.csv"
+        cli.write_table(cli.ResultTable(names, tuple(data), {"scenario": "t"}), path)
+        want = ["# scenario = t", ",".join(names)]
+        want += [",".join(format(v, ".17g") for v in row) for row in data.T.tolist()]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_write_memory_does_not_grow_with_the_column_count(self, tmp_path):
+        # equal cell counts in 8 and in 2 columns: blocks of equal cell
+        # count give the writer the same working set above the held table
+        rng = np.random.default_rng(7)
+        peaks = {}
+        for columns in (8, 2):
+            data = rng.uniform(-1e3, 1e3, (columns, 200_000 // columns))
+            table = cli.ResultTable([f"c{j}" for j in range(columns)], tuple(data), {})
+            tracemalloc.start()
+            try:
+                cli.write_table(table, tmp_path / f"{columns}.csv")
+                peaks[columns] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] == pytest.approx(peaks[2], rel=0.3, abs=0)
+
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
         cli.write_table(cli.ResultTable(["x"], (np.array([]),), {}), path)
         assert path.read_text() == "x\n"
+
+    def test_no_columns_metadata_and_empty_header(self, tmp_path):
+        path = tmp_path / "e.csv"
+        cli.write_table(cli.ResultTable([], (), {"scenario": "t"}), path)
+        assert path.read_text() == "# scenario = t\n\n"
+
+    @pytest.mark.parametrize(
+        "column", [np.array([1 + 2j, 3 - 1j]), np.array(["1", "3"]), np.array([b"1", b"3"]), [1.0, None]]
+    )
+    def test_non_real_column_rejected(self, column):
+        # a complex column would lose its imaginary part, a text one fail
+        # only inside the writer, after the file is open
+        with pytest.raises(ValueError, match="column 'z'"):
+            cli.ResultTable(["x", "z"], ([1.0, 2.0], column), {})
 
     def test_bytes_follow_the_per_value_rule(self, tmp_path):
         # extremes of the double range, and 1/3 and pi, as a column from
