@@ -26,7 +26,6 @@ __all__ = [
     "FieldEnergy",
     "RadiationZoneWarning",
     "excited_amplitude",
-    "energy_density",
     "electric_amplitude",
     "field_energy",
     "field_map",
@@ -131,34 +130,20 @@ def _check_radiation_zone(atom: TwoLevelAtom, distance, stacklevel: int) -> None
         )
 
 
-def _checked_amplitude(atom: TwoLevelAtom, r, theta, t: float) -> np.ndarray:
-    """Electric amplitude at (r, theta) after the radius and radiation-zone checks."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radius must be positive")
-    _check_radiation_zone(atom, r, stacklevel=3)
-    return _packet(atom, np.sin(theta), r, r, t)
-
-
-def energy_density(atom: TwoLevelAtom, r, theta, t: float):
-    """Mean (normally ordered) field energy density of the one-photon packet.
-
-    (3 Gamma omega_eg / 8 pi) sin^2(theta) / r^2 * exp(-Gamma(|t| - r)) inside
-    the causal shell r <= |t|, zero outside; symmetric under t -> -t.  The
-    electric and magnetic halves are equal, so this is 2 |electric_amplitude|^2.
-    """
-    out = 2.0 * np.abs(_checked_amplitude(atom, r, theta, t)) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
 def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
     """Complex electric energy-density amplitude (polarization e_theta).
 
     Squared magnitude gives the electric half of the energy density; the
-    magnetic amplitude has the same value with polarization e_phi.
+    magnetic amplitude has the same value with polarization e_phi, so the
+    mean (normally ordered) energy density of the one-photon packet is
+    2 |E|^2 = (3 Gamma omega_eg / 8 pi) sin^2(theta) / r^2 * exp(-Gamma(|t| - r))
+    inside the causal shell r <= |t|, zero outside; symmetric under t -> -t.
     """
-    out = _checked_amplitude(atom, r, theta, t)
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):  # negated, so a NaN fails too
+        raise ValueError("radius must be positive")
+    _check_radiation_zone(atom, r, stacklevel=2)
+    out = _packet(atom, np.sin(np.asarray(theta, dtype=float)), r, r, t)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -192,7 +177,8 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
 
 
 def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
-    """Sample the electric amplitude and full energy density on an (r, theta) grid."""
+    """Sample the electric amplitude and the full energy density 2 |E|^2 on an
+    (r, theta) grid."""
     r_values = np.asarray(r_values, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
     rr, tt = np.meshgrid(r_values, theta_values, indexing="ij")

@@ -11,10 +11,15 @@ The decay-rate interference phase is k * n . r with r measured from the
 vertex, so the standing-wave field vanishes at P and the on-axis rate
 correction depends on k * z (z = height above the vertex).
 
-The rate is given on the axis only: `on_axis_eta` in closed form, checked by
-the polar-angle quadrature `eta_quadrature`.  Off the axis the tests keep
-the reference pair (the J0-reduced integral and the raw 2-D one, in
-`tests/test_parabolic.py`) that a closed form there would be checked against.
+The rate is given on the axis only: `on_axis_eta` in closed form, at one
+height or a whole profile, checked by the polar-angle quadrature
+`eta_quadrature`.  Off the axis the tests keep the reference pair (the
+J0-reduced integral and the raw 2-D one, in `tests/test_parabolic.py`) that
+a closed form there would be checked against.
+
+The two-ray field is mapped by `field_map`, which also flags the points
+near the mirror surface (eta >= 0.95 f) where the semiclassical rays are
+unreliable; `semiclassical_field` evaluates it at one point.
 """
 
 from __future__ import annotations
@@ -29,12 +34,10 @@ from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d
 
 __all__ = [
     "ParabolicGeometry",
-    "RateProfile",
     "TwoRayField",
     "ParabolicFieldMap",
     "eta_quadrature",
     "on_axis_eta",
-    "rate_profile",
     "angular_cutoff_correction",
     "semiclassical_field",
     "field_map",
@@ -83,18 +86,6 @@ def _focus_distance_eta(z, rho, f):
     return r1, 0.5 * (r1 - (z - f))
 
 
-@dataclass(frozen=True)
-class RateProfile:
-    """Axial samples of the decay-rate ratio eta."""
-
-    positions: np.ndarray  # z above the vertex
-    eta: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(self.eta >= -1e-12):
-            raise ValueError("rate ratio must be non-negative")
-
-
 def _theta_spec(a: float, spec: QuadratureSpec | None) -> QuadratureSpec:
     # subdivision budget scaled with the oscillation count ~ 2a / pi
     base = spec or _THETA_TOLERANCES
@@ -113,7 +104,8 @@ def _cavity_point(
     x, y, z = (float(c) for c in point)
     rho = sqrt(x * x + y * y)
     _, eta = _focus_distance_eta(z, rho, geometry.focal_length)
-    if z < 0 or eta > geometry.focal_length * (1.0 + _GUARD_RTOL):
+    # negated, so a NaN fails too
+    if not (z >= 0 and eta <= geometry.focal_length * (1.0 + _GUARD_RTOL)):
         raise ValueError("point lies outside the parabolic cavity")
     return x, y, z, rho
 
@@ -149,7 +141,7 @@ def on_axis_eta(geometry: ParabolicGeometry, z):
     a = 0 the Taylor series (2/5) a^2 - (2/35) a^4 + (4/945) a^6 - ... is used.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
+    if not np.all(z >= 0):  # negated, so a NaN fails too
         raise ValueError("axial position must be above the vertex (z >= 0)")
     # a scalar z is evaluated as a 1-element array, so that a scalar and an
     # array argument round alike (numpy rounds scalar and array a**3 differently)
@@ -159,18 +151,6 @@ def on_axis_eta(geometry: ParabolicGeometry, z):
         far = 1.0 + 3.0 * np.cos(2.0 * a) / (4.0 * a * a) - 3.0 * np.sin(2.0 * a) / (8.0 * a**3)
     eta = np.where(a < _SERIES_CROSSOVER, a2 * np.polyval(_ETA_SERIES[::-1], a2), far)
     return float(eta[0]) if z.ndim == 0 else eta
-
-
-def rate_profile(
-    geometry: ParabolicGeometry,
-    z_range: tuple[float, float],
-    samples: int,
-) -> RateProfile:
-    """Sample the on-axis rate ratio eta(z) over [z_min, z_max] above the vertex."""
-    if samples < 2:
-        raise ValueError("at least 2 samples required")
-    z = np.linspace(float(z_range[0]), float(z_range[1]), samples)
-    return RateProfile(positions=z, eta=on_axis_eta(geometry, z))
 
 
 def angular_cutoff_correction(geometry: ParabolicGeometry) -> float:
@@ -192,14 +172,13 @@ class TwoRayField:
     `spherical` multiplies the e_theta1 polarization of the direct ray,
     `plane` the e_rho polarization of the mirror-reflected ray family.
     `energy_density` is the electric energy density |E_s + E_p|^2, without
-    the factor 2 of free_space.energy_density (electric plus magnetic):
-    before the reflection arrives it is half the free-space value.
+    the factor 2 of free_space.FieldMap.energy_density (electric plus
+    magnetic): before the reflection arrives it is half the free-space value.
     """
 
     spherical: complex
     plane: complex
     energy_density: float
-    near_boundary: bool
 
 
 def _energy_density(spherical, plane, cos_theta1):
@@ -218,7 +197,7 @@ class ParabolicFieldMap:
     spherical: np.ndarray
     plane: np.ndarray
     energy_density: np.ndarray
-    flags: np.ndarray  # True where the point is semiclassically unreliable
+    flags: np.ndarray  # True near the mirror (eta >= 0.95 f): semiclassically unreliable
 
 
 def _two_ray(atom: TwoLevelAtom, f: float, z, rho, t: float):
@@ -259,10 +238,11 @@ def semiclassical_field(
     _check_two_ray(geometry, atom)
     f = geometry.focal_length
     z, rho = float(point[0]), float(point[1])
-    if rho < 0:
+    # negated, so a NaN fails too
+    if not rho >= 0:
         raise ValueError("rho must be >= 0")
     r1, eta_coord = _focus_distance_eta(z, rho, f)
-    if eta_coord >= f:
+    if not eta_coord < f:
         raise ValueError("point lies outside the parabolic cavity")
     if r1 == 0.0:
         raise ValueError("field amplitude is singular at the focus")
@@ -273,7 +253,6 @@ def semiclassical_field(
         spherical=spherical,
         plane=plane,
         energy_density=float(_energy_density(spherical, plane, cos_t1)),
-        near_boundary=bool(eta_coord >= _BOUNDARY_FLAG_FRACTION * f),
     )
 
 
@@ -289,7 +268,7 @@ def field_map(
     raised."""
     _check_two_ray(geometry, atom)
     rho_values = np.asarray(rho_values, dtype=float)
-    if np.any(rho_values < 0):
+    if not np.all(rho_values >= 0):  # negated, so a NaN fails too
         raise ValueError("rho must be >= 0")
     f = geometry.focal_length
     z, rho = np.meshgrid(np.asarray(z_values, dtype=float), rho_values, indexing="ij")

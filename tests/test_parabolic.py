@@ -149,6 +149,8 @@ class TestRateModification:
         with pytest.raises(ValueError):
             # below the mirror surface at large rho
             pm.eta_quadrature(geometry, (100.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="outside the parabolic cavity"):
+            pm.eta_quadrature(geometry, (0.0, 0.0, float("nan")))
 
     def test_rate_requires_matching_wavenumber(self):
         # omega_eg f = 50 passes the two-ray size guard, so k = 2 omega_eg is what fails
@@ -169,6 +171,8 @@ class TestRateModification:
         assert np.max(np.abs(eta - scalar)) <= np.spacing(1.0)
         with pytest.raises(ValueError):
             pm.on_axis_eta(geometry, np.array([1.0, -1e-3]))
+        with pytest.raises(ValueError, match="above the vertex"):
+            pm.on_axis_eta(geometry, np.array([1.0, float("nan")]))
 
     def test_on_axis_eta_matches_extended_precision(self):
         mpmath = pytest.importorskip("mpmath")
@@ -183,11 +187,17 @@ class TestRateModification:
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
     def test_rate_profile(self, geometry):
-        profile = pm.rate_profile(geometry, (0.0, 10.0), 21)
-        assert profile.positions.size == 21
-        assert profile.eta[0] == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            pm.rate_profile(geometry, (0.0, 1.0), 1)
+        eta = pm.on_axis_eta(geometry, np.linspace(0.0, 10.0, 21))
+        assert eta.shape == (21,)
+        assert eta[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_on_axis_eta_is_non_negative(self, geometry):
+        # a = k z over [0, 200], densest across the series/far crossover at
+        # a = 0.5; the minimum, 0, sits at a = 0
+        a = np.concatenate((np.linspace(0.0, 1.0, 100_001), np.linspace(1.0, 200.0, 200_001)))
+        eta = pm.on_axis_eta(geometry, a / geometry.wavenumber)
+        assert np.min(eta) >= 0.0
+        assert eta[0] == 0.0
 
     def test_cutoff_correction_matches_quadrature(self):
         # oracle: 1.5 * integral of sin^3 over [0, theta0] by adaptive quadrature
@@ -243,10 +253,10 @@ class TestTwoRayField:
         f = mirror.focal_length
         # point just inside the mirror surface at rho = 2 f
         surface_z = (2.0 * f) ** 2 / (4.0 * f)
-        fld = pm.semiclassical_field(mirror, atom, (surface_z + 0.05, 2.0 * f), 30.0)
-        assert fld.near_boundary
-        center = pm.semiclassical_field(mirror, atom, (f, 1.0), 30.0)
-        assert not center.near_boundary
+        near = pm.field_map(mirror, atom, [surface_z + 0.05], [2.0 * f], 30.0)
+        assert near.flags.tolist() == [True]
+        center = pm.field_map(mirror, atom, [f], [1.0], 30.0)
+        assert center.flags.tolist() == [False]
 
     def test_energy_density_includes_interference(self, mirror, atom):
         z, rho = 12.0, 14.0
@@ -263,6 +273,8 @@ class TestTwoRayField:
             pm.semiclassical_field(mirror, atom, (10.0, 0.0), 1.0)  # focus
         with pytest.raises(ValueError):
             pm.semiclassical_field(mirror, atom, (0.05, 50.0), 1.0)  # outside
+        with pytest.raises(ValueError, match="outside the parabolic cavity"):
+            pm.semiclassical_field(mirror, atom, (float("nan"), 3.0), 1.0)
         small = pm.ParabolicGeometry(focal_length=0.1, wavenumber=atom.omega_eg)
         with pytest.raises(ValueError):
             pm.semiclassical_field(small, atom, (0.05, 0.01), 1.0)
@@ -270,11 +282,12 @@ class TestTwoRayField:
             pm.semiclassical_field(mirror, atom, (10.05, 0.0), 1.0)
 
     def test_negative_rho_rejected(self, mirror, atom):
-        # the scalar route and the grid route refuse rho < 0 alike
-        with pytest.raises(ValueError, match="^rho must be >= 0$"):
-            pm.semiclassical_field(mirror, atom, (12.0, -3.0), 25.0)
-        with pytest.raises(ValueError, match="^rho must be >= 0$"):
-            pm.field_map(mirror, atom, [12.0], [3.0, -3.0], 25.0)
+        # the scalar route and the grid route refuse rho < 0, and a NaN, alike
+        for bad in (-3.0, float("nan")):
+            with pytest.raises(ValueError, match="^rho must be >= 0$"):
+                pm.semiclassical_field(mirror, atom, (12.0, bad), 25.0)
+            with pytest.raises(ValueError, match="^rho must be >= 0$"):
+                pm.field_map(mirror, atom, [12.0], [3.0, bad], 25.0)
 
     def test_field_map_filters_to_interior(self, mirror, atom):
         z = np.linspace(0.5, 30.0, 8)
@@ -303,7 +316,7 @@ class TestTwoRayField:
                         continue
                     fld = pm.semiclassical_field(mirror, atom, (zi, rhoi), t)
                     points.append((zi, rhoi))
-                    flags.append(fld.near_boundary)
+                    flags.append(eta >= 0.95 * mirror.focal_length)
                     want.append((fld.spherical, fld.plane, fld.energy_density))
         fmap = pm.field_map(mirror, atom, z, rho, t)
         assert np.array_equal(fmap.points, np.reshape(points, (-1, 2)))

@@ -33,11 +33,6 @@ NAN = float("nan")
             "cavity radius",
             id="SphericalCavity.radius",
         ),
-        pytest.param(
-            lambda: pm.RateProfile(positions=np.array([0.0, 1.0]), eta=np.array([0.5, NAN])),
-            "rate ratio",
-            id="RateProfile.eta",
-        ),
         pytest.param(lambda: jcp.JcpParams(detuning=NAN), "detuning", id="JcpParams.detuning"),
         pytest.param(
             lambda: jcp.FieldDistribution(np.array([NAN]), 0), "sum to 1", id="FieldDistribution"
