@@ -351,7 +351,7 @@ def _run_parabola_field(p: dict[str, Any], meta: dict[str, str]) -> dict[str, An
         re_plane=fmap.plane.real,
         im_plane=fmap.plane.imag,
         energy_density=fmap.energy_density,
-        near_boundary=fmap.flags.astype(int),
+        near_boundary=fmap.flags,
     )
 
 
@@ -404,6 +404,9 @@ _NX = _HI + 1 - _LO  # exponents [_LO, _HI]
 _ZERO = 2 * _NX * 17  # mask _ZERO + sign: "0" and "-0"
 _TEXT = _ZERO + 2  # mask _TEXT + k: the first k bytes of a text
 _BLOCK_CELLS = 6144  # cells per write: the writer's temporaries scale with it
+# cells per compaction of a block's bytes: its byte index (8 B per byte kept)
+# then stays below _float_cells' temporaries, which set a block's peak
+_CHUNK_CELLS = 2048
 
 
 def _at_least_ten_to(e: int) -> float:
@@ -519,8 +522,13 @@ def _csv_lines(data: Sequence[np.ndarray]) -> bytes:
     masks = _float_cells(values, words.reshape(-1, 6)).reshape(rows, -1)
     words[:, :-1, 5] |= _COMMA
     words[:, -1, 5] |= _NEWLINE
-    keep = _MASKS.take(masks, axis=0).view(bool)
-    return words.view(np.uint8).ravel().take(np.flatnonzero(keep)).tobytes()
+    cells, masks = words.view(np.uint8).reshape(-1, 48), masks.ravel()
+    parts = []
+    for start in range(0, len(masks), _CHUNK_CELLS):  # chunks keep the byte index small
+        chunk = slice(start, start + _CHUNK_CELLS)
+        keep = _MASKS.take(masks[chunk], axis=0).view(bool)
+        parts.append(cells[chunk].ravel().take(np.flatnonzero(keep)).tobytes())
+    return b"".join(parts)
 
 
 def write_table(table: ResultTable, path: str) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, expm1, inf, pi, sqrt
+from math import exp, expm1, inf, isfinite, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _RADIATION_ZONE_FACTOR = 10.0
+# points per block of a field map's ray sums: its temporaries scale with it
+_RAY_BLOCK = 4096
 
 
 class RadiationZoneWarning(UserWarning):
@@ -105,6 +107,8 @@ def _packet(atom: TwoLevelAtom, sin_t, path, dist, t: float):
     the atom's amplitude excited_amplitude(-sign(t) u) at the retarded time
     u = |t| - path/c times the geometric factor sin(theta)/dist, zero before
     the causal front u = 0; outgoing for t > 0, incoming (absorbed) for t < 0."""
+    if not isfinite(t):  # a NaN t would read as a point before the front
+        raise ValueError("time must be finite")
     u = abs(t) - path
     live = u >= 0
     u = np.where(live, u, 0.0)  # the points before the front are discarded: exp(0) is cheap
@@ -116,6 +120,12 @@ def _packet(atom: TwoLevelAtom, sin_t, path, dist, t: float):
         / dist
     )
     return np.where(live, amplitude, 0j)
+
+
+def _blocks(n: int) -> list[slice]:
+    """Slices of at most _RAY_BLOCK points covering range(n), at least one, so
+    that an empty grid still meets _packet's time check."""
+    return [slice(start, start + _RAY_BLOCK) for start in range(0, max(n, 1), _RAY_BLOCK)]
 
 
 def _check_radiation_zone(atom: TwoLevelAtom, distance, stacklevel: int) -> None:
@@ -178,13 +188,23 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
 
 def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
     """Sample the electric amplitude and the full energy density 2 |E|^2 on an
-    (r, theta) grid."""
-    r_values = np.asarray(r_values, dtype=float)
-    theta_values = np.asarray(theta_values, dtype=float)
-    rr, tt = np.meshgrid(r_values, theta_values, indexing="ij")
-    pts = np.column_stack((rr.ravel(), tt.ravel()))
-    amp = electric_amplitude(atom, pts[:, 0], pts[:, 1], t)
-    return FieldMap(points=pts, amplitude=amp, energy_density=2.0 * np.abs(amp) ** 2)
+    (r, theta) grid, r-major, in blocks of points, so that no temporary grows
+    with the grid."""
+    r_values = np.asarray(r_values, dtype=float).ravel()
+    theta_values = np.asarray(theta_values, dtype=float).ravel()
+    pts = np.empty((r_values.size, theta_values.size, 2))
+    pts[..., 0], pts[..., 1] = r_values[:, None], theta_values
+    pts = pts.reshape(-1, 2)
+    r = pts[:, 0]
+    if not np.all(r > 0):  # negated, so a NaN fails too
+        raise ValueError("radius must be positive")
+    _check_radiation_zone(atom, r, stacklevel=1)
+    amp = np.empty(len(pts), dtype=complex)
+    density = np.empty(len(pts))
+    for block in _blocks(len(pts)):
+        a = amp[block] = _packet(atom, np.sin(pts[block, 1]), r[block], r[block], t)
+        density[block] = 2.0 * np.abs(a) ** 2
+    return FieldMap(points=pts, amplitude=amp, energy_density=density)
 
 
 def wigner_weisskopf_ode(

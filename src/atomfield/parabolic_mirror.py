@@ -29,7 +29,7 @@ from math import atan, cos, factorial, pi, sin, sqrt
 
 import numpy as np
 
-from .free_space import TwoLevelAtom, _check_radiation_zone, _packet
+from .free_space import TwoLevelAtom, _blocks, _check_radiation_zone, _packet
 from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d
 
 __all__ = [
@@ -141,8 +141,8 @@ def on_axis_eta(geometry: ParabolicGeometry, z):
     a = 0 the Taylor series (2/5) a^2 - (2/35) a^4 + (4/945) a^6 - ... is used.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(z >= 0):  # negated, so a NaN fails too
-        raise ValueError("axial position must be above the vertex (z >= 0)")
+    if not np.all((z >= 0) & (z < np.inf)):  # negated, so a NaN fails too
+        raise ValueError("axial position must be finite and above the vertex (z >= 0)")
     # a scalar z is evaluated as a 1-element array, so that a scalar and an
     # array argument round alike (numpy rounds scalar and array a**3 differently)
     a = geometry.wavenumber * np.atleast_1d(z)
@@ -264,24 +264,31 @@ def field_map(
     t: float,
 ) -> ParabolicFieldMap:
     """Evaluate the two-ray field on the part of a (z, rho) grid inside the
-    cavity, z-major; the focus is skipped and no radiation-zone warning is
-    raised."""
+    cavity, z-major, in blocks of points, so that no temporary of the ray
+    sums grows with the grid; the focus is skipped and no radiation-zone
+    warning is raised."""
     _check_two_ray(geometry, atom)
+    z_values = np.asarray(z_values, dtype=float)
     rho_values = np.asarray(rho_values, dtype=float)
     if not np.all(rho_values >= 0):  # negated, so a NaN fails too
         raise ValueError("rho must be >= 0")
+    # a non-finite z or rho would be dropped as if outside the cavity
+    if not (np.all(np.isfinite(z_values)) and np.all(np.isfinite(rho_values))):
+        raise ValueError("z and rho must be finite")
     f = geometry.focal_length
-    z, rho = np.meshgrid(np.asarray(z_values, dtype=float), rho_values, indexing="ij")
+    z, rho = np.meshgrid(z_values, rho_values, indexing="ij")
     r1, eta_coord = _focus_distance_eta(z, rho, f)
     keep = (r1 != 0.0) & (eta_coord < f)
     flags = eta_coord[keep] >= _BOUNDARY_FLAG_FRACTION * f
-    z, rho = z[keep], rho[keep]
-    del r1, eta_coord, keep  # the whole grid's arrays, not needed by the ray sums
-    spherical, plane, cos_t1 = _two_ray(atom, f, z, rho, t)
+    points = np.column_stack((z[keep], rho[keep]))
+    del z, rho, r1, eta_coord, keep  # the whole grid's arrays, not needed by the ray sums
+    n = len(points)
+    spherical, plane = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    energy_density = np.empty(n)
+    for block in _blocks(n):
+        s, p, cos_t1 = _two_ray(atom, f, points[block, 0], points[block, 1], t)
+        spherical[block], plane[block] = s, p
+        energy_density[block] = _energy_density(s, p, cos_t1)
     return ParabolicFieldMap(
-        points=np.column_stack((z, rho)),
-        spherical=spherical,
-        plane=plane,
-        energy_density=_energy_density(spherical, plane, cos_t1),
-        flags=flags,
+        points=points, spherical=spherical, plane=plane, energy_density=energy_density, flags=flags
     )

@@ -146,6 +146,37 @@ class TestTableIO:
                 tracemalloc.stop()
         assert peaks[8] == pytest.approx(peaks[2], rel=0.3, abs=0)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 16])
+    def test_compaction_chunks_split_rows_alike(self, chunk, monkeypatch):
+        # 3 columns of 10 rows: chunks of 5, 7 and 16 cells end inside a row
+        rng = np.random.default_rng(chunk)
+        data = rng.standard_normal((3, 10)) * 10.0 ** rng.integers(-14, 18, (3, 10))
+        data[0, :2] = 0.0, -0.0
+        data[1, 2], data[2, 3] = 5e-324, 1e300  # cells that format() writes
+        whole = cli._csv_lines(list(data))
+        want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in data.T.tolist())
+        assert whole == want.encode()
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
+        assert cli._csv_lines(list(data)) == whole
+
+    def test_block_memory_per_cell(self):
+        # a block of _BLOCK_CELLS cells of the 8 parabola-field columns: the
+        # compaction of its bytes by chunks of cells keeps the block's peak
+        # at the float layout's (about 210 B a cell; an index over the
+        # whole block's output bytes peaked at about 290)
+        rng = np.random.default_rng(11)
+        rows = cli._BLOCK_CELLS // 8
+        data = list(rng.standard_normal((8, rows)) * 10.0 ** rng.integers(-14, 4, (8, rows)))
+        data[7] = rng.integers(0, 2, rows) == 1
+        cli._csv_lines(data)
+        tracemalloc.start()
+        try:
+            cli._csv_lines(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cli._BLOCK_CELLS <= 240
+
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
         cli.write_table(cli.ResultTable(["x"], (np.array([]),), {}), path)
@@ -205,10 +236,8 @@ class TestTableIO:
         table = cli.run_scenario(cli.parse_config((GOLDEN_DIR / f"{name}.cfg").read_text()))
         path = tmp_path / "t.csv"
         cli.write_table(table, path)
-        cells = [
-            [str(v) if a.dtype.kind in "biu" else format(v, ".17g") for v in a.tolist()]
-            for a in table.data
-        ]
+        # the documented rule for every cell: str(v) for an int, 0/1 for a bool
+        cells = [[format(float(v), ".17g") for v in a.tolist()] for a in table.data]
         want = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
         want += [",".join(table.columns)] + [",".join(row) for row in zip(*cells)]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()

@@ -1,7 +1,8 @@
 """Spontaneous emission into free space and the emitted wave packet."""
 
+import tracemalloc
 import warnings
-from math import pi, sin, sqrt
+from math import inf, nan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ class TestWavePacket:
     def test_time_reversal_symmetry(self, atom):
         r, th = 0.7, 1.1
         assert _density(atom, r, th, 1.0) == pytest.approx(_density(atom, r, th, -1.0))
+
+    def test_non_finite_time_refused(self, atom):
+        # a NaN time used to read as a point before the causal front: all zeros
+        for t in (nan, inf, -inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                free_space.electric_amplitude(atom, 1.0, 1.0, t)
+            with pytest.raises(ValueError, match="time must be finite"):
+                free_space.field_map(atom, [0.5, 0.7], [1.0], t)
+            with pytest.raises(ValueError, match="time must be finite"):
+                free_space.field_map(atom, [0.5], [], t)
 
     def test_dipole_pattern(self, atom):
         # sin^2 theta angular factor, node along the dipole axis
@@ -238,6 +249,33 @@ class TestFieldMap:
         assert fmap.energy_density == pytest.approx(
             2.0 * np.abs(fmap.amplitude) ** 2, rel=1e-12, abs=0.0
         )
+
+    def test_blocks_give_the_one_block_map(self, atom, monkeypatch):
+        r = np.linspace(0.05, 0.9, 7)
+        th = np.linspace(0.1, pi - 0.1, 5)
+        whole = free_space.field_map(atom, r, th, 0.6)
+        monkeypatch.setattr(free_space, "_RAY_BLOCK", 4)  # 35 points in 9 blocks
+        blocked = free_space.field_map(atom, r, th, 0.6)
+        for name in ("points", "amplitude", "energy_density"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+        assert np.any(whole.amplitude) and not np.all(whole.amplitude)
+
+    def test_memory_within_its_record(self):
+        # the largest free-wavepacket grid of the field-maps benchmark: the
+        # ray sums run in blocks, so the peak stays near the map's own bytes
+        # (1.28x; the whole-grid sums peaked at 2.2x)
+        atom = TwoLevelAtom.from_linewidth(1.0, 203.827)
+        r = np.linspace(10.0 / atom.omega_eg, 4.28584, 400)
+        th = np.linspace(0.0, pi, 90)
+        tracemalloc.start()
+        try:
+            fmap = free_space.field_map(atom, r, th, 4.28584)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = fmap.points.nbytes + fmap.amplitude.nbytes + fmap.energy_density.nbytes
+        assert own == 36_000 * 40
+        assert peak <= 1.5 * own
 
 
 class TestDiscretizedContinuum:

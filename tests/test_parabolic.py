@@ -1,8 +1,9 @@
 """Parabolic mirror: rate modification, two-ray field."""
 
 import sys
+import tracemalloc
 import warnings
-from math import cos, exp, hypot, pi, sin, sqrt
+from math import cos, exp, hypot, inf, nan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -173,6 +174,9 @@ class TestRateModification:
             pm.on_axis_eta(geometry, np.array([1.0, -1e-3]))
         with pytest.raises(ValueError, match="above the vertex"):
             pm.on_axis_eta(geometry, np.array([1.0, float("nan")]))
+        # the far form would give NaN from cos(inf), where the limit is 1
+        with pytest.raises(ValueError, match="finite"):
+            pm.on_axis_eta(geometry, inf)
 
     def test_on_axis_eta_matches_extended_precision(self):
         mpmath = pytest.importorskip("mpmath")
@@ -280,6 +284,12 @@ class TestTwoRayField:
             pm.semiclassical_field(small, atom, (0.05, 0.01), 1.0)
         with pytest.warns(RadiationZoneWarning):
             pm.semiclassical_field(mirror, atom, (10.05, 0.0), 1.0)
+        # a NaN time used to give a silent all-zero field
+        for t in (nan, inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                pm.semiclassical_field(mirror, atom, (12.0, 3.0), t)
+            with pytest.raises(ValueError, match="time must be finite"):
+                pm.field_map(mirror, atom, [12.0], [3.0], t)
 
     def test_negative_rho_rejected(self, mirror, atom):
         # the scalar route and the grid route refuse rho < 0, and a NaN, alike
@@ -288,6 +298,13 @@ class TestTwoRayField:
                 pm.semiclassical_field(mirror, atom, (12.0, bad), 25.0)
             with pytest.raises(ValueError, match="^rho must be >= 0$"):
                 pm.field_map(mirror, atom, [12.0], [3.0, bad], 25.0)
+
+    def test_non_finite_grid_rejected(self, mirror, atom):
+        # a NaN or inf z, or an inf rho, used to be dropped like a point
+        # outside the mirror, leaving a silently shorter map
+        for z, rho in (([12.0, nan], [3.0]), ([12.0, inf], [3.0]), ([-inf], [3.0]), ([12.0], [3.0, inf])):
+            with pytest.raises(ValueError, match="^z and rho must be finite$"):
+                pm.field_map(mirror, atom, z, rho, 25.0)
 
     def test_field_map_filters_to_interior(self, mirror, atom):
         z = np.linspace(0.5, 30.0, 8)
@@ -331,6 +348,36 @@ class TestTwoRayField:
             assert not np.any(fmap.energy_density)
         else:
             assert np.any(fmap.plane) and not np.all(fmap.plane)
+
+    def test_field_map_blocks_give_the_one_block_map(self, mirror, atom, monkeypatch):
+        z = np.linspace(0.5, 30.0, 8)
+        rho = np.linspace(0.0, 40.0, 9)
+        whole = pm.field_map(mirror, atom, z, rho, 25.0)
+        monkeypatch.setattr(free_space, "_RAY_BLOCK", 5)
+        blocked = pm.field_map(mirror, atom, z, rho, 25.0)
+        assert len(whole.points) > 3 * 5
+        for name in ("points", "spherical", "plane", "energy_density", "flags"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+        assert np.any(whole.plane) and not np.all(whole.plane)
+
+    def test_field_map_memory_within_its_record(self, monkeypatch):
+        # the largest parabola-field grid of the field-maps benchmark's seed
+        # 1 (34 636 points inside the mirror): the ray sums run in blocks,
+        # so the peak stays near the map's own bytes (1.35x; the whole-grid
+        # sums peaked at 2.14x)
+        f, omega = 13.0201, 971.007 / 13.0201
+        atom = TwoLevelAtom.from_linewidth(1.0, omega)
+        mirror = pm.ParabolicGeometry(focal_length=f, wavenumber=omega)
+        z, rho = np.linspace(0.5, 30.0, 200), np.linspace(0.0, 2.0 * f, 200)
+        tracemalloc.start()
+        try:
+            fmap = pm.field_map(mirror, atom, z, rho, 15.7839)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(getattr(fmap, name).nbytes for name in ("points", "spherical", "plane", "energy_density", "flags"))
+        assert own == 34_636 * 57
+        assert peak <= 1.5 * own
 
     def test_field_map_empty_outside(self, mirror, atom):
         fmap = pm.field_map(mirror, atom, [0.1], [50.0], 25.0)
