@@ -1,8 +1,8 @@
 """Dynamics of a two-level atom coupled to quantized radiation in four mode
 geometries: a single cavity mode, free space, a closed metallic sphere and a
 half-open parabolic mirror.  Closed-form results are cross-validated
-against brute-force solvers; the scipy-backed ones are test oracles, so the
-runtime needs only numpy."""
+against brute-force solvers, which are test oracles, so the runtime needs
+only numpy."""
 
 from . import cli, free_space, jcp, multimode, numerics, parabolic_mirror, spherical_cavity
 from .free_space import TwoLevelAtom

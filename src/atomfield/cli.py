@@ -235,7 +235,7 @@ def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     trace = free_space.wigner_weisskopf_ode(
         atom, times, band_width=p["band_width"], mode_spacing=p["spacing"]
     )
-    meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
+    meta["norm_drift"] = _num(abs(trace.norm - 1.0))
     p_pole = np.abs(free_space.excited_amplitude(atom, times)) ** 2
     return dict(t=times, p_e=trace.excited_population, p_pole=p_pole)
 
@@ -286,7 +286,7 @@ def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, An
     p_closed = spherical_cavity.excited_probability_closed_form(cavity, times)
     if p["with_ode"]:
         trace = spherical_cavity.evolve_cavity_ode(cavity, times, band_width=p["band_width"])
-        meta["norm_drift"] = _num(float(np.max(np.abs(trace.norm - 1.0))))
+        meta["norm_drift"] = _num(abs(trace.norm - 1.0))
         return dict(t=times, p_e=p_closed, p_e_ode=trace.excited_population)
     return dict(t=times, p_e=p_closed)
 

@@ -128,6 +128,14 @@ def _blocks(n: int) -> list[slice]:
     return [slice(start, start + _RAY_BLOCK) for start in range(0, max(n, 1), _RAY_BLOCK)]
 
 
+def _check_grid(r, theta) -> None:
+    """Refuse a radius that is not > 0 and a non-finite polar angle."""
+    if not np.all(r > 0):  # negated, so a NaN fails too
+        raise ValueError("radius must be positive")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("polar angle must be finite")
+
+
 def _check_radiation_zone(atom: TwoLevelAtom, distance, stacklevel: int) -> None:
     """Warn, at `stacklevel` as seen from the caller, if a distance from the
     emitter lies below the radiation zone distance * omega_eg >= 10."""
@@ -149,11 +157,10 @@ def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
     2 |E|^2 = (3 Gamma omega_eg / 8 pi) sin^2(theta) / r^2 * exp(-Gamma(|t| - r))
     inside the causal shell r <= |t|, zero outside; symmetric under t -> -t.
     """
-    r = np.asarray(r, dtype=float)
-    if not np.all(r > 0):  # negated, so a NaN fails too
-        raise ValueError("radius must be positive")
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    _check_grid(r, theta)
     _check_radiation_zone(atom, r, stacklevel=2)
-    out = _packet(atom, np.sin(np.asarray(theta, dtype=float)), r, r, t)
+    out = _packet(atom, np.sin(theta), r, r, t)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -192,13 +199,12 @@ def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
     with the grid."""
     r_values = np.asarray(r_values, dtype=float).ravel()
     theta_values = np.asarray(theta_values, dtype=float).ravel()
+    _check_grid(r_values, theta_values)
+    _check_radiation_zone(atom, r_values, stacklevel=2)
     pts = np.empty((r_values.size, theta_values.size, 2))
     pts[..., 0], pts[..., 1] = r_values[:, None], theta_values
     pts = pts.reshape(-1, 2)
     r = pts[:, 0]
-    if not np.all(r > 0):  # negated, so a NaN fails too
-        raise ValueError("radius must be positive")
-    _check_radiation_zone(atom, r, stacklevel=1)
     amp = np.empty(len(pts), dtype=complex)
     density = np.empty(len(pts))
     for block in _blocks(len(pts)):

@@ -114,7 +114,7 @@ def rabi_frequency(n, params: JcpParams):
     """n-photon Rabi frequency sqrt(Delta^2 + 4 (n+1)); n is a scalar
     (float result) or an array."""
     n = np.asarray(n)
-    if np.any(n < 0):
+    if not np.all(n >= 0):  # negated, so a NaN fails too
         raise ValueError("photon number must be >= 0")
     omega = np.sqrt(params.detuning**2 + 4.0 * (n + 1))
     return float(omega) if omega.ndim == 0 else omega

@@ -20,12 +20,8 @@ The time grid must be uniform: `numerics._cos_sum` sums the cosines by angle
 addition over blocks of the grid, with about 2 log2(T) + 2 sines and cosines
 per mode instead of T (about 4 sqrt(T) for the smallest bands and grids, see
 `numerics._cos_sum`).
-`integrate_atom_modes` integrates any band with DOP853 and is the brute-force
-cross-check.  It is the one library path that needs scipy, which the `test`
-extra brings (the runtime needs only numpy): it reaches scipy.integrate
-through the forwarder `solve_ivp` below, so importing this module does not
-load it.  It stays here, not with the tests' oracles, because the
-benchmark's tracer wraps `multimode.solve_ivp` by name.
+The brute-force DOP853 integration of a band, the solver's oracle, lives
+with the tests (`tests/oracles.py`), so this module needs only numpy.
 """
 
 from __future__ import annotations
@@ -37,15 +33,15 @@ import numpy as np
 
 from .numerics import _EPS, _GUARD_RTOL, _cos_sum, _psi_trigamma
 
-__all__ = ["AmplitudeTrace", "integrate_atom_modes"]
+__all__ = ["AmplitudeTrace"]
 
 
 @dataclass(frozen=True)
 class AmplitudeTrace:
     """Time series of the excited-state amplitude of a multimode evolution."""
 
-    excited_amplitude: np.ndarray  # a_e(t), complex (real for the flat band's mirrored spectrum)
-    norm: np.ndarray  # |a_e|^2 + sum_k |b_k|^2 (the spectral solver: sum_j w_j), should stay at 1
+    excited_amplitude: np.ndarray  # a_e(t), real: the flat band's spectrum is mirrored
+    norm: float  # |a_e|^2 + sum_k |b_k|^2 = sum_j w_j at every time, should be 1
 
     @property
     def excited_population(self) -> np.ndarray:
@@ -200,62 +196,21 @@ def _flat_band_evolution(
     over the eigenpairs of the arrowhead Hamiltonian.  The spectrum is
     mirrored, so the sines cancel and a_e(t) = sum_{lambda_j > 0} 2 w_j
     cos(lambda_j t) is real.  The norm is the eigenbasis unitarity sum_j w_j,
-    the same at every time.  `times` must be uniform (see `_cos_sum`)."""
+    the same at every time; doubling is exact, so summing the upper half
+    gives fsum(w) bit for bit.  `times` must be uniform (see `_cos_sum`)."""
     detunings, couplings = _flat_band(gamma, band_width, spacing)
     x, w = _flat_band_spectrum(detunings.size // 2, (couplings[0] / spacing) ** 2)
     times = np.asarray(times, dtype=float)
     upper = slice(x.size // 2, None)
     a_e = _cos_sum(2.0 * w[upper], spacing * x[upper], times)
-    return AmplitudeTrace(excited_amplitude=a_e.astype(complex), norm=np.full(times.shape, fsum(w)))
+    return AmplitudeTrace(excited_amplitude=a_e, norm=2.0 * fsum(w[upper]))
 
 
-# tolerances of the brute-force DOP853 integration below
-_ODE_RTOL = 1e-9
-_ODE_ATOL = 1e-12
-
-
-# A module-level name that `integrate_atom_modes` calls, so a tracer can wrap
-# the solver here, while scipy.integrate loads only on the first call.
+# The benchmark's tracer (the `_FOREIGN` entry of perfbench/tracing.py) looks
+# this name up and wraps it; nothing here calls it.  ROADMAP item 1 deletes
+# both.  It imports the solver only when called, so importing this module
+# loads no solver.
 def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)
-
-
-def integrate_atom_modes(
-    detunings: np.ndarray, couplings: np.ndarray, times: np.ndarray
-) -> AmplitudeTrace:
-    """Integrate the coupled atom + N-mode amplitude system from a_e(0) = 1
-    (DOP853; needs scipy, from the `test` extra)."""
-    detunings = np.asarray(detunings, dtype=float)
-    couplings = np.asarray(couplings, dtype=complex)
-    if detunings.shape != couplings.shape:
-        raise ValueError("detunings and couplings must have the same shape")
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("time grid must start at t = 0")
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a_e, b = y[0], y[1:]
-        phase = np.exp(1j * detunings * t)
-        da = -1j * np.sum(couplings * phase * b)
-        db = -1j * np.conj(couplings * phase) * a_e
-        return np.concatenate(([da], db))
-
-    y0 = np.zeros(detunings.size + 1, dtype=complex)
-    y0[0] = 1.0
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(times[-1])),
-        y0,
-        method="DOP853",
-        rtol=_ODE_RTOL,
-        atol=_ODE_ATOL,
-        t_eval=times,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"multimode integration failed: {sol.message}")
-    a_e = sol.y[0]
-    norm = np.sum(np.abs(sol.y) ** 2, axis=0)
-    return AmplitudeTrace(excited_amplitude=a_e, norm=norm)

@@ -25,7 +25,7 @@ unreliable; `semiclassical_field` evaluates it at one point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, cos, factorial, pi, sin, sqrt
+from math import atan, cos, factorial, inf, pi, sin, sqrt
 
 import numpy as np
 
@@ -63,10 +63,10 @@ class ParabolicGeometry:
     wavenumber: float
 
     def __post_init__(self):
-        if not self.focal_length > 0:
-            raise ValueError("focal length must be positive")
-        if not self.wavenumber > 0:
-            raise ValueError("wave number must be positive")
+        if not 0 < self.focal_length < inf:
+            raise ValueError("focal length must be finite and > 0")
+        if not 0 < self.wavenumber < inf:
+            raise ValueError("wave number must be finite and > 0")
 
     @property
     def kf(self) -> float:

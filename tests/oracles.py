@@ -2,7 +2,9 @@
 
 `evolve_ode` integrates the single-mode ladder with scipy's DOP853, the
 independent check of `jcp.inversion`'s closed form (acceptance criterion 1
-and `test_jcp.py`).  It needs scipy, which the `test` extra brings; the
+and `test_jcp.py`); `integrate_atom_modes` integrates one atom coupled to
+any band of modes the same way, the check of the exact flat-band solver
+(`test_multimode.py`).  Both need scipy, which the `test` extra brings; the
 library itself needs only numpy.  `integrate_2d` is the iterated 1-D
 quadrature that the reduced integrals are checked against:
 `free_space.field_energy`'s radial one and the J0-reduced off-axis rate of
@@ -23,6 +25,9 @@ from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
 _ODE_ATOL = 1e-12
+# tolerances of the brute-force band integration in integrate_atom_modes
+_BAND_RTOL = 1e-9
+_BAND_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,55 @@ def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:
     if not sol.success:
         raise RuntimeError(f"ladder integration failed: {sol.message}")
     return JcpTrace(sol.y[:n_states], sol.y[n_states:])
+
+
+@dataclass(frozen=True)
+class BandTrace:
+    """Samples of the atom + N-mode integration."""
+
+    excited_amplitude: np.ndarray  # a_e(t), complex
+    norm: np.ndarray  # |a_e|^2 + sum_k |b_k|^2 at each sample, should stay at 1
+
+    @property
+    def excited_population(self) -> np.ndarray:
+        return np.abs(self.excited_amplitude) ** 2
+
+
+def integrate_atom_modes(
+    detunings: np.ndarray, couplings: np.ndarray, times: np.ndarray
+) -> BandTrace:
+    """Integrate the coupled atom + N-mode amplitude system (the equations of
+    `atomfield.multimode`) from a_e(0) = 1 with DOP853, sampled on `times`."""
+    detunings = np.asarray(detunings, dtype=float)
+    couplings = np.asarray(couplings, dtype=complex)
+    if detunings.shape != couplings.shape:
+        raise ValueError("detunings and couplings must have the same shape")
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0:
+        raise ValueError("time grid must start at t = 0")
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        a_e, b = y[0], y[1:]
+        phase = np.exp(1j * detunings * t)
+        da = -1j * np.sum(couplings * phase * b)
+        db = -1j * np.conj(couplings * phase) * a_e
+        return np.concatenate(([da], db))
+
+    y0 = np.zeros(detunings.size + 1, dtype=complex)
+    y0[0] = 1.0
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(times[-1])),
+        y0,
+        method="DOP853",
+        rtol=_BAND_RTOL,
+        atol=_BAND_ATOL,
+        t_eval=times,
+        dense_output=False,
+    )
+    if not sol.success:
+        raise RuntimeError(f"multimode integration failed: {sol.message}")
+    return BandTrace(excited_amplitude=sol.y[0], norm=np.sum(np.abs(sol.y) ** 2, axis=0))
 
 
 def integrate_2d(

@@ -320,3 +320,7 @@ def test_rabi_frequency_array_matches_scalar():
 def test_invalid_params():
     with pytest.raises(ValueError):
         jcp.rabi_frequency(-1, jcp.JcpParams())
+    # a NaN photon number used to give a NaN frequency
+    for n in (float("nan"), np.array([3.0, float("nan"), 1.0])):
+        with pytest.raises(ValueError, match="photon number"):
+            jcp.rabi_frequency(n, jcp.JcpParams())

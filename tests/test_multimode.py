@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from atomfield import jcp, multimode, numerics
+from oracles import integrate_atom_modes
 
 
 def _arrowhead_eigh(detunings, couplings):
@@ -68,7 +69,7 @@ def test_matches_dop853_at_criterion_5_size():
     detunings, couplings = multimode._flat_band(1.0, 800.0, pi)
     assert detunings.size == 257
     trace = multimode._flat_band_evolution(1.0, 800.0, pi, times)
-    ode = multimode.integrate_atom_modes(detunings, couplings, times)
+    ode = integrate_atom_modes(detunings, couplings, times)
     assert np.max(np.abs(trace.excited_population - ode.excited_population)) <= 1e-8
     # the amplitude too, phase included (interaction picture, a_e(0) = 1)
     assert np.max(np.abs(trace.excited_amplitude - ode.excited_amplitude)) <= 1e-8
@@ -79,8 +80,9 @@ def test_matches_dop853_at_criterion_5_size():
 )
 def test_weights_are_unitary(gamma, band_width, spacing):
     trace = multimode._flat_band_evolution(gamma, band_width, spacing, np.linspace(0.0, 1.0, 3))
-    assert np.all(np.abs(trace.norm - 1.0) <= 1e-14)
-    assert trace.norm == pytest.approx(trace.norm[0], rel=0.0, abs=0.0)
+    # one norm for every time, and a real amplitude: the spectrum is mirrored
+    assert type(trace.norm) is float and trace.excited_amplitude.dtype == np.float64
+    assert abs(trace.norm - 1.0) <= 1e-14
 
 
 def _band_terms(half, ratio):

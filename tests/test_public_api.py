@@ -27,11 +27,7 @@ CALLERS = [
 ]
 
 # public names without a product caller yet, each with what gives it one
-UNCALLED = {
-    # ROADMAP item 1: the benchmark tracer wraps `multimode.solve_ivp` by name,
-    # so the DOP853 cross-check cannot move into tests/ before it changes
-    "multimode.integrate_atom_modes",
-}
+UNCALLED: set[str] = set()
 
 
 # every name in a module's `__all__`; a new public name, or one dropped,
@@ -62,7 +58,6 @@ EXPORTS = {
     "jcp.inversion",
     "jcp.collapse_revival_times",
     "multimode.AmplitudeTrace",
-    "multimode.integrate_atom_modes",
     "numerics.QuadratureSpec",
     "numerics.QuadResult",
     "numerics.QuadratureError",

@@ -61,6 +61,17 @@ def test_nan_is_rejected(build, message):
             "cavity radius",
             id="SphericalCavity.radius-inf",
         ),
+        # passed the checks, then on_axis_eta returned NaN
+        pytest.param(
+            lambda: pm.ParabolicGeometry(focal_length=float("inf"), wavenumber=1.0),
+            "focal length",
+            id="ParabolicGeometry.focal_length-inf",
+        ),
+        pytest.param(
+            lambda: pm.ParabolicGeometry(focal_length=1.0, wavenumber=float("inf")),
+            "wave number",
+            id="ParabolicGeometry.wavenumber-inf",
+        ),
         pytest.param(
             lambda: jcp.FieldDistribution(np.array([1.0]), -1), "n_min", id="FieldDistribution.n_min-negative"
         ),
