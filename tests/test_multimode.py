@@ -159,20 +159,39 @@ def test_cos_sum_matches_the_dense_sum(terms, args, times):
     assert np.max(np.abs(got - want)) <= bound
 
 
-def test_cos_sum_memory_stops_at_the_table_cap():
-    # the <n> = 1e6 window (17 149 rows) at 2000 samples: whole phase tables
-    # took 27 MB; capped ones take four of 256 KiB at a time, plus the
-    # doubling's temporaries (1.8 MB in all)
-    weights, frequencies = _jcp_terms(1e6)
-    times = np.linspace(0.0, 6.0 * pi * sqrt(1e6 + 1.0), 2000)
+def _cos_sum_peak(weights, frequencies, times):
+    """The `tracemalloc` peak of one `_cos_sum` call, in bytes."""
     tracemalloc.start()
     try:
         numerics._cos_sum(weights, frequencies, times)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_cos_sum_memory_stops_at_the_table_cap():
+    # the <n> = 1e6 window (17 149 rows) at 2000 samples: whole phase tables
+    # took 27 MB; capped ones take four of 256 KiB, one block's at a time,
+    # plus the doubling's temporaries (1.27 MB in all)
+    weights, frequencies = _jcp_terms(1e6)
+    times = np.linspace(0.0, 6.0 * pi * sqrt(1e6 + 1.0), 2000)
     assert frequencies.size == 17149
-    assert peak < 4e6
+    assert _cos_sum_peak(weights, frequencies, times) <= 1.4e6
+
+
+@pytest.mark.parametrize(
+    "terms, args, times, bound",
+    [
+        # blocks of 728, 728 and 259 modes: the later blocks refill the first
+        # block's buffers, where fresh tables beside the last ones took 1.80 MB
+        (_jcp_terms, (1e4,), np.linspace(0.0, 6.0 * pi * sqrt(1e4 + 1.0), 2000), 1.4e6),
+        # blocks of 1560 and 441 modes (1.25 MB, as with fresh tables)
+        (_band_terms, (2000, 0.0159), np.linspace(0.0, 20.0, 401), 1.3e6),
+    ],
+    ids=["jcp-1e4-2000", "band-2001-401"],
+)
+def test_cos_sum_holds_one_blocks_tables(terms, args, times, bound):
+    assert _cos_sum_peak(*terms(*args), times) <= bound
 
 
 def test_uniform_grid_tolerance_is_a_few_ulps():
