@@ -200,7 +200,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
 def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     params = jcp.JcpParams(detuning=p["detuning"], field=jcp.FieldDistribution.fock(0))
     times = np.linspace(0.0, p["t_max"], p["samples"])
-    return dict(t=times, w=jcp.inversion(params, times).w)
+    return dict(t=times, w=jcp.inversion(params, times))
 
 
 @_scenario(
@@ -218,7 +218,7 @@ def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any
         t_max = 3.0 * jcp.collapse_revival_times(p["mean_n"])[1]
     times = np.linspace(0.0, t_max, p["samples"])
     meta["t_max_used"] = _num(t_max)
-    return dict(t=times, w=jcp.inversion(params, times).w)
+    return dict(t=times, w=jcp.inversion(params, times))
 
 
 @_scenario(

@@ -91,13 +91,16 @@ class FieldMap:
 
 def excited_amplitude(atom: TwoLevelAtom, t):
     """Excited-state amplitude exp(-i omega_eg t) exp(-Gamma |t| / 2) at real
-    t of either sign, a scalar (giving a complex) or an array.
+    t of either sign, a scalar (giving a complex) or an array; a NaN or
+    infinite t raises ValueError.
 
     Convention E_g = 0, so E_e = omega_eg.  For t >= 0 the atom, excited at
     t = 0, decays by emission; t < 0 is the time-reversed atom, which absorbs
     the incoming packet and is fully excited at t = 0, so a(-t) = conj(a(t)).
     """
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time must be finite")
     out = np.exp(-1j * atom.omega_eg * t) * np.exp(-atom.gamma * np.abs(t) / 2.0)
     return complex(out) if out.ndim == 0 else out
 
@@ -136,15 +139,16 @@ def _check_grid(r, theta) -> None:
         raise ValueError("polar angle must be finite")
 
 
-def _check_radiation_zone(atom: TwoLevelAtom, distance, stacklevel: int) -> None:
-    """Warn, at `stacklevel` as seen from the caller, if a distance from the
-    emitter lies below the radiation zone distance * omega_eg >= 10."""
+def _check_radiation_zone(atom: TwoLevelAtom, distance) -> None:
+    """Warn, at the line that called the public function calling this one, if
+    a distance from the emitter lies below the radiation zone
+    distance * omega_eg >= 10."""
     if np.any(distance * atom.omega_eg < _RADIATION_ZONE_FACTOR * (1.0 - _GUARD_RTOL)):
         warnings.warn(
             "evaluation point below the radiation zone (r * omega_eg < "
             f"{_RADIATION_ZONE_FACTOR:g}); asymptotic field formulas are unreliable there",
             RadiationZoneWarning,
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
 
 
@@ -159,7 +163,7 @@ def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
     """
     r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
     _check_grid(r, theta)
-    _check_radiation_zone(atom, r, stacklevel=2)
+    _check_radiation_zone(atom, r)
     out = _packet(atom, np.sin(theta), r, r, t)
     return complex(out) if out.ndim == 0 else out
 
@@ -200,7 +204,7 @@ def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
     r_values = np.asarray(r_values, dtype=float).ravel()
     theta_values = np.asarray(theta_values, dtype=float).ravel()
     _check_grid(r_values, theta_values)
-    _check_radiation_zone(atom, r_values, stacklevel=2)
+    _check_radiation_zone(atom, r_values)
     pts = np.empty((r_values.size, theta_values.size, 2))
     pts[..., 0], pts[..., 1] = r_values[:, None], theta_values
     pts = pts.reshape(-1, 2)

@@ -25,13 +25,17 @@ from .numerics import _cos_sum
 __all__ = [
     "FieldDistribution",
     "JcpParams",
-    "InversionTrace",
     "rabi_frequency",
     "inversion",
     "collapse_revival_times",
 ]
 
 _WINDOW_TAIL = 1e-17  # weight coherent() cuts from the two ends of its Poisson window together
+
+
+def _check_mean(mean: float) -> None:
+    if not 0 <= mean < inf:  # negated, so a NaN fails too
+        raise ValueError("mean photon number must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,8 @@ class FieldDistribution:
     def __post_init__(self):
         p = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", p)
+        if p.ndim != 1:
+            raise ValueError(f"photon-number weights must be 1-D, got shape {p.shape}")
         total = float(np.sum(p))
         # a NaN weight fails both checks
         if not abs(total - 1.0) <= 1e-10:
@@ -73,8 +79,7 @@ class FieldDistribution:
         above, and exp(-d^2 / 2<n>) below.  The rows at either end that hold
         at most _WINDOW_TAIL / 2 are then dropped; about 17.1 sqrt(<n>) stay.
         """
-        if not 0 <= mean < inf:
-            raise ValueError("mean photon number must be finite and >= 0")
+        _check_mean(mean)
         d = 10.0 * sqrt(mean) + 20.0
         lo = max(floor(mean - d), 0)
         n = np.arange(lo, ceil(mean + d) + 1)
@@ -99,17 +104,6 @@ class JcpParams:
             raise ValueError("detuning must be finite")
 
 
-@dataclass(frozen=True)
-class InversionTrace:
-    """Sampled inversion w(t) in [-1, 1]."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.abs(self.w) > 1.0 + 1e-9):
-            raise ValueError("inversion must stay within [-1, 1]")
-
-
 def rabi_frequency(n, params: JcpParams):
     """n-photon Rabi frequency sqrt(Delta^2 + 4 (n+1)); n is a scalar
     (float result) or an array."""
@@ -120,8 +114,9 @@ def rabi_frequency(n, params: JcpParams):
     return float(omega) if omega.ndim == 0 else omega
 
 
-def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
-    """Inversion w(t) of an initially excited atom, summed over the weighted ladder.
+def inversion(params: JcpParams, times: np.ndarray) -> np.ndarray:
+    """Inversion w(t) of an initially excited atom, summed over the weighted
+    ladder, as a float64 array shaped like `times`.
 
     `times` must be a uniform grid, such as np.linspace(0, t_max, samples);
     another raises ValueError (the ladder's cosines are summed by angle
@@ -132,12 +127,12 @@ def inversion(params: JcpParams, times: np.ndarray) -> InversionTrace:
     omega = rabi_frequency(n, params)
     offset = params.detuning**2 / omega**2
     osc = 4.0 * (n + 1) / omega**2
-    w = float(np.sum(p * offset)) + _cos_sum(p * osc, omega, times)
-    return InversionTrace(w)
+    return float(np.sum(p * offset)) + _cos_sum(p * osc, omega, times)
 
 
 def collapse_revival_times(mean: float) -> tuple[float, float]:
     """Collapse time 2 pi and revival time T_r = 2 pi sqrt(<n> + 1), in
     1/|g|, of the inversion for a coherent field of mean photon number
     <n> = `mean` (order of magnitude)."""
+    _check_mean(mean)
     return 2.0 * pi, 2.0 * pi * sqrt(mean + 1.0)

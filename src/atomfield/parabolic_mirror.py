@@ -181,13 +181,6 @@ class TwoRayField:
     energy_density: float
 
 
-def _energy_density(spherical, plane, cos_theta1):
-    """|s|^2 + |p|^2 + 2 Re(s conj(p)) cos(theta1): the two polarizations
-    e_theta1 and e_rho overlap by e_theta1 . e_rho = cos(theta1)."""
-    cross = 2.0 * (spherical * np.conj(plane)).real * cos_theta1
-    return np.abs(spherical) ** 2 + np.abs(plane) ** 2 + cross
-
-
 @dataclass(frozen=True)
 class ParabolicFieldMap:
     """Grid of two-ray field samples restricted to the cavity interior;
@@ -201,13 +194,22 @@ class ParabolicFieldMap:
 
 
 def _two_ray(atom: TwoLevelAtom, f: float, z, rho, t: float):
-    """(spherical, plane, cos_theta1) at cavity points (z, rho) off the
-    focus, scalars or arrays; the rays are described in semiclassical_field."""
+    """(spherical, plane, energy_density) at arrays of cavity points (z, rho)
+    off the focus.
+
+    Direct rays form a spherical wave centered on the focus (distance r1,
+    polarization e_theta1); reflected rays form a plane wave along +z whose
+    eikonal z + f is the distance from the directrix plane (polarization
+    e_rho).  For |t| < f/c only the direct term is active and the field
+    coincides with the free-space wave packet.  The energy density is
+    |s|^2 + |p|^2 + 2 Re(s conj(p)) cos(theta1): the two polarizations
+    overlap by e_theta1 . e_rho = cos(theta1) = (z - f) / r1."""
     r1, _ = _focus_distance_eta(z, rho, f)
     r2 = f + rho**2 / (4.0 * f)
     spherical = _packet(atom, rho / r1, r1, r1, t)
     plane = _packet(atom, rho / r2, z + f, r2, t)
-    return spherical, plane, (z - f) / r1
+    cross = 2.0 * (spherical * np.conj(plane)).real * ((z - f) / r1)
+    return spherical, plane, np.abs(spherical) ** 2 + np.abs(plane) ** 2 + cross
 
 
 def _check_two_ray(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
@@ -227,32 +229,21 @@ def semiclassical_field(
     point: tuple[float, float],
     t: float,
 ) -> TwoRayField:
-    """Two-ray field at (z, rho) inside the cavity at time t.
-
-    Direct rays form a spherical wave centered on the focus (distance r1,
-    polarization e_theta1); reflected rays form a plane wave along +z whose
-    eikonal z + f is the distance from the directrix plane (polarization
-    e_rho).  For |t| < f/c only the direct term is active and the field
-    coincides with the free-space wave packet.
-    """
-    _check_two_ray(geometry, atom)
-    f = geometry.focal_length
+    """Two-ray field at (z, rho) inside the cavity at time t: `field_map` at
+    one point, where a point the map would drop raises ValueError and one
+    below the radiation zone warns."""
     z, rho = float(point[0]), float(point[1])
-    # negated, so a NaN fails too
-    if not rho >= 0:
-        raise ValueError("rho must be >= 0")
-    r1, eta_coord = _focus_distance_eta(z, rho, f)
-    if not eta_coord < f:
+    fmap = field_map(geometry, atom, [z], [rho], t)
+    r1, _ = _focus_distance_eta(z, rho, geometry.focal_length)
+    if not fmap.points.size:
+        if r1 == 0.0:
+            raise ValueError("field amplitude is singular at the focus")
         raise ValueError("point lies outside the parabolic cavity")
-    if r1 == 0.0:
-        raise ValueError("field amplitude is singular at the focus")
-    _check_radiation_zone(atom, r1, stacklevel=2)
-    spherical, plane, cos_t1 = _two_ray(atom, f, z, rho, t)
-    spherical, plane = complex(spherical), complex(plane)
+    _check_radiation_zone(atom, r1)
     return TwoRayField(
-        spherical=spherical,
-        plane=plane,
-        energy_density=float(_energy_density(spherical, plane, cos_t1)),
+        spherical=complex(fmap.spherical[0]),
+        plane=complex(fmap.plane[0]),
+        energy_density=float(fmap.energy_density[0]),
     )
 
 
@@ -286,9 +277,9 @@ def field_map(
     spherical, plane = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     energy_density = np.empty(n)
     for block in _blocks(n):
-        s, p, cos_t1 = _two_ray(atom, f, points[block, 0], points[block, 1], t)
-        spherical[block], plane[block] = s, p
-        energy_density[block] = _energy_density(s, p, cos_t1)
+        spherical[block], plane[block], energy_density[block] = _two_ray(
+            atom, f, points[block, 0], points[block, 1], t
+        )
     return ParabolicFieldMap(
         points=points, spherical=spherical, plane=plane, energy_density=energy_density, flags=flags
     )

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from atomfield.jcp import InversionTrace, JcpParams
+from atomfield.jcp import JcpParams
 from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d
 
 # tolerances of the brute-force ladder integration in evolve_ode
@@ -37,9 +37,8 @@ class JcpTrace:
     a_e: np.ndarray  # shape (weights.size, n_times): a_{e,n}(t)
     a_g: np.ndarray  # shape (weights.size, n_times): a_{g,n+1}(t)
 
-    def inversion(self) -> InversionTrace:
-        w = np.sum(np.abs(self.a_e) ** 2 - np.abs(self.a_g) ** 2, axis=0)
-        return InversionTrace(w)
+    def inversion(self) -> np.ndarray:
+        return np.sum(np.abs(self.a_e) ** 2 - np.abs(self.a_g) ** 2, axis=0)
 
 
 def evolve_ode(params: JcpParams, times: np.ndarray) -> JcpTrace:

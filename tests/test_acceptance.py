@@ -30,8 +30,8 @@ def test_criterion_1_jcp_closed_form_vs_ode():
         params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
         t_r = jcp.collapse_revival_times(mean_n)[1]
         times = np.linspace(0.0, 3.0 * t_r, 601)
-        w_closed = jcp.inversion(params, times).w
-        w_ode = evolve_ode(params, times).inversion().w
+        w_closed = jcp.inversion(params, times)
+        w_ode = evolve_ode(params, times).inversion()
         worst = max(worst, float(np.max(np.abs(w_closed - w_ode))))
     elapsed = time.perf_counter() - t_start
     ok = worst <= 1e-7 and elapsed < 10.0
@@ -46,7 +46,7 @@ def test_criterion_2_collapse_and_revival():
     params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
     t_c, t_r = jcp.collapse_revival_times(mean_n)
     times = np.linspace(0.0, 1.2 * t_r, 12001)
-    w = jcp.inversion(params, times).w
+    w = jcp.inversion(params, times)
     # envelope probe: max |w| over the last few Rabi cycles before 2 T_c
     pre = (times > 2.0 * t_c - 3.0) & (times <= 2.0 * t_c)
     collapsed = float(np.max(np.abs(w[pre])))

@@ -103,6 +103,11 @@ class TestWavePacket:
                 free_space.field_map(atom, [0.5, 0.7], [1.0], t)
             with pytest.raises(ValueError, match="time must be finite"):
                 free_space.field_map(atom, [0.5], [], t)
+            # excited_amplitude gave nan+nanj, for a scalar and inside an array
+            with pytest.raises(ValueError, match="time must be finite"):
+                free_space.excited_amplitude(atom, t)
+            with pytest.raises(ValueError, match="time must be finite"):
+                free_space.excited_amplitude(atom, np.array([0.0, t, 1.0]))
 
     def test_dipole_pattern(self, atom):
         # sin^2 theta angular factor, node along the dipole axis

@@ -105,8 +105,20 @@ class TestFieldDistribution:
             (lambda: jcp.FieldDistribution.coherent(-1.0), "mean photon number"),
             (lambda: jcp.FieldDistribution.coherent(float("nan")), "mean photon number"),
             (lambda: jcp.FieldDistribution.coherent(float("inf")), "mean photon number"),
+            # collapse_revival_times gave (2 pi, nan) at NaN and a revival time at -0.5
+            (lambda: jcp.collapse_revival_times(float("nan")), "mean photon number"),
+            (lambda: jcp.collapse_revival_times(float("inf")), "mean photon number"),
+            (lambda: jcp.collapse_revival_times(-0.5), "mean photon number"),
         ],
-        ids=["negative-weight", "negative-mean", "nan-mean", "infinite-mean"],
+        ids=[
+            "negative-weight",
+            "negative-mean",
+            "nan-mean",
+            "infinite-mean",
+            "revival-nan-mean",
+            "revival-infinite-mean",
+            "revival-negative-mean",
+        ],
     )
     def test_invalid_distribution_raises(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -117,14 +129,14 @@ class TestClosedForm:
     def test_vacuum_resonant_rabi(self):
         params = jcp.JcpParams()
         t = np.linspace(0.0, 4.0 * pi, 200)
-        w = jcp.inversion(params, t).w
+        w = jcp.inversion(params, t)
         assert w == pytest.approx(np.cos(2.0 * t), abs=1e-12)
 
     def test_detuned_inversion_offset(self):
         # large detuning freezes the atom in the excited state
         params = jcp.JcpParams(detuning=50.0)
         t = np.linspace(0.0, 10.0, 100)
-        w = jcp.inversion(params, t).w
+        w = jcp.inversion(params, t)
         assert np.min(w) > 0.99
 
     def test_fock_inversion_single_frequency(self):
@@ -132,7 +144,7 @@ class TestClosedForm:
         params = jcp.JcpParams(field=jcp.FieldDistribution.fock(n))
         omega = jcp.rabi_frequency(n, params)
         t = np.linspace(0.0, 7.0, 150)
-        w = jcp.inversion(params, t).w
+        w = jcp.inversion(params, t)
         assert w == pytest.approx(np.cos(omega * t), abs=1e-12)
 
     def test_non_uniform_grid_raises(self):
@@ -151,13 +163,13 @@ class TestClosedForm:
 
     def test_empty_grid_gives_an_empty_trace(self):
         params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(4.0))
-        assert jcp.inversion(params, np.array([])).w.shape == (0,)
+        assert jcp.inversion(params, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("mean_n", [4.0, 100.0, 1e4])
     def test_matches_a_long_double_dense_sum(self, mean_n):
         params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(mean_n))
         t = np.linspace(0.0, 2000.0, 401)
-        w = jcp.inversion(params, t).w
+        w = jcp.inversion(params, t)
         # each cosine taken on its own, in long double, over Poisson weights of
         # its own on <n> -+ (12 sqrt(<n>) + 20), wider than the field's window:
         # what the window leaves out weighs far below the bound
@@ -185,7 +197,7 @@ class TestClosedForm:
         # corrections of order 1 / sqrt(<n>)
         params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
         t = np.linspace(0.0, 8.0, 401)
-        w = jcp.inversion(params, t).w
+        w = jcp.inversion(params, t)
         want = np.cos(2.0 * sqrt(mean_n + 1.0) * t) * np.exp(-t * t / 2.0)
         assert np.max(np.abs(w - want)) <= 0.2 / sqrt(mean_n)
 
@@ -194,7 +206,7 @@ class TestClosedForm:
             detuning=1.3, field=jcp.FieldDistribution.coherent(8.0)
         )
         t = np.linspace(0.0, 100.0, 2000)
-        w = jcp.inversion(params, t).w
+        w = jcp.inversion(params, t)
         assert np.all(np.abs(w) <= 1.0 + 1e-9)
 
 
@@ -229,7 +241,7 @@ class TestWeightWindow:
             return rabi(n, p)
 
         monkeypatch.setattr(jcp, "rabi_frequency", spy)
-        return jcp.inversion(params, t).w, rows[0]
+        return jcp.inversion(params, t), rows[0]
 
     def test_large_coherent_field_keeps_only_its_poisson_window(self, monkeypatch):
         params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(1e4))
@@ -278,8 +290,8 @@ class TestOdeOracle:
         )
         t = np.linspace(0.0, 25.0, 101)
         trace = evolve_ode(params, t)
-        w_closed = jcp.inversion(params, t).w
-        assert trace.inversion().w == pytest.approx(w_closed, abs=1e-8)
+        w_closed = jcp.inversion(params, t)
+        assert trace.inversion() == pytest.approx(w_closed, abs=1e-8)
 
     def test_ode_amplitudes_match_closed_form(self):
         params = jcp.JcpParams(detuning=0.9, field=jcp.FieldDistribution.fock(2))

@@ -53,7 +53,6 @@ EXPORTS = {
     "free_space.wigner_weisskopf_ode",
     "jcp.FieldDistribution",
     "jcp.JcpParams",
-    "jcp.InversionTrace",
     "jcp.rabi_frequency",
     "jcp.inversion",
     "jcp.collapse_revival_times",
@@ -111,7 +110,6 @@ FIELDS = {
     "jcp.FieldDistribution.n_min",
     "jcp.JcpParams.detuning",
     "jcp.JcpParams.field",
-    "jcp.InversionTrace.w",
     "multimode.AmplitudeTrace.excited_amplitude",
     "multimode.AmplitudeTrace.norm",
     "numerics.QuadratureSpec.rel_tol",

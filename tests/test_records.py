@@ -80,6 +80,15 @@ def test_nan_is_rejected(build, message):
             "n_min",
             id="FieldDistribution.n_min-non-integer",
         ),
+        # passed the sum rule, then failed to broadcast in jcp.inversion
+        pytest.param(
+            lambda: jcp.FieldDistribution(np.array(1.0), 0), "1-D", id="FieldDistribution.weights-0d"
+        ),
+        pytest.param(
+            lambda: jcp.FieldDistribution(np.full((4, 1), 0.25), 0),
+            "1-D",
+            id="FieldDistribution.weights-column",
+        ),
     ],
 )
 def test_out_of_range_is_rejected(build, message):
