@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import free_space, jcp, parabolic_mirror, spherical_cavity
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import _GUARD_RTOL, QuadratureError, QuadratureSpec
 
 __all__ = [
     "ScenarioConfig",
@@ -223,8 +223,10 @@ def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any
 
 @_scenario(
     "free-decay",
-    band_width=_Key(float, default=40.0, check=_pos),  # mode band in Gamma
-    spacing=_Key(float, default=0.02, check=_pos),  # mode spacing in Gamma
+    # mode band and spacing in Gamma: `_flat_band`'s and `wigner_weisskopf_ode`'s
+    # guards at Gamma = 1, with their slack
+    band_width=_Key(float, default=40.0, check=lambda v: v >= 20.0 * (1.0 - _GUARD_RTOL)),
+    spacing=_Key(float, default=0.02, check=lambda v: 0 < v <= 1.0 / 20.0 * (1.0 + _GUARD_RTOL)),
     t_max=_Key(float, default=4.0, check=_pos),  # end time in 1/Gamma
     samples=_Key(int, default=201, check=lambda v: v >= 2),
     omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
@@ -389,8 +391,9 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # digits are D = m 5**p 2**(q - 53 + p) rounded half to even.  D never
 # rounds up to 10**17 here: the largest double below each 10**(E + 1) lies
 # at least 4 units of the 17th digit below it.  Zeros print as "0" or "-0".
-# Every other value (|v| < 10**_LO, subnormals included, and large values
-# whose D needs no right shift) goes through format().  An int or bool cell
+# Below 10**(_HI + 1) = 1e15 < 2**50 that is a right shift of m 5**p by
+# 37 + E - q = 1 to 62 bits.  Every other value (|v| < 10**_LO, subnormals
+# included, and |v| >= 1e15) goes through format().  An int or bool cell
 # is written as float(v): for |v| <= 2**53 that is str(v), and 0/1 for a bool.
 #
 # A cell is six words (48 bytes) of which a mask keeps the bytes shown:
@@ -399,7 +402,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # -4 <= E < 0, the '.' after any digit and the exponent of E < -4 all have
 # fixed places.
 # A text cell (from format()) holds its text in bytes 0-23 instead.
-_LO, _HI = -11, 15
+_LO, _HI = -11, 14
 _NX = _HI + 1 - _LO  # exponents [_LO, _HI]
 _ZERO = 2 * _NX * 17  # mask _ZERO + sign: "0" and "-0"
 _TEXT = _ZERO + 2  # mask _TEXT + k: the first k bytes of a text
@@ -490,9 +493,7 @@ def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
     mant, q = np.frexp(a)  # a = mant 2**q, 1/2 <= mant < 1
     e = ((q - 1) * 78913) >> 18  # floor((q - 1) log10 2): E or E - 1
     e += a >= _TEN[e - _LO + 1]
-    shift = 37 + e - q  # (m 5**p) >> shift = a 10**p for m = mant 2**53
-    fast &= shift > 0
-    shift = np.maximum(shift, 1).astype(np.uint64)
+    shift = (37 + e - q).astype(np.uint64)  # (m 5**p) >> shift = a 10**p for m = mant 2**53
     d = _rounded_shift((mant * 2.0**53).astype(np.uint64), _FIVE[16 - e], shift).view(np.int64)
     trailing = np.zeros(len(v), dtype=np.intp)
     below = np.ones(len(v), dtype=bool)  # every digit after this quad is 0

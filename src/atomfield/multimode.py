@@ -101,15 +101,16 @@ def _newton(value_and_slope, t, lo, hi):
 
 
 def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues x_j (in units of the spacing s) and weights w_j = |<e|j>|^2
-    of the atom coupled to modes at s * k, k = -n..n, with one coupling
-    |g|^2 = ratio * s^2.
+    """The n + 1 eigenvalues x_j > 0 (in units of the spacing s), ascending,
+    and their weights w_j = |<e|j>|^2 of the atom coupled to modes at s * k,
+    k = -n..n, with one coupling |g|^2 = ratio * s^2.
 
     The secular equation x = ratio * sum_k 1 / (x - k) has one root in each of
     the 2n gaps (k, k + 1) and one beyond each band edge.  The band is
-    symmetric, so the roots below 0 are -x of those above, with the same
-    weights; only the gaps k = 0..n-1 and the outer root n + d are solved,
-    all in one `_newton` call whose every step takes one `_psi_trigamma` pass.
+    symmetric, so the n + 1 roots below 0 are the negatives of those returned,
+    with the same weights.  Only the gaps k = 0..n-1 and the outer root n + d
+    are solved, all in one `_newton` call whose every step takes one
+    `_psi_trigamma` pass.
     With the closed form sum_k 1 / (k - x) = psi(n+1-x) - psi(n+1+x)
     - pi cot(pi x) (DLMF 5.15, 5.5.4), a gap root x = k + tau solves the
     pole-free equation tau = arctan2(pi, R(x)) / pi with R(x) = x / ratio
@@ -185,7 +186,7 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     trigamma = _psi_trigamma(np.concatenate((n + 1 - x[:n], n + 1 + x[:n])))[1]
     w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * t[:n]) ** 2 - trigamma[:n] - trigamma[n:]))
     w = np.append(w, 1.0 / (1.0 + ratio * (1.0 / (t[n] + j) ** 2).sum()))
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+    return x, w
 
 
 def _flat_band_evolution(
@@ -195,15 +196,14 @@ def _flat_band_evolution(
     `_flat_band(gamma, band_width, spacing)`: a_e(t) = sum_j w_j exp(-i lambda_j t)
     over the eigenpairs of the arrowhead Hamiltonian.  The spectrum is
     mirrored, so the sines cancel and a_e(t) = sum_{lambda_j > 0} 2 w_j
-    cos(lambda_j t) is real.  The norm is the eigenbasis unitarity sum_j w_j,
-    the same at every time; doubling is exact, so summing the upper half
-    gives fsum(w) bit for bit.  `times` must be uniform (see `_cos_sum`)."""
+    cos(lambda_j t) is real, summed over the upper half that
+    `_flat_band_spectrum` returns.  The norm is the eigenbasis unitarity
+    sum_j w_j = 2 fsum(w) over that half, the same at every time (doubling is
+    exact).  `times` must be uniform (see `_cos_sum`)."""
     detunings, couplings = _flat_band(gamma, band_width, spacing)
     x, w = _flat_band_spectrum(detunings.size // 2, (couplings[0] / spacing) ** 2)
-    times = np.asarray(times, dtype=float)
-    upper = slice(x.size // 2, None)
-    a_e = _cos_sum(2.0 * w[upper], spacing * x[upper], times)
-    return AmplitudeTrace(excited_amplitude=a_e, norm=2.0 * fsum(w[upper]))
+    a_e = _cos_sum(2.0 * w, spacing * x, np.asarray(times, dtype=float))
+    return AmplitudeTrace(excited_amplitude=a_e, norm=2.0 * fsum(w))
 
 
 # The benchmark's tracer (the `_FOREIGN` entry of perfbench/tracing.py) looks

@@ -25,7 +25,7 @@ unreliable; `semiclassical_field` evaluates it at one point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, cos, factorial, inf, pi, sin, sqrt
+from math import atan, cos, factorial, inf, pi, sin
 
 import numpy as np
 
@@ -95,31 +95,20 @@ def _theta_spec(a: float, spec: QuadratureSpec | None) -> QuadratureSpec:
     return QuadratureSpec(base.rel_tol, base.abs_tol, need)
 
 
-def _cavity_point(
-    geometry: ParabolicGeometry, point: tuple[float, float, float]
-) -> tuple[float, float, float, float]:
-    """(x, y, z, rho) of a vertex-based point in the closed cavity: the mirror
-    surface itself (eta = f, e.g. the vertex P) is a legal evaluation point
-    where the field vanishes."""
-    x, y, z = (float(c) for c in point)
-    rho = sqrt(x * x + y * y)
-    _, eta = _focus_distance_eta(z, rho, geometry.focal_length)
-    # negated, so a NaN fails too
-    if not (z >= 0 and eta <= geometry.focal_length * (1.0 + _GUARD_RTOL)):
-        raise ValueError("point lies outside the parabolic cavity")
-    return x, y, z, rho
-
-
 def eta_quadrature(
     geometry: ParabolicGeometry,
     point: tuple[float, float, float],
     spec: QuadratureSpec | None = None,
 ) -> QuadResult:
     """Decay-rate ratio eta at a point (0, 0, z) of the axis by adaptive
-    quadrature over the polar angle, the independent check of `on_axis_eta`;
-    a point off the axis raises ValueError."""
-    _, _, z, rho = _cavity_point(geometry, point)
-    if rho > 0.0:
+    quadrature over the polar angle, the independent check of `on_axis_eta`.
+    On the axis the cavity is z >= 0 (z = 0 is the vertex, where eta
+    vanishes), so a z below it or not finite, and any nonzero x or y, raise
+    ValueError before the quadrature runs."""
+    x, y, z = (float(c) for c in point)
+    if not 0.0 <= z < inf:  # negated, so a NaN fails too
+        raise ValueError("point lies outside the parabolic cavity")
+    if not x == y == 0.0:
         raise ValueError("eta_quadrature integrates on the mirror axis only (x = y = 0)")
     k = geometry.wavenumber
     # sin^2 -> (1 - cos)/2 leaves the polar integral of sin^3 cos(2 k z cos(theta))
@@ -128,7 +117,7 @@ def eta_quadrature(
     def integrand(theta):
         return sin(theta) ** 3 * cos(b * cos(theta))
 
-    value, err = integrate_1d(integrand, (0.0, pi), _theta_spec(k * abs(z), spec))
+    value, err = integrate_1d(integrand, (0.0, pi), _theta_spec(k * z, spec))
     return QuadResult(1.0 - 0.75 * value, 0.75 * err)
 
 

@@ -349,6 +349,19 @@ class TestMain:
         assert cli.main(["validate", str(cfg)]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_validate_reports_band_and_spacing_with_other_key_errors(self, tmp_path, capsys):
+        # a band below 20 Gamma and a spacing above Gamma / 20 were "valid"
+        # and only failed in `run`; now they are key errors, reported at once
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario = free-decay\nband_width = 10\nspacing = 0.06\nsamples = 1\n")
+        assert cli.main(["validate", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "valid" not in captured.out
+        errors = captured.err.splitlines()
+        assert len(errors) == 3 and all(e.startswith("config error: key ") for e in errors)
+        for key in ("band_width", "spacing", "samples"):
+            assert any(f"'{key}'" in e and "out of range" in e for e in errors)
+
     def test_run_requires_output_path(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = jcp-vacuum\n")

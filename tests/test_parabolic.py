@@ -23,10 +23,11 @@ def _eta_j0(geometry, point):
     """eta at a vertex-based cavity point (x, y, z), on or off the axis: the
     azimuthal integral is done exactly (Bessel J0 kernel), the polar angle
     adaptively.  The off-axis reference, with `_eta_raw_2d`, for a closed
-    form of eta(z, rho)."""
+    form of eta(z, rho); the tests pick points inside the cavity."""
     from scipy.special import j0
 
-    _, _, z, rho = pm._cavity_point(geometry, point)
+    x, y, z = point
+    rho = hypot(x, y)
     k = geometry.wavenumber
     # sin^2 -> (1 - cos)/2; the phi integral of cos(A cos(phi - phi0) + B) is 2 pi J0(A) cos(B)
     a, b = 2.0 * k * rho, 2.0 * k * z
@@ -43,7 +44,8 @@ def _eta_j0(geometry, point):
 def _eta_raw_2d(geometry, point, spec):
     """`_eta_j0` without the J0 reduction: the raw iterated 2-D integral of
     sin^3(theta) sin^2(k n . r); slow, the reference the reduction is checked against."""
-    x, y, z, rho = pm._cavity_point(geometry, point)
+    x, y, z = point
+    rho = hypot(x, y)
     k = geometry.wavenumber
     value, err = integrate_2d(
         lambda theta, phi: np.sin(theta) ** 3
@@ -140,7 +142,7 @@ class TestRateModification:
         monkeypatch.setattr(pm, "integrate_1d", None)
         for module in ("scipy", "scipy.special"):
             monkeypatch.setitem(sys.modules, module, None)
-        for point in ((0.3, 0.4, 2.0), (0.0, 1e-3, 2.0), (30.0, 0.0, 30.0)):
+        for point in ((0.3, 0.4, 2.0), (0.0, 1e-3, 2.0), (30.0, 0.0, 30.0), (nan, 0.0, 2.0)):
             with pytest.raises(ValueError, match="on the mirror axis"):
                 pm.eta_quadrature(geometry, point)
 
@@ -150,8 +152,9 @@ class TestRateModification:
         with pytest.raises(ValueError):
             # below the mirror surface at large rho
             pm.eta_quadrature(geometry, (100.0, 0.0, 1.0))
-        with pytest.raises(ValueError, match="outside the parabolic cavity"):
-            pm.eta_quadrature(geometry, (0.0, 0.0, float("nan")))
+        for z in (nan, inf):
+            with pytest.raises(ValueError, match="outside the parabolic cavity"):
+                pm.eta_quadrature(geometry, (0.0, 0.0, z))
 
     def test_rate_requires_matching_wavenumber(self):
         # omega_eg f = 50 passes the two-ray size guard, so k = 2 omega_eg is what fails
