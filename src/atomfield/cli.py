@@ -111,6 +111,9 @@ def _nonneg(v) -> bool:
     return v >= 0
 
 
+# omega_eg / Gamma >= 10, `TwoLevelAtom`'s guard with its slack
+_OMEGA_OVER_GAMMA = _Key(float, default=1e3, check=lambda v: v >= 10.0 * (1.0 - _GUARD_RTOL))
+
 SCENARIOS: dict[str, dict[str, _Key]] = {}
 _RUNNERS: dict[str, Callable[[dict[str, Any], dict[str, str]], dict[str, Any]]] = {}
 
@@ -229,7 +232,7 @@ def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any
     spacing=_Key(float, default=0.02, check=lambda v: 0 < v <= 1.0 / 20.0 * (1.0 + _GUARD_RTOL)),
     t_max=_Key(float, default=4.0, check=_pos),  # end time in 1/Gamma
     samples=_Key(int, default=201, check=lambda v: v >= 2),
-    omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
+    omega_over_gamma=_OMEGA_OVER_GAMMA,
 )
 def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
@@ -244,7 +247,7 @@ def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
 
 @_scenario(
     "free-wavepacket",
-    omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
+    omega_over_gamma=_OMEGA_OVER_GAMMA,
     time=_Key(float, default=1.0, check=_pos),  # snapshot time in 1/Gamma
     n_r=_Key(int, default=80, check=lambda v: v >= 2),
     n_theta=_Key(int, default=9, check=lambda v: v >= 2),
@@ -278,7 +281,7 @@ def _run_free_wavepacket(p: dict[str, Any], meta: dict[str, str]) -> dict[str, A
     samples=_Key(int, default=601, check=lambda v: v >= 2),
     with_ode=_Key(_parse_bool, default=False),  # add the finite-band column p_e_ode
     band_width=_Key(float, default=400.0, check=_pos),  # finite band in Gamma
-    omega_over_gamma=_Key(float, default=1e3, check=lambda v: v >= 10),
+    omega_over_gamma=_OMEGA_OVER_GAMMA,
 )
 def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
@@ -326,7 +329,8 @@ def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]
 @_scenario(
     "parabola-field",
     f=_Key(float, default=10.0, check=_pos),  # focal length in c/Gamma
-    omega_f=_Key(float, default=500.0, check=lambda v: v >= 50),  # omega_eg f / c
+    # omega_eg f / c, `_check_two_ray`'s guard with its slack
+    omega_f=_Key(float, default=500.0, check=lambda v: v >= 50.0 * (1.0 - _GUARD_RTOL)),
     time=_Key(float, default=25.0),  # snapshot time in 1/Gamma
     z_min=_Key(float, default=0.5, check=_nonneg),
     z_max=_Key(float, default=30.0, check=_pos),

@@ -58,7 +58,7 @@ class TwoLevelAtom:
             raise ValueError("transition frequency must be positive and finite")
         if not 0 <= self.gamma < inf:
             raise ValueError("decay rate must be finite and >= 0")
-        if self.gamma > 0 and self.omega_eg / self.gamma < 10.0:
+        if self.gamma > 0 and self.omega_eg / self.gamma < 10.0 * (1.0 - _GUARD_RTOL):
             raise ValueError(
                 "omega_eg / Gamma < 10: outside the validity of the pole approximation"
             )
@@ -192,7 +192,9 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
         # r^2 times the energy density 2 |packet|^2 at theta = pi/2
         return r * r * 2.0 * abs(complex(_packet(atom, 1.0, r, r, t))) ** 2
 
-    value, err = integrate_1d(integrand, (r_min, t_abs), QuadratureSpec(1e-9, 1e-12))
+    # the energy is in units of omega_eg, so the absolute tolerance is too
+    spec = QuadratureSpec(1e-9, 1e-12 * atom.omega_eg)
+    value, err = integrate_1d(integrand, (r_min, t_abs), spec)
     scale = share * 8.0 * pi / 3.0
     return FieldEnergy(scale * value + inner, inner, scale * err)
 

@@ -27,7 +27,7 @@ with the tests (`tests/oracles.py`), so this module needs only numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, log, pi, sqrt
+from math import fsum, pi, sqrt
 
 import numpy as np
 
@@ -119,8 +119,7 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     keeps the relative accuracy of a small tau, so lambda - delta_k = s tau
     carries no cancellation.  The outer root solves (n + d) / ratio
     = sum_j 1 / (d + j), j = 0..2n, by its direct sums, two reductions per
-    step: the closed form psi(d + 2n + 1) - psi(d) cancels where
-    d >> 2n + 1, and put (n, ratio) = (3, 1e4) 1.3e-14 from the oracle.
+    step: the closed form psi(d + 2n + 1) - psi(d) cancels where d >> 2n + 1.
 
     Each root starts from a local model of its nearest poles, so that the
     bands `_flat_band` builds take 2-3 steps, 3-4 polygamma passes with the
@@ -138,15 +137,11 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     - outer root: the direct sum to first order in d, 1 / d + H - d H2 with
       H, H2 = sum_{j>=1} 1 / j, 1 / j^2, so d_0 is the positive root of
       d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at the
-      bracket's upper end d_hi = sqrt((2n + 1) ratio).  Where A <= 0
-      (ratio >= n / H, which `_flat_band`'s ratio <= n / (20 pi) never
-      reaches), d is not small: d_0 is then the root of the log model
-      (n + d) / ratio = 1 / d + ln((d + 2n + 1/2) / (d + 1/2)) of the direct
-      sum, by Newton steps from d_lo, which rise monotonically to it (the
-      model is increasing and concave in d), capped at d_hi.  On n = 1-5000,
-      ratio up to 1e7 that takes at most 5 steps, (n, ratio) = (5000, 562)
-      among them, where the last gap root sets the count (from d_0 = d_hi it
-      took 16).
+      bracket's upper end d_hi = sqrt((2n + 1) ratio).
+    The domain is the bands `_flat_band` builds: A > 0, since a band at least
+    20 Gamma wide has ratio <= n / (20 pi), so A >= 20 pi - H > 0 for every n
+    that fits in memory (H < 62.8).  Any other band, n = 0 among them, raises
+    ValueError.
     """
     k, j = np.arange(n, dtype=float), np.arange(2 * n + 1, dtype=float)
 
@@ -169,18 +164,9 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     # brackets: (0, 1) in a gap; beyond the edge the j = 0 term alone gives
     # the lower bound, and the right side is at most (2n + 1) / d, the upper one
     d_lo, d_hi = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio)), sqrt((2 * n + 1) * ratio)
-    if a > 0.0:
-        d = min(2.0 / (a + sqrt(a * a + 4.0 * b)), d_hi)
-    else:
-        # Newton steps on the log model, from d_lo up to its root
-        d, c = d_lo, 2 * n + 0.5
-        for _ in range(_BISECTIONS):
-            g = (n + d) / ratio - 1.0 / d - log((d + c) / (d + 0.5))
-            step = g / (1.0 / ratio + 1.0 / d**2 + 1.0 / (d + 0.5) - 1.0 / (d + c))
-            d -= step
-            if -step <= 1e-4 * d:
-                break
-        d = min(d, d_hi)
+    if not a > 0.0:
+        raise ValueError("flat band outside the solver's domain: n / ratio must exceed H_2n")
+    d = min(2.0 / (a + sqrt(a * a + 4.0 * b)), d_hi)
     t = _newton(roots, np.append(tau, d), np.append(np.zeros(n), d_lo), np.append(np.ones(n), d_hi))
     x = np.arange(n + 1.0) + t  # the gap roots k + tau, then n + d
     trigamma = _psi_trigamma(np.concatenate((n + 1 - x[:n], n + 1 + x[:n])))[1]

@@ -206,7 +206,7 @@ def _check_two_ray(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
         raise ValueError(
             "semiclassical two-ray construction requires omega_eg f / c >= 50"
         )
-    if not np.isclose(geometry.wavenumber, atom.omega_eg, rtol=1e-9):
+    if not np.isclose(geometry.wavenumber, atom.omega_eg, rtol=1e-9, atol=0.0):
         raise ValueError(
             "geometry wave number must match the atomic transition (k = omega_eg / c)"
         )

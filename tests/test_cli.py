@@ -283,9 +283,9 @@ class TestFloatCells:
     def test_fixed_corpus(self):
         big = float(np.finfo(float).max)
         corpus = [0.0, 5e-324, big, 9.9999999999999999e-5, 9.9999999999999998e15]
-        # the edges of the integer path and every power of ten from 1e-12 to
-        # 1e16, each with its neighbours one ulp away
-        for x in [1e-11, 1e16] + [10.0**e for e in range(-12, 17)]:
+        # the edges of the integer path, [1e-11, 1e15), and every power of ten
+        # from 1e-12 to 1e16, each with its neighbours one ulp away
+        for x in [1e-11, 1e15] + [10.0**e for e in range(-12, 17)]:
             corpus += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf))]
         # ties at the 17th digit, rounding down (N even) and up (N odd)
         halfway = _halfway_cases()
@@ -492,12 +492,16 @@ class TestDomainGuards:
         "text",
         [
             # each value sits inside the documented 1e-12 slack, on the wrong
-            # side of its boundary (band >= 20 Gamma, spacing <= Gamma / 20)
+            # side of its boundary (band >= 20 Gamma, spacing <= Gamma / 20,
+            # omega_eg / Gamma >= 10, omega_eg f >= 50)
             "scenario = free-decay\nt_max = 0.5\nsamples = 3\n"
             "band_width = 19.9999999999999\n",
             "scenario = free-decay\nt_max = 0.5\nsamples = 3\n"
             "spacing = 0.05000000000001\n",
+            "scenario = free-decay\nt_max = 0.5\nsamples = 3\n"
+            "omega_over_gamma = 9.9999999999999\n",
             "scenario = parabola-field\nomega_f = 50\nf = 4.1\nn_z = 3\nn_rho = 3\n",
+            "scenario = parabola-field\nomega_f = 49.9999999999999\nf = 4.1\nn_z = 3\nn_rho = 3\n",
         ],
     )
     def test_boundary_value_is_accepted(self, tmp_path, text):

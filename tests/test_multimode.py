@@ -51,11 +51,15 @@ def test_matches_dense_eigh(gamma, band_width, spacing):
     assert np.max(np.abs(trace.excited_population - want)) <= 1e-13
 
 
-@pytest.mark.parametrize("half, coupling", [(0, 0.7), (1, 0.7), (1, 20.0), (20, 30.0)])
+# at spacing 2, the coupling 2 sqrt(n / (20 pi)) of ratio n / (20 pi): the
+# strongest that a band `_flat_band` builds (at least 20 Gamma wide) has
+_EDGE = [pytest.param(n, 2.0 * sqrt(n / (20.0 * pi)), id=f"{n}-edge") for n in (1, 20)]
+
+
+@pytest.mark.parametrize("half, coupling", [(1, 0.7), *_EDGE])
 def test_smallest_bands_match_dense_eigh(half, coupling):
-    # one mode (the Jaynes-Cummings pair, roots +-|g|) and three modes, the
-    # smallest band `_flat_band` builds; a coupling far above the spacing
-    # pushes the outer roots out beyond sqrt(ratio) spacings
+    # three modes, the smallest band `_flat_band` builds, and the edge of the
+    # solver's domain, where the coupling pushes the outer roots furthest out
     spacing = 2.0
     x, w = _mirrored(*multimode._flat_band_spectrum(half, (coupling / spacing) ** 2))
     detunings = spacing * np.arange(-half, half + 1.0)
@@ -93,7 +97,10 @@ def test_weights_are_unitary(gamma, band_width, spacing):
 
 def _band_terms(half, ratio):
     """Weights and frequencies of the 1 to 8193 upper-half modes of a flat
-    band at unit spacing."""
+    band at unit spacing.  One mode (half = 0), outside the solver's domain,
+    is the Jaynes-Cummings pair of roots +-sqrt(ratio), each of weight 1/2."""
+    if half == 0:
+        return np.ones(1), np.array([sqrt(ratio)])
     x, w = multimode._flat_band_spectrum(half, ratio)
     return 2.0 * w, x
 
@@ -275,9 +282,7 @@ def _bisection_spectrum(n, ratio):
         (128, 0.0507),
         (2000, 0.0159),
         (2000, 15.9),
-        (3, 1e4),
-        (5, 100.0),
-        (5000, 562.0),
+        *[pytest.param(n, n / (20.0 * pi), id=f"{n}-edge") for n in (1, 20, 2000)],
     ],
 )
 def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
@@ -290,22 +295,27 @@ def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
     # the bisection's gap weights lose ~eps / tau where tau is small (its
     # 1/2 - arctan cancels), which is far below 1e-13 of the weight sum
     assert np.max(np.abs(w - want_w)) <= 1e-13
-    # the outer root by its direct sums: psi(d + 2n + 1) - psi(d) cancels
-    # where d >> 2n + 1 and puts (3, 1e4) 1.3e-14 off.  The bisection's outer
-    # weight is accurate only absolutely (it resolves d to 2^-60 of its bracket)
+    # the outer root by its direct sums.  The bisection's outer weight is
+    # accurate only absolutely (it resolves d to 2^-60 of its bracket)
     assert abs(x[-1] - want_x[-1]) <= 4e-16 * want_x[-1]
     assert abs(w[-1] - want_w[-1]) <= 4e-16
     # one psi/psi' pass per Newton step on all the roots, and one for the
     # weights; a wrong slope would fall back to bisection, still correct but
     # 60 steps long
     assert len(passes) <= 10
-    if (half, ratio) in ((20, 0.016), (128, 0.0507), (2000, 0.0159)):
-        # the analytic starts: 4, 3 and 3 passes (5 each without the two
-        # Newton steps on the log model; 15, 13 and 15 psi and psi' passes
-        # from tau = 1/2 and d_lo)
+    if ratio <= half / (20.0 * pi):
+        # a band `_flat_band` builds, from the analytic starts: 4, 3 and 3
+        # passes at (20, 0.016), (128, 0.0507) and (2000, 0.0159) (5 each
+        # without the two Newton steps on the log model; 15, 13 and 15 psi and
+        # psi' passes from tau = 1/2 and d_lo), 4 at (2000, 15.9) and the edges
         assert len(passes) <= 4
-    if (half, ratio) == (5000, 562.0):
-        # A <= 0: the outer root starts from the log model of its sum (17
-        # passes from d_hi).  Five steps and the weights: the last gap root
-        # x = n - 1 + tau, rounded to 9e-13, takes five whatever the start
-        assert len(passes) <= 6
+
+
+@pytest.mark.parametrize(
+    "half, ratio", [(0, 0.1225), (1, 100.0), (20, 225.0), (3, 1e4), (5, 100.0), (5000, 562.0)]
+)
+def test_band_outside_the_domain_is_refused(half, ratio):
+    # A = n / ratio - H_2n <= 0, a coupling stronger than any band at least
+    # 20 Gamma wide has; n = 0, a single mode, has A = 0
+    with pytest.raises(ValueError, match="outside the solver's domain"):
+        multimode._flat_band_spectrum(half, ratio)

@@ -309,6 +309,11 @@ class TestTwoRayField:
         small = pm.ParabolicGeometry(focal_length=0.1, wavenumber=atom.omega_eg)
         with pytest.raises(ValueError):
             pm.semiclassical_field(small, atom, (0.05, 0.01), 1.0)
+        # k = omega / 5 at omega = 5e-10 (omega f = 100): isclose's default
+        # atol = 1e-8 let it pass, where the same mismatch at unit scale failed
+        tiny = TwoLevelAtom(omega_eg=5e-10, gamma=5e-13)
+        with pytest.raises(ValueError, match="wave number must match"):
+            pm.field_map(pm.ParabolicGeometry(2e11, 1e-10), tiny, [3e11], [1e11], 1e13)
         with pytest.warns(RadiationZoneWarning) as caught:
             pm.semiclassical_field(mirror, atom, (10.05, 0.0), 1.0)
         # attributed to the caller's line, not to the library
