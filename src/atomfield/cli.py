@@ -390,15 +390,22 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # Float cells are written by integer arithmetic on whole columns, byte for
 # byte what format(v, ".17g") gives (Steele & White, PLDI 1990; Adams,
 # OOPSLA 2019).  A nonzero |v| = m 2**(q - 53) in [10**_LO, 10**(_HI + 1)),
-# with m < 2**53, has the decimal exponent E = floor(log10 |v|) in
-# [_LO, _HI]; for p = 16 - E, 5**p < 2**63 and m 5**p < 2**116, and the 17
-# digits are D = m 5**p 2**(q - 53 + p) rounded half to even.  D never
-# rounds up to 10**17 here: the largest double below each 10**(E + 1) lies
-# at least 4 units of the 17th digit below it.  Zeros print as "0" or "-0".
-# Below 10**(_HI + 1) = 1e15 < 2**50 that is a right shift of m 5**p by
-# 37 + E - q = 1 to 62 bits.  Every other value (|v| < 10**_LO, subnormals
-# included, and |v| >= 1e15) goes through format().  An int or bool cell
-# is written as float(v): for |v| <= 2**53 that is str(v), and 0/1 for a bool.
+# with 2**52 <= m < 2**53, has the decimal exponent E = floor(log10 |v|) in
+# [_LO, _HI]; for p = 16 - E the 17 digits are D = m 5**p / 2**s rounded half
+# to even, s = 37 + E - q.  Zeros print as "0" or "-0".
+# From E = _WORD = -11 up, 5**p < 2**63 is one word, m 5**p < 2**116 and s is
+# 1 to 62 (10**(_HI + 1) = 1e15 < 2**50): a rounded right shift of a two-word
+# product.  D never rounds up to 10**17 there: the largest double below each
+# 10**(E + 1) lies at least 4 units of the 17th digit below it.
+# Below, 1e-38 <= |v| < 1e-11, p = 28 to 54: 5**p < 2**126 is two words, so
+# floor(m 5**p / 2**64) is m times the high word plus the high word of m
+# times the low word, and s = 61 to 125.  As 5**p is odd and m < 2**(s - 1),
+# m 5**p / 2**s is never a tie: D is bit s - 1 of m 5**p added to its bits
+# from s up.  One double there rounds up to 10**17: 1e-14, 0.12 units of the
+# 17th digit below 10**-14, so D = 10**17 is carried to 10**16 and E + 1.
+# Every other value (|v| < 10**_LO, subnormals included, and |v| >= 1e15)
+# goes through format().  An int or bool cell is written as float(v): for
+# |v| <= 2**53 that is str(v), and 0/1 for a bool.
 #
 # A cell is six words (48 bytes) of which a mask keeps the bytes shown:
 # "-0.000" d0 "." | four words "d.d.d.d." with the digits d1 ... d16 |
@@ -406,7 +413,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # -4 <= E < 0, the '.' after any digit and the exponent of E < -4 all have
 # fixed places.
 # A text cell (from format()) holds its text in bytes 0-23 instead.
-_LO, _HI = -11, 14
+_LO, _WORD, _HI = -38, -11, 14
 _NX = _HI + 1 - _LO  # exponents [_LO, _HI]
 _ZERO = 2 * _NX * 17  # mask _ZERO + sign: "0" and "-0"
 _TEXT = _ZERO + 2  # mask _TEXT + k: the first k bytes of a text
@@ -459,7 +466,9 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _TEN = np.array([_at_least_ten_to(e) for e in range(_LO, _HI + 2)])  # |v| >= _TEN[e - _LO] iff |v| >= 10**e
-_FIVE = np.array([5**p for p in range(17 - _LO)], dtype=np.uint64)
+# 5**p = _FIVE_HI[p] 2**64 + _FIVE_LO[p], and _FIVE_HI[p] = 0 for p <= 27
+_FIVE_HI = np.array([5**p >> 64 for p in range(17 - _LO)], dtype=np.uint64)
+_FIVE_LO = np.array([5**p & 2**64 - 1 for p in range(17 - _LO)], dtype=np.uint64)
 _DOTTED, _TRAILING = _quad_tables()
 _HEAD = _words([b"-0.000%d." % d for d in range(10)])
 _EXPONENT = _words([b"e%+03d\0\0\0\0" % x for x in range(_LO, _HI + 1)])
@@ -468,17 +477,41 @@ _MASKS = _cell_masks()
 _LOW32, _32, _ONE = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
 
 
-def _rounded_shift(m: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """m f / 2**s rounded half to even, for uint64 m < 2**53, f < 2**63 and
-    1 <= s <= 63 whose result is below 2**63; the product in 32-bit limbs."""
+def _product(m: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of m f, for uint64 m < 2**57 and any f, in
+    32-bit limbs."""
     m0, m1, f0, f1 = m & _LOW32, m >> _32, f & _LOW32, f >> _32
     low = m0 * f0
-    mid = m0 * f1 + m1 * f0
-    carry = (low >> _32) + (mid & _LOW32)
+    mid = m1 * f0 + (low >> _32)
+    carry = (mid & _LOW32) + m0 * f1
     lo = (low & _LOW32) | (carry << _32)
     hi = m1 * f1 + (mid >> _32) + (carry >> _32)
+    return hi, lo
+
+
+def _rounded_shift(m: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """m f / 2**s rounded half to even, for uint64 m < 2**53, f < 2**63 and
+    1 <= s <= 63 whose result is below 2**63."""
+    hi, lo = _product(m, f)
     d = (hi << (np.uint64(64) - s)) | (lo >> s)
     return d + ((lo & ((_ONE << s) - _ONE)) + (d & _ONE) > (_ONE << (s - _ONE)))
+
+
+def _tiny_digits(mant: np.ndarray, e: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D and E of cells |v| = mant 2**q in [10**_LO, 10**_WORD), E = e
+    before the carry.  For m = 16 mant 2**53, hi and lo are the words of
+    floor(m 5**p / 2**64), whose bits from r = s - 61 up (r = 0 to 64; numpy
+    shifts a uint64 by 64 to 0) are floor(2 mant 2**53 5**p / 2**s): D is
+    that plus one, halved."""
+    m = (mant * 2.0**57).astype(np.uint64)
+    carry = _product(m, _FIVE_LO[16 - e])[0]
+    hi, lo = _product(m, _FIVE_HI[16 - e])
+    lo += carry
+    hi += lo < carry
+    r = (e - q - 24).astype(np.uint64)
+    d = ((hi << (np.uint64(64) - r)) | (lo >> r)) + _ONE >> _ONE
+    up = d == 10**17  # the carry of 1e-14
+    return np.where(up, 10**16, d), e + up
 
 
 def _text_cells(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
@@ -497,8 +530,13 @@ def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
     mant, q = np.frexp(a)  # a = mant 2**q, 1/2 <= mant < 1
     e = ((q - 1) * 78913) >> 18  # floor((q - 1) log10 2): E or E - 1
     e += a >= _TEN[e - _LO + 1]
-    shift = (37 + e - q).astype(np.uint64)  # (m 5**p) >> shift = a 10**p for m = mant 2**53
-    d = _rounded_shift((mant * 2.0**53).astype(np.uint64), _FIVE[16 - e], shift).view(np.int64)
+    # (m 5**p) >> (37 + E - q) = a 10**p for m = mant 2**53; D of a cell
+    # below 10**_WORD is meaningless here, and made apart below
+    d = _rounded_shift((mant * 2.0**53).astype(np.uint64), _FIVE_LO[16 - e], (37 + e - q).astype(np.uint64))
+    tiny = np.flatnonzero(e < _WORD)
+    if tiny.size:
+        d[tiny], e[tiny] = _tiny_digits(mant[tiny], e[tiny], q[tiny])
+    d = d.view(np.int64)
     trailing = np.zeros(len(v), dtype=np.intp)
     below = np.ones(len(v), dtype=bool)  # every digit after this quad is 0
     for k in (4, 3, 2, 1):

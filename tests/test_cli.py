@@ -1,6 +1,7 @@
 """Config parsing, CSV round trips and scenario plumbing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -162,20 +163,23 @@ class TestTableIO:
     def test_block_memory_per_cell(self):
         # a block of _BLOCK_CELLS cells of the 8 parabola-field columns: the
         # compaction of its bytes by chunks of cells keeps the block's peak
-        # at the float layout's (about 210 B a cell; an index over the
-        # whole block's output bytes peaked at about 290)
+        # at the float layout's (about 195 B a cell; an index over the
+        # whole block's output bytes peaked at about 290); a block of cells
+        # all in [1e-38, 1e-11), each made by the two-word 5**p, about 225 B
         rng = np.random.default_rng(11)
         rows = cli._BLOCK_CELLS // 8
         data = list(rng.standard_normal((8, rows)) * 10.0 ** rng.integers(-14, 4, (8, rows)))
         data[7] = rng.integers(0, 2, rows) == 1
-        cli._csv_lines(data)
-        tracemalloc.start()
-        try:
-            cli._csv_lines(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / cli._BLOCK_CELLS <= 240
+        tiny = rng.uniform(1.0, 10.0, (8, rows)) * 10.0 ** rng.integers(-38, -11, (8, rows))
+        for block in (data, list(tiny * rng.choice([-1.0, 1.0], (8, rows)))):
+            cli._csv_lines(block)
+            tracemalloc.start()
+            try:
+                cli._csv_lines(block)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / cli._BLOCK_CELLS <= 240
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -272,6 +276,19 @@ def _halfway_cases() -> dict[float, int]:
     return cases
 
 
+def _near_ties() -> list[float]:
+    """For each E in [_LO, _WORD): the doubles nearest (N + 1/2) 10**(E - 16)
+    for the ends of 10**16 <= N < 10**17 and six N between, each with its
+    neighbours one ulp away."""
+    rng = np.random.default_rng(43)
+    corpus = []
+    for e in range(cli._LO, cli._WORD):
+        for n in [10**16, 10**17 - 1, *rng.integers(10**16, 10**17, 6).tolist()]:
+            x = float(Fraction(2 * n + 1, 2) * Fraction(10) ** (e - 16))
+            corpus += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf))]
+    return corpus
+
+
 class TestFloatCells:
     """The integer %.17g writer against Python's `format(v, ".17g")`."""
 
@@ -280,28 +297,64 @@ class TestFloatCells:
     def test_matches_format(self, values):
         assert _cells(values) == [format(v, ".17g") for v in values]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(1e-40, 1e-10), st.floats(-1e-10, -1e-40)), min_size=1, max_size=40))
+    def test_matches_format_below_the_one_word_path(self, values):
+        assert _cells(values) == [format(v, ".17g") for v in values]
+
     def test_fixed_corpus(self):
         big = float(np.finfo(float).max)
         corpus = [0.0, 5e-324, big, 9.9999999999999999e-5, 9.9999999999999998e15]
-        # the edges of the integer path, [1e-11, 1e15), and every power of ten
-        # from 1e-12 to 1e16, each with its neighbours one ulp away
-        for x in [1e-11, 1e15] + [10.0**e for e in range(-12, 17)]:
+        # the edges of the integer path, [1e-38, 1e15), the bound 1e-11 of its
+        # one-word 5**p, and every power of ten from 1e-39 to 1e16, as the
+        # nearest double and as 10.0**e, each with its neighbours one ulp away
+        powers = {x for e in range(-39, 17) for x in (float(f"1e{e}"), 10.0**e)}
+        for x in [1e-38, 1e-11, 1e15, *sorted(powers)]:
             corpus += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf))]
         # ties at the 17th digit, rounding down (N even) and up (N odd)
         halfway = _halfway_cases()
         assert {n % 2 for n in halfway.values()} == {0, 1} and len(halfway) > 40
         corpus += list(halfway)
+        # below 1e-8 no double is a tie, so the nearest to (N + 1/2) 10**(E - 16)
+        # and its neighbours, for E under the one-word path
+        corpus += _near_ties()
         corpus += [-x for x in corpus]
         assert _cells(corpus) == [format(v, ".17g") for v in corpus]
 
     def test_no_carry_to_eighteen_digits(self):
-        # the writer never rounds D up to 10**17: below each power of ten
-        # 10**(e + 1) it covers, the nearest double is over 4 units of the
+        # the one-word path never rounds D up to 10**17: below each power of
+        # ten 10**(e + 1) it covers, the nearest double is over 4 units of the
         # 17th digit away
-        for e in range(cli._LO, cli._HI + 1):
+        for e in range(cli._WORD, cli._HI + 1):
             below = float(np.nextafter(cli._TEN[e - cli._LO + 1], 0.0))
             assert Fraction(below) < Fraction(10) ** (e + 1) <= Fraction(cli._TEN[e - cli._LO + 1])
             assert Fraction(below) * Fraction(10) ** (16 - e) < 10**17 - 4
+
+    def test_carry_below_the_one_word_path(self):
+        # below 1e-11 the largest double under 10**(e + 1) can lie closer to
+        # it: 1e-14 is 0.12 units of the 17th digit below 10**-14 and prints
+        # as 1e-14, carried from D = 10**17; every such double and its lower
+        # neighbour prints as format() does
+        carried, corpus = [], []
+        for e in range(cli._LO, cli._WORD):
+            below = float(np.nextafter(cli._TEN[e - cli._LO + 1], 0.0))
+            assert Fraction(below) < Fraction(10) ** (e + 1) <= Fraction(cli._TEN[e - cli._LO + 1])
+            if Fraction(below) * Fraction(10) ** (16 - e) >= 10**17 - Fraction(1, 2):
+                carried.append(below)
+            corpus += [below, float(np.nextafter(below, 0.0))]
+        assert carried == [1e-14] and _cells(carried) == ["1e-14"]
+        assert _cells(corpus) == [format(v, ".17g") for v in corpus]
+
+    def test_exponent_estimate_at_binade_ends(self):
+        # ((q - 1) 78913) >> 18 is E or E - 1 at both ends of every binade
+        # [2**(q - 1), 2**q) that meets [1e-38, 1e15)
+        first, last = (int(np.frexp(x)[1]) for x in (cli._TEN[0], cli._TEN[-1]))
+        for q in range(first, last + 1):
+            for x in (math.ldexp(0.5, q), float(np.nextafter(math.ldexp(1.0, q), 0.0))):
+                exact = math.floor(math.log10(x))
+                exact -= Fraction(10) ** exact > Fraction(x)
+                exact += Fraction(10) ** (exact + 1) <= Fraction(x)
+                assert ((q - 1) * 78913) >> 18 in (exact, exact - 1)
 
 
 class TestMain:
