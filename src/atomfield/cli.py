@@ -280,7 +280,8 @@ def _run_free_wavepacket(p: dict[str, Any], meta: dict[str, str]) -> dict[str, A
     t_max_R=_Key(float, default=6.0, check=_pos),  # end time in R/c
     samples=_Key(int, default=601, check=lambda v: v >= 2),
     with_ode=_Key(_parse_bool, default=False),  # add the finite-band column p_e_ode
-    band_width=_Key(float, default=400.0, check=_pos),  # finite band in Gamma
+    # finite band in Gamma, at least `_flat_band`'s 20 Gamma with its slack
+    band_width=_Key(float, default=400.0, check=lambda v: v >= 20.0 * (1.0 - _GUARD_RTOL)),
     omega_over_gamma=_OMEGA_OVER_GAMMA,
 )
 def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
@@ -392,7 +393,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # OOPSLA 2019).  A nonzero |v| = m 2**(q - 53) in [10**_LO, 10**(_HI + 1)),
 # with 2**52 <= m < 2**53, has the decimal exponent E = floor(log10 |v|) in
 # [_LO, _HI]; for p = 16 - E the 17 digits are D = m 5**p / 2**s rounded half
-# to even, s = 37 + E - q.  Zeros print as "0" or "-0".
+# to even, s = 37 + E - q.  A zero is D = 0 at E = 0: "0" or "-0".
 # From E = _WORD = -11 up, 5**p < 2**63 is one word, m 5**p < 2**116 and s is
 # 1 to 62 (10**(_HI + 1) = 1e15 < 2**50): a rounded right shift of a two-word
 # product.  D never rounds up to 10**17 there: the largest double below each
@@ -403,20 +404,17 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # m 5**p / 2**s is never a tie: D is bit s - 1 of m 5**p added to its bits
 # from s up.  One double there rounds up to 10**17: 1e-14, 0.12 units of the
 # 17th digit below 10**-14, so D = 10**17 is carried to 10**16 and E + 1.
-# Every other value (|v| < 10**_LO, subnormals included, and |v| >= 1e15)
-# goes through format().  An int or bool cell is written as float(v): for
-# |v| <= 2**53 that is str(v), and 0/1 for a bool.
+# A block holding any other value (|v| < 10**_LO, subnormals included, and
+# |v| >= 1e15) is written whole by format().  An int or bool cell is written
+# as float(v): for |v| <= 2**53 that is str(v), and 0/1 for a bool.
 #
 # A cell is six words (48 bytes) of which a mask keeps the bytes shown:
 # "-0.000" d0 "." | four words "d.d.d.d." with the digits d1 ... d16 |
 # "e-XX" and the terminator.  So the sign, the lead "0." and -E - 1 zeros of
 # -4 <= E < 0, the '.' after any digit and the exponent of E < -4 all have
 # fixed places.
-# A text cell (from format()) holds its text in bytes 0-23 instead.
 _LO, _WORD, _HI = -38, -11, 14
 _NX = _HI + 1 - _LO  # exponents [_LO, _HI]
-_ZERO = 2 * _NX * 17  # mask _ZERO + sign: "0" and "-0"
-_TEXT = _ZERO + 2  # mask _TEXT + k: the first k bytes of a text
 _BLOCK_CELLS = 6144  # cells per write: the writer's temporaries scale with it
 # cells per compaction of a block's bytes: its byte index (8 B per byte kept)
 # then stays below _float_cells' temporaries, which set a block's peak
@@ -435,8 +433,7 @@ def _words(parts: list[bytes]) -> np.ndarray:
 
 
 def _cell_masks() -> np.ndarray:
-    """Mask rows, as words: index (sign * _NX + E - _LO) * 17 + digits shown - 1,
-    then the zero and text masks."""
+    """Mask rows, as words: index (sign * _NX + E - _LO) * 17 + digits shown - 1."""
     neg, x, n, j = np.ix_((0, 1), np.arange(_LO, _HI + 1), np.arange(1, 18), np.arange(48))
     digit, dot = (j - 6) // 2, (j - 6) % 2 == 1
     after = np.maximum(x, 0)  # the digit the '.' follows
@@ -447,10 +444,7 @@ def _cell_masks() -> np.ndarray:
     )
     masks |= (x < 0) & (x >= -4) & (j >= 1) & (j < 2 - x)  # "0." and -x - 1 zeros
     masks |= (x < -4) & (j >= 40) & (j < 44)  # the exponent
-    other = np.zeros((2 + 25, 48), dtype=bool)
-    other[:2, 1] = other[1, 0] = True
-    other[2:] = np.arange(48) < np.arange(25)[:, None]
-    masks = np.concatenate([masks.reshape(-1, 48), other])
+    masks = masks.reshape(-1, 48)
     masks[:, 44] = True  # the terminator
     return masks.view(np.uint64)
 
@@ -514,19 +508,15 @@ def _tiny_digits(mant: np.ndarray, e: np.ndarray, q: np.ndarray) -> tuple[np.nda
     return np.where(up, 10**16, d), e + up
 
 
-def _text_cells(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """(words, mask index) of cells showing `texts`, each at most 24 bytes."""
-    words = np.zeros((len(texts), 6), dtype=np.uint64)
-    words[:, :3] = np.array(texts, dtype="S24").view(np.uint64).reshape(-1, 3)
-    return words, _TEXT + np.fromiter(map(len, texts), np.intp, len(texts))
-
-
-def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Lay out the %.17g cells of float64 `v` in `words` (n x 6); returns
-    each cell's mask index."""
+def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray | None:
+    """Lay out the %.17g cells of float64 `v` in `words` (n x 6) and return
+    each cell's mask index; or return None, with `words` untouched, if a
+    cell is neither 0 nor in [10**_LO, 10**(_HI + 1))."""
     a = np.abs(v)
-    fast = (a >= _TEN[0]) & (a < _TEN[-1])
-    a = np.where(fast, a, 1.0)
+    zero = a == 0.0
+    a[zero] = 1.0  # E = 0, and D = 0 below
+    if not (a.min() >= _TEN[0] and a.max() < _TEN[-1]):
+        return None
     mant, q = np.frexp(a)  # a = mant 2**q, 1/2 <= mant < 1
     e = ((q - 1) * 78913) >> 18  # floor((q - 1) log10 2): E or E - 1
     e += a >= _TEN[e - _LO + 1]
@@ -536,6 +526,7 @@ def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
     tiny = np.flatnonzero(e < _WORD)
     if tiny.size:
         d[tiny], e[tiny] = _tiny_digits(mant[tiny], e[tiny], q[tiny])
+    d[zero] = 0
     d = d.view(np.int64)
     trailing = np.zeros(len(v), dtype=np.intp)
     below = np.ones(len(v), dtype=bool)  # every digit after this quad is 0
@@ -548,13 +539,7 @@ def _float_cells(v: np.ndarray, words: np.ndarray) -> np.ndarray:
         d = high
     words[:, 0] = _HEAD[d]
     words[:, 5] = _EXPONENT[e - _LO]
-    neg = np.signbit(v)
-    masks = np.where(v == 0.0, _ZERO + neg, (neg * _NX + e - _LO) * 17 + 16 - trailing)
-    slow = np.flatnonzero(~fast & (v != 0.0))
-    if slow.size:
-        cells = tuple(v[slow].tolist())  # one %-format of them all, as format(x, ".17g") each
-        words[slow], masks[slow] = _text_cells((b"%.17g\n" * len(cells) % cells).splitlines())
-    return masks
+    return (np.signbit(v) * _NX + e - _LO) * 17 + 16 - trailing
 
 
 def _csv_lines(data: Sequence[np.ndarray]) -> bytes:
@@ -562,10 +547,12 @@ def _csv_lines(data: Sequence[np.ndarray]) -> bytes:
     rows = len(data[0])
     words = np.empty((rows, len(data), 6), dtype=np.uint64)
     values = np.stack(data, axis=1).astype(np.float64, copy=False).ravel()
-    masks = _float_cells(values, words.reshape(-1, 6)).reshape(rows, -1)
+    masks = _float_cells(values, words.reshape(-1, 6))
+    if masks is None:  # one %-format of the block, as format(v, ".17g") each
+        return (b"%.17g," * (len(data) - 1) + b"%.17g\n") * rows % tuple(values.tolist())
     words[:, :-1, 5] |= _COMMA
     words[:, -1, 5] |= _NEWLINE
-    cells, masks = words.view(np.uint8).reshape(-1, 48), masks.ravel()
+    cells = words.view(np.uint8).reshape(-1, 48)
     parts = []
     for start in range(0, len(masks), _CHUNK_CELLS):  # chunks keep the byte index small
         chunk = slice(start, start + _CHUNK_CELLS)

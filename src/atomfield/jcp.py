@@ -15,7 +15,7 @@ the phase of g drops out of every population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, floor, inf, isfinite, pi, sqrt
 
 import numpy as np
@@ -95,8 +95,8 @@ class FieldDistribution:
 class JcpParams:
     """Detuning and initial field of a single-mode scenario, in units of |g|."""
 
-    detuning: float = 0.0  # Delta = (E_e - E_g)/hbar - omega
-    field: FieldDistribution = field(default_factory=lambda: FieldDistribution.fock(0))
+    detuning: float  # Delta = (E_e - E_g)/hbar - omega
+    field: FieldDistribution
 
     def __post_init__(self):
         # a NaN or infinite detuning would make every Rabi frequency non-finite

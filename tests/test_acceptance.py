@@ -27,7 +27,7 @@ def test_criterion_1_jcp_closed_form_vs_ode():
     t_start = time.perf_counter()
     worst = 0.0
     for mean_n in (0.5, 25.0):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
+        params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.coherent(mean_n))
         t_r = jcp.collapse_revival_times(mean_n)[1]
         times = np.linspace(0.0, 3.0 * t_r, 601)
         w_closed = jcp.inversion(params, times)
@@ -43,7 +43,7 @@ def test_criterion_1_jcp_closed_form_vs_ode():
 def test_criterion_2_collapse_and_revival():
     """Collapse below 0.1 before two vacuum-Rabi periods; revival > 0.3 near T_r."""
     mean_n = 25.0
-    params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
+    params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.coherent(mean_n))
     t_c, t_r = jcp.collapse_revival_times(mean_n)
     times = np.linspace(0.0, 1.2 * t_r, 12001)
     w = jcp.inversion(params, times)

@@ -101,6 +101,21 @@ class TestParseConfig:
         assert "key 'with_ode': cannot parse value 'maybe'" in err and "Traceback" not in err
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per `_float_cells` call: whether its block went to format()."""
+    seen = []
+    float_cells = cli._float_cells
+
+    def spy(v, words):
+        masks = float_cells(v, words)
+        seen.append(masks is None)
+        return masks
+
+    monkeypatch.setattr(cli, "_float_cells", spy)
+    return seen
+
+
 class TestTableIO:
     def test_round_trip_bit_exact(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 16)  # 8 rows of 2 columns: 21 rows in three blocks
@@ -131,6 +146,22 @@ class TestTableIO:
         want += [",".join(format(v, ".17g") for v in row) for row in data.T.tolist()]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
+    def test_a_block_outside_the_digit_range_goes_to_format_whole(self, tmp_path, monkeypatch, fallbacks):
+        # 3 columns, 4 rows a block: the middle block of three holds a
+        # subnormal and 1e300, so format() writes it, the others take the
+        # digit path
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 12)
+        rng = np.random.default_rng(44)
+        data = rng.uniform(1.0, 10.0, (3, 12)) * 10.0 ** rng.integers(-38, 15, (3, 12))
+        data *= rng.choice([-1.0, 1.0], (3, 12))
+        data[0, :2] = 0.0, -0.0
+        data[0, 5], data[2, 6] = 5e-324, 1e300
+        path = tmp_path / "t.csv"
+        cli.write_table(cli.ResultTable(["a", "b", "c"], tuple(data), {}), path)
+        want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in data.T.tolist())
+        assert path.read_bytes() == ("a,b,c\n" + want).encode()
+        assert fallbacks == [False, True, False]
+
     def test_write_memory_does_not_grow_with_the_column_count(self, tmp_path):
         # equal cell counts in 8 and in 2 columns: blocks of equal cell
         # count give the writer the same working set above the held table
@@ -148,17 +179,19 @@ class TestTableIO:
         assert peaks[8] == pytest.approx(peaks[2], rel=0.3, abs=0)
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 16])
-    def test_compaction_chunks_split_rows_alike(self, chunk, monkeypatch):
-        # 3 columns of 10 rows: chunks of 5, 7 and 16 cells end inside a row
+    def test_compaction_chunks_split_rows_alike(self, chunk, monkeypatch, fallbacks):
+        # 3 columns of 10 rows: chunks of 5, 7 and 16 cells end inside a row;
+        # every cell is in the digit path's range, so the chunks are used
         rng = np.random.default_rng(chunk)
-        data = rng.standard_normal((3, 10)) * 10.0 ** rng.integers(-14, 18, (3, 10))
+        data = rng.uniform(1.0, 10.0, (3, 10)) * 10.0 ** rng.integers(-38, 15, (3, 10))
+        data *= rng.choice([-1.0, 1.0], (3, 10))
         data[0, :2] = 0.0, -0.0
-        data[1, 2], data[2, 3] = 5e-324, 1e300  # cells that format() writes
         whole = cli._csv_lines(list(data))
         want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in data.T.tolist())
         assert whole == want.encode()
         monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
         assert cli._csv_lines(list(data)) == whole
+        assert fallbacks == [False, False]
 
     def test_block_memory_per_cell(self):
         # a block of _BLOCK_CELLS cells of the 8 parabola-field columns: the
@@ -236,10 +269,11 @@ class TestTableIO:
                 cli.ResultTable(["n"], (column,), {})
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
-    def test_scenario_bytes_follow_the_per_value_rule(self, name, tmp_path):
+    def test_scenario_bytes_follow_the_per_value_rule(self, name, tmp_path, fallbacks):
         table = cli.run_scenario(cli.parse_config((GOLDEN_DIR / f"{name}.cfg").read_text()))
         path = tmp_path / "t.csv"
         cli.write_table(table, path)
+        assert fallbacks and not any(fallbacks)  # every block takes the digit path
         # the documented rule for every cell: str(v) for an int, 0/1 for a bool
         cells = [[format(float(v), ".17g") for v in a.tolist()] for a in table.data]
         want = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
@@ -259,8 +293,17 @@ class TestTableIO:
 
 
 def _cells(values) -> list[str]:
-    """The CSV cells the writer makes of a one-column float table."""
-    return cli._csv_lines([np.asarray(values, dtype=float)]).decode().splitlines()
+    """The CSV cells the writer makes of a one-column float table.  The
+    zeros and the values in [10**-38, 10**15) are also written as a block of
+    their own, which must take the digit path and give the same cells."""
+    v = np.asarray(values, dtype=float)
+    cells = cli._csv_lines([v]).decode().splitlines()
+    a = np.abs(v)
+    inside = (a == 0.0) | (a >= cli._TEN[0]) & (a < cli._TEN[-1])
+    if inside.any():
+        assert cli._float_cells(v[inside], np.empty((inside.sum(), 6), dtype=np.uint64)) is not None
+        assert cli._csv_lines([v[inside]]).decode().splitlines() == np.array(cells)[inside].tolist()
+    return cells
 
 
 def _halfway_cases() -> dict[float, int]:
@@ -414,6 +457,12 @@ class TestMain:
         assert len(errors) == 3 and all(e.startswith("config error: key ") for e in errors)
         for key in ("band_width", "spacing", "samples"):
             assert any(f"'{key}'" in e and "out of range" in e for e in errors)
+        # sphere-revival's band too, with or without the ODE column
+        for with_ode in ("true", "false"):
+            sphere = "scenario = sphere-revival\ngamma_R = 1\nband_width = 10\n"
+            cfg.write_text(sphere + f"with_ode = {with_ode}\n")
+            assert cli.main(["validate", str(cfg)]) == 1
+            assert capsys.readouterr().err == "config error: key 'band_width': value '10' out of range\n"
 
     def test_run_requires_output_path(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

@@ -127,28 +127,28 @@ class TestFieldDistribution:
 
 class TestClosedForm:
     def test_vacuum_resonant_rabi(self):
-        params = jcp.JcpParams()
+        params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.fock(0))
         t = np.linspace(0.0, 4.0 * pi, 200)
         w = jcp.inversion(params, t)
         assert w == pytest.approx(np.cos(2.0 * t), abs=1e-12)
 
     def test_detuned_inversion_offset(self):
         # large detuning freezes the atom in the excited state
-        params = jcp.JcpParams(detuning=50.0)
+        params = jcp.JcpParams(detuning=50.0, field=jcp.FieldDistribution.fock(0))
         t = np.linspace(0.0, 10.0, 100)
         w = jcp.inversion(params, t)
         assert np.min(w) > 0.99
 
     def test_fock_inversion_single_frequency(self):
         n = 4
-        params = jcp.JcpParams(field=jcp.FieldDistribution.fock(n))
+        params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.fock(n))
         omega = jcp.rabi_frequency(n, params)
         t = np.linspace(0.0, 7.0, 150)
         w = jcp.inversion(params, t)
         assert w == pytest.approx(np.cos(omega * t), abs=1e-12)
 
     def test_non_uniform_grid_raises(self):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(4.0))
+        params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.coherent(4.0))
         t = np.linspace(0.0, 10.0, 101)
         t[7] += 64 * np.spacing(10.0)
         with pytest.raises(ValueError, match="uniform"):
@@ -162,7 +162,7 @@ class TestClosedForm:
                 jcp.inversion(params, times)
 
     def test_empty_grid_gives_an_empty_trace(self):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(4.0))
+        params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.coherent(4.0))
         assert jcp.inversion(params, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("mean_n", [4.0, 100.0, 1e4])
@@ -195,7 +195,7 @@ class TestClosedForm:
         # Eberly, Narozhny & Sanchez-Mondragon, PRL 44 (1980) 1323: at resonance
         # and t << T_r, w(t) ~ cos(2 sqrt(<n> + 1) t) exp(-t^2 / 2), with
         # corrections of order 1 / sqrt(<n>)
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(mean_n))
+        params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.coherent(mean_n))
         t = np.linspace(0.0, 8.0, 401)
         w = jcp.inversion(params, t)
         want = np.cos(2.0 * sqrt(mean_n + 1.0) * t) * np.exp(-t * t / 2.0)
@@ -304,7 +304,7 @@ class TestOdeOracle:
             assert trace.a_g[row, i] == pytest.approx(a_g, abs=1e-9)
 
     def test_norm_conserved(self):
-        params = jcp.JcpParams(field=jcp.FieldDistribution.coherent(2.25))
+        params = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.coherent(2.25))
         t = np.linspace(0.0, 40.0, 81)
         trace = evolve_ode(params, t)
         norm = np.sum(np.abs(trace.a_e) ** 2 + np.abs(trace.a_g) ** 2, axis=0)
@@ -319,7 +319,7 @@ class TestTimescales:
 
 
 def test_rabi_frequency_array_matches_scalar():
-    params = jcp.JcpParams(detuning=1.3)
+    params = jcp.JcpParams(detuning=1.3, field=jcp.FieldDistribution.fock(0))
     n = np.arange(50)
     omega = jcp.rabi_frequency(n, params)
     scalar = [jcp.rabi_frequency(int(k), params) for k in n]
@@ -331,8 +331,8 @@ def test_rabi_frequency_array_matches_scalar():
 
 def test_invalid_params():
     with pytest.raises(ValueError):
-        jcp.rabi_frequency(-1, jcp.JcpParams())
+        jcp.rabi_frequency(-1, jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.fock(0)))
     # a NaN photon number used to give a NaN frequency
     for n in (float("nan"), np.array([3.0, float("nan"), 1.0])):
         with pytest.raises(ValueError, match="photon number"):
-            jcp.rabi_frequency(n, jcp.JcpParams())
+            jcp.rabi_frequency(n, jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.fock(0)))

@@ -83,8 +83,6 @@ DEFAULTS = {
     "cli.main(argv)",
     "cli.parse_config(overrides)",
     "free_space.field_energy(part)",
-    "jcp.JcpParams.detuning",
-    "jcp.JcpParams.field",
     "numerics.QuadratureSpec.max_subdivisions",
     "parabolic_mirror.eta_quadrature(spec)",
 }

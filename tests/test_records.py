@@ -33,7 +33,11 @@ NAN = float("nan")
             "cavity radius",
             id="SphericalCavity.radius",
         ),
-        pytest.param(lambda: jcp.JcpParams(detuning=NAN), "detuning", id="JcpParams.detuning"),
+        pytest.param(
+            lambda: jcp.JcpParams(detuning=NAN, field=jcp.FieldDistribution.fock(0)),
+            "detuning",
+            id="JcpParams.detuning",
+        ),
         pytest.param(
             lambda: jcp.FieldDistribution(np.array([NAN]), 0), "sum to 1", id="FieldDistribution"
         ),

@@ -232,7 +232,8 @@ class TestStrongCoupling:
         cav = make_cavity(TwoLevelAtom.from_linewidth(1.0, 60.0 / gamma_R), gamma_R)
         g = sqrt(cav.atom.gamma / (2.0 * cav.radius))
         times = np.linspace(0.0, 3.0 * pi / g, 201)
-        single_mode = (1.0 + jcp.inversion(jcp.JcpParams(), g * times)) / 2.0
+        vacuum = jcp.JcpParams(detuning=0.0, field=jcp.FieldDistribution.fock(0))
+        single_mode = (1.0 + jcp.inversion(vacuum, g * times)) / 2.0
         p_closed = sc.excited_probability_closed_form(cav, times)
         with warnings.catch_warnings():
             warnings.simplefilter("error", sc.SmallCavityNotice)
