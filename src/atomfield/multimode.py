@@ -76,19 +76,19 @@ def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndar
 # below 1e-13 sum w (9.2e-14 at Gamma t = 2000, 5.6e-14 at 1000).
 _SPECTRAL_ERROR = 1e-12
 
-# iteration cap of `_newton`, so that it ends even if it never accepts a
-# Newton step: 60 bisections shrink a bracket by 2^-60 ~ 8.7e-19, below an ulp
-# of every root x for the brackets below (width 1 in a gap, under
-# sqrt((2n+1) ratio) outside)
+# iteration cap of `_newton`, so that it ends even if no Newton step is taken:
+# 60 bisections shrink a gap of width 1 to 2^-60 ~ 8.7e-19, below an ulp of x
 _BISECTIONS = 60
 
 
-def _newton(value_and_slope, t, lo, hi):
-    """Roots t in [lo, hi] of increasing functions, elementwise, by Newton
-    steps.  The sign of each value narrows the bracket, and a step that leaves
-    it is replaced by bisection (Bunch, Nielsen & Sorensen, Numer. Math. 31
-    (1978) 31; R.-C. Li, LAPACK Working Note 89).  Stops once every step is at
-    most 8 eps t, or after _BISECTIONS steps."""
+def _newton(value_and_slope, t):
+    """Roots t in (0, 1), elementwise, of functions negative below the root
+    and positive above, by Newton steps.  The sign of each value narrows the
+    bracket (0, 1), and a step that leaves it is replaced by bisection (Bunch,
+    Nielsen & Sorensen, Numer. Math. 31 (1978) 31; R.-C. Li, LAPACK Working
+    Note 89).  Stops once every step is at most 8 eps t, or after
+    _BISECTIONS steps."""
+    lo, hi = np.zeros(t.size), np.ones(t.size)
     for _ in range(_BISECTIONS):
         value, slope = value_and_slope(t)
         lo, hi = np.where(value < 0.0, (t, hi), (lo, t))
@@ -105,74 +105,73 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     and their weights w_j = |<e|j>|^2 of the atom coupled to modes at s * k,
     k = -n..n, with one coupling |g|^2 = ratio * s^2.
 
-    The secular equation x = ratio * sum_k 1 / (x - k) has one root in each of
-    the 2n gaps (k, k + 1) and one beyond each band edge.  The band is
+    The secular function g(x) = x / ratio - sum_k 1 / (x - k) has one root in
+    each of the 2n gaps (k, k + 1) and one beyond each band edge.  The band is
     symmetric, so the n + 1 roots below 0 are the negatives of those returned,
-    with the same weights.  Only the gaps k = 0..n-1 and the outer root n + d
-    are solved, all in one `_newton` call whose every step takes one
-    `_psi_trigamma` pass.
-    With the closed form sum_k 1 / (k - x) = psi(n+1-x) - psi(n+1+x)
-    - pi cot(pi x) (DLMF 5.15, 5.5.4), a gap root x = k + tau solves the
-    pole-free equation tau = arctan2(pi, R(x)) / pi with R(x) = x / ratio
-    + psi(n+1-x) - psi(n+1+x).  tau - arctan2(pi, R) / pi increases with
-    tau (slope 1 + R' / (pi^2 + R^2) >= 1 - 2 psi'(1) / pi^2 = 2/3), and arctan2
-    keeps the relative accuracy of a small tau, so lambda - delta_k = s tau
-    carries no cancellation.  The outer root solves (n + d) / ratio
-    = sum_j 1 / (d + j), j = 0..2n, by its direct sums, two reductions per
-    step: the closed form psi(d + 2n + 1) - psi(d) cancels where d >> 2n + 1.
+    with the same weights.  The outer root n + d has d < 1: A > 0 below gives
+    ratio < n, so g(n + 1) = (n + 1) / ratio - H_2n+1 > 0.  So all n + 1 roots
+    are gap roots x = k + tau, k = 0..n, solved in one `_newton` call whose
+    every step takes one `_psi_trigamma` pass.  With the closed form
+    sum_k 1 / (k - x) = psi(n+1-x) - psi(n+1+x) - pi cot(pi x) (DLMF 5.15,
+    5.5.4), tau solves the pole-free equation tau = arctan2(pi, R(x)) / pi,
+    R(x) = x / ratio + psi(n+1-x) - psi(n+1+x), with psi and psi' taken at
+    the gap coordinates (n + 1 - k) - tau and (n + 1 + k) + tau, so that tau
+    is not first rounded to ulp(x).  tau - arctan2(pi, R) / pi has the sign
+    of g, and arctan2 keeps the relative accuracy of a small tau, so
+    lambda - delta_k = s tau carries no cancellation.  Its slope
+    1 + R' / (pi^2 + R^2) is at least 1 - 2 psi'(1) / pi^2 = 2/3 for k < n;
+    in gap n it stays positive up to the root, where pi^2 + R^2 + R' = g^2
+    + 2 pi g cot(pi tau) + g' > 0 for tau >= 1/2 and psi'(2 - tau) <= psi'(1)
+    keeps it above 0 for tau < 0.64.
 
     Each root starts from a local model of its nearest poles, so that the
     bands `_flat_band` builds take 2-3 steps, 3-4 polygamma passes with the
-    weights' (from tau = 1/2 they took 4-7 steps of a psi and a psi' pass
-    each, and the outer root a Newton loop of its own from d_lo):
-    - gap k >= 1: R with the psi difference replaced by its logarithm,
+    weights' (4-7 steps from tau = 1/2):
+    - gap 1 <= k < n: R with the psi difference replaced by its logarithm,
       tau_0 = arctan2(pi, (k + 1/2) / ratio + ln((n + 1/2 - k) / (n + 3/2 + k)))
       / pi;
     - gap 0: cot(pi tau) ~ 1 / (pi tau) - pi tau / 3 against the poles 0 and
       1, tau_0 = min(1/2, (1 / ratio + pi^2 / 3)^(-1/2));
-    - then two Newton steps on the model R ~ x / ratio + ln((n + 1/2 - x)
-      / (n + 1/2 + x)) (psi(a) ~ ln(a - 1/2)), kept in the gap, which cost
-      no polygamma and bring the roots beside the poles of a small-ratio
-      band from up to 30 % off to about 1e-5;
-    - outer root: the direct sum to first order in d, 1 / d + H - d H2 with
-      H, H2 = sum_{j>=1} 1 / j, 1 / j^2, so d_0 is the positive root of
-      d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at the
-      bracket's upper end d_hi = sqrt((2n + 1) ratio).
+    - then, in the gaps k < n, two Newton steps on the model R ~ x / ratio
+      + ln((n + 1/2 - x) / (n + 1/2 + x)) (psi(a) ~ ln(a - 1/2)), kept in the
+      gap, which cost no polygamma and bring the roots beside the poles of a
+      small-ratio band from up to 30 % off to about 1e-5 (in gap n the model
+      is undefined once tau > 1/2);
+    - gap n: sum_k 1 / (x - k) = sum_{j=0..2n} 1 / (d + j) ~ 1 / d + H - d H2,
+      H, H2 = sum_{j=1..2n} 1 / j, 1 / j^2, so tau_0 = d_0 is the positive
+      root of d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at 1/2.
     The domain is the bands `_flat_band` builds: A > 0, since a band at least
     20 Gamma wide has ratio <= n / (20 pi), so A >= 20 pi - H > 0 for every n
-    that fits in memory (H < 62.8).  Any other band, n = 0 among them, raises
-    ValueError.
+    that fits in memory (H < 62.8).  Any other band (n = 0 too) raises ValueError.
     """
-    k, j = np.arange(n, dtype=float), np.arange(2 * n + 1, dtype=float)
+    k, m = np.arange(n + 1.0), n + 1
 
-    def roots(t):
-        x, q = k + t[:n], 1.0 / (t[n] + j)
-        psi, trigamma = _psi_trigamma(np.concatenate((n + 1 - x, n + 1 + x)))
-        r = x / ratio + psi[:n] - psi[n:]
-        value = np.append(t[:n] - np.arctan2(pi, r) / pi, (n + t[n]) / ratio - q.sum())
-        slope = 1.0 + (1.0 / ratio - trigamma[:n] - trigamma[n:]) / (pi**2 + r**2)
-        return value, np.append(slope, 1.0 / ratio + (q * q).sum())
+    def polygamma(tau):
+        return _psi_trigamma(np.concatenate(((m - k) - tau, (m + k) + tau)))
+
+    def roots(tau):
+        psi, trigamma = polygamma(tau)
+        r = (k + tau) / ratio + psi[:m] - psi[m:]
+        slope = 1.0 + (1.0 / ratio - trigamma[:m] - trigamma[m:]) / (pi**2 + r**2)
+        return tau - np.arctan2(pi, r) / pi, slope
 
     tau = np.arctan2(pi, (k + 0.5) / ratio + np.log((n + 0.5 - k) / (n + 1.5 + k))) / pi
-    tau[:1] = min(0.5, (1.0 / ratio + pi**2 / 3.0) ** -0.5)
+    tau[0] = min(0.5, (1.0 / ratio + pi**2 / 3.0) ** -0.5)
     for _ in range(2):
-        a, b = n + 0.5 - k - tau, n + 0.5 + k + tau
-        r = (k + tau) / ratio + np.log(a / b)
+        t = tau[:n]
+        a, b = n + 0.5 - k[:n] - t, n + 0.5 + k[:n] + t
+        r = (k[:n] + t) / ratio + np.log(a / b)
         slope = 1.0 + (1.0 / ratio - 1.0 / a - 1.0 / b) / (pi**2 + r**2)
-        tau = np.clip(tau - (tau - np.arctan2(pi, r) / pi) / slope, 0.0, 1.0)
-    a, b = n / ratio - (1.0 / j[1:]).sum(), 1.0 / ratio + (1.0 / j[1:] ** 2).sum()
-    # brackets: (0, 1) in a gap; beyond the edge the j = 0 term alone gives
-    # the lower bound, and the right side is at most (2n + 1) / d, the upper one
-    d_lo, d_hi = 2.0 * ratio / (n + sqrt(n * n + 4.0 * ratio)), sqrt((2 * n + 1) * ratio)
+        tau[:n] = np.clip(t - (t - np.arctan2(pi, r) / pi) / slope, 0.0, 1.0)
+    j = np.arange(1.0, 2 * n + 1)
+    a, b = n / ratio - (1.0 / j).sum(), 1.0 / ratio + (1.0 / j**2).sum()
     if not a > 0.0:
         raise ValueError("flat band outside the solver's domain: n / ratio must exceed H_2n")
-    d = min(2.0 / (a + sqrt(a * a + 4.0 * b)), d_hi)
-    t = _newton(roots, np.append(tau, d), np.append(np.zeros(n), d_lo), np.append(np.ones(n), d_hi))
-    x = np.arange(n + 1.0) + t  # the gap roots k + tau, then n + d
-    trigamma = _psi_trigamma(np.concatenate((n + 1 - x[:n], n + 1 + x[:n])))[1]
-    w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * t[:n]) ** 2 - trigamma[:n] - trigamma[n:]))
-    w = np.append(w, 1.0 / (1.0 + ratio * (1.0 / (t[n] + j) ** 2).sum()))
-    return x, w
+    tau[n] = min(0.5, 2.0 / (a + sqrt(a * a + 4.0 * b)))
+    tau = _newton(roots, tau)
+    trigamma = polygamma(tau)[1]
+    w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * tau) ** 2 - trigamma[:m] - trigamma[m:]))
+    return k + tau, w
 
 
 def _flat_band_evolution(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .free_space import TwoLevelAtom
 from .multimode import AmplitudeTrace, _flat_band_evolution
-from .numerics import stable_binomial_series
+from .numerics import _GUARD_RTOL, stable_binomial_series
 
 __all__ = [
     "SphericalCavity",
@@ -89,7 +89,7 @@ def evolve_cavity_ode(
     the ladder density R / (pi c); one mode is exactly resonant with the atom.
     `times` must be a uniform grid, such as np.linspace(0, t_max, samples);
     another raises ValueError."""
-    if cavity.atom.omega_eg * cavity.radius < 50.0:
+    if cavity.atom.omega_eg * cavity.radius < 50.0 * (1.0 - _GUARD_RTOL):
         warnings.warn(
             "omega_eg R / c < 50: asymptotic ladder approximation is questionable",
             SmallCavityNotice,

@@ -240,6 +240,8 @@ def test_roots_interlace_the_poles_and_are_symmetric(half, ratio):
     # one root below the band, one in each gap (k, k + 1), one above
     assert x[0] < poles[0] and x[-1] > poles[-1]
     assert np.all((poles[:-1] < x[1:-1]) & (x[1:-1] < poles[1:]))
+    # the outer root n + d has d < 1, so it is solved as the root of gap n
+    assert x[-1] < half + 1
     assert np.all(w > 0.0)
 
 
@@ -283,6 +285,9 @@ def _bisection_spectrum(n, ratio):
         (128, 0.0507),
         (2000, 0.0159),
         (2000, 15.9),
+        # the narrowest `continuum-ode` band and an `echo-ode` one
+        (214, 1.0 / (2.0 * pi * 0.048)),
+        (48, 1.0 / (4.0 * pi**2)),
         *[pytest.param(n, n / (20.0 * pi), id=f"{n}-edge") for n in (1, 20, 2000)],
     ],
 )
@@ -296,8 +301,9 @@ def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
     # the bisection's gap weights lose ~eps / tau where tau is small (its
     # 1/2 - arctan cancels), which is far below 1e-13 of the weight sum
     assert np.max(np.abs(w - want_w)) <= 1e-13
-    # the outer root by its direct sums.  The bisection's outer weight is
-    # accurate only absolutely (it resolves d to 2^-60 of its bracket)
+    # the outer root, which the bisection solves by its direct sums; its
+    # outer weight is accurate only absolutely (it resolves d to 2^-60 of
+    # its bracket)
     assert abs(x[-1] - want_x[-1]) <= 4e-16 * want_x[-1]
     assert abs(w[-1] - want_w[-1]) <= 4e-16
     # one psi/psi' pass per Newton step on all the roots, and one for the
@@ -308,8 +314,56 @@ def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
         # a band `_flat_band` builds, from the analytic starts: 4, 3 and 3
         # passes at (20, 0.016), (128, 0.0507) and (2000, 0.0159) (5 each
         # without the two Newton steps on the log model; 15, 13 and 15 psi and
-        # psi' passes from tau = 1/2 and d_lo), 4 at (2000, 15.9) and the edges
+        # psi' passes from tau = 1/2 and d_lo), 4 at (2000, 15.9), at
+        # (214, 1 / (2 pi 0.048)) and at the edges, 3 at (48, 1 / (4 pi^2))
         assert len(passes) <= 4
+
+
+def _exact_spectrum(n, ratio, x, indices):
+    """Roots and weights of the secular equation x / ratio = sum_k 1 / (x - k),
+    k = -n..n, at 40 digits: three mpmath Newton steps from each x[i], i in
+    `indices`.  The secular function increases between its poles, so a root
+    in (i, i + 1) is the only one there, and the outer root the only one
+    above n."""
+    mpmath = pytest.importorskip("mpmath")
+    roots, weights = [], []
+    with mpmath.workdps(40):
+        r, poles = mpmath.mpf(ratio), [mpmath.mpf(k) for k in range(-n, n + 1)]
+        for i in indices:
+            root = mpmath.mpf(float(x[i]))
+            for _ in range(3):
+                value = root / r - mpmath.fsum(1 / (root - k) for k in poles)
+                root -= value / (1 / r + mpmath.fsum(1 / (root - k) ** 2 for k in poles))
+            assert i < root < i + 1
+            assert abs(root / r - mpmath.fsum(1 / (root - k) for k in poles)) < 1e-30
+            roots.append(float(root))
+            weights.append(float(1 / (1 + r * mpmath.fsum(1 / (root - k) ** 2 for k in poles))))
+    return np.array(roots), np.array(weights)
+
+
+@pytest.mark.parametrize(
+    "half, ratio, indices",
+    [
+        (1, 1.0 / (20.0 * pi), range(2)),
+        (20, 0.016, range(21)),
+        (20, 1.0 / pi, range(21)),
+        (128, 0.0507, [0, 1, 126, 127, 128]),
+        (214, 1.0 / (2.0 * pi * 0.048), [0, 1, 212, 213, 214]),
+        # ulp(x) = 2.3e-13 at the edge of a band this wide: x rounded before
+        # psi and psi' put its outer weight 15.7 eps off
+        (2000, 2000.0 / (20.0 * pi), [1999, 2000]),
+    ],
+    ids=["1-edge", "20-0.016", "20-edge", "128-0.0507", "214-continuum-ode", "2000-edge"],
+)
+def test_spectrum_matches_the_exact_roots_and_weights(half, ratio, indices):
+    # every root to 2 eps relative and every weight to 8 eps; the largest
+    # measured are 1.46 eps (root 0 of the 214 band, where R = 0.14 carries
+    # the rounding of two psi of about 5.4) and 2.81 eps
+    x, w = multimode._flat_band_spectrum(half, ratio)
+    want_x, want_w = _exact_spectrum(half, ratio, x, indices)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(x[indices] - want_x) <= 2.0 * eps * want_x)
+    assert np.all(np.abs(w[indices] - want_w) <= 8.0 * eps * want_w)
 
 
 @pytest.mark.parametrize(

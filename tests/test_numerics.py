@@ -287,3 +287,13 @@ class TestSpecialFunctions:
     def test_trigamma(self):
         want = _mpmath_values(lambda v: mpmath.psi(1, v), SPECIAL_ARGS)
         assert np.all(np.abs(_psi_trigamma(SPECIAL_ARGS)[1] - want) <= 4 * EPS * want)
+
+    def test_below_one(self):
+        # the flat band's gap n takes psi and psi' at 1 - tau in (0, 1), where
+        # psi < -gamma stays away from its zero
+        x = np.geomspace(1e-3, 1.0, 300)
+        psi, trigamma = _psi_trigamma(x)
+        want = _mpmath_values(mpmath.digamma, x)
+        assert np.all(np.abs(psi - want) <= 8 * EPS * np.abs(want))
+        want = _mpmath_values(lambda v: mpmath.psi(1, v), x)
+        assert np.all(np.abs(trigamma - want) <= 4 * EPS * want)
