@@ -108,7 +108,7 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     The secular function g(x) = x / ratio - sum_k 1 / (x - k) has one root in
     each of the 2n gaps (k, k + 1) and one beyond each band edge.  The band is
     symmetric, so the n + 1 roots below 0 are the negatives of those returned,
-    with the same weights.  The outer root n + d has d < 1: A > 0 below gives
+    with the same weights.  The outer root n + d has d < 1: in the domain
     ratio < n, so g(n + 1) = (n + 1) / ratio - H_2n+1 > 0.  So all n + 1 roots
     are gap roots x = k + tau, k = 0..n, solved in one `_newton` call whose
     every step takes one `_psi_trigamma` pass.  With the closed form
@@ -140,8 +140,8 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     - gap n: sum_k 1 / (x - k) = sum_{j=0..2n} 1 / (d + j) ~ 1 / d + H - d H2,
       H, H2 = sum_{j=1..2n} 1 / j, 1 / j^2, so tau_0 = d_0 is the positive
       root of d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at 1/2.
-    The domain is the bands `_flat_band` builds: A > 0, since a band at least
-    20 Gamma wide has ratio <= n / (20 pi), so A >= 20 pi - H > 0 for every n
+    The domain is the bands `_flat_band` builds, at least 20 Gamma wide (less
+    _GUARD_RTOL): ratio <= n / (20 pi) (1 + 2 _GUARD_RTOL), so A > 0 for any n
     that fits in memory (H < 62.8).  Any other band (n = 0 too) raises ValueError.
     """
     k, m = np.arange(n + 1.0), n + 1
@@ -165,8 +165,8 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
         tau[:n] = np.clip(t - (t - np.arctan2(pi, r) / pi) / slope, 0.0, 1.0)
     j = np.arange(1.0, 2 * n + 1)
     a, b = n / ratio - (1.0 / j).sum(), 1.0 / ratio + (1.0 / j**2).sum()
-    if not a > 0.0:
-        raise ValueError("flat band outside the solver's domain: n / ratio must exceed H_2n")
+    if not ratio <= n / (20.0 * pi) * (1.0 + 2.0 * _GUARD_RTOL):
+        raise ValueError("flat band outside the solver's domain: ratio must be <= n / (20 pi)")
     tau[n] = min(0.5, 2.0 / (a + sqrt(a * a + 4.0 * b)))
     tau = _newton(roots, tau)
     trigamma = polygamma(tau)[1]

@@ -8,6 +8,10 @@ small (a 1e-24 value would pass against 0).  numpy's `isclose` and
 `approx` call under `tests/` that sets `rel=` must also set `abs=`, and
 every one of those numpy calls under `src/` and `tests/` that sets `rtol=`
 must also set `atol=`, usually to 0.0.
+
+One exact reference per closed form: `exact.py` is the only module under
+`tests/` that imports mpmath, so a second high-precision copy of a
+reference cannot grow in a test module.
 """
 
 import ast
@@ -63,3 +67,42 @@ def test_relative_only_calls_are_found(tmp_path):
         "math.isclose(a, b, rel_tol=1e-9)\n"
     )
     assert relative_only_calls([path]) == ["calls.py:1", "calls.py:3", "calls.py:5"]
+
+
+def mpmath_imports(paths) -> list[str]:
+    """`file:line` of each import of mpmath, by an import statement or by
+    `pytest.importorskip`."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and _name(node.func) == "importorskip":
+                names = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
+            else:
+                continue
+            if any(str(name).split(".")[0] == "mpmath" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_exact_imports_mpmath():
+    found = mpmath_imports(sorted(TESTS.glob("*.py")))
+    assert found and all(line.startswith("exact.py:") for line in found), found
+
+
+def test_mpmath_imports_are_found(tmp_path):
+    path = tmp_path / "imports.py"
+    path.write_text(
+        "import mpmath\n"
+        "import mpmath as mp, numpy\n"
+        "from mpmath import mpf\n"
+        "from mpmath.libmp import mpf_add\n"
+        "mp = pytest.importorskip('mpmath')\n"
+        "import numpy\n"
+        "from scipy import special\n"
+        "pytest.importorskip('scipy')\n"
+    )
+    assert mpmath_imports([path]) == [f"imports.py:{line}" for line in (1, 2, 3, 4, 5)]

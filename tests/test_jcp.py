@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from atomfield import jcp, numerics
+import exact
 from oracles import evolve_ode
 
 
@@ -43,13 +44,8 @@ class TestFieldDistribution:
     @pytest.mark.parametrize("mean_n", [0.5, 4.0, 10.0, 25.0, 158.489, 1e3, 5062.08, 1e4])
     def test_coherent_weights_match_mpmath(self, mean_n):
         # the oracle is taken at the requested <n> itself
-        mpmath = pytest.importorskip("mpmath")
         f = jcp.FieldDistribution.coherent(mean_n)
-        with mpmath.workdps(50):
-            mean = mpmath.mpf(mean_n)
-            want = np.array(
-                [float(mpmath.exp(-mean) * mean**n / mpmath.factorial(n)) for n in _numbers(f).tolist()]
-            )
+        want = exact.poisson_weights(mean_n, _numbers(f))
         live = want > 1e-20
         assert np.max(np.abs(f.weights[live] / want[live] - 1.0)) <= 1e-13
 
@@ -57,22 +53,13 @@ class TestFieldDistribution:
         # Chernoff: P(N >= m + x) <= exp(-m h(x/m)), h(u) = (1+u) ln(1+u) - u,
         # and P(N <= m - x) <= exp(-x^2 / 2m), with x = 10 sqrt(m) + 20; both
         # exponents fall toward 50 from above
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            for m in map(mpmath.mpf, np.logspace(-12, 16, 561)):
-                x = 10 * mpmath.sqrt(m) + 20
-                u = x / m
-                assert m * ((1 + u) * mpmath.log1p(u) - u) >= 50
-                assert x**2 / (2 * m) >= 50
+        for m in np.logspace(-12, 16, 561):
+            assert min(exact.poisson_chernoff_exponents(m)) >= 50
 
     @pytest.mark.parametrize("mean_n", [0.5, 4.0, 228.0, 1e4])
     def test_coherent_ladder_tail(self, mean_n):
-        mpmath = pytest.importorskip("mpmath")
         f = jcp.FieldDistribution.coherent(mean_n)
-        n_min, n_max = f.n_min, f.n_min + f.weights.size - 1
-        with mpmath.workdps(50):
-            below = mpmath.gammainc(n_min, mean_n, mpmath.inf, regularized=True) if n_min else 0
-            above = mpmath.gammainc(n_max + 1, 0, mean_n, regularized=True)  # P(N > n_max)
+        below, above = exact.poisson_tails(mean_n, f.n_min, f.n_min + f.weights.size - 1)
         # the window leaves out at most _WINDOW_TAIL / 2 at each end
         assert below <= jcp._WINDOW_TAIL / 2
         assert above <= jcp._WINDOW_TAIL / 2
@@ -170,25 +157,18 @@ class TestClosedForm:
         params = jcp.JcpParams(detuning=0.7, field=jcp.FieldDistribution.coherent(mean_n))
         t = np.linspace(0.0, 2000.0, 401)
         w = jcp.inversion(params, t)
-        # each cosine taken on its own, in long double, over Poisson weights of
-        # its own on <n> -+ (12 sqrt(<n>) + 20), wider than the field's window:
-        # what the window leaves out weighs far below the bound
+        # each cosine taken on its own, in long double, over the Poisson weights
+        # on <n> -+ (12 sqrt(<n>) + 20), wider than the field's window: what
+        # the window leaves out weighs far below the bound
         width = 12.0 * sqrt(mean_n) + 20.0
-        lo = max(floor(mean_n - width), 0)
-        n = np.arange(lo, ceil(mean_n + width) + 1).astype(np.longdouble)
-        mode, m = floor(mean_n) - lo, np.longdouble(mean_n)
-        p = np.concatenate((np.cumprod(n[mode:0:-1] / m)[::-1], [1], np.cumprod(m / n[mode + 1 :])))
-        p /= np.sum(p)
-        omega = np.sqrt(np.longdouble(params.detuning) ** 2 + 4 * (n + 1))
+        n = np.arange(max(floor(mean_n - width), 0), ceil(mean_n + width) + 1)
+        p = exact.poisson_weights(mean_n, n)
+        # the Rabi frequencies in the weights' long double too
+        d2 = p.dtype.type(params.detuning) ** 2
+        omega = np.sqrt(d2 + 4 * (n + 1))
         amp = p * 4 * (n + 1) / omega**2
-        mean = np.sum(p * np.longdouble(params.detuning) ** 2 / omega**2)
-        want = [mean + np.sum(amp * np.cos(omega * tk)) for tk in t.astype(np.longdouble)]
-        # the kernel's bound: a few eps of the amplitude sum from the products,
-        # and an ulp of max |t| of phase per row, weighted by amp * omega
-        eps = np.finfo(float).eps
-        amp, omega = amp.astype(float), omega.astype(float)
-        bound = 1e-14 * np.sum(amp) + eps * np.max(np.abs(t)) * np.sum(amp * omega)
-        assert np.max(np.abs(w - np.array(want))) <= bound
+        want = np.sum(p * d2 / omega**2) + exact.dense_cos_sum(amp, omega, t)
+        assert np.max(np.abs(w - want)) <= exact.cos_sum_bound(amp, omega, t)
 
     @pytest.mark.parametrize("mean_n", [1e4, 1e6, 1e8])
     def test_large_field_collapses_as_a_gaussian(self, mean_n):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from atomfield import jcp, multimode, numerics
+from atomfield.numerics import _GUARD_RTOL
+import exact
 from oracles import integrate_atom_modes
 
 
@@ -56,10 +58,11 @@ def test_matches_dense_eigh(gamma, band_width, spacing):
 _EDGE = [pytest.param(n, 2.0 * sqrt(n / (20.0 * pi)), id=f"{n}-edge") for n in (1, 20)]
 
 
-@pytest.mark.parametrize("half, coupling", [(1, 0.7), *_EDGE])
+@pytest.mark.parametrize("half, coupling", _EDGE)
 def test_smallest_bands_match_dense_eigh(half, coupling):
-    # three modes, the smallest band `_flat_band` builds, and the edge of the
-    # solver's domain, where the coupling pushes the outer roots furthest out
+    # three modes, the smallest band `_flat_band` builds, and 41, each at the
+    # edge of the solver's domain, where the coupling pushes the outer roots
+    # furthest out
     spacing = 2.0
     x, w = _mirrored(*multimode._flat_band_spectrum(half, (coupling / spacing) ** 2))
     detunings = spacing * np.arange(-half, half + 1.0)
@@ -85,8 +88,18 @@ def test_matches_dop853_at_criterion_5_size():
     assert np.max(np.abs(trace.excited_amplitude - ode.excited_amplitude)) <= 1e-8
 
 
+# `_flat_band` accepts a band 20 (1 - _GUARD_RTOL) Gamma wide.  At the spacing
+# band_width / (2 n), 1120 of the n < 20 000 (the first at n = 25) have a ratio
+# above n / (20 pi) (1 + _GUARD_RTOL), by up to 1.00053 _GUARD_RTOL (at
+# n = 18042), so a solver slack of one _GUARD_RTOL would refuse them.
+_GUARD_WIDTH = 20.0 * (1.0 - _GUARD_RTOL)
+
+
 @pytest.mark.parametrize(
-    "gamma, band_width, spacing", SMALL_BANDS + [(1.0, 800.0, pi), (1.0, 40.0, 0.01)]
+    "gamma, band_width, spacing",
+    SMALL_BANDS
+    + [(1.0, 800.0, pi), (1.0, 40.0, 0.01)]
+    + [(1.0, _GUARD_WIDTH, _GUARD_WIDTH / (2.0 * n)) for n in (25, 18042)],
 )
 def test_weights_are_unitary(gamma, band_width, spacing):
     trace = multimode._flat_band_evolution(gamma, band_width, spacing, np.linspace(0.0, 1.0, 3))
@@ -97,10 +110,12 @@ def test_weights_are_unitary(gamma, band_width, spacing):
 
 def _band_terms(half, ratio):
     """Weights and frequencies of the 1 to 8193 upper-half modes of a flat
-    band at unit spacing.  One mode (half = 0), outside the solver's domain,
-    is the Jaynes-Cummings pair of roots +-sqrt(ratio), each of weight 1/2."""
-    if half == 0:
-        return np.ones(1), np.array([sqrt(ratio)])
+    band at unit spacing.  A band outside the solver's domain, such as one
+    mode (half = 0, the Jaynes-Cummings pair of roots +-sqrt(ratio)), comes
+    from dense eigh."""
+    if ratio > half / (20.0 * pi):
+        lam, w = _arrowhead_eigh(np.arange(-half, half + 1.0), np.full(2 * half + 1, sqrt(ratio)))
+        return 2.0 * w[lam > 0], lam[lam > 0]
     x, w = multimode._flat_band_spectrum(half, ratio)
     return 2.0 * w, x
 
@@ -161,16 +176,9 @@ _COS_SUM_CASES = [
 def test_cos_sum_matches_the_dense_sum(terms, args, times):
     weights, frequencies = terms(*args)
     got = numerics._cos_sum(weights, frequencies, times)
-    ld = np.longdouble
-    want = np.cos(np.multiply.outer(times.astype(ld), frequencies.astype(ld))) @ weights.astype(ld)
-    # a few eps of the weight sum from the products, plus the anchored grid's
-    # phase rounding: t_k is met to an ulp of max |t|, which moves the phase
-    # of mode j by frequencies_j times that.  The 1e-14 (45 eps) also holds the
-    # 2 log2(T) eps (22 eps at T = 2000) of a table filled by doubling.
-    eps = np.finfo(float).eps
-    bound = 1e-14 * np.sum(weights) + eps * np.max(np.abs(times)) * np.sum(weights * frequencies)
+    want = exact.dense_cos_sum(weights, frequencies, times)
     assert got.shape == times.shape
-    assert np.max(np.abs(got - want)) <= bound
+    assert np.max(np.abs(got - want)) <= exact.cos_sum_bound(weights, frequencies, times)
 
 
 def _cos_sum_peak(weights, frequencies, times):
@@ -229,7 +237,7 @@ def test_time_by_eigenvalue_matrix_too_large_raises_memory_error():
 
 
 @pytest.mark.parametrize(
-    "half, ratio", [(1, 0.5), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9)]
+    "half, ratio", [(1, 1.0 / (20.0 * pi)), (20, 0.016), (128, 0.0507), (2000, 0.0159), (2000, 15.9)]
 )
 def test_roots_interlace_the_poles_and_are_symmetric(half, ratio):
     # the solver returns the upper half; the mirror symmetry of the whole is
@@ -280,7 +288,6 @@ def _bisection_spectrum(n, ratio):
 @pytest.mark.parametrize(
     "half, ratio",
     [
-        (1, 0.5),
         (20, 0.016),
         (128, 0.0507),
         (2000, 0.0159),
@@ -308,37 +315,12 @@ def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
     assert abs(w[-1] - want_w[-1]) <= 4e-16
     # one psi/psi' pass per Newton step on all the roots, and one for the
     # weights; a wrong slope would fall back to bisection, still correct but
-    # 60 steps long
-    assert len(passes) <= 10
-    if ratio <= half / (20.0 * pi):
-        # a band `_flat_band` builds, from the analytic starts: 4, 3 and 3
-        # passes at (20, 0.016), (128, 0.0507) and (2000, 0.0159) (5 each
-        # without the two Newton steps on the log model; 15, 13 and 15 psi and
-        # psi' passes from tau = 1/2 and d_lo), 4 at (2000, 15.9), at
-        # (214, 1 / (2 pi 0.048)) and at the edges, 3 at (48, 1 / (4 pi^2))
-        assert len(passes) <= 4
-
-
-def _exact_spectrum(n, ratio, x, indices):
-    """Roots and weights of the secular equation x / ratio = sum_k 1 / (x - k),
-    k = -n..n, at 40 digits: three mpmath Newton steps from each x[i], i in
-    `indices`.  The secular function increases between its poles, so a root
-    in (i, i + 1) is the only one there, and the outer root the only one
-    above n."""
-    mpmath = pytest.importorskip("mpmath")
-    roots, weights = [], []
-    with mpmath.workdps(40):
-        r, poles = mpmath.mpf(ratio), [mpmath.mpf(k) for k in range(-n, n + 1)]
-        for i in indices:
-            root = mpmath.mpf(float(x[i]))
-            for _ in range(3):
-                value = root / r - mpmath.fsum(1 / (root - k) for k in poles)
-                root -= value / (1 / r + mpmath.fsum(1 / (root - k) ** 2 for k in poles))
-            assert i < root < i + 1
-            assert abs(root / r - mpmath.fsum(1 / (root - k) for k in poles)) < 1e-30
-            roots.append(float(root))
-            weights.append(float(1 / (1 + r * mpmath.fsum(1 / (root - k) ** 2 for k in poles))))
-    return np.array(roots), np.array(weights)
+    # 60 steps long.  From the analytic starts: 4, 3 and 3 passes at
+    # (20, 0.016), (128, 0.0507) and (2000, 0.0159) (5 each without the two
+    # Newton steps on the log model; 15, 13 and 15 psi and psi' passes from
+    # tau = 1/2 and d_lo), 4 at (2000, 15.9), at (214, 1 / (2 pi 0.048)) and
+    # at the edges, 3 at (48, 1 / (4 pi^2))
+    assert len(passes) <= 4
 
 
 @pytest.mark.parametrize(
@@ -360,17 +342,24 @@ def test_spectrum_matches_the_exact_roots_and_weights(half, ratio, indices):
     # measured are 1.46 eps (root 0 of the 214 band, where R = 0.14 carries
     # the rounding of two psi of about 5.4) and 2.81 eps
     x, w = multimode._flat_band_spectrum(half, ratio)
-    want_x, want_w = _exact_spectrum(half, ratio, x, indices)
+    want_x, want_w = exact.flat_band_spectrum(half, ratio, x, indices)
     eps = np.finfo(float).eps
     assert np.all(np.abs(x[indices] - want_x) <= 2.0 * eps * want_x)
     assert np.all(np.abs(w[indices] - want_w) <= 8.0 * eps * want_w)
 
 
 @pytest.mark.parametrize(
-    "half, ratio", [(0, 0.1225), (1, 100.0), (20, 225.0), (3, 1e4), (5, 100.0), (5000, 562.0)]
+    "half, ratio",
+    [
+        (0, 0.1225), (1, 100.0), (20, 225.0), (3, 1e4), (5, 100.0), (5000, 562.0), (1, 0.5), (1, 0.1225),
+        # A = n / ratio - H_2n > 0, but gap n's weight cancels (10.7 eps off
+        # in 9 psi passes at the first)
+        (5, 0.999 * 5.0 / sum(1.0 / np.arange(1, 11))),
+        (3, 0.9999 * 3.0 / sum(1.0 / np.arange(1, 7))),
+    ],
 )
 def test_band_outside_the_domain_is_refused(half, ratio):
-    # A = n / ratio - H_2n <= 0, a coupling stronger than any band at least
-    # 20 Gamma wide has; n = 0, a single mode, has A = 0
+    # ratio > n / (20 pi), a coupling stronger than any band at least 20 Gamma
+    # wide has; n = 0, a single mode, too
     with pytest.raises(ValueError, match="outside the solver's domain"):
         multimode._flat_band_spectrum(half, ratio)

@@ -1,7 +1,6 @@
 """Oracle and property tests for the numerical primitives."""
 
-from fractions import Fraction
-from math import comb, copysign, cos, exp, factorial, inf, log, nan, pi, sin, sqrt
+from math import copysign, cos, exp, inf, log, nan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -14,32 +13,10 @@ from atomfield.numerics import (
     stable_binomial_series,
 )
 from atomfield.parabolic_mirror import _theta_spec
+import exact
 from oracles import integrate_2d
 
-mpmath = pytest.importorskip("mpmath")
-
 EPS = float(np.finfo(float).eps)
-
-
-def _series_oracle(M: int, u: float) -> float:
-    """Extended-precision reference for the alternating binomial series."""
-    # terms reach ~1e84 at M = 100, u = 200, far above the result
-    with mpmath.workdps(200):
-        uq = mpmath.mpf(u)
-        total = mpmath.mpf(0)
-        for r in range(M):
-            total += (
-                mpmath.binomial(M - 1, r) * (-uq) ** (1 + r) / mpmath.factorial(1 + r)
-            )
-        return float(total)
-
-
-def _series_fraction(M: int, u: float) -> float:
-    """The series summed term by term in exact rationals, rounded once."""
-    uq = Fraction(u)
-    return float(
-        sum(Fraction(comb(M - 1, r)) * (-uq) ** (1 + r) / factorial(1 + r) for r in range(M))
-    )
 
 
 def _int_k_series(M: int, u: float) -> float:
@@ -62,31 +39,31 @@ class TestStableSeries:
         for M, u in pairs:
             assert stable_binomial_series(M, u).hex() == _int_k_series(M, u).hex(), (M, u)
 
-    def test_matches_extended_precision(self):
-        # the damped error is the contract; near a zero of L^(1)_{M-1} the
-        # relative error of the recurrence can reach 5e-13
-        rng = np.random.default_rng(42)
-        for _ in range(60):
-            M = int(rng.integers(1, 101))
-            u = float(rng.uniform(0.0, 200.0))
-            got = stable_binomial_series(M, u)
-            want = _series_oracle(M, u)
-            assert exp(-u / 2.0) * abs(got - want) <= 8 * EPS, (M, u)
-
     def test_damped_error_against_exact_rational_sum(self):
-        # e^(-u/2) S_M(u) is the term the sphere's echo series adds
+        # e^(-u/2) S_M(u) is the term the sphere's echo series adds; near a
+        # zero of L^(1)_{M-1} the relative error of the recurrence can reach 5e-13
         rng = np.random.default_rng(7)
         pairs = [(M, u) for M in (1, 2, 50, 100) for u in (0.0, 5e-324)]
         for scale in (1.0, 1e-3, 1e-9):
             M = rng.integers(1, 101, size=200)
             u = rng.uniform(0.0, 200.0, size=200) * scale
             pairs += list(zip(M.tolist(), u.tolist()))
-        assert len(pairs) == 608
+        rng = np.random.default_rng(42)
+        pairs += [(int(rng.integers(1, 101)), float(rng.uniform(0.0, 200.0))) for _ in range(60)]
+        # individual terms ~ u^r / r! dwarf the result at (30, 25); the last
+        # four are S_M(u) = -(u / M) L^(1)_{M-1}(u) at small M
+        cancellation, laguerre = [(30, 25.0)], [(1, 0.3), (4, 2.0), (12, 7.5), (25, 18.0)]
+        pairs += cancellation + laguerre
+        assert len(pairs) == 673
         for M, u in pairs:
-            got = stable_binomial_series(M, u)
-            assert exp(-u / 2.0) * abs(got - _series_fraction(M, u)) <= 8 * EPS, (M, u)
+            got, want = stable_binomial_series(M, u), exact.binomial_series(M, u)
+            assert exp(-u / 2.0) * abs(got - want) <= 8 * EPS, (M, u)
             # a numpy scalar argument gives the same bits as the Python float
             assert stable_binomial_series(M, np.float64(u)).hex() == got.hex(), (M, u)
+            if (M, u) in cancellation:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            if (M, u) in laguerre:
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0)
         for M in (1, 2, 50, 100):
             assert stable_binomial_series(M, 0.0) == 0.0
             # u multiplies before the division by M: no flush to zero
@@ -95,21 +72,6 @@ class TestStableSeries:
     def test_overflow_is_reported(self):
         with pytest.raises(OverflowError, match="not representable in double precision"):
             stable_binomial_series(2, 1e300)
-
-    def test_cancellation_regime(self):
-        # individual terms ~ u^r/r! dwarf the result here
-        got = stable_binomial_series(30, 25.0)
-        want = _series_oracle(30, 25.0)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_laguerre_identity(self):
-        # S_M(u) = -(u / M) L^{(1)}_{M-1}(u)
-        from scipy.special import eval_genlaguerre
-
-        for M, u in ((1, 0.3), (4, 2.0), (12, 7.5), (25, 18.0)):
-            got = stable_binomial_series(M, u)
-            want = -(u / M) * eval_genlaguerre(M - 1, 1, u)
-            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_zero_argument(self):
         assert stable_binomial_series(5, 0.0) == 0.0
@@ -272,20 +234,15 @@ SPECIAL_ARGS = np.concatenate(
 )
 
 
-def _mpmath_values(function, x):
-    with mpmath.workdps(40):
-        return np.array([float(function(mpmath.mpf(float(v)))) for v in x])
-
-
 class TestSpecialFunctions:
     def test_psi(self):
-        want = _mpmath_values(mpmath.digamma, SPECIAL_ARGS)
+        want = exact.polygamma(0, SPECIAL_ARGS)
         # absolute where psi crosses zero: the lift subtracts sums of ~3
         psi = _psi_trigamma(SPECIAL_ARGS)[0]
         assert np.all(np.abs(psi - want) <= 8 * EPS * np.maximum(1.0, np.abs(want)))
 
     def test_trigamma(self):
-        want = _mpmath_values(lambda v: mpmath.psi(1, v), SPECIAL_ARGS)
+        want = exact.polygamma(1, SPECIAL_ARGS)
         assert np.all(np.abs(_psi_trigamma(SPECIAL_ARGS)[1] - want) <= 4 * EPS * want)
 
     def test_below_one(self):
@@ -293,7 +250,7 @@ class TestSpecialFunctions:
         # psi < -gamma stays away from its zero
         x = np.geomspace(1e-3, 1.0, 300)
         psi, trigamma = _psi_trigamma(x)
-        want = _mpmath_values(mpmath.digamma, x)
+        want = exact.polygamma(0, x)
         assert np.all(np.abs(psi - want) <= 8 * EPS * np.abs(want))
-        want = _mpmath_values(lambda v: mpmath.psi(1, v), x)
+        want = exact.polygamma(1, x)
         assert np.all(np.abs(trigamma - want) <= 4 * EPS * want)
