@@ -19,8 +19,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import free_space, jcp, parabolic_mirror, spherical_cavity
-from .numerics import _GUARD_RTOL, QuadratureError, QuadratureSpec
+from . import free_space, jcp, multimode, parabolic_mirror, spherical_cavity
+from .numerics import QuadratureError, QuadratureSpec
 
 __all__ = [
     "ScenarioConfig",
@@ -111,8 +111,7 @@ def _nonneg(v) -> bool:
     return v >= 0
 
 
-# omega_eg / Gamma >= 10, `TwoLevelAtom`'s guard with its slack
-_OMEGA_OVER_GAMMA = _Key(float, default=1e3, check=lambda v: v >= 10.0 * (1.0 - _GUARD_RTOL))
+_OMEGA_OVER_GAMMA = _Key(float, default=1e3, check=free_space._pole_ok)  # omega_eg / Gamma
 
 SCENARIOS: dict[str, dict[str, _Key]] = {}
 _RUNNERS: dict[str, Callable[[dict[str, Any], dict[str, str]], dict[str, Any]]] = {}
@@ -226,10 +225,8 @@ def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any
 
 @_scenario(
     "free-decay",
-    # mode band and spacing in Gamma: `_flat_band`'s and `wigner_weisskopf_ode`'s
-    # guards at Gamma = 1, with their slack
-    band_width=_Key(float, default=40.0, check=lambda v: v >= 20.0 * (1.0 - _GUARD_RTOL)),
-    spacing=_Key(float, default=0.02, check=lambda v: 0 < v <= 1.0 / 20.0 * (1.0 + _GUARD_RTOL)),
+    band_width=_Key(float, default=40.0, check=multimode._band_ok),  # mode band in Gamma
+    spacing=_Key(float, default=0.02, check=free_space._spacing_ok),  # mode spacing in Gamma
     t_max=_Key(float, default=4.0, check=_pos),  # end time in 1/Gamma
     samples=_Key(int, default=201, check=lambda v: v >= 2),
     omega_over_gamma=_OMEGA_OVER_GAMMA,
@@ -280,8 +277,7 @@ def _run_free_wavepacket(p: dict[str, Any], meta: dict[str, str]) -> dict[str, A
     t_max_R=_Key(float, default=6.0, check=_pos),  # end time in R/c
     samples=_Key(int, default=601, check=lambda v: v >= 2),
     with_ode=_Key(_parse_bool, default=False),  # add the finite-band column p_e_ode
-    # finite band in Gamma, at least `_flat_band`'s 20 Gamma with its slack
-    band_width=_Key(float, default=400.0, check=lambda v: v >= 20.0 * (1.0 - _GUARD_RTOL)),
+    band_width=_Key(float, default=400.0, check=multimode._band_ok),  # finite band in Gamma
     omega_over_gamma=_OMEGA_OVER_GAMMA,
 )
 def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
@@ -330,8 +326,7 @@ def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]
 @_scenario(
     "parabola-field",
     f=_Key(float, default=10.0, check=_pos),  # focal length in c/Gamma
-    # omega_eg f / c, `_check_two_ray`'s guard with its slack
-    omega_f=_Key(float, default=500.0, check=lambda v: v >= 50.0 * (1.0 - _GUARD_RTOL)),
+    omega_f=_Key(float, default=500.0, check=parabolic_mirror._two_ray_ok),  # omega_eg f / c
     time=_Key(float, default=25.0),  # snapshot time in 1/Gamma
     z_min=_Key(float, default=0.5, check=_nonneg),
     z_max=_Key(float, default=30.0, check=_pos),

@@ -41,6 +41,14 @@ class RadiationZoneWarning(UserWarning):
     """Evaluation point violates an asymptotic validity guard."""
 
 
+def _pole_ok(omega_over_gamma: float) -> bool:  # the pole approximation holds
+    return omega_over_gamma >= 10.0 * (1.0 - _GUARD_RTOL)
+
+
+def _spacing_ok(spacing: float, gamma: float = 1.0) -> bool:  # fine enough for the rate Gamma
+    return 0 < spacing <= gamma / 20.0 * (1.0 + _GUARD_RTOL)
+
+
 @dataclass(frozen=True)
 class TwoLevelAtom:
     """Two-level emitter with transition frequency omega_eg and free-space
@@ -58,7 +66,7 @@ class TwoLevelAtom:
             raise ValueError("transition frequency must be positive and finite")
         if not 0 <= self.gamma < inf:
             raise ValueError("decay rate must be finite and >= 0")
-        if self.gamma > 0 and self.omega_eg / self.gamma < 10.0 * (1.0 - _GUARD_RTOL):
+        if self.gamma > 0 and not _pole_ok(self.omega_eg / self.gamma):
             raise ValueError(
                 "omega_eg / Gamma < 10: outside the validity of the pole approximation"
             )
@@ -232,8 +240,7 @@ def wigner_weisskopf_ode(
     """
     gamma = atom.gamma
     times = np.asarray(times, dtype=float)
-    # negated, so a NaN fails too
-    if not 0 < mode_spacing <= gamma / 20.0 * (1.0 + _GUARD_RTOL):
+    if not _spacing_ok(mode_spacing, gamma):
         raise ValueError("mode spacing must be at most Gamma / 20 and > 0")
     # before the recurrence guard, whose advice cannot mend a NaN or inf
     if not np.all(np.isfinite(times)):

@@ -48,6 +48,13 @@ class AmplitudeTrace:
         return np.abs(self.excited_amplitude) ** 2
 
 
+_BAND_MIN = 20.0  # narrowest band, in Gamma, that gives the golden-rule rate
+
+
+def _band_ok(band_width: float, gamma: float = 1.0) -> bool:
+    return band_width >= _BAND_MIN * gamma * (1.0 - _GUARD_RTOL)
+
+
 def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Detunings spacing * (-n..n) covering band_width, with the flat coupling
     |g|^2 = Gamma * spacing / (2 pi) that gives the golden-rule rate Gamma at
@@ -55,7 +62,7 @@ def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndar
     # negated, so a NaN fails too
     if not gamma > 0:
         raise ValueError("decay rate Gamma must be > 0 to fill a band")
-    if not band_width >= 20.0 * gamma * (1.0 - _GUARD_RTOL):
+    if not _band_ok(band_width, gamma):
         raise ValueError("band width must be at least 20 Gamma")
     half = int(np.ceil(band_width / 2.0 / spacing))
     detunings = spacing * np.arange(-half, half + 1)
@@ -140,9 +147,10 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     - gap n: sum_k 1 / (x - k) = sum_{j=0..2n} 1 / (d + j) ~ 1 / d + H - d H2,
       H, H2 = sum_{j=1..2n} 1 / j, 1 / j^2, so tau_0 = d_0 is the positive
       root of d (A + B d) = 1, A = n / ratio - H, B = 1 / ratio + H2, capped at 1/2.
-    The domain is the bands `_flat_band` builds, at least 20 Gamma wide (less
-    _GUARD_RTOL): ratio <= n / (20 pi) (1 + 2 _GUARD_RTOL), so A > 0 for any n
-    that fits in memory (H < 62.8).  Any other band (n = 0 too) raises ValueError.
+    The domain is the bands `_flat_band` builds, at least `_BAND_MIN` = 20
+    Gamma wide less _GUARD_RTOL: ratio <= n / (20 pi) (1 + 2 _GUARD_RTOL), the
+    slack doubled for such a band's rounding, so A > 0 for any n that fits in
+    memory (H < 62.8).  Any other band (n = 0 too) raises ValueError.
     """
     k, m = np.arange(n + 1.0), n + 1
 
@@ -165,7 +173,7 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
         tau[:n] = np.clip(t - (t - np.arctan2(pi, r) / pi) / slope, 0.0, 1.0)
     j = np.arange(1.0, 2 * n + 1)
     a, b = n / ratio - (1.0 / j).sum(), 1.0 / ratio + (1.0 / j**2).sum()
-    if not ratio <= n / (20.0 * pi) * (1.0 + 2.0 * _GUARD_RTOL):
+    if not ratio <= n / (_BAND_MIN * pi) * (1.0 + 2.0 * _GUARD_RTOL):
         raise ValueError("flat band outside the solver's domain: ratio must be <= n / (20 pi)")
     tau[n] = min(0.5, 2.0 / (a + sqrt(a * a + 4.0 * b)))
     tau = _newton(roots, tau)

@@ -201,8 +201,12 @@ def _two_ray(atom: TwoLevelAtom, f: float, z, rho, t: float):
     return spherical, plane, np.abs(spherical) ** 2 + np.abs(plane) ** 2 + cross
 
 
+def _two_ray_ok(omega_f: float) -> bool:  # omega_eg f / c: the two rays hold
+    return omega_f >= 50.0 * (1.0 - _GUARD_RTOL)
+
+
 def _check_two_ray(geometry: ParabolicGeometry, atom: TwoLevelAtom) -> None:
-    if atom.omega_eg * geometry.focal_length < 50.0 * (1.0 - _GUARD_RTOL):
+    if not _two_ray_ok(atom.omega_eg * geometry.focal_length):
         raise ValueError(
             "semiclassical two-ray construction requires omega_eg f / c >= 50"
         )

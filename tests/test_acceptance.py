@@ -254,7 +254,7 @@ def test_criterion_10_cli_determinism_and_goldens(tmp_path):
     """
     configs = sorted(GOLDEN_DIR.glob("*.cfg"))
     assert len(configs) == len(cli.SCENARIOS), "one golden config per scenario expected"
-    stale = []
+    stale = {}
     for cfg in configs:
         out_a = tmp_path / (cfg.stem + "_a.csv")
         out_b = tmp_path / (cfg.stem + "_b.csv")
@@ -263,12 +263,12 @@ def test_criterion_10_cli_determinism_and_goldens(tmp_path):
         assert cli.main(["run", str(cfg), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes(), f"{cfg.stem}: runs differ"
         golden = read_table(GOLDEN_DIR / (cfg.stem + ".csv"))
-        if table_mismatches(read_table(out_a), golden, ode_bound):
-            stale.append(cfg.stem)
+        if mismatches := table_mismatches(read_table(out_a), golden, ode_bound):
+            stale[cfg.stem] = mismatches
     ok = not stale
     record_acceptance(
         10,
         ok,
-        f"{len(configs)} scenarios deterministic; golden mismatches: {stale or 'none'}",
+        f"{len(configs)} scenarios deterministic; golden mismatches: {list(stale) or 'none'}",
     )
-    assert not stale
+    assert not stale, "\n".join(f"{name}: {line}" for name in stale for line in stale[name])

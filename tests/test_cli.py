@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomfield import cli, parabolic_mirror
+from atomfield import cli, free_space, multimode, parabolic_mirror
 from atomfield.numerics import QuadratureSpec
-from golden_check import read_table, run_config, table_mismatches
+from golden_check import read_table, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = sorted(p.stem for p in GOLDEN_DIR.glob("*.cfg"))
@@ -710,6 +710,55 @@ class TestDomainGuards:
         assert "Traceback" not in err and not (tmp_path / "w.csv").exists()
 
 
+def _refuses(call) -> bool:
+    """Whether `call()` raises ValueError (a ConfigError is one)."""
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+class TestGuardAgreement:
+    """A key table and the library guard behind it refuse the same values
+    limit (1 + k 5e-13), k = -4..4, across the rule's 1e-12 slack: a value
+    within the slack of the limit passes, one 1.5e-12 off does not."""
+
+    # the library guard behind each key, at Gamma = 1; f = 1, so that the
+    # product omega_eg f that `_check_two_ray` guards is omega_f itself
+    GUARDS = {
+        "omega_over_gamma": lambda v: free_space.TwoLevelAtom.from_linewidth(1.0, v),
+        "band_width": lambda v: multimode._flat_band(1.0, v, 0.02),
+        "spacing": lambda v: free_space.wigner_weisskopf_ode(
+            free_space.TwoLevelAtom(1e3, 1.0), [0.0, 0.5], 40.0, v
+        ),
+        "omega_f": lambda v: parabolic_mirror._check_two_ray(
+            parabolic_mirror.ParabolicGeometry(1.0, v), free_space.TwoLevelAtom(v, 1.0)
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "config, key, limit",
+        [
+            ("scenario = free-decay\n", "omega_over_gamma", 10.0),
+            ("scenario = free-decay\n", "band_width", 20.0),
+            ("scenario = sphere-revival\ngamma_R = 1\n", "band_width", 20.0),
+            ("scenario = free-decay\n", "spacing", 1.0 / 20.0),
+            ("scenario = parabola-field\n", "omega_f", 50.0),
+        ],
+        ids=["omega_over_gamma", "free-decay-band", "sphere-revival-band", "spacing", "omega_f"],
+    )
+    def test_key_table_and_library_agree_across_the_slack(self, config, key, limit):
+        guard = self.GUARDS[key]
+        refused = {}
+        for k in range(-4, 5):
+            value = limit * (1 + k * 5e-13)
+            refused[k] = _refuses(lambda: cli.parse_config(f"{config}{key} = {value!r}\n"))
+            assert refused[k] == _refuses(lambda: guard(value)), f"k = {k}: {key} = {value!r}"
+        side = 1 if key == "spacing" else -1  # the side of the limit that is refused
+        assert not refused[side] and refused[3 * side]
+
+
 class TestToleranceKeys:
     """rel_tol/abs_tol are parabola-eta's probe-quadrature keys and no one else's."""
 
@@ -749,17 +798,6 @@ class TestToleranceKeys:
         for bad in ("rel_tol = 0", "abs_tol = -1e-9"):
             with pytest.raises(cli.ConfigError):
                 cli.parse_config(f"scenario = parabola-eta\nk_per_mm = 1\n{bad}\n")
-
-
-class TestGoldenFiles:
-    @pytest.mark.parametrize("name", GOLDEN_NAMES)
-    def test_regenerates_exactly(self, name, tmp_path):
-        cfg = GOLDEN_DIR / f"{name}.cfg"
-        out = tmp_path / f"{name}.csv"
-        code, ode_bound = run_config(cfg, out)
-        assert code == 0
-        golden = read_table(GOLDEN_DIR / f"{name}.csv")
-        assert table_mismatches(read_table(out), golden, ode_bound) == []
 
 
 class TestGoldensUnderAnotherBuild:
@@ -830,22 +868,28 @@ class TestGoldensUnderAnotherBuild:
 
 
 class TestImportGraph:
-    """No scipy module loads with `import atomfield`, nor in any golden
-    scenario: parabola-eta's on-axis probe runs `numerics`' own port of
-    QUADPACK, so scipy.integrate (with scipy.optimize and scipy.sparse behind
-    it) serves only the DOP853 oracles; each case runs in a fresh interpreter.
-    With scipy made unimportable, every scenario still runs and writes the
-    same bytes, so numpy is the only runtime dependency."""
+    """No scipy module loads with `import atomfield`, nor in any scenario:
+    parabola-eta's on-axis probe runs `numerics`' own port of QUADPACK, so
+    scipy.integrate (with scipy.optimize and scipy.sparse behind it) serves
+    only the DOP853 oracles; each case runs in a fresh interpreter.  With
+    scipy made unimportable, every scenario still runs and writes the same
+    bytes, so numpy is the only runtime dependency."""
 
+    # prints the scipy modules loaded after the import and after each config
     RUN_ALL = (
         "import contextlib, sys\n"
         "from pathlib import Path\n"
         "if sys.argv[1] == 'blocked':\n"
         "    sys.modules['scipy'] = None\n"
+        "def scipy_loaded(stage):\n"
+        "    loaded = (m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v is not None)\n"
+        "    print('scipy after', stage, *sorted(loaded))\n"
         "from atomfield import cli\n"
+        "scipy_loaded('import')\n"
         "out = Path(sys.argv[2])\n"
         "for cfg in map(Path, sys.argv[3:]):\n"
         "    assert cli.main(['run', str(cfg), '--out', str(out / f'{cfg.stem}.csv')]) == 0, cfg\n"
+        "    scipy_loaded(cfg.stem)\n"
         "with open(out / 'list-scenarios.txt', 'w') as f, contextlib.redirect_stdout(f):\n"
         "    assert cli.main(['list-scenarios']) == 0\n"
     )
@@ -878,20 +922,6 @@ class TestImportGraph:
         assert done.returncode == 0, done.stderr
         return done.stdout
 
-    def scipy_loaded_after(self, code: str) -> list[str]:
-        """The scipy modules loaded after `code`."""
-        probe = "import sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        return self.fresh_run(f"{code}\n{probe}").splitlines()[-1].split()
-
-    def test_import_loads_no_integrator(self):
-        assert self.scipy_loaded_after("import atomfield") == []
-
-    @pytest.mark.parametrize("name", GOLDEN_NAMES)
-    def test_no_golden_scenario_loads_scipy(self, name, tmp_path):
-        run = ["run", str(GOLDEN_DIR / f"{name}.cfg"), "--out", str(tmp_path / "out.csv")]
-        code = f"from atomfield import cli\nassert cli.main({run!r}) == 0"
-        assert self.scipy_loaded_after(code) == []
-
     def test_every_scenario_runs_without_scipy(self, tmp_path):
         with_ode = tmp_path / "sphere-revival-ode.cfg"
         with_ode.write_text((GOLDEN_DIR / "sphere-revival.cfg").read_text() + "with_ode = true\n")
@@ -900,8 +930,11 @@ class TestImportGraph:
         for mode in ("blocked", "plain"):
             out = tmp_path / mode
             out.mkdir()
-            self.fresh_run(self.RUN_ALL, mode, str(out), *configs, timeout=300)
+            stdout = self.fresh_run(self.RUN_ALL, mode, str(out), *configs, timeout=300)
             outputs[mode] = {path.name: path.read_bytes() for path in out.iterdir()}
+        # the plain run's import and each of its configs loaded no scipy module
+        loaded = [line.split()[2:] for line in stdout.splitlines() if line.startswith("scipy after ")]
+        assert loaded == [[stage] for stage in ("import", *GOLDEN_NAMES, with_ode.stem)]
         blocked, plain = outputs["blocked"], outputs["plain"]
         assert len(blocked) == len(configs) + 1 and blocked.keys() == plain.keys()
         assert [name for name in sorted(blocked) if blocked[name] != plain[name]] == []

@@ -397,6 +397,11 @@ class TestDiscretizedContinuum:
             id="nan-spacing",
         ),
         pytest.param(
+            lambda t: free_space.wigner_weisskopf_ode(TwoLevelAtom(1e3, 0.0), t, 40.0, 0.02),
+            "mode spacing must",
+            id="zero-gamma",
+        ),
+        pytest.param(
             lambda t: free_space.wigner_weisskopf_ode(TwoLevelAtom(1e3, 1.0), t, float("nan"), 0.02),
             "band width must",
             id="nan-band-width",
