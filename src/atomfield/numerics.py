@@ -556,14 +556,16 @@ _RECURRENCE = np.arange(10.0)
 
 
 def _psi_trigamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digamma psi(x) and trigamma psi'(x) of a 1-D array x >= 1 (DLMF
+    """Digamma psi(x) and trigamma psi'(x) of a 1-D array x > 0 (DLMF
     5.11.2, 5.15.8), in one pass.  Entries x < 10 are lifted to y = x + 10,
     the rest keep y = x; one Horner loop in z = y^-2 sums both Bernoulli
     series, and the recurrences back from y to x (DLMF 5.5.2, 5.15.5)
     subtract sum_{j<10} 1 / (x + j) from psi and add sum_{j<10} 1 / (x + j)^2
     to psi' at the lifted entries.  At y >= 10 the first omitted term, which
     bounds the truncation error, is below 3 eps relative (psi' at y = 10;
-    under an ulp for psi).  The two series keep their own arrays: stacked as
+    under an ulp for psi).  Below 1, where the flat band's gap n evaluates
+    them at 1 - tau in (0, 1), psi stays within 8 eps and psi' within 4 eps
+    relative on [1e-3, 1].  The two series keep their own arrays: stacked as
     one (2, m) array with a (2, 1) coefficient column they took 1.1x as long
     at 150 entries and 1.4x at 4000, numpy's broadcasting loops being slower
     than its scalar ones."""

@@ -12,6 +12,10 @@ must also set `atol=`, usually to 0.0.
 One exact reference per closed form: `exact.py` is the only module under
 `tests/` that imports mpmath, so a second high-precision copy of a
 reference cannot grow in a test module.
+
+One launcher: `test_cli._fresh` is the only call into `subprocess` under
+`tests/`, so every child interpreter gets the same environment recipe and
+timeout.
 """
 
 import ast
@@ -106,3 +110,54 @@ def test_mpmath_imports_are_found(tmp_path):
         "pytest.importorskip('scipy')\n"
     )
     assert mpmath_imports([path]) == [f"imports.py:{line}" for line in (1, 2, 3, 4, 5)]
+
+
+def subprocess_calls(paths) -> list[str]:
+    """`file:function` of each call into `subprocess`, through the module
+    under any alias or a name imported from it (`<module>` at top level)."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name == "subprocess"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "subprocess":
+                names |= {a.asname or a.name for a in node.names}
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                func = child.func if isinstance(child, ast.Call) else None
+                if (isinstance(func, ast.Name) and func.id in names) or (
+                    isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules
+                ):
+                    found.append(f"{path.name}:{where}")
+                named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, child.name if named else where)
+
+        visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_only_fresh_starts_a_child_process():
+    assert subprocess_calls(sorted(TESTS.glob("*.py"))) == ["test_cli.py:_fresh"]
+
+
+def test_subprocess_calls_are_found(tmp_path):
+    path = tmp_path / "calls.py"
+    path.write_text(
+        "import os, subprocess\n"
+        "import subprocess as sp\n"
+        "from subprocess import PIPE, check_output as co\n"
+        "def _fresh():\n"
+        "    return subprocess.check_call(['x'], stdout=PIPE)\n"
+        "def helper() -> subprocess.CompletedProcess:\n"
+        "    sp.Popen(['y'])\n"
+        "    def inner():\n"
+        "        return co(['z'])\n"
+        "os.system('w')\n"
+        "subprocess.call(['v'])\n"
+    )
+    assert subprocess_calls([path]) == [
+        "calls.py:<module>", "calls.py:_fresh", "calls.py:helper", "calls.py:inner"
+    ]

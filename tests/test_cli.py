@@ -1,6 +1,5 @@
 """Config parsing, CSV round trips and scenario plumbing."""
 
-import json
 import math
 import os
 import subprocess
@@ -21,6 +20,28 @@ from golden_check import read_table, table_mismatches
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = sorted(p.stem for p in GOLDEN_DIR.glob("*.cfg"))
 SRC_DIR = Path(__file__).parent.parent / "src"
+
+# the kernel switches of `TestGoldensUnderAnotherBuild`: each one's environment
+# variables and the CPU features it turns off
+SWITCHES = {
+    "numpy-simd-off": (
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+        ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+    ),
+    "openblas-prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, ("AVX", "AVX2", "AVX512F")),
+}
+
+
+def _fresh(*argv: str, switch: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run `python *argv` in a fresh interpreter whose environment is this
+    one's, without any switch variable, plus the library on the path and
+    `switch`."""
+    unset = {name for variables, _ in SWITCHES.values() for name in variables}
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(PYTHONPATH=str(SRC_DIR), PYTHONDONTWRITEBYTECODE="1", **(switch or {}))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 class TestParseConfig:
@@ -410,13 +431,7 @@ class TestMain:
     def test_module_entry_point_lists_the_scenarios(self):
         # `-m atomfield.cli` would warn on stderr: importing the package has
         # already loaded `cli` before it runs again as __main__
-        done = subprocess.run(
-            [sys.executable, "-m", "atomfield", "list-scenarios"],
-            env={**os.environ, "PYTHONPATH": str(SRC_DIR), "PYTHONDONTWRITEBYTECODE": "1"},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        done = _fresh("-m", "atomfield", "list-scenarios")
         assert done.returncode == 0
         assert done.stderr == ""
         names = [line.split(":")[0] for line in done.stdout.splitlines()]
@@ -659,13 +674,7 @@ class TestDomainGuards:
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text("scenario = jcp-vacuum\nt_max = 1e308\nsamples = 3\n")
         run = ["run", str(cfg), "--out", str(tmp_path / "w.csv")]
-        done = subprocess.run(
-            [sys.executable, "-c", f"import sys\nfrom atomfield import cli\nsys.exit(cli.main({run!r}))"],
-            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        done = _fresh("-c", f"import sys\nfrom atomfield import cli\nsys.exit(cli.main({run!r}))")
         assert done.returncode == 1
         assert done.stderr == (
             "config error: parameters out of double-precision range: "
@@ -807,60 +816,32 @@ class TestGoldensUnderAnotherBuild:
     an environment variable of a child process and the CPU features it turns
     off; the run without a switch is the reference it must differ from."""
 
-    SWITCHES = {
-        "numpy-simd-off": (
-            {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
-            ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
-        ),
-        "openblas-prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, ("AVX", "AVX2", "AVX512F")),
-    }
-    RUN_GOLDENS = (
-        "import json, sys\n"
-        "from pathlib import Path\n"
-        "from golden_check import run_config\n"
-        "bounds = {}\n"
-        "for cfg in sorted(Path(sys.argv[1]).glob('*.cfg')):\n"
-        "    code, bounds[cfg.stem] = run_config(cfg, Path(sys.argv[2]) / f'{cfg.stem}.csv')\n"
-        "    assert code == 0, cfg.stem\n"
-        "print(json.dumps(bounds))\n"
-    )
-
-    @classmethod
-    def run_goldens(cls, out: Path, switch: dict[str, str]) -> dict[str, float | None]:
-        """Run every golden config in a fresh interpreter whose environment is
-        this one's, without any switch variable, plus `switch`; return the
-        finite-band error bound each run recorded."""
-        unset = {name for variables, _ in cls.SWITCHES.values() for name in variables}
-        env = {k: v for k, v in os.environ.items() if k not in unset}
-        env["PYTHONPATH"] = os.pathsep.join((str(SRC_DIR), str(Path(__file__).parent)))
-        done = subprocess.run(
-            [sys.executable, "-c", cls.RUN_GOLDENS, str(GOLDEN_DIR), str(out)],
-            env={**env, **switch},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+    @staticmethod
+    def run_goldens(out: Path, switch: dict[str, str] | None = None) -> None:
+        """Run every golden config in a fresh interpreter with `switch`."""
+        configs = (str(GOLDEN_DIR / f"{name}.cfg") for name in GOLDEN_NAMES)
+        done = _fresh("-c", TestImportGraph.RUN_ALL, "plain", str(out), *configs, switch=switch)
         assert done.returncode == 0, done.stderr
-        return json.loads(done.stdout.splitlines()[-1])
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("reference")
-        self.run_goldens(out, {})
+        self.run_goldens(out)
         return out
 
     @pytest.mark.parametrize("switch", sorted(SWITCHES))
     def test_goldens_hold_and_the_switch_changes_a_cell(self, switch, reference, tmp_path):
         from numpy._core._multiarray_umath import __cpu_features__
 
-        variables, features = self.SWITCHES[switch]
+        variables, features = SWITCHES[switch]
         if not any(__cpu_features__.get(f) for f in features):
             pytest.skip(f"this CPU has none of {features}, so {variables} changes nothing")
         differing = 0
-        for name, ode_bound in self.run_goldens(tmp_path, variables).items():
+        self.run_goldens(tmp_path, variables)
+        for name in GOLDEN_NAMES:
             got = read_table(tmp_path / f"{name}.csv")
             golden = read_table(GOLDEN_DIR / f"{name}.csv")
-            assert table_mismatches(got, golden, ode_bound) == [], name
+            assert table_mismatches(got, golden) == [], name
             same = read_table(reference / f"{name}.csv")
             differing += sum(int(np.count_nonzero(a != b)) for a, b in zip(got.data, same.data))
         # a switch that moves no cell proves nothing about other builds
@@ -910,15 +891,9 @@ class TestImportGraph:
     )
 
     @staticmethod
-    def fresh_run(code: str, *argv: str, timeout: float = 120) -> str:
+    def fresh_run(code: str, *argv: str) -> str:
         """The stdout of `code` run with `argv` in a fresh interpreter."""
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
+        done = _fresh("-c", code, *argv)
         assert done.returncode == 0, done.stderr
         return done.stdout
 
@@ -930,7 +905,7 @@ class TestImportGraph:
         for mode in ("blocked", "plain"):
             out = tmp_path / mode
             out.mkdir()
-            stdout = self.fresh_run(self.RUN_ALL, mode, str(out), *configs, timeout=300)
+            stdout = self.fresh_run(self.RUN_ALL, mode, str(out), *configs)
             outputs[mode] = {path.name: path.read_bytes() for path in out.iterdir()}
         # the plain run's import and each of its configs loaded no scipy module
         loaded = [line.split()[2:] for line in stdout.splitlines() if line.startswith("scipy after ")]

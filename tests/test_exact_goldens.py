@@ -42,10 +42,23 @@ def _jcp_vacuum(table):
     return w, exact.jcp_inversion(detuning, [1.0], [0], t), condition
 
 
+def _jcp_inversion(table):
+    # the exact Poisson weights over n = 0 .. 79, whose tail beyond is below
+    # 1e-72 at <n> = 4; C = sum_n p_n 4 (n + 1) / Omega_n max |t|
+    t, w = table.data
+    detuning = float(table.metadata["detuning"])
+    n = np.arange(80)
+    p = exact.poisson_weights(float(table.metadata["mean_n"]), n)
+    omega = np.sqrt(detuning**2 + 4.0 * (n + 1))
+    condition = float(np.sum(p * 4.0 * (n + 1) / omega)) * np.max(np.abs(t))
+    return w, exact.jcp_inversion(detuning, p, n, t), condition
+
+
 REFERENCES = {
     "sphere-revival": _sphere_revival,
     "parabola-eta": _parabola_eta,
     "jcp-vacuum": _jcp_vacuum,
+    "jcp-inversion": _jcp_inversion,
 }
 
 

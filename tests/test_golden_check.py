@@ -7,17 +7,9 @@ import numpy as np
 import pytest
 
 from atomfield import cli, multimode
-from golden_check import read_table, run_config, table_mismatches
+from golden_check import read_table, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-@pytest.fixture(scope="module")
-def free_decay_tolerance(tmp_path_factory):
-    out = tmp_path_factory.mktemp("run") / "free-decay.csv"
-    code, ode_tolerance = run_config(GOLDEN_DIR / "free-decay.cfg", out)
-    assert code == 0
-    return ode_tolerance
 
 
 def _golden(name: str) -> cli.ResultTable:
@@ -40,24 +32,10 @@ def _with_metadata(table: cli.ResultTable, **changes: str | None) -> cli.ResultT
     return replace(table, metadata=metadata)
 
 
-def test_run_records_the_tolerance_the_scenario_passes(free_decay_tolerance, tmp_path):
-    # free-decay solves its band spectrally, at the solver's stated bound, which
-    # is no wider than the DOP853 tolerance it replaced (rtol 1e-9, atol 1e-12)
-    assert free_decay_tolerance == multimode._SPECTRAL_ERROR
-    assert 0.0 < free_decay_tolerance <= 1e-12
-    code, ode_bound = run_config(GOLDEN_DIR / "jcp-vacuum.cfg", tmp_path / "v.csv")
-    assert code == 0 and ode_bound is None
-
-
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_DIR.glob("*.csv")))
-def test_golden_matches_itself(name, free_decay_tolerance):
+def test_golden_matches_itself(name):
     golden = _golden(name)
-    assert table_mismatches(golden, golden, free_decay_tolerance) == []
-
-
-def test_ode_output_needs_a_recorded_tolerance():
-    golden = _golden("free-decay")
-    assert table_mismatches(golden, golden, None) != []
+    assert table_mismatches(golden, golden) == []
 
 
 @pytest.mark.parametrize(
@@ -70,30 +48,33 @@ def test_ode_output_needs_a_recorded_tolerance():
         ("sphere-revival", "p_e"),
     ],
 )
-def test_rejects_closed_form_value_off_by_1e12_relative(name, column, free_decay_tolerance):
+def test_rejects_closed_form_value_off_by_1e12_relative(name, column):
     golden = _golden(name)
     j = golden.columns.index(column)
     # the value that sets the column scale S; one far below S may move by
     # K eps S in absolute terms, which is more than 1e-12 of itself
     row = int(np.argmax(np.abs(golden.data[j])))
     changed = _with_value(golden, row, column, golden.data[j][row] * (1 + 1e-12))
-    assert table_mismatches(changed, golden, free_decay_tolerance) != []
+    assert table_mismatches(changed, golden) != []
 
 
-def test_rejects_ode_value_off_by_ten_tolerances(free_decay_tolerance):
-    bound = free_decay_tolerance
+def test_rejects_ode_value_off_by_ten_tolerances():
+    # free-decay solves its band spectrally, at the solver's stated bound, which
+    # is no wider than the DOP853 tolerance it replaced (rtol 1e-9, atol 1e-12)
+    bound = multimode._SPECTRAL_ERROR
+    assert 0.0 < bound <= 1e-12
     golden = _golden("free-decay")
     j = golden.columns.index("p_e")
     rows = len(golden.data[j])
     for row in (0, rows // 2, rows - 1):
         value = golden.data[j][row]
         changed = _with_value(golden, row, "p_e", value + 10 * bound)
-        assert table_mismatches(changed, golden, free_decay_tolerance) != []
+        assert table_mismatches(changed, golden) != []
         within = _with_value(golden, row, "p_e", value + bound / 2)
-        assert table_mismatches(within, golden, free_decay_tolerance) == []
+        assert table_mismatches(within, golden) == []
     drift = float(golden.metadata["norm_drift"])
     changed = _with_metadata(golden, norm_drift=repr(drift + 10 * bound))
-    assert table_mismatches(changed, golden, free_decay_tolerance) != []
+    assert table_mismatches(changed, golden) != []
 
 
 @pytest.mark.parametrize(
@@ -106,44 +87,44 @@ def test_rejects_ode_value_off_by_ten_tolerances(free_decay_tolerance):
         ("jcp-inversion", "t_max_used", "30.000000000000004"),
     ],
 )
-def test_rejects_changed_config_echo(name, key, value, free_decay_tolerance):
+def test_rejects_changed_config_echo(name, key, value):
     golden = _golden(name)
     assert golden.metadata[key] != value
     changed = _with_metadata(golden, **{key: value})
-    assert table_mismatches(changed, golden, free_decay_tolerance) != []
+    assert table_mismatches(changed, golden) != []
 
 
-def test_rejects_missing_or_extra_metadata_key(free_decay_tolerance):
+def test_rejects_missing_or_extra_metadata_key():
     golden = _golden("free-decay")
     for changed in (
         _with_metadata(golden, band_width=None),
         _with_metadata(golden, norm_drift=None),
         _with_metadata(golden, extra="1"),
     ):
-        assert table_mismatches(changed, golden, free_decay_tolerance) != []
-        assert table_mismatches(golden, changed, free_decay_tolerance) != []
+        assert table_mismatches(changed, golden) != []
+        assert table_mismatches(golden, changed) != []
 
 
-def test_rejects_dropped_row(free_decay_tolerance):
+def test_rejects_dropped_row():
     golden = _golden("free-decay")
     for row in (0, len(golden.data[0]) - 1):
         changed = replace(golden, data=tuple(np.delete(a, row) for a in golden.data))
-        assert table_mismatches(changed, golden, free_decay_tolerance) != []
+        assert table_mismatches(changed, golden) != []
 
 
-def test_rejects_renamed_column(free_decay_tolerance):
+def test_rejects_renamed_column():
     golden = _golden("free-decay")
     changed = replace(golden, columns=["t", "p_e", "p_exp"])
-    assert table_mismatches(changed, golden, free_decay_tolerance) != []
+    assert table_mismatches(changed, golden) != []
 
 
 def test_rejects_flipped_integer_flag_and_nan():
     golden = _golden("parabola-field")
     j = golden.columns.index("near_boundary")
     flipped = _with_value(golden, 0, "near_boundary", 1.0 - golden.data[j][0])
-    assert table_mismatches(flipped, golden, None) != []
+    assert table_mismatches(flipped, golden) != []
     nan = _with_value(golden, 0, "energy_density", float("nan"))
-    assert table_mismatches(nan, golden, None) != []
+    assert table_mismatches(nan, golden) != []
 
 
 @pytest.mark.parametrize(
@@ -152,4 +133,4 @@ def test_rejects_flipped_integer_flag_and_nan():
 def test_rejects_probe_diagnostic_off_by_1e12(key):
     golden = _golden("parabola-eta")
     changed = _with_metadata(golden, **{key: repr(float(golden.metadata[key]) + 1e-12)})
-    assert table_mismatches(changed, golden, None) != []
+    assert table_mismatches(changed, golden) != []

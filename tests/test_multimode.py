@@ -88,11 +88,18 @@ def test_matches_dop853_at_criterion_5_size():
     assert np.max(np.abs(trace.excited_amplitude - ode.excited_amplitude)) <= 1e-8
 
 
-# `_flat_band` accepts a band 20 (1 - _GUARD_RTOL) Gamma wide.  At the spacing
-# band_width / (2 n), 1120 of the n < 20 000 (the first at n = 25) have a ratio
-# above n / (20 pi) (1 + _GUARD_RTOL), by up to 1.00053 _GUARD_RTOL (at
-# n = 18042), so a solver slack of one _GUARD_RTOL would refuse them.
-_GUARD_WIDTH = 20.0 * (1.0 - _GUARD_RTOL)
+# `_flat_band` accepts a band _BAND_MIN (1 - _GUARD_RTOL) = 20 (1 - _GUARD_RTOL)
+# Gamma wide.  At the spacing band_width / (2 n), 1120 of the n < 20 000 (the
+# first at n = 25) have a ratio above n / (20 pi) (1 + _GUARD_RTOL), by up to
+# 1.00053 _GUARD_RTOL (at n = 18042), so a solver slack of one _GUARD_RTOL
+# would refuse them.
+_GUARD_WIDTH = multimode._BAND_MIN * (1.0 - _GUARD_RTOL)
+
+
+def test_guard_width_is_the_band_edge():
+    # so the n = 25 and n = 18042 cases below stay on the edge if the rule moves
+    assert multimode._band_ok(_GUARD_WIDTH)
+    assert not multimode._band_ok(np.nextafter(_GUARD_WIDTH, 0.0))
 
 
 @pytest.mark.parametrize(
