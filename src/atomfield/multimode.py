@@ -13,9 +13,10 @@ The free-space (quasi-continuum band) and spherical-cavity (equidistant
 ladder) solvers share one model, the flat band of `_flat_band`, and solve it
 exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
 the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
-half is solved: all its roots together by two or three safeguarded Newton
-steps on the closed form of the secular sum, from starts that model each
-root's nearest poles, with psi and psi' taken in one numpy pass per step.
+half is solved: all its roots together by safeguarded Newton steps on the
+closed form of the secular sum, from starts that model each root's nearest
+poles, with psi and psi' taken in one numpy pass per step: two or three
+passes per band, the last of which confirms the roots and gives the weights.
 The time grid must be uniform: `numerics._cos_sum` sums the cosines by angle
 addition over blocks of the grid, with about 2 log2(T) + 2 sines and cosines
 per mode instead of T (about 4 sqrt(T) for the smallest bands and grids, see
@@ -83,28 +84,10 @@ def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndar
 # below 1e-13 sum w (9.2e-14 at Gamma t = 2000, 5.6e-14 at 1000).
 _SPECTRAL_ERROR = 1e-12
 
-# iteration cap of `_newton`, so that it ends even if no Newton step is taken:
-# 60 bisections shrink a gap of width 1 to 2^-60 ~ 8.7e-19, below an ulp of x
+# iteration cap of `_flat_band_spectrum`'s Newton loop, so that it ends even
+# if no Newton step is taken: 60 bisections shrink a gap of width 1 to
+# 2^-60 ~ 8.7e-19, below an ulp of x
 _BISECTIONS = 60
-
-
-def _newton(value_and_slope, t):
-    """Roots t in (0, 1), elementwise, of functions negative below the root
-    and positive above, by Newton steps.  The sign of each value narrows the
-    bracket (0, 1), and a step that leaves it is replaced by bisection (Bunch,
-    Nielsen & Sorensen, Numer. Math. 31 (1978) 31; R.-C. Li, LAPACK Working
-    Note 89).  Stops once every step is at most 8 eps t, or after
-    _BISECTIONS steps."""
-    lo, hi = np.zeros(t.size), np.ones(t.size)
-    for _ in range(_BISECTIONS):
-        value, slope = value_and_slope(t)
-        lo, hi = np.where(value < 0.0, (t, hi), (lo, t))
-        new = t - value / slope
-        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        if np.all(np.abs(new - t) <= 8.0 * _EPS * new):
-            return new
-        t = new
-    return t
 
 
 def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,8 +100,8 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     symmetric, so the n + 1 roots below 0 are the negatives of those returned,
     with the same weights.  The outer root n + d has d < 1: in the domain
     ratio < n, so g(n + 1) = (n + 1) / ratio - H_2n+1 > 0.  So all n + 1 roots
-    are gap roots x = k + tau, k = 0..n, solved in one `_newton` call whose
-    every step takes one `_psi_trigamma` pass.  With the closed form
+    are gap roots x = k + tau, k = 0..n, solved together by one Newton loop
+    whose every pass takes one `_psi_trigamma` pass.  With the closed form
     sum_k 1 / (k - x) = psi(n+1-x) - psi(n+1+x) - pi cot(pi x) (DLMF 5.15,
     5.5.4), tau solves the pole-free equation tau = arctan2(pi, R(x)) / pi,
     R(x) = x / ratio + psi(n+1-x) - psi(n+1+x), with psi and psi' taken at
@@ -131,9 +114,16 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     + 2 pi g cot(pi tau) + g' > 0 for tau >= 1/2 and psi'(2 - tau) <= psi'(1)
     keeps it above 0 for tau < 0.64.
 
+    The sign of each value narrows the root's bracket (0, 1), and a Newton
+    step that leaves it is replaced by bisection (Bunch, Nielsen & Sorensen,
+    Numer. Math. 31 (1978) 31; R.-C. Li, LAPACK Working Note 89).  The loop
+    stops at the first pass whose every step is at most 8 eps tau, and the
+    weights take psi' from that pass; after _BISECTIONS passes it stops anyway
+    and takes one more pass for them.
+
     Each root starts from a local model of its nearest poles, so that the
-    bands `_flat_band` builds take 2-3 steps, 3-4 polygamma passes with the
-    weights' (4-7 steps from tau = 1/2):
+    bands `_flat_band` builds take 2-3 polygamma passes, the last of which
+    gives the weights (4-7 from tau = 1/2):
     - gap 1 <= k < n: R with the psi difference replaced by its logarithm,
       tau_0 = arctan2(pi, (k + 1/2) / ratio + ln((n + 1/2 - k) / (n + 3/2 + k)))
       / pi;
@@ -152,17 +142,9 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     slack doubled for such a band's rounding, so A > 0 for any n that fits in
     memory (H < 62.8).  Any other band (n = 0 too) raises ValueError.
     """
+    if not ratio <= n / (_BAND_MIN * pi) * (1.0 + 2.0 * _GUARD_RTOL):
+        raise ValueError("flat band outside the solver's domain: ratio must be <= n / (20 pi)")
     k, m = np.arange(n + 1.0), n + 1
-
-    def polygamma(tau):
-        return _psi_trigamma(np.concatenate(((m - k) - tau, (m + k) + tau)))
-
-    def roots(tau):
-        psi, trigamma = polygamma(tau)
-        r = (k + tau) / ratio + psi[:m] - psi[m:]
-        slope = 1.0 + (1.0 / ratio - trigamma[:m] - trigamma[m:]) / (pi**2 + r**2)
-        return tau - np.arctan2(pi, r) / pi, slope
-
     tau = np.arctan2(pi, (k + 0.5) / ratio + np.log((n + 0.5 - k) / (n + 1.5 + k))) / pi
     tau[0] = min(0.5, (1.0 / ratio + pi**2 / 3.0) ** -0.5)
     for _ in range(2):
@@ -173,11 +155,20 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
         tau[:n] = np.clip(t - (t - np.arctan2(pi, r) / pi) / slope, 0.0, 1.0)
     j = np.arange(1.0, 2 * n + 1)
     a, b = n / ratio - (1.0 / j).sum(), 1.0 / ratio + (1.0 / j**2).sum()
-    if not ratio <= n / (_BAND_MIN * pi) * (1.0 + 2.0 * _GUARD_RTOL):
-        raise ValueError("flat band outside the solver's domain: ratio must be <= n / (20 pi)")
     tau[n] = min(0.5, 2.0 / (a + sqrt(a * a + 4.0 * b)))
-    tau = _newton(roots, tau)
-    trigamma = polygamma(tau)[1]
+    lo, hi = np.zeros(m), np.ones(m)
+    for _ in range(_BISECTIONS):
+        psi, trigamma = _psi_trigamma(np.concatenate(((m - k) - tau, (m + k) + tau)))
+        r = (k + tau) / ratio + psi[:m] - psi[m:]
+        value = tau - np.arctan2(pi, r) / pi
+        lo, hi = np.where(value < 0.0, (tau, hi), (lo, tau))
+        new = tau - value / (1.0 + (1.0 / ratio - trigamma[:m] - trigamma[m:]) / (pi**2 + r**2))
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        tau, last = new, tau
+        if np.all(np.abs(tau - last) <= 8.0 * _EPS * tau):
+            break
+    else:
+        trigamma = _psi_trigamma(np.concatenate(((m - k) - tau, (m + k) + tau)))[1]
     w = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * tau) ** 2 - trigamma[:m] - trigamma[m:]))
     return k + tau, w
 

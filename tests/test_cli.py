@@ -809,35 +809,40 @@ class TestToleranceKeys:
                 cli.parse_config(f"scenario = parabola-eta\nk_per_mm = 1\n{bad}\n")
 
 
+@pytest.fixture(scope="module")
+def plain_run(tmp_path_factory):
+    """The seven golden configs and sphere-revival with `with_ode = true`,
+    run by `TestImportGraph.RUN_ALL` in `plain` mode in one fresh
+    interpreter: the configs, the folder of their CSVs and the run's stdout."""
+    folder = tmp_path_factory.mktemp("plain")
+    with_ode = folder / "sphere-revival-ode.cfg"
+    with_ode.write_text((GOLDEN_DIR / "sphere-revival.cfg").read_text() + "with_ode = true\n")
+    configs = [str(GOLDEN_DIR / f"{name}.cfg") for name in GOLDEN_NAMES] + [str(with_ode)]
+    out = folder / "out"
+    out.mkdir()
+    stdout = TestImportGraph.fresh_run(TestImportGraph.RUN_ALL, "plain", str(out), *configs)
+    return configs, out, stdout
+
+
 class TestGoldensUnderAnotherBuild:
     """The goldens hold within tolerance when the two sources of drift that
     `golden_check` names change: numpy's SIMD loops for the elementary
     functions, and the BLAS kernels (their reduction order).  Each switch is
     an environment variable of a child process and the CPU features it turns
-    off; the run without a switch is the reference it must differ from."""
-
-    @staticmethod
-    def run_goldens(out: Path, switch: dict[str, str] | None = None) -> None:
-        """Run every golden config in a fresh interpreter with `switch`."""
-        configs = (str(GOLDEN_DIR / f"{name}.cfg") for name in GOLDEN_NAMES)
-        done = _fresh("-c", TestImportGraph.RUN_ALL, "plain", str(out), *configs, switch=switch)
-        assert done.returncode == 0, done.stderr
-
-    @pytest.fixture(scope="class")
-    def reference(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("reference")
-        self.run_goldens(out)
-        return out
+    off; the `plain_run` without a switch is the reference it must differ
+    from."""
 
     @pytest.mark.parametrize("switch", sorted(SWITCHES))
-    def test_goldens_hold_and_the_switch_changes_a_cell(self, switch, reference, tmp_path):
+    def test_goldens_hold_and_the_switch_changes_a_cell(self, switch, plain_run, tmp_path):
         from numpy._core._multiarray_umath import __cpu_features__
 
         variables, features = SWITCHES[switch]
         if not any(__cpu_features__.get(f) for f in features):
             pytest.skip(f"this CPU has none of {features}, so {variables} changes nothing")
         differing = 0
-        self.run_goldens(tmp_path, variables)
+        configs, reference, _ = plain_run
+        done = _fresh("-c", TestImportGraph.RUN_ALL, "plain", str(tmp_path), *configs, switch=variables)
+        assert done.returncode == 0, done.stderr
         for name in GOLDEN_NAMES:
             got = read_table(tmp_path / f"{name}.csv")
             golden = read_table(GOLDEN_DIR / f"{name}.csv")
@@ -897,20 +902,13 @@ class TestImportGraph:
         assert done.returncode == 0, done.stderr
         return done.stdout
 
-    def test_every_scenario_runs_without_scipy(self, tmp_path):
-        with_ode = tmp_path / "sphere-revival-ode.cfg"
-        with_ode.write_text((GOLDEN_DIR / "sphere-revival.cfg").read_text() + "with_ode = true\n")
-        configs = [str(GOLDEN_DIR / f"{name}.cfg") for name in GOLDEN_NAMES] + [str(with_ode)]
-        outputs = {}
-        for mode in ("blocked", "plain"):
-            out = tmp_path / mode
-            out.mkdir()
-            stdout = self.fresh_run(self.RUN_ALL, mode, str(out), *configs)
-            outputs[mode] = {path.name: path.read_bytes() for path in out.iterdir()}
+    def test_every_scenario_runs_without_scipy(self, plain_run, tmp_path):
+        configs, plain_out, stdout = plain_run
+        self.fresh_run(self.RUN_ALL, "blocked", str(tmp_path), *configs)
         # the plain run's import and each of its configs loaded no scipy module
         loaded = [line.split()[2:] for line in stdout.splitlines() if line.startswith("scipy after ")]
-        assert loaded == [[stage] for stage in ("import", *GOLDEN_NAMES, with_ode.stem)]
-        blocked, plain = outputs["blocked"], outputs["plain"]
+        assert loaded == [[stage] for stage in ("import", *(Path(c).stem for c in configs))]
+        blocked, plain = ({p.name: p.read_bytes() for p in out.iterdir()} for out in (tmp_path, plain_out))
         assert len(blocked) == len(configs) + 1 and blocked.keys() == plain.keys()
         assert [name for name in sorted(blocked) if blocked[name] != plain[name]] == []
 

@@ -5,18 +5,20 @@ golden; this states how far the goldens themselves are from the physics.
 Each column is recomputed by its `exact.py` reference and must lie within
 K eps (S + C) of it, with S = max |column| and C the column's condition
 scale: sum_j |w_j lambda_j t| at the largest t for a cosine sum (the
-jcp ladder), 0 for the rest.  The distances measured are recorded in
-`golden/PROVENANCE.md`; a column beyond its bound is a finding, not a bound
-to widen.
+jcp ladder and the flat band), 0 for the rest.  A golden with more than
+one column checked has one row per column, `golden.column`.  The distances
+measured are recorded in `golden/PROVENANCE.md`; a column beyond its bound
+is a finding, not a bound to widen.
 """
 
-from math import sqrt
+from math import ceil, pi, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import exact
+from atomfield import multimode
 from golden_check import EPS, K, read_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,16 +56,38 @@ def _jcp_inversion(table):
     return w, exact.jcp_inversion(detuning, p, n, t), condition
 
 
+def _free_decay_p_e(table):
+    # the exact band: the 2n + 1 modes and the coupling ratio 1 / (2 pi s)
+    # of `_flat_band` at Gamma = 1, its n + 1 upper roots and weights at 40
+    # digits (the library's roots only seed the Newton steps), and
+    # p_e = (sum_j 2 w_j cos(s x_j t))^2; C = sum_j |2 w_j s x_j| max |t|
+    t, p_e, _ = table.data
+    spacing = float(table.metadata["spacing"])
+    n, ratio = ceil(float(table.metadata["band_width"]) / 2.0 / spacing), 1.0 / (2.0 * pi * spacing)
+    x, w = exact.flat_band_spectrum(n, ratio, multimode._flat_band_spectrum(n, ratio)[0], range(n + 1))
+    condition = float(np.sum(np.abs(2.0 * w * spacing * x))) * np.max(np.abs(t))
+    return p_e, exact.dense_cos_sum(2.0 * w, spacing * x, t) ** 2, condition
+
+
+def _free_decay_p_pole(table):
+    # the pole approximation e^{-Gamma t} at Gamma = 1, in long double
+    t, _, p_pole = table.data
+    return p_pole, np.exp(-np.asarray(t, np.longdouble)), 0.0
+
+
 REFERENCES = {
     "sphere-revival": _sphere_revival,
     "parabola-eta": _parabola_eta,
     "jcp-vacuum": _jcp_vacuum,
     "jcp-inversion": _jcp_inversion,
+    "free-decay.p_e": _free_decay_p_e,
+    "free-decay.p_pole": _free_decay_p_pole,
 }
 
 
 @pytest.mark.parametrize("name", REFERENCES)
 def test_golden_column_is_near_the_exact_answer(name):
-    got, want, condition = REFERENCES[name](read_table(GOLDEN / f"{name}.csv"))
+    golden = name.partition(".")[0]
+    got, want, condition = REFERENCES[name](read_table(GOLDEN / f"{golden}.csv"))
     scale = np.max(np.abs(got))
     assert np.max(np.abs(got - want)) <= K * EPS * (scale + condition)

@@ -320,14 +320,14 @@ def test_newton_matches_bisection_in_few_steps(half, ratio, monkeypatch):
     # its bracket)
     assert abs(x[-1] - want_x[-1]) <= 4e-16 * want_x[-1]
     assert abs(w[-1] - want_w[-1]) <= 4e-16
-    # one psi/psi' pass per Newton step on all the roots, and one for the
-    # weights; a wrong slope would fall back to bisection, still correct but
-    # 60 steps long.  From the analytic starts: 4, 3 and 3 passes at
-    # (20, 0.016), (128, 0.0507) and (2000, 0.0159) (5 each without the two
-    # Newton steps on the log model; 15, 13 and 15 psi and psi' passes from
-    # tau = 1/2 and d_lo), 4 at (2000, 15.9), at (214, 1 / (2 pi 0.048)) and
-    # at the edges, 3 at (48, 1 / (4 pi^2))
-    assert len(passes) <= 4
+    # one psi/psi' pass per Newton step on all the roots, the last of which
+    # also gives the weights; a wrong slope would fall back to bisection,
+    # still correct but 60 steps long.  From the analytic starts: 3, 2 and 2
+    # passes at (20, 0.016), (128, 0.0507) and (2000, 0.0159) (4 each without
+    # the two Newton steps on the log model; 14, 12 and 14 psi and psi'
+    # passes from tau = 1/2 and d_lo), 3 at (2000, 15.9), at
+    # (214, 1 / (2 pi 0.048)) and at the edges, 2 at (48, 1 / (4 pi^2))
+    assert len(passes) <= 3
 
 
 @pytest.mark.parametrize(

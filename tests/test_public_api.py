@@ -12,6 +12,9 @@ A record field, an annotation target or an attribute of another object that
 only spells the same name does not count.  The package `__init__` is not
 scanned for exports: its `__all__` lists the submodules and re-exports names
 checked in their own modules.
+
+Every module-level private function or class of the package has a reference
+in `src/` outside its own definition, or a decorator that registers it.
 """
 
 import ast
@@ -282,6 +285,63 @@ def test_only_qualified_uses_count(tmp_path):
         "free_space.field_map",
         "free_space.TwoLevelAtom",
     }
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name `node` reads: a loaded name, an attribute or an import."""
+    names = set()
+    for use in ast.walk(node):
+        if isinstance(use, ast.Name) and isinstance(use.ctx, ast.Load):
+            names.add(use.id)
+        elif isinstance(use, ast.Attribute) and isinstance(use.ctx, ast.Load):
+            names.add(use.attr)
+        elif isinstance(use, ast.alias):
+            names.add(use.name)
+    return names
+
+
+def _unreferenced_private(paths) -> set[str]:
+    """`module.name` of every undecorated module-level private function or
+    class in `paths` that no top-level statement of `paths` but its own
+    definition reads."""
+    statements = [
+        (path.stem, node) for path in paths for node in ast.parse(path.read_text(), str(path)).body
+    ]
+    reads = [(node, _names_read(node)) for _, node in statements]
+    return {
+        f"{module}.{node.name}"
+        for module, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.decorator_list
+        and not any(node.name in names for other, names in reads if other is not node)
+    }
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced_private(sorted(PACKAGE.glob("*.py"))) == set()
+
+
+def test_unreferenced_private_definitions_are_found(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "from functools import cache\n"
+        "def _step(t):\n"
+        "    return _step(t - 1) if t else 0\n"
+        "def _used(): pass\n"
+        "def _imported(): pass\n"
+        "def _by_attribute(): pass\n"
+        "@cache\n"
+        "def _registered(): pass\n"
+        "class _Unused: pass\n"
+        "def public(): return _used()\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "from .core import _imported\n"
+        "from . import core\n"
+        "core._by_attribute()\n"
+        "_Unused = 'a string, not the class'\n"
+    )
+    assert _unreferenced_private(sorted(tmp_path.glob("*.py"))) == {"core._step", "core._Unused"}
 
 
 def test_exports_are_pinned():
