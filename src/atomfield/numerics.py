@@ -454,10 +454,10 @@ def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) ->
     so no phase table exceeds _TABLE_MAX entries whatever n is, and each
     block adds its two (K x b) @ (b x S) products into the K x S result.
     The doubled tables of every block fill prefixes of two buffers of 2 K w
-    and 2 S w doubles, w = min(b, n), made for the first block, so the sum
-    holds one block's tables at a time.  A phase table of fewer than
-    _DOUBLING_MIN entries takes its 2 b K or 2 b S sines and cosines
-    directly, and is off the exact sum by about
+    and 2 S w doubles, w = min(b, n), made before the loop for the first
+    block, so the sum holds one block's tables at a time.  A phase table of
+    fewer than _DOUBLING_MIN entries takes its 2 b K or 2 b S sines and
+    cosines directly, and is off the exact sum by about
     eps max |t| sum |w_j lambda_j| from the phases plus a few eps sum |w_j|
     from the products; blocks only reorder the same products, which stays
     within those few eps sum |w_j|, and a sum of one block is exactly the
@@ -478,36 +478,31 @@ def _cos_sum(weights: np.ndarray, frequencies: np.ndarray, times: np.ndarray) ->
         raise ValueError("time grid must be uniform")
     cols = max(1, ceil(sqrt(size)))
     rows = -(-size // cols)
-    # the K x S result first: a grid too large for memory fails before any trig
-    out = np.empty((rows, cols))
-    # rows <= cols, so the offset tables set the block width; no modes still
-    # take one (empty) pass, which writes the zeros
+    # rows <= cols, so the offset tables set the block width; the first block
+    # is the widest, so a later block doubles only if it does, into a prefix
+    # of the buffers
     width = max(1, _TABLE_MAX // cols)
+    first = min(width, frequencies.size)
+    # the K x S result first: a grid too large for memory fails before any trig
+    out = np.zeros((rows, cols))
+    anchor_buf, offset_buf = np.empty(2 * rows * first), np.empty(2 * cols * first)
+    # no modes still take one (empty) pass, which adds zeros
     for lo in range(0, max(1, frequencies.size), width):
         w, f = weights[lo : lo + width], frequencies[lo : lo + width]
         n = f.size
-        # the first block is the widest, so a later block doubles only if it
-        # does, into a prefix of its buffers
         if rows * n < _DOUBLING_MIN:
             anchors = np.multiply.outer(times[::cols], f)
             cos_a, sin_a = np.cos(anchors) * w, np.sin(anchors) * w
         else:
-            if not lo:
-                anchor_buf = np.empty(2 * rows * n)
             table = anchor_buf[: 2 * rows * n].reshape(2, rows, n)
             cos_a, sin_a = _turns(w, f * times[0], f * (cols * step), table)
         if cols * n < _DOUBLING_MIN:
             offsets = np.multiply.outer(f, step * np.arange(cols))
             cos_o, sin_o = np.cos(offsets), np.sin(offsets)
         else:
-            if not lo:
-                offset_buf = np.empty(2 * cols * n)
             table = offset_buf[: 2 * cols * n].reshape(2, cols, n)
             cos_o, sin_o = _turns(1.0, 0.0, f * step, table).transpose(0, 2, 1)
-        if lo:
-            out += cos_a @ cos_o
-        else:
-            np.matmul(cos_a, cos_o, out=out)
+        out += cos_a @ cos_o
         out -= sin_a @ sin_o
     return out.ravel()[:size]
 

@@ -176,6 +176,12 @@ _COS_SUM_CASES = [
     )
     for modes in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
     for start in (0.0, 0.3)
+] + [
+    # no modes: one empty pass, whose sum is exactly zero (the bound is 0)
+    pytest.param(
+        lambda: (np.empty(0), np.empty(0)), (), np.linspace(0.0, 20.0, size), id=f"no-modes-{size}"
+    )
+    for size in (1, 65, 2000)
 ]
 
 
@@ -353,6 +359,24 @@ def test_spectrum_matches_the_exact_roots_and_weights(half, ratio, indices):
     eps = np.finfo(float).eps
     assert np.all(np.abs(x[indices] - want_x) <= 2.0 * eps * want_x)
     assert np.all(np.abs(w[indices] - want_w) <= 8.0 * eps * want_w)
+
+
+def test_pass_cap_takes_one_more_pass_for_the_weights(monkeypatch):
+    # the band (20, 0.016) stops in its third pass; capped at one, the loop
+    # runs out and takes one more psi' pass at the last roots for the weights
+    passes = []
+    psi_trigamma = multimode._psi_trigamma
+    monkeypatch.setattr(multimode, "_psi_trigamma", lambda x: passes.append(1) or psi_trigamma(x))
+    monkeypatch.setattr(multimode, "_BISECTIONS", 1)
+    half, ratio = 20, 0.016
+    x, w = multimode._flat_band_spectrum(half, ratio)
+    assert len(passes) == 2
+    # root 0 only: there x = tau exactly, while k + tau for k >= 1 is rounded
+    # to ulp(x), which moves the formula by up to 1e5 eps.  Weights from the
+    # capped pass's psi' instead would be 35.8 eps off
+    trigamma = exact.polygamma(1, [half + 1 - x[0], half + 1 + x[0]])
+    want = 1.0 / (1.0 + ratio * (pi**2 / np.sin(pi * x[0]) ** 2 - trigamma[0] - trigamma[1]))
+    assert abs(w[0] - want) <= 8.0 * np.finfo(float).eps * want
 
 
 @pytest.mark.parametrize(

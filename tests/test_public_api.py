@@ -14,7 +14,9 @@ scanned for exports: its `__all__` lists the submodules and re-exports names
 checked in their own modules.
 
 Every module-level private function or class of the package has a reference
-in `src/` outside its own definition, or a decorator that registers it.
+in `src/` outside its own definition, or a decorator that registers it, and
+so has every module-level private constant, in `src/` or the golden
+comparator `tests/golden_check.py`.
 """
 
 import ast
@@ -23,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "atomfield"
 PACKAGE_NAME = PACKAGE.name
+GOLDEN_CHECK = ROOT / "tests" / "golden_check.py"
 CALLERS = [
     *sorted(PACKAGE.glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
@@ -300,26 +303,46 @@ def _names_read(node: ast.AST) -> set[str]:
     return names
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: an undecorated function or
+    class, or every name an assignment or annotated assignment binds (each
+    of `_A, _B = ...`)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [] if node.decorator_list else [node.name]
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        use.id
+        for target in targets
+        for use in ast.walk(target)
+        if isinstance(use, ast.Name) and isinstance(use.ctx, ast.Store)
+    ]
+
+
 def _unreferenced_private(paths) -> set[str]:
     """`module.name` of every undecorated module-level private function or
-    class in `paths` that no top-level statement of `paths` but its own
-    definition reads."""
+    class, and every module-level private constant (not a dunder), in
+    `paths` that no top-level statement of `paths` but its own definition
+    reads."""
     statements = [
         (path.stem, node) for path in paths for node in ast.parse(path.read_text(), str(path)).body
     ]
     reads = [(node, _names_read(node)) for _, node in statements]
     return {
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, node in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.decorator_list
-        and not any(node.name in names for other, names in reads if other is not node)
+        for name in _defined(node)
+        # a dunder such as `__all__` is read by Python, not by a statement
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for other, names in reads if other is not node)
     }
 
 
 def test_every_private_definition_is_referenced():
-    assert _unreferenced_private(sorted(PACKAGE.glob("*.py"))) == set()
+    # the golden comparator is the only reader of the spectral solver's stated
+    # bound, `multimode._SPECTRAL_ERROR`
+    assert _unreferenced_private([*sorted(PACKAGE.glob("*.py")), GOLDEN_CHECK]) == set()
 
 
 def test_unreferenced_private_definitions_are_found(tmp_path):
@@ -334,14 +357,18 @@ def test_unreferenced_private_definitions_are_found(tmp_path):
         "def _registered(): pass\n"
         "class _Unused: pass\n"
         "def public(): return _used()\n"
+        "_LIMIT: int = 3\n"
+        "_UNREAD, __version__ = 4, '0.1'\n"
     )
     (tmp_path / "other.py").write_text(
         "from .core import _imported\n"
         "from . import core\n"
-        "core._by_attribute()\n"
+        "core._by_attribute(core._LIMIT)\n"
         "_Unused = 'a string, not the class'\n"
     )
-    assert _unreferenced_private(sorted(tmp_path.glob("*.py"))) == {"core._step", "core._Unused"}
+    assert _unreferenced_private(sorted(tmp_path.glob("*.py"))) == {
+        "core._step", "core._Unused", "core._UNREAD", "other._Unused",
+    }
 
 
 def test_exports_are_pinned():
