@@ -30,7 +30,6 @@ __all__ = [
     "parse_config",
     "run_scenario",
     "write_table",
-    "build_parser",
     "main",
 ]
 
@@ -53,9 +52,7 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class ResultTable:
     """Named columns of one length (`data` holds one 1-D array per name) and
-    the CSV's metadata lines.  A column is bool, integer or real float, and
-    an integer column must stay within +-2**53, where every integer is a
-    double, so that its CSV cells are exact."""
+    the CSV's metadata lines.  A column is bool or real float."""
 
     columns: list[str]
     data: tuple[np.ndarray, ...]
@@ -66,10 +63,8 @@ class ResultTable:
         if len(data) != len(self.columns) or any(a.shape != data[0].shape or a.ndim != 1 for a in data):
             raise ValueError("a table needs one 1-D array per column, all of one length")
         for name, a in zip(self.columns, data):
-            if a.dtype.kind not in "biuf":
-                raise ValueError(f"column {name!r} has dtype {a.dtype}, not bool, integer or real float")
-        if any(a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) > 2**53 for a in data):
-            raise ValueError("an integer column holds a value beyond +-2**53, which a CSV cell would round")
+            if a.dtype.kind not in "bf":
+                raise ValueError(f"column {name!r} has dtype {a.dtype}, not bool or real float")
         object.__setattr__(self, "data", data)
 
     @property
@@ -400,8 +395,8 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # from s up.  One double there rounds up to 10**17: 1e-14, 0.12 units of the
 # 17th digit below 10**-14, so D = 10**17 is carried to 10**16 and E + 1.
 # A block holding any other value (|v| < 10**_LO, subnormals included, and
-# |v| >= 1e15) is written whole by format().  An int or bool cell is written
-# as float(v): for |v| <= 2**53 that is str(v), and 0/1 for a bool.
+# |v| >= 1e15) is written whole by format().  A bool cell is written as
+# float(v), 0 or 1.
 #
 # A cell is six words (48 bytes) of which a mask keeps the bytes shown:
 # "-0.000" d0 "." | four words "d.d.d.d." with the digits d1 ... d16 |
@@ -561,8 +556,7 @@ def write_table(table: ResultTable, path: str) -> None:
     blocks of about `_BLOCK_CELLS` cells (whole rows, at least one), each
     one write, so the writer's working set does not grow with the column
     count.  Every cell holds format(float(v), ".17g") (17 significant
-    digits): str(v) for an int column, whose values `ResultTable` keeps
-    within +-2**53, and 0/1 for a bool column."""
+    digits), and 0/1 for a bool column."""
     head = [f"# {key} = {table.metadata[key]}\n" for key in sorted(table.metadata)]
     head.append(",".join(table.columns) + "\n")
     rows = len(table.data[0]) if table.data else 0
@@ -576,7 +570,8 @@ def write_table(table: ResultTable, path: str) -> None:
         raise OSError(f"cannot write table to {path!r}: {exc}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atomfield",
         description="Two-level atom + quantized field scenario runner",
@@ -598,13 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help (0) or its usage line
+        return 1 if exc.code else 0
     if args.command == "list-scenarios":
         for name in sorted(SCENARIOS):
             keys = ", ".join(sorted(SCENARIOS[name]))
@@ -616,6 +609,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        print(f"config error: config is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
     overrides = getattr(args, "override", [])
     try:
         config = parse_config(text, overrides)

@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 import sys
 from math import ceil, inf, isfinite, sqrt
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "QuadratureSpec",
-    "QuadResult",
     "QuadratureError",
     "integrate_1d",
     "stable_binomial_series",
@@ -62,22 +61,18 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-class QuadResult(NamedTuple):
-    value: float
-    error: float
-
-
 def integrate_1d(
     f: Callable[[float], float],
     interval: Sequence[float],
     spec: QuadratureSpec,
-) -> QuadResult:
+) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod integral of f over a finite [a, b] in at most
-    spec.max_subdivisions subintervals, by `_qagse`, a port of QUADPACK's
-    QAGS that gives scipy.integrate.quad's value and error bit for bit.  f is
-    called once per node with a Python float, so integrands should use `math`
-    rather than numpy scalars.  a > b integrates over [b, a] and negates the
-    value, as `quad` does; an infinite end raises ValueError.
+    spec.max_subdivisions subintervals, as (value, error), by `_qagse`, a port
+    of QUADPACK's QAGS that gives scipy.integrate.quad's value and error bit
+    for bit.  f is called once per node with a Python float, so integrands
+    should use `math` rather than numpy scalars.  a > b integrates over
+    [b, a] and negates the value, as `quad` does; an infinite end raises
+    ValueError.
 
     Raises QuadratureError (carrying the best estimate) when QAGS reports a
     failure and the error exceeds max(abs_tol, rel_tol |value|), or when the
@@ -100,7 +95,7 @@ def integrate_1d(
             estimate=value,
             achieved_error=abserr,
         )
-    return QuadResult(value, abserr)
+    return value, abserr
 
 
 # QAGS (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK,

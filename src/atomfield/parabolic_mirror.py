@@ -30,7 +30,7 @@ from math import atan, cos, factorial, inf, pi, sin
 import numpy as np
 
 from .free_space import TwoLevelAtom, _blocks, _check_radiation_zone, _packet
-from .numerics import _GUARD_RTOL, QuadratureSpec, QuadResult, integrate_1d
+from .numerics import _GUARD_RTOL, QuadratureSpec, integrate_1d
 
 __all__ = [
     "ParabolicGeometry",
@@ -99,7 +99,7 @@ def eta_quadrature(
     geometry: ParabolicGeometry,
     point: tuple[float, float, float],
     spec: QuadratureSpec | None = None,
-) -> QuadResult:
+) -> tuple[float, float]:
     """Decay-rate ratio eta at a point (0, 0, z) of the axis by adaptive
     quadrature over the polar angle, the independent check of `on_axis_eta`.
     On the axis the cavity is z >= 0 (z = 0 is the vertex, where eta
@@ -118,7 +118,7 @@ def eta_quadrature(
         return sin(theta) ** 3 * cos(b * cos(theta))
 
     value, err = integrate_1d(integrand, (0.0, pi), _theta_spec(k * z, spec))
-    return QuadResult(1.0 - 0.75 * value, 0.75 * err)
+    return 1.0 - 0.75 * value, 0.75 * err
 
 
 def on_axis_eta(geometry: ParabolicGeometry, z):

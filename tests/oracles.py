@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from atomfield.jcp import JcpParams
-from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d
+from atomfield.numerics import QuadratureSpec, integrate_1d
 
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
@@ -124,9 +124,9 @@ def integrate_2d(
     f: Callable[[float, float], float],
     rectangle: Sequence[Sequence[float]],
     spec: QuadratureSpec,
-) -> QuadResult:
-    """Iterated 1-D adaptive quadrature of f(x, y) over [x0,x1] x [y0,y1];
-    the inner integral runs over x."""
+) -> tuple[float, float]:
+    """Iterated 1-D adaptive quadrature (value, error) of f(x, y) over
+    [x0,x1] x [y0,y1]; the inner integral runs over x."""
     (x0, x1), (y0, y1) = rectangle
     # inner tolerance slightly tighter than requested so the outer loop
     # sees a smooth integrand
@@ -144,4 +144,4 @@ def integrate_2d(
 
     value, outer_err = integrate_1d(g, (y0, y1), spec)
     inner_err = max(inner_errs) * abs(y1 - y0) if inner_errs else 0.0
-    return QuadResult(value, outer_err + inner_err)
+    return value, outer_err + inner_err

@@ -246,48 +246,41 @@ class TestTableIO:
         assert path.read_text() == "# scenario = t\n\n"
 
     @pytest.mark.parametrize(
-        "column", [np.array([1 + 2j, 3 - 1j]), np.array(["1", "3"]), np.array([b"1", b"3"]), [1.0, None]]
+        "column",
+        [
+            np.array([1 + 2j, 3 - 1j]),
+            np.array(["1", "3"]),
+            np.array([b"1", b"3"]),
+            [1.0, None],
+            np.array([0, 2**53 + 1]),
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+        ],
     )
     def test_non_real_column_rejected(self, column):
         # a complex column would lose its imaginary part, a text one fail
-        # only inside the writer, after the file is open
+        # only inside the writer, after the file is open; no runner makes an
+        # integer column, and beyond +-2**53 its cells would round
         with pytest.raises(ValueError, match="column 'z'"):
             cli.ResultTable(["x", "z"], ([1.0, 2.0], column), {})
 
     def test_bytes_follow_the_per_value_rule(self, tmp_path):
         # extremes of the double range, and 1/3 and pi, as a column from
-        # Python floats and one of numpy float64, next to an int column of
-        # 0/1 and a bool column, which is written as 0/1
+        # Python floats and one of numpy float64, next to a float64 column
+        # of 0/1 and a bool column, which is written as 0/1
         big = 1.7976931348623157e308
         values = [-0.0, 5e-324, big, -big, 1 / 3, np.pi]
         flags = [i % 2 for i in range(len(values))]
-        columns = (values, np.array(values), np.array(flags), np.array(flags) == 1)
+        columns = (values, np.array(values), np.array(flags, dtype=np.float64), np.array(flags) == 1)
         table = cli.ResultTable(["py", "np", "flag", "bool"], columns, {"scenario": "t", "b": "2"})
         path = tmp_path / "t.csv"
         cli.write_table(table, path)
-        # the rule the writer must keep: str(v) for an int, 0/1 for a bool, else 17 digits
+        # the rule the writer must keep: 0/1 for a bool, else 17 digits
         want = ["# b = 2", "# scenario = t", "py,np,flag,bool"] + [
             f"{format(v, '.17g')},{format(v, '.17g')},{f},{int(f == 1)}" for v, f in zip(values, flags)
         ]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         assert want[3] == "-0,-0,0,0"
         assert want[4] == "4.9406564584124654e-324,4.9406564584124654e-324,1,1"
-
-    def test_integer_columns_stay_exact(self, tmp_path):
-        # every integer up to 2**53 in magnitude is a double and prints as
-        # str(n); beyond it a cell would round, so the table refuses it
-        edge = np.array([2**53, -(2**53), 2**53 - 1, 0])
-        path = tmp_path / "n.csv"
-        cli.write_table(cli.ResultTable(["n"], (edge,), {}), path)
-        assert path.read_text() == "n\n" + "".join(f"{n}\n" for n in edge.tolist())
-        for column in (
-            np.array([0, 2**53 + 1]),
-            np.array([-(2**53) - 1]),
-            np.array([np.iinfo(np.int64).min]),
-            np.array([2**64 - 1], dtype=np.uint64),
-        ):
-            with pytest.raises(ValueError, match="2\\*\\*53"):
-                cli.ResultTable(["n"], (column,), {})
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_scenario_bytes_follow_the_per_value_rule(self, name, tmp_path, fallbacks):
@@ -437,6 +430,35 @@ class TestMain:
         names = [line.split(":")[0] for line in done.stdout.splitlines()]
         assert names == sorted(cli.SCENARIOS) and len(names) == 7
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run"], 1),
+            (["frobnicate"], 1),
+            (["list-scenarios", "x"], 1),
+            (["validate", "ok.cfg", "--override", "k=v"], 1),
+            (["-h"], 0),
+        ],
+        ids=["run-no-config", "unknown-command", "list-scenarios-extra", "validate-override", "help"],
+    )
+    def test_command_line_exit_codes(self, argv, code, capsys):
+        # argparse's own exit (2 for a usage error) is not the contract's 2,
+        # numerical non-convergence: a rejected command line is a validation error
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert (captured.out if code == 0 else captured.err).startswith("usage: atomfield")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_is_not_utf8(self, command, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"scenario = jcp-vacuum\n# \xff\n")
+        out = tmp_path / "w.csv"
+        assert cli.main([command, str(cfg), *(["--out", str(out)] if command == "run" else [])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not UTF-8 text: ")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg"), "--out", "x.csv"]) == 3
 
@@ -504,9 +526,7 @@ class TestMain:
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = jcp-vacuum\nsamples = 11\n")
         assert cli.main(["validate", str(cfg)]) == 0  # the parser exists from here on
-
-        def rebuilt():
-            raise AssertionError("main built a second parser")
+        built = cli._parser.cache_info().misses
 
         seen = []
         parse = cli.parse_config
@@ -515,7 +535,6 @@ class TestMain:
             seen.append(list(overrides))
             return parse(text, overrides)
 
-        monkeypatch.setattr(cli, "build_parser", rebuilt)
         monkeypatch.setattr(cli, "parse_config", spy)
         run = ["run", str(cfg), "--out", str(tmp_path / "w.csv")]
         assert cli.main([*run, "--override", "t_max=1.0"]) == 0
@@ -523,6 +542,7 @@ class TestMain:
         assert cli.main([*run, "--override", "t_max=2.0"]) == 0
         assert seen == [["t_max=1.0"], [], ["t_max=2.0"]]
         assert read_table(tmp_path / "w.csv").metadata["t_max"] == "2"
+        assert cli._parser.cache_info().misses == built  # no second parser
 
     def test_metadata_records_parameters(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
@@ -534,7 +554,7 @@ class TestMain:
         assert meta["gamma_R"] == "1"
         assert meta["format_version"] == "1"
 
-    def test_near_boundary_is_an_integer_column(self, tmp_path):
+    def test_near_boundary_is_a_bool_column_written_as_0_1(self, tmp_path):
         out = tmp_path / "w.csv"
         assert cli.main(["run", str(GOLDEN_DIR / "parabola-field.cfg"), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
@@ -542,6 +562,8 @@ class TestMain:
         assert lines[header].split(",")[-1] == "near_boundary"
         flags = [line.rsplit(",", 1)[1] for line in lines[header + 1 :]]
         assert set(flags) == {"0", "1"}
+        table = cli.run_scenario(cli.parse_config((GOLDEN_DIR / "parabola-field.cfg").read_text()))
+        assert table.columns[-1] == "near_boundary" and table.data[-1].dtype == bool
 
     def test_eta_scan_reports_quadrature_error(self, tmp_path):
         cfg = tmp_path / "eta.cfg"

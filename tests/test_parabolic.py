@@ -10,7 +10,7 @@ import pytest
 
 from atomfield import free_space, parabolic_mirror as pm
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
-from atomfield.numerics import QuadratureSpec, QuadResult, integrate_1d
+from atomfield.numerics import QuadratureSpec, integrate_1d
 import exact
 from oracles import integrate_2d
 
@@ -39,7 +39,7 @@ def _eta_j0(geometry, point):
         return s**3 * float(j0(a * s)) * cos(b * cos(theta))
 
     value, err = integrate_1d(integrand, (0.0, pi), pm._theta_spec(k * (abs(z) + rho), None))
-    return QuadResult(1.0 - 0.75 * value, 0.75 * err)
+    return 1.0 - 0.75 * value, 0.75 * err
 
 
 def _eta_raw_2d(geometry, point, spec):
@@ -55,7 +55,7 @@ def _eta_raw_2d(geometry, point, spec):
         ((0.0, pi), (0.0, 2.0 * pi)),
         pm._theta_spec(k * (abs(z) + rho), spec),
     )
-    return QuadResult(3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err)
+    return 3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err
 
 
 class TestGeometry:
