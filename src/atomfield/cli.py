@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import free_space, jcp, multimode, parabolic_mirror, spherical_cavity
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import QuadratureError
 
 __all__ = [
     "ScenarioConfig",
@@ -295,9 +295,6 @@ def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, An
     z_min_mm=_Key(float, default=0.0, check=_nonneg),  # start height above vertex
     z_max_mm=_Key(float, default=8.0, check=_pos),
     samples=_Key(int, default=401, check=lambda v: v >= 2),
-    # probe quadrature tolerances, by default eta_quadrature's own
-    rel_tol=_Key(float, default=parabolic_mirror._THETA_TOLERANCES.rel_tol, check=_pos),
-    abs_tol=_Key(float, default=parabolic_mirror._THETA_TOLERANCES.abs_tol, check=_pos),
 )
 def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     _ascending(p, "z_min_mm", "z_max_mm")
@@ -308,8 +305,9 @@ def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]
     # cross-check the closed form against the quadrature at a probe height
     # where the oscillatory integral is still cheap
     z_probe = min(p["z_max_mm"], 50.0 / p["k_per_mm"])
-    spec = QuadratureSpec(rel_tol=p["rel_tol"], abs_tol=p["abs_tol"])
-    eta_q, err = parabolic_mirror.eta_quadrature(geometry, (0.0, 0.0, z_probe), spec)
+    eta_q, err = parabolic_mirror.eta_quadrature(geometry, (0.0, 0.0, z_probe))
+    tolerances = parabolic_mirror._THETA_TOLERANCES  # the probe's, fixed
+    meta["rel_tol"], meta["abs_tol"] = _num(tolerances.rel_tol), _num(tolerances.abs_tol)
     meta["probe_z_mm"] = _num(z_probe)
     meta["probe_quadrature_error"] = _num(err)
     meta["probe_closed_vs_quadrature"] = _num(
@@ -604,7 +602,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{name}: {keys}")
         return 0
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open(args.config, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
@@ -623,7 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"valid {config.scenario} config")
         return 0
     out = args.out or config.output
-    if out is None:
+    if not out:  # an empty `output =` names no path either
         print("error: no output path (use --out or the 'output' config key)", file=sys.stderr)
         return 1
     try:

@@ -24,7 +24,7 @@ unreliable; `semiclassical_field` evaluates it at one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import atan, cos, factorial, inf, pi, sin
 
 import numpy as np
@@ -47,7 +47,7 @@ _BOUNDARY_FLAG_FRACTION = 0.95
 # below a = k z = 0.5 on_axis_eta sums the Taylor series: the far form loses
 # ~2/a^4 ulps to cancellation there, the 9-term series stays below 1e-15
 _SERIES_CROSSOVER = 0.5
-# eta_quadrature's tolerances without a spec, and parabola-eta's probe defaults
+# eta_quadrature's tolerances, which parabola-eta's probe runs at and records
 _THETA_TOLERANCES = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 # Taylor coefficients of eta(a) in a^2, a^4, ...: (-1)^(j+1) 3 4^j (2j+2) / (2j+3)!
 _ETA_SERIES = tuple(
@@ -86,25 +86,21 @@ def _focus_distance_eta(z, rho, f):
     return r1, 0.5 * (r1 - (z - f))
 
 
-def _theta_spec(a: float, spec: QuadratureSpec | None) -> QuadratureSpec:
-    # subdivision budget scaled with the oscillation count ~ 2a / pi
-    base = spec or _THETA_TOLERANCES
-    need = int(8 * abs(a)) + 100
-    if base.max_subdivisions >= need:
-        return base
-    return QuadratureSpec(base.rel_tol, base.abs_tol, need)
+def _theta_spec(a: float) -> QuadratureSpec:
+    # _THETA_TOLERANCES, its budget scaled with the oscillation count ~ 2a / pi
+    need = max(_THETA_TOLERANCES.max_subdivisions, int(8 * abs(a)) + 100)
+    return replace(_THETA_TOLERANCES, max_subdivisions=need)
 
 
 def eta_quadrature(
     geometry: ParabolicGeometry,
     point: tuple[float, float, float],
-    spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """Decay-rate ratio eta at a point (0, 0, z) of the axis by adaptive
-    quadrature over the polar angle, the independent check of `on_axis_eta`.
-    On the axis the cavity is z >= 0 (z = 0 is the vertex, where eta
-    vanishes), so a z below it or not finite, and any nonzero x or y, raise
-    ValueError before the quadrature runs."""
+    quadrature over the polar angle at `_THETA_TOLERANCES`, the independent
+    check of `on_axis_eta`.  On the axis the cavity is z >= 0 (z = 0 is the
+    vertex, where eta vanishes), so a z below it or not finite, and any
+    nonzero x or y, raise ValueError before the quadrature runs."""
     x, y, z = (float(c) for c in point)
     if not 0.0 <= z < inf:  # negated, so a NaN fails too
         raise ValueError("point lies outside the parabolic cavity")
@@ -117,7 +113,7 @@ def eta_quadrature(
     def integrand(theta):
         return sin(theta) ** 3 * cos(b * cos(theta))
 
-    value, err = integrate_1d(integrand, (0.0, pi), _theta_spec(k * z, spec))
+    value, err = integrate_1d(integrand, (0.0, pi), _theta_spec(k * z))
     return 1.0 - 0.75 * value, 0.75 * err
 
 

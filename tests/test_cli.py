@@ -459,6 +459,16 @@ class TestMain:
         assert err.startswith("config error: config is not UTF-8 text: ")
         assert len(err.splitlines()) == 1 and not out.exists()
 
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        plain = GOLDEN_DIR / "parabola-eta.cfg"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert cli.main(["validate", str(bom)]) == 0
+        for cfg, out in ((plain, tmp_path / "plain.csv"), (bom, tmp_path / "bom.csv")):
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert "config error" not in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg"), "--out", "x.csv"]) == 3
 
@@ -505,6 +515,14 @@ class TestMain:
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = jcp-vacuum\n")
         assert cli.main(["run", str(cfg)]) == 1
+
+    def test_empty_output_key_is_no_output_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("scenario = jcp-vacuum\nsamples = 11\noutput =\n")
+        assert cli.main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: no output path ")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_output_key_in_config(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -727,12 +745,11 @@ class TestDomainGuards:
         assert self._run(tmp_path, "scenario = jcp-vacuum\n") == 2
         assert "solver gave up" in capsys.readouterr().err
 
-    def test_quadrature_failure_names_the_scenario(self, tmp_path, capsys):
+    def test_quadrature_failure_names_the_scenario(self, tmp_path, capsys, monkeypatch):
         # no quadrature meets a tolerance of 1e-300
-        text = (
-            "scenario = parabola-eta\nk_per_mm = 1\nsamples = 11\n"
-            "rel_tol = 1e-300\nabs_tol = 1e-300\n"
-        )
+        unmeetable = QuadratureSpec(1e-300, 1e-300)
+        monkeypatch.setattr(parabolic_mirror, "_theta_spec", lambda a: unmeetable)
+        text = "scenario = parabola-eta\nk_per_mm = 1\nsamples = 11\n"
         assert self._run(tmp_path, text) == 2
         err = capsys.readouterr().err
         assert err.startswith(
@@ -791,44 +808,46 @@ class TestGuardAgreement:
 
 
 class TestToleranceKeys:
-    """rel_tol/abs_tol are parabola-eta's probe-quadrature keys and no one else's."""
+    """No config key sets a quadrature tolerance: parabola-eta's probe runs
+    at eta_quadrature's own and records them."""
 
-    def test_other_scenarios_reject_them(self, tmp_path, capsys):
-        cfg = tmp_path / "decay.cfg"
-        cfg.write_text("scenario = free-decay\nrel_tol = 1e-3\n")
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "w.csv")]) == 1
+    # each scenario's required keys
+    MINIMAL = {
+        "jcp-inversion": "mean_n = 4\n",
+        "sphere-revival": "gamma_R = 1\n",
+        "parabola-eta": "k_per_mm = 1\n",
+    }
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+    def test_every_scenario_rejects_them(self, scenario, key, tmp_path, capsys):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"scenario = {scenario}\n{self.MINIMAL.get(scenario, '')}{key} = 1e-3\n")
+        out = tmp_path / "w.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "unknown key 'rel_tol'" in err and "Traceback" not in err
-        for scenario in set(cli.SCENARIOS) - {"parabola-eta"}:
-            assert not {"rel_tol", "abs_tol"} & set(cli.SCENARIOS[scenario])
+        assert err == f"config error: unknown key {key!r} for scenario {scenario!r}\n"
+        assert not out.exists()
 
-    def test_parabola_eta_passes_them_to_the_probe(self, tmp_path, monkeypatch):
+    def test_parabola_eta_probe_runs_at_the_fixed_tolerances(self, tmp_path, monkeypatch):
+        keys = ["k_per_mm", "f_mm", "z_min_mm", "z_max_mm", "samples"]
+        assert list(cli.SCENARIOS["parabola-eta"]) == keys
         specs = []
-        quadrature = parabolic_mirror.eta_quadrature
+        quadrature = parabolic_mirror.integrate_1d
 
-        def spy(geometry, point, spec):
+        def spy(f, interval, spec):
             specs.append(spec)
-            return quadrature(geometry, point, spec)
+            return quadrature(f, interval, spec)
 
-        monkeypatch.setattr(parabolic_mirror, "eta_quadrature", spy)
+        monkeypatch.setattr(parabolic_mirror, "integrate_1d", spy)
+        k = 0.7853981633974483
         cfg = tmp_path / "eta.cfg"
-        cfg.write_text(
-            "scenario = parabola-eta\nk_per_mm = 0.7853981633974483\nsamples = 11\n"
-            "rel_tol = 1e-7\nabs_tol = 1e-9\n"
-        )
+        cfg.write_text(f"scenario = parabola-eta\nk_per_mm = {k!r}\nsamples = 11\n")
         out = tmp_path / "w.csv"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
-        assert [(s.rel_tol, s.abs_tol) for s in specs] == [(1e-7, 1e-9)]
         meta = read_table(out).metadata
-        assert float(meta["rel_tol"]) == 1e-7 and float(meta["abs_tol"]) == 1e-9
-        config = cli.parse_config("scenario = parabola-eta\nk_per_mm = 1\n")
-        assert (config.params["rel_tol"], config.params["abs_tol"]) == (1e-10, 1e-13)
-        # the probe's defaults are eta_quadrature's own, from one definition
-        probe = QuadratureSpec(config.params["rel_tol"], config.params["abs_tol"])
-        assert probe == parabolic_mirror._theta_spec(0.0, None)
-        for bad in ("rel_tol = 0", "abs_tol = -1e-9"):
-            with pytest.raises(cli.ConfigError):
-                cli.parse_config(f"scenario = parabola-eta\nk_per_mm = 1\n{bad}\n")
+        assert specs == [parabolic_mirror._theta_spec(k * float(meta["probe_z_mm"]))]
+        assert (meta["rel_tol"], meta["abs_tol"]) == ("1e-10", "1e-13")
 
 
 @pytest.fixture(scope="module")

@@ -38,8 +38,6 @@ _VALID = {
     "gamma_R": st.floats(0.05, 5.0),
     "t_max_R": st.floats(0.01, 12.0),
     "k_per_mm": st.floats(0.01, 100.0),
-    "rel_tol": st.floats(1e-14, 1e-2),
-    "abs_tol": st.floats(1e-16, 1e-4),
 }
 
 _WIDE_FLOATS = st.floats(-1e300, 1e300) | st.sampled_from([0.0, 5e-324, 1e-300, 1e300])

@@ -90,7 +90,7 @@ def _probe_case(b: float):
     return (
         lambda theta: sin(theta) ** 3 * cos(b * cos(theta)),
         (0.0, pi),
-        _theta_spec(b / 2.0, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)),
+        _theta_spec(b / 2.0),
     )
 
 

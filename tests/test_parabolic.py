@@ -38,13 +38,14 @@ def _eta_j0(geometry, point):
         # j0 gives a numpy scalar; as a float, the quadrature stays in Python floats
         return s**3 * float(j0(a * s)) * cos(b * cos(theta))
 
-    value, err = integrate_1d(integrand, (0.0, pi), pm._theta_spec(k * (abs(z) + rho), None))
+    value, err = integrate_1d(integrand, (0.0, pi), pm._theta_spec(k * (abs(z) + rho)))
     return 1.0 - 0.75 * value, 0.75 * err
 
 
-def _eta_raw_2d(geometry, point, spec):
+def _eta_raw_2d(geometry, point):
     """`_eta_j0` without the J0 reduction: the raw iterated 2-D integral of
-    sin^3(theta) sin^2(k n . r); slow, the reference the reduction is checked against."""
+    sin^3(theta) sin^2(k n . r); slow, the reference the reduction is checked
+    against, at looser tolerances than `_eta_j0` and its budget."""
     x, y, z = point
     rho = hypot(x, y)
     k = geometry.wavenumber
@@ -53,7 +54,7 @@ def _eta_raw_2d(geometry, point, spec):
         * np.sin(k * ((x * np.cos(phi) + y * np.sin(phi)) * np.sin(theta) + z * np.cos(theta)))
         ** 2,
         ((0.0, pi), (0.0, 2.0 * pi)),
-        pm._theta_spec(k * (abs(z) + rho), spec),
+        QuadratureSpec(1e-9, 1e-11, pm._theta_spec(k * (abs(z) + rho)).max_subdivisions),
     )
     return 3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err
 
@@ -107,13 +108,18 @@ class TestRateModification:
             assert quad == pytest.approx(closed, rel=1e-9, abs=0.0)
             assert err < 1e-8
 
+    def test_probe_converges_over_the_cli_range(self, geometry):
+        # parabola-eta probes at k z = k min(z_max, 50/k), anywhere in [0, 50],
+        # at the fixed tolerances: a QuadratureError here would be a config's exit 2
+        z = np.linspace(0.0, 50.0, 802) / geometry.wavenumber
+        quad = [pm.eta_quadrature(geometry, (0.0, 0.0, float(h)))[0] for h in z]
+        assert np.max(np.abs(np.array(quad) - pm.on_axis_eta(geometry, z))) < 1e-12
+
     def test_reduction_matches_raw_2d(self, geometry):
         # the second point has 2 k rho = 12, where the J0 factor oscillates
         for point in ((0.3, 0.4, 2.0), (3.6, 4.8, 2.0)):
             fast, _ = _eta_j0(geometry, point)
-            slow, _ = _eta_raw_2d(
-                geometry, point, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
-            )
+            slow, _ = _eta_raw_2d(geometry, point)
             assert fast == pytest.approx(slow, rel=1e-7, abs=0.0)
 
     def test_off_axis_far_field_approaches_unity(self, geometry):

@@ -99,7 +99,6 @@ DEFAULTS = {
     "cli.parse_config(overrides)",
     "free_space.field_energy(part)",
     "numerics.QuadratureSpec.max_subdivisions",
-    "parabolic_mirror.eta_quadrature(spec)",
 }
 
 # every annotated field of a public class: what a caller can set on a record;
