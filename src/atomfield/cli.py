@@ -306,8 +306,9 @@ def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]
     # where the oscillatory integral is still cheap
     z_probe = min(p["z_max_mm"], 50.0 / p["k_per_mm"])
     eta_q, err = parabolic_mirror.eta_quadrature(geometry, (0.0, 0.0, z_probe))
-    tolerances = parabolic_mirror._THETA_TOLERANCES  # the probe's, fixed
-    meta["rel_tol"], meta["abs_tol"] = _num(tolerances.rel_tol), _num(tolerances.abs_tol)
+    # the probe's tolerances, fixed
+    meta["rel_tol"] = _num(parabolic_mirror._THETA_REL_TOL)
+    meta["abs_tol"] = _num(parabolic_mirror._THETA_ABS_TOL)
     meta["probe_z_mm"] = _num(z_probe)
     meta["probe_quadrature_error"] = _num(err)
     meta["probe_closed_vs_quadrature"] = _num(
@@ -574,20 +575,21 @@ def _parser() -> argparse.ArgumentParser:
         prog="atomfield",
         description="Two-level atom + quantized field scenario runner",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run a scenario config and write CSV")
-    run_p.add_argument("config", help="path to the key-value config file")
-    run_p.add_argument("--out", help="output CSV path (overrides the config)")
-    run_p.add_argument(
+    # the config and its overrides, alike for `run` and `validate`
+    config_p = argparse.ArgumentParser(add_help=False)
+    config_p.add_argument("config", help="path to the key-value config file")
+    config_p.add_argument(
         "--override",
         action="append",
         default=[],
         metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_p = sub.add_parser("run", parents=[config_p], help="run a scenario config and write CSV")
+    run_p.add_argument("--out", help="output CSV path (overrides the config)")
     sub.add_parser("list-scenarios", help="print the known scenarios")
-    val_p = sub.add_parser("validate", help="validate a config without running it")
-    val_p.add_argument("config", help="path to the key-value config file")
+    sub.add_parser("validate", parents=[config_p], help="validate a config without running it")
     return parser
 
 
@@ -610,9 +612,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnicodeDecodeError as exc:
         print(f"config error: config is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
-    overrides = getattr(args, "override", [])
     try:
-        config = parse_config(text, overrides)
+        config = parse_config(text, args.override)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -633,11 +634,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: parameters out of double-precision range: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a work size whose arrays cannot be allocated
-        sizes = ", ".join(
-            f"{key} = {value}"
-            for key, value in sorted(config.params.items())
-            if isinstance(value, int) and not isinstance(value, bool)
-        )
+        sizes = ", ".join(f"{key} = {value}" for key, value in sorted(config.params.items()))
         print(f"config error: work too large for memory ({sizes}): {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # QuadratureError

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .multimode import AmplitudeTrace, _flat_band_evolution
-from .numerics import _GUARD_RTOL, QuadratureSpec, integrate_1d
+from .numerics import _GUARD_RTOL, integrate_1d
 
 __all__ = [
     "TwoLevelAtom",
@@ -201,8 +201,7 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
         return r * r * 2.0 * abs(complex(_packet(atom, 1.0, r, r, t))) ** 2
 
     # the energy is in units of omega_eg, so the absolute tolerance is too
-    spec = QuadratureSpec(1e-9, 1e-12 * atom.omega_eg)
-    value, err = integrate_1d(integrand, (r_min, t_abs), spec)
+    value, err = integrate_1d(integrand, (r_min, t_abs), 1e-9, 1e-12 * atom.omega_eg, 200)
     scale = share * 8.0 * pi / 3.0
     return FieldEnergy(scale * value + inner, inner, scale * err)
 

@@ -11,7 +11,6 @@ is numpy, and nothing here imports scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import sys
 from math import ceil, inf, isfinite, sqrt
 from typing import Callable, Sequence
@@ -19,7 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "integrate_1d",
     "stable_binomial_series",
@@ -46,33 +44,21 @@ class QuadratureError(RuntimeError):
         self.achieved_error = achieved_error
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
-
-    rel_tol: float
-    abs_tol: float
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
 def integrate_1d(
     f: Callable[[float], float],
     interval: Sequence[float],
-    spec: QuadratureSpec,
+    rel_tol: float,
+    abs_tol: float,
+    limit: int,
 ) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod integral of f over a finite [a, b] in at most
-    spec.max_subdivisions subintervals, as (value, error), by `_qagse`, a port
-    of QUADPACK's QAGS that gives scipy.integrate.quad's value and error bit
+    `limit` subintervals, as (value, error), by `_qagse`, a port of
+    QUADPACK's QAGS that gives scipy.integrate.quad's value and error bit
     for bit.  f is called once per node with a Python float, so integrands
     should use `math` rather than numpy scalars.  a > b integrates over
-    [b, a] and negates the value, as `quad` does; an infinite end raises
-    ValueError.
+    [b, a] and negates the value, as `quad` does; an infinite end, a
+    tolerance that is not > 0 or a limit below 1 raises ValueError before f
+    is called.
 
     Raises QuadratureError (carrying the best estimate) when QAGS reports a
     failure and the error exceeds max(abs_tol, rel_tol |value|), or when the
@@ -81,13 +67,17 @@ def integrate_1d(
     a, b = float(interval[0]), float(interval[1])
     if not (isfinite(a) and isfinite(b)):
         raise ValueError("quadrature interval must be finite")
+    if not (rel_tol > 0 and abs_tol > 0):  # negated, so a NaN fails too
+        raise ValueError("quadrature tolerances must be positive")
+    if limit < 1:
+        raise ValueError("max_subdivisions must be >= 1")
     lo, hi = min(a, b), max(a, b)
-    value, abserr, ier, _ = _qagse(f, lo, hi, spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
+    value, abserr, ier, _ = _qagse(f, lo, hi, abs_tol, rel_tol, limit)
     # Python floats, as quad returns, also where f returns numpy scalars
     value, abserr = float(value), float(abserr)
     if b < a:
         value = -value
-    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+    tol = max(abs_tol, rel_tol * abs(value))
     # negated, so a NaN value or error fails too
     if not (isfinite(value) and isfinite(abserr)) or (ier and abserr > tol):
         raise QuadratureError(

@@ -24,13 +24,13 @@ unreliable; `semiclassical_field` evaluates it at one point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import atan, cos, factorial, inf, pi, sin
 
 import numpy as np
 
 from .free_space import TwoLevelAtom, _blocks, _check_radiation_zone, _packet
-from .numerics import _GUARD_RTOL, QuadratureSpec, integrate_1d
+from .numerics import _GUARD_RTOL, integrate_1d
 
 __all__ = [
     "ParabolicGeometry",
@@ -48,7 +48,7 @@ _BOUNDARY_FLAG_FRACTION = 0.95
 # ~2/a^4 ulps to cancellation there, the 9-term series stays below 1e-15
 _SERIES_CROSSOVER = 0.5
 # eta_quadrature's tolerances, which parabola-eta's probe runs at and records
-_THETA_TOLERANCES = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+_THETA_REL_TOL, _THETA_ABS_TOL = 1e-10, 1e-13
 # Taylor coefficients of eta(a) in a^2, a^4, ...: (-1)^(j+1) 3 4^j (2j+2) / (2j+3)!
 _ETA_SERIES = tuple(
     (-1) ** (j + 1) * 3 * 4**j * (2 * j + 2) / factorial(2 * j + 3) for j in range(1, 10)
@@ -86,10 +86,9 @@ def _focus_distance_eta(z, rho, f):
     return r1, 0.5 * (r1 - (z - f))
 
 
-def _theta_spec(a: float) -> QuadratureSpec:
-    # _THETA_TOLERANCES, its budget scaled with the oscillation count ~ 2a / pi
-    need = max(_THETA_TOLERANCES.max_subdivisions, int(8 * abs(a)) + 100)
-    return replace(_THETA_TOLERANCES, max_subdivisions=need)
+def _theta_limit(a: float) -> int:
+    # eta_quadrature's subdivision budget, scaled with the oscillation count ~ 2a / pi
+    return max(200, int(8 * abs(a)) + 100)
 
 
 def eta_quadrature(
@@ -97,10 +96,10 @@ def eta_quadrature(
     point: tuple[float, float, float],
 ) -> tuple[float, float]:
     """Decay-rate ratio eta at a point (0, 0, z) of the axis by adaptive
-    quadrature over the polar angle at `_THETA_TOLERANCES`, the independent
-    check of `on_axis_eta`.  On the axis the cavity is z >= 0 (z = 0 is the
-    vertex, where eta vanishes), so a z below it or not finite, and any
-    nonzero x or y, raise ValueError before the quadrature runs."""
+    quadrature over the polar angle at `_THETA_REL_TOL` and `_THETA_ABS_TOL`,
+    the independent check of `on_axis_eta`.  On the axis the cavity is z >= 0
+    (z = 0 is the vertex, where eta vanishes), so a z below it or not finite,
+    and any nonzero x or y, raise ValueError before the quadrature runs."""
     x, y, z = (float(c) for c in point)
     if not 0.0 <= z < inf:  # negated, so a NaN fails too
         raise ValueError("point lies outside the parabolic cavity")
@@ -113,7 +112,9 @@ def eta_quadrature(
     def integrand(theta):
         return sin(theta) ** 3 * cos(b * cos(theta))
 
-    value, err = integrate_1d(integrand, (0.0, pi), _theta_spec(k * z))
+    value, err = integrate_1d(
+        integrand, (0.0, pi), _THETA_REL_TOL, _THETA_ABS_TOL, _theta_limit(k * z)
+    )
     return 1.0 - 0.75 * value, 0.75 * err
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from atomfield.jcp import JcpParams
-from atomfield.numerics import QuadratureSpec, integrate_1d
+from atomfield.numerics import integrate_1d
 
 # tolerances of the brute-force ladder integration in evolve_ode
 _ODE_RTOL = 1e-10
@@ -123,25 +123,22 @@ def integrate_atom_modes(
 def integrate_2d(
     f: Callable[[float, float], float],
     rectangle: Sequence[Sequence[float]],
-    spec: QuadratureSpec,
+    rel_tol: float,
+    abs_tol: float,
+    limit: int,
 ) -> tuple[float, float]:
     """Iterated 1-D adaptive quadrature (value, error) of f(x, y) over
     [x0,x1] x [y0,y1]; the inner integral runs over x."""
     (x0, x1), (y0, y1) = rectangle
-    # inner tolerance slightly tighter than requested so the outer loop
-    # sees a smooth integrand
-    inner_spec = QuadratureSpec(
-        rel_tol=spec.rel_tol * 0.1,
-        abs_tol=spec.abs_tol * 0.1,
-        max_subdivisions=spec.max_subdivisions,
-    )
     inner_errs: list[float] = []
 
     def g(y: float) -> float:
-        val, err = integrate_1d(lambda x: f(x, y), (x0, x1), inner_spec)
+        # inner tolerance slightly tighter than requested so the outer loop
+        # sees a smooth integrand
+        val, err = integrate_1d(lambda x: f(x, y), (x0, x1), rel_tol * 0.1, abs_tol * 0.1, limit)
         inner_errs.append(err)
         return val
 
-    value, outer_err = integrate_1d(g, (y0, y1), spec)
+    value, outer_err = integrate_1d(g, (y0, y1), rel_tol, abs_tol, limit)
     inner_err = max(inner_errs) * abs(y1 - y0) if inner_errs else 0.0
     return value, outer_err + inner_err

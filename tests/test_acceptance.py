@@ -13,7 +13,6 @@ import pytest
 
 import atomfield as af
 from atomfield import cli, free_space, jcp, parabolic_mirror as pm, spherical_cavity as sc
-from atomfield.numerics import QuadratureSpec
 
 from conftest import record_acceptance
 from golden_check import read_table, table_mismatches

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomfield import cli, free_space, multimode, parabolic_mirror
-from atomfield.numerics import QuadratureSpec
 from golden_check import read_table, table_mismatches
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -436,10 +435,10 @@ class TestMain:
             (["run"], 1),
             (["frobnicate"], 1),
             (["list-scenarios", "x"], 1),
-            (["validate", "ok.cfg", "--override", "k=v"], 1),
+            (["validate", "ok.cfg", "--out", "x.csv"], 1),
             (["-h"], 0),
         ],
-        ids=["run-no-config", "unknown-command", "list-scenarios-extra", "validate-override", "help"],
+        ids=["run-no-config", "unknown-command", "list-scenarios-extra", "validate-out", "help"],
     )
     def test_command_line_exit_codes(self, argv, code, capsys):
         # argparse's own exit (2 for a usage error) is not the contract's 2,
@@ -448,6 +447,17 @@ class TestMain:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert (captured.out if code == 0 else captured.err).startswith("usage: atomfield")
+
+    @pytest.mark.parametrize("samples, code", [("1", 1), ("1201", 0)])
+    def test_validate_applies_overrides(self, samples, code, capsys):
+        # `run` validates after its overrides; `validate` checks the same config
+        cfg = str(GOLDEN_DIR / "parabola-eta.cfg")
+        assert cli.main(["validate", cfg, "--override", f"samples={samples}"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "config error: key 'samples': value '1' out of range\n"
+        else:
+            assert captured.out == "valid parabola-eta config\n"
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_config_that_is_not_utf8(self, command, tmp_path, capsys):
@@ -737,6 +747,15 @@ class TestDomainGuards:
         assert "samples = 1000000000000000" in err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_memory_report_names_every_parameter(self, tmp_path, capsys):
+        # band_width / spacing = 4e13 modes: numpy refuses the mode array at
+        # once, and the report names the float key behind it
+        assert self._run(tmp_path, "scenario = free-decay\nspacing = 1e-12\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: work too large for memory (")
+        assert "band_width = 40.0" in err and "spacing = 1e-12" in err
+        assert "Traceback" not in err and not (tmp_path / "w.csv").exists()
+
     def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(params, meta):
             raise RuntimeError("solver gave up")
@@ -747,8 +766,8 @@ class TestDomainGuards:
 
     def test_quadrature_failure_names_the_scenario(self, tmp_path, capsys, monkeypatch):
         # no quadrature meets a tolerance of 1e-300
-        unmeetable = QuadratureSpec(1e-300, 1e-300)
-        monkeypatch.setattr(parabolic_mirror, "_theta_spec", lambda a: unmeetable)
+        monkeypatch.setattr(parabolic_mirror, "_THETA_REL_TOL", 1e-300)
+        monkeypatch.setattr(parabolic_mirror, "_THETA_ABS_TOL", 1e-300)
         text = "scenario = parabola-eta\nk_per_mm = 1\nsamples = 11\n"
         assert self._run(tmp_path, text) == 2
         err = capsys.readouterr().err
@@ -832,12 +851,12 @@ class TestToleranceKeys:
     def test_parabola_eta_probe_runs_at_the_fixed_tolerances(self, tmp_path, monkeypatch):
         keys = ["k_per_mm", "f_mm", "z_min_mm", "z_max_mm", "samples"]
         assert list(cli.SCENARIOS["parabola-eta"]) == keys
-        specs = []
+        calls = []
         quadrature = parabolic_mirror.integrate_1d
 
-        def spy(f, interval, spec):
-            specs.append(spec)
-            return quadrature(f, interval, spec)
+        def spy(f, interval, rel_tol, abs_tol, limit):
+            calls.append((rel_tol, abs_tol, limit))
+            return quadrature(f, interval, rel_tol, abs_tol, limit)
 
         monkeypatch.setattr(parabolic_mirror, "integrate_1d", spy)
         k = 0.7853981633974483
@@ -846,8 +865,25 @@ class TestToleranceKeys:
         out = tmp_path / "w.csv"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
         meta = read_table(out).metadata
-        assert specs == [parabolic_mirror._theta_spec(k * float(meta["probe_z_mm"]))]
+        pm = parabolic_mirror
+        limit = pm._theta_limit(k * float(meta["probe_z_mm"]))
+        assert calls == [(pm._THETA_REL_TOL, pm._THETA_ABS_TOL, limit)]
         assert (meta["rel_tol"], meta["abs_tol"]) == ("1e-10", "1e-13")
+
+
+def test_parabola_eta_focal_length_reaches_only_its_echo(tmp_path):
+    # on_axis_eta and eta_quadrature read the wave number alone, so f_mm
+    # changes nothing but its own metadata line
+    lines = {}
+    for f_mm in ("0.5", "2", "7"):
+        out = tmp_path / f"f{f_mm}.csv"
+        argv = ["run", str(GOLDEN_DIR / "parabola-eta.cfg"), "--override", f"f_mm={f_mm}"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        lines[f_mm] = out.read_text().splitlines()
+    echo = lines["2"].index("# f_mm = 2")
+    for f_mm, got in lines.items():
+        assert got[echo] == f"# f_mm = {f_mm}"
+        assert got[:echo] + got[echo + 1 :] == lines["2"][:echo] + lines["2"][echo + 1 :]
 
 
 @pytest.fixture(scope="module")

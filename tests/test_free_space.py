@@ -9,7 +9,7 @@ import pytest
 
 from atomfield import free_space, multimode, spherical_cavity
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
-from atomfield.numerics import QuadratureSpec, integrate_1d
+from atomfield.numerics import integrate_1d
 from oracles import integrate_2d
 
 
@@ -250,9 +250,7 @@ class TestFieldEnergy:
             return share * _density(atom, r, theta, t) * shell
 
         r_min = 10.0 / atom.omega_eg
-        value, err = integrate_2d(
-            density, ((r_min, abs(t)), (0.0, pi)), QuadratureSpec(1e-9, 1e-12, max_subdivisions=400)
-        )
+        value, err = integrate_2d(density, ((r_min, abs(t)), (0.0, pi)), 1e-9, 1e-12, 400)
         fe = free_space.field_energy(atom, t, part=part)
         assert abs(fe.value - fe.inner_correction - value) <= fe.quadrature_error + err
 

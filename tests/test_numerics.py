@@ -7,12 +7,11 @@ import pytest
 
 from atomfield.numerics import (
     QuadratureError,
-    QuadratureSpec,
     _psi_trigamma,
     integrate_1d,
     stable_binomial_series,
 )
-from atomfield.parabolic_mirror import _theta_spec
+from atomfield.parabolic_mirror import _THETA_ABS_TOL, _THETA_REL_TOL, _theta_limit
 import exact
 from oracles import integrate_2d
 
@@ -86,42 +85,49 @@ class TestStableSeries:
 
 
 def _probe_case(b: float):
-    """eta_quadrature's on-axis integrand at b = 2 k z, with its spec."""
+    """eta_quadrature's on-axis integrand at b = 2 k z, with its tolerances
+    and budget."""
     return (
         lambda theta: sin(theta) ** 3 * cos(b * cos(theta)),
         (0.0, pi),
-        _theta_spec(b / 2.0),
+        _THETA_REL_TOL,
+        _THETA_ABS_TOL,
+        _theta_limit(b / 2.0),
     )
 
 
-# (integrand, interval, spec): the parabola-eta probe (b = 4 pi is the
-# golden's), the other TestQuadrature integrands, end-point singularities
-# where the epsilon extrapolation decides, budget-limited failures, a
-# reported failure within the tolerance and a reversed interval
+# (integrand, interval, rel_tol, abs_tol, limit): the parabola-eta probe
+# (b = 4 pi is the golden's), the other TestQuadrature integrands, end-point
+# singularities where the epsilon extrapolation decides, budget-limited
+# failures, a reported failure within the tolerance and a reversed interval
 QUAD_CASES = {
     **{f"probe-{b:.4g}": _probe_case(b) for b in (4.0 * pi, 0.5, 7.7, 22.3, 47.3, 92.2, 100.0)},
-    "square": (lambda x: x * x, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12)),
-    "kink-limit-3": (lambda x: abs(x - 0.3), (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, 3)),
-    "kink-limit-10": (lambda x: abs(x - 0.3), (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, 10)),
+    "square": (lambda x: x * x, (0.0, 1.0), 1e-10, 1e-12, 200),
+    "kink-limit-3": (lambda x: abs(x - 0.3), (0.0, 1.0), 1e-10, 1e-12, 3),
+    "kink-limit-10": (lambda x: abs(x - 0.3), (0.0, 1.0), 1e-10, 1e-12, 10),
     "oscillatory": (
         lambda t: np.sin(t) ** 3 * np.cos(100.0 * np.cos(t)),
         (0.0, pi),
-        QuadratureSpec(1e-10, 1e-12, 1000),
+        1e-10,
+        1e-12,
+        1000,
     ),
-    "sin-1/x-limit-3": (lambda x: np.sin(1.0 / x), (1e-6, 1.0), QuadratureSpec(1e-13, 1e-15, 3)),
-    "sin-1/x-limit-200": (lambda x: np.sin(1.0 / x), (1e-6, 1.0), QuadratureSpec(1e-13, 1e-15)),
-    "separable-inner": (lambda x: np.sin(x) * 2.0, (0.0, pi), QuadratureSpec(1e-11, 1e-13)),
-    "sqrt-log": (lambda x: sqrt(x) * log(x), (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
-    "inverse-sqrt": (lambda x: 1.0 / sqrt(x), (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
-    "log": (log, (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
-    "power-0.9": (lambda x: x**-0.9, (0.0, 1.0), QuadratureSpec(1e-10, 1e-13)),
+    "sin-1/x-limit-3": (lambda x: np.sin(1.0 / x), (1e-6, 1.0), 1e-13, 1e-15, 3),
+    "sin-1/x-limit-200": (lambda x: np.sin(1.0 / x), (1e-6, 1.0), 1e-13, 1e-15, 200),
+    "separable-inner": (lambda x: np.sin(x) * 2.0, (0.0, pi), 1e-11, 1e-13, 200),
+    "sqrt-log": (lambda x: sqrt(x) * log(x), (0.0, 1.0), 1e-10, 1e-13, 200),
+    "inverse-sqrt": (lambda x: 1.0 / sqrt(x), (0.0, 1.0), 1e-10, 1e-13, 200),
+    "log": (log, (0.0, 1.0), 1e-10, 1e-13, 200),
+    "power-0.9": (lambda x: x**-0.9, (0.0, 1.0), 1e-10, 1e-13, 200),
     # QAGS reports divergence (ier = 5) with an error inside the tolerance
     "odd-singularity": (
         lambda x: copysign(abs(x) ** -0.5, x) if x else 0.0,
         (-1.0, 2.0),
-        QuadratureSpec(1e-10, 1e-13),
+        1e-10,
+        1e-13,
+        200,
     ),
-    "reversed": (lambda x: exp(-x) * cos(30.0 * x), (2.0, -1.0), QuadratureSpec(1e-10, 1e-13)),
+    "reversed": (lambda x: exp(-x) * cos(30.0 * x), (2.0, -1.0), 1e-10, 1e-13, 200),
 }
 
 
@@ -135,18 +141,10 @@ class TestQuadrature:
         an error above max(abs_tol, rel_tol |value|)."""
         from scipy.integrate import quad
 
-        f, (a, b), spec = QUAD_CASES[case]
-        out = quad(
-            f,
-            a,
-            b,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-            full_output=True,
-        )
+        f, (a, b), rel_tol, abs_tol, limit = QUAD_CASES[case]
+        out = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=True)
         want, info = out[:2], out[2]
-        failed = len(out) > 3 and out[1] > max(spec.abs_tol, spec.rel_tol * abs(out[0]))
+        failed = len(out) > 3 and out[1] > max(abs_tol, rel_tol * abs(out[0]))
         calls = []
 
         def counted(x):
@@ -155,10 +153,10 @@ class TestQuadrature:
 
         if failed:
             with pytest.raises(QuadratureError) as error:
-                integrate_1d(counted, (a, b), spec)
+                integrate_1d(counted, (a, b), rel_tol, abs_tol, limit)
             got = (error.value.estimate, error.value.achieved_error)
         else:
-            got = integrate_1d(counted, (a, b), spec)
+            got = integrate_1d(counted, (a, b), rel_tol, abs_tol, limit)
         assert tuple(got) == want
         assert len(calls) == info["neval"] == 42 * info["last"] - 21
 
@@ -166,17 +164,17 @@ class TestQuadrature:
     def test_infinite_interval_raises(self, interval):
         # QAGS only: no QAGI transformation of an infinite range
         with pytest.raises(ValueError, match="finite"):
-            integrate_1d(lambda x: exp(-x), interval, QuadratureSpec(1e-10, 1e-12))
+            integrate_1d(lambda x: exp(-x), interval, 1e-10, 1e-12, 200)
 
     @pytest.mark.parametrize("f", [lambda x: nan, lambda x: nan if x > 0.9 else 1.0])
     def test_nan_integrand_raises(self, f):
         # max(abs_tol, rel_tol * nan) is abs_tol and nan > tol is False, so
         # only the finiteness test catches a NaN estimate
         with pytest.raises(QuadratureError):
-            integrate_1d(f, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12))
+            integrate_1d(f, (0.0, 1.0), 1e-10, 1e-12, 200)
 
     def test_polynomial_exact(self):
-        value, err = integrate_1d(lambda x: x * x, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12))
+        value, err = integrate_1d(lambda x: x * x, (0.0, 1.0), 1e-10, 1e-12, 200)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert err < 1e-10
 
@@ -186,8 +184,8 @@ class TestQuadrature:
             return abs(x - 0.3)
 
         with pytest.raises(QuadratureError):
-            integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, max_subdivisions=3))
-        value, _ = integrate_1d(kinked, (0.0, 1.0), QuadratureSpec(1e-10, 1e-12, max_subdivisions=10))
+            integrate_1d(kinked, (0.0, 1.0), 1e-10, 1e-12, 3)
+        value, _ = integrate_1d(kinked, (0.0, 1.0), 1e-10, 1e-12, 10)
         assert value == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, rel=1e-12, abs=0.0)
 
     def test_oscillatory(self):
@@ -195,31 +193,40 @@ class TestQuadrature:
         value, _ = integrate_1d(
             lambda t: np.sin(t) ** 3 * np.cos(a * np.cos(t)),
             (0.0, pi),
-            QuadratureSpec(1e-10, 1e-12, max_subdivisions=1000),
+            1e-10,
+            1e-12,
+            1000,
         )
         # exact: 4 (sin a - a cos a) / a^3
         want = 4.0 * (np.sin(a) - a * np.cos(a)) / a**3
         assert value == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_nonconvergence_carries_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=3)
         with pytest.raises(QuadratureError) as info:
-            integrate_1d(lambda x: np.sin(1.0 / x), (1e-6, 1.0), spec)
+            integrate_1d(lambda x: np.sin(1.0 / x), (1e-6, 1.0), 1e-13, 1e-15, 3)
         assert np.isfinite(info.value.estimate)
         assert info.value.achieved_error > 0
 
     def test_2d_separable(self):
         value, err = integrate_2d(
-            lambda x, y: np.sin(x) * y, ((0.0, pi), (0.0, 2.0)), QuadratureSpec(1e-10, 1e-12)
+            lambda x, y: np.sin(x) * y, ((0.0, pi), (0.0, 2.0)), 1e-10, 1e-12, 200
         )
         assert value == pytest.approx(4.0, rel=1e-10, abs=0.0)
         assert err < 1e-6
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0, abs_tol=1e-12)
-        with pytest.raises(ValueError):
-            QuadratureSpec(1e-10, 1e-12, max_subdivisions=0)
+    def test_tolerance_and_limit_validation(self):
+        # checked before the integrand is called; negated, so a NaN fails too
+        calls = []
+        for rel_tol, abs_tol, limit in [
+            (0.0, 1e-12, 200),
+            (1e-10, 0.0, 200),
+            (nan, 1e-12, 200),
+            (1e-10, nan, 200),
+            (1e-10, 1e-12, 0),
+        ]:
+            with pytest.raises(ValueError):
+                integrate_1d(calls.append, (0.0, 1.0), rel_tol, abs_tol, limit)
+        assert calls == []
 
 
 # [1, 2e4] on a log grid, every 97th integer up to 11000, the lift

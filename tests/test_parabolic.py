@@ -10,7 +10,7 @@ import pytest
 
 from atomfield import free_space, parabolic_mirror as pm
 from atomfield.free_space import RadiationZoneWarning, TwoLevelAtom
-from atomfield.numerics import QuadratureSpec, integrate_1d
+from atomfield.numerics import integrate_1d
 import exact
 from oracles import integrate_2d
 
@@ -38,7 +38,8 @@ def _eta_j0(geometry, point):
         # j0 gives a numpy scalar; as a float, the quadrature stays in Python floats
         return s**3 * float(j0(a * s)) * cos(b * cos(theta))
 
-    value, err = integrate_1d(integrand, (0.0, pi), pm._theta_spec(k * (abs(z) + rho)))
+    limit = pm._theta_limit(k * (abs(z) + rho))
+    value, err = integrate_1d(integrand, (0.0, pi), pm._THETA_REL_TOL, pm._THETA_ABS_TOL, limit)
     return 1.0 - 0.75 * value, 0.75 * err
 
 
@@ -54,7 +55,9 @@ def _eta_raw_2d(geometry, point):
         * np.sin(k * ((x * np.cos(phi) + y * np.sin(phi)) * np.sin(theta) + z * np.cos(theta)))
         ** 2,
         ((0.0, pi), (0.0, 2.0 * pi)),
-        QuadratureSpec(1e-9, 1e-11, pm._theta_spec(k * (abs(z) + rho)).max_subdivisions),
+        1e-9,
+        1e-11,
+        pm._theta_limit(k * (abs(z) + rho)),
     )
     return 3.0 / (4.0 * pi) * value, 3.0 / (4.0 * pi) * err
 
@@ -202,9 +205,7 @@ class TestRateModification:
         for kf in np.geomspace(0.3, 1e6, 41):
             geo = pm.ParabolicGeometry(focal_length=1.0, wavenumber=kf)
             want, _ = integrate_1d(
-                lambda theta: np.sin(theta) ** 3,
-                (0.0, geo.theta0),
-                QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300),
+                lambda theta: np.sin(theta) ** 3, (0.0, geo.theta0), 1e-13, 1e-300, 200
             )
             assert pm.angular_cutoff_correction(geo) == pytest.approx(
                 1.5 * want, rel=1e-12, abs=0.0
@@ -461,7 +462,7 @@ class TestEnergyBalance:
             r2 = 2.0 * f / (1.0 - cos(theta))
             return 0.75 * sin(theta) ** 3 * (exp(-max(0.0, t - r2)) - exp(-t))
 
-        share, _ = integrate_1d(undelivered, (0.0, pi), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13))
+        share, _ = integrate_1d(undelivered, (0.0, pi), 1e-10, 1e-13, 200)
         assert direct / total == pytest.approx(share / emitted, rel=0.0, abs=1e-4)
         if t < f:
             assert direct / total == 1.0

@@ -73,7 +73,6 @@ EXPORTS = {
     "jcp.inversion",
     "jcp.collapse_revival_times",
     "multimode.AmplitudeTrace",
-    "numerics.QuadratureSpec",
     "numerics.QuadratureError",
     "numerics.integrate_1d",
     "numerics.stable_binomial_series",
@@ -98,7 +97,6 @@ DEFAULTS = {
     "cli.main(argv)",
     "cli.parse_config(overrides)",
     "free_space.field_energy(part)",
-    "numerics.QuadratureSpec.max_subdivisions",
 }
 
 # every annotated field of a public class: what a caller can set on a record;
@@ -124,9 +122,6 @@ FIELDS = {
     "jcp.JcpParams.field",
     "multimode.AmplitudeTrace.excited_amplitude",
     "multimode.AmplitudeTrace.norm",
-    "numerics.QuadratureSpec.rel_tol",
-    "numerics.QuadratureSpec.abs_tol",
-    "numerics.QuadratureSpec.max_subdivisions",
     "parabolic_mirror.ParabolicGeometry.focal_length",
     "parabolic_mirror.ParabolicGeometry.wavenumber",
     "parabolic_mirror.TwoRayField.spherical",
