@@ -106,6 +106,10 @@ def _nonneg(v) -> bool:
     return v >= 0
 
 
+def _grid_size(v) -> bool:  # samples or grid points: at least the two ends
+    return v >= 2
+
+
 _OMEGA_OVER_GAMMA = _Key(float, default=1e3, check=free_space._pole_ok)  # omega_eg / Gamma
 
 SCENARIOS: dict[str, dict[str, _Key]] = {}
@@ -192,7 +196,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ScenarioConfig:
     "jcp-vacuum",
     detuning=_Key(float, default=0.0),  # Delta / |g|
     t_max=_Key(float, default=4 * pi, check=_pos),  # end time in 1/|g|
-    samples=_Key(int, default=401, check=lambda v: v >= 2),
+    samples=_Key(int, default=401, check=_grid_size),
 )
 def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     params = jcp.JcpParams(detuning=p["detuning"], field=jcp.FieldDistribution.fock(0))
@@ -205,7 +209,7 @@ def _run_jcp_vacuum(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     mean_n=_Key(float, required=True, check=_nonneg),  # coherent <n>
     detuning=_Key(float, default=0.0),
     t_max=_Key(float, default=None, check=_pos),  # end time in 1/|g|; default 3 T_r
-    samples=_Key(int, default=601, check=lambda v: v >= 2),
+    samples=_Key(int, default=601, check=_grid_size),
 )
 def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     fieldstate = jcp.FieldDistribution.coherent(p["mean_n"])
@@ -223,7 +227,7 @@ def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any
     band_width=_Key(float, default=40.0, check=multimode._band_ok),  # mode band in Gamma
     spacing=_Key(float, default=0.02, check=free_space._spacing_ok),  # mode spacing in Gamma
     t_max=_Key(float, default=4.0, check=_pos),  # end time in 1/Gamma
-    samples=_Key(int, default=201, check=lambda v: v >= 2),
+    samples=_Key(int, default=201, check=_grid_size),
     omega_over_gamma=_OMEGA_OVER_GAMMA,
 )
 def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
@@ -241,8 +245,8 @@ def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     "free-wavepacket",
     omega_over_gamma=_OMEGA_OVER_GAMMA,
     time=_Key(float, default=1.0, check=_pos),  # snapshot time in 1/Gamma
-    n_r=_Key(int, default=80, check=lambda v: v >= 2),
-    n_theta=_Key(int, default=9, check=lambda v: v >= 2),
+    n_r=_Key(int, default=80, check=_grid_size),
+    n_theta=_Key(int, default=9, check=_grid_size),
 )
 def _run_free_wavepacket(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
@@ -270,7 +274,7 @@ def _run_free_wavepacket(p: dict[str, Any], meta: dict[str, str]) -> dict[str, A
     "sphere-revival",
     gamma_R=_Key(float, required=True, check=_pos),  # Gamma R / c
     t_max_R=_Key(float, default=6.0, check=_pos),  # end time in R/c
-    samples=_Key(int, default=601, check=lambda v: v >= 2),
+    samples=_Key(int, default=601, check=_grid_size),
     with_ode=_Key(_parse_bool, default=False),  # add the finite-band column p_e_ode
     band_width=_Key(float, default=400.0, check=multimode._band_ok),  # finite band in Gamma
     omega_over_gamma=_OMEGA_OVER_GAMMA,
@@ -294,7 +298,7 @@ def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, An
     f_mm=_Key(float, default=2.0, check=_pos),  # focal length in mm
     z_min_mm=_Key(float, default=0.0, check=_nonneg),  # start height above vertex
     z_max_mm=_Key(float, default=8.0, check=_pos),
-    samples=_Key(int, default=401, check=lambda v: v >= 2),
+    samples=_Key(int, default=401, check=_grid_size),
 )
 def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     _ascending(p, "z_min_mm", "z_max_mm")
@@ -324,9 +328,9 @@ def _run_parabola_eta(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]
     time=_Key(float, default=25.0),  # snapshot time in 1/Gamma
     z_min=_Key(float, default=0.5, check=_nonneg),
     z_max=_Key(float, default=30.0, check=_pos),
-    n_z=_Key(int, default=40, check=lambda v: v >= 2),
+    n_z=_Key(int, default=40, check=_grid_size),
     rho_max=_Key(float, default=None, check=_pos),  # default 2 f
-    n_rho=_Key(int, default=30, check=lambda v: v >= 2),
+    n_rho=_Key(int, default=30, check=_grid_size),
 )
 def _run_parabola_field(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     _ascending(p, "z_min", "z_max")
@@ -360,8 +364,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
     numpy's floating-point warnings are silenced, since that check reports them.
     """
     meta = {"scenario": config.scenario, "format_version": "1"}
-    for key in sorted(config.params):
-        value = config.params[key]
+    for key, value in sorted(config.params.items()):
         meta[key] = _num(value) if isinstance(value, float) else str(value)
     try:
         with np.errstate(all="ignore"):
@@ -600,8 +603,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1 if exc.code else 0
     if args.command == "list-scenarios":
         for name in sorted(SCENARIOS):
-            keys = ", ".join(sorted(SCENARIOS[name]))
-            print(f"{name}: {keys}")
+            print(f"{name}: {', '.join(sorted(SCENARIOS[name]))}")
         return 0
     try:
         with open(args.config, "r", encoding="utf-8-sig") as handle:

@@ -176,22 +176,19 @@ def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEnergy:
-    """Spatial integral of the wave-packet energy density at time t.
+def field_energy(atom: TwoLevelAtom, t: float) -> FieldEnergy:
+    """Spatial integral of the wave-packet energy density, electric plus
+    magnetic, at time t; the electric half is the integral of |E|^2.
 
     The density is sin^2(theta) times a radial profile and the polar integral
     of sin^3 is 4/3, so one quadrature runs over r in [10/omega_eg, |t|]; the
-    analytically known inner-region contribution is added and reported
-    separately.  `part` is "total" (electric + magnetic) or "electric" (half).
+    analytic inner-region contribution is added and reported separately.
     """
-    if part not in ("total", "electric"):
-        raise ValueError("part must be 'total' or 'electric'")
-    share = 1.0 if part == "total" else 0.5
     t_abs = abs(t)
     r_min = _RADIATION_ZONE_FACTOR / atom.omega_eg
     # analytic r < min(r_min, |t|) part, omega e^{-Gamma |t|} expm1(Gamma r_in): no 0/0 at Gamma = 0
     r_in = min(r_min, t_abs)
-    inner = share * atom.omega_eg * exp(-atom.gamma * t_abs) * expm1(atom.gamma * r_in)
+    inner = atom.omega_eg * exp(-atom.gamma * t_abs) * expm1(atom.gamma * r_in)
     if t_abs <= r_min:
         # causal shell entirely inside the near zone: analytic value only
         return FieldEnergy(inner, inner, 0.0)
@@ -202,7 +199,7 @@ def field_energy(atom: TwoLevelAtom, t: float, part: str = "total") -> FieldEner
 
     # the energy is in units of omega_eg, so the absolute tolerance is too
     value, err = integrate_1d(integrand, (r_min, t_abs), 1e-9, 1e-12 * atom.omega_eg, 200)
-    scale = share * 8.0 * pi / 3.0
+    scale = 8.0 * pi / 3.0
     return FieldEnergy(scale * value + inner, inner, scale * err)
 
 

@@ -188,3 +188,52 @@ def cos_sum_bound(w, f, t) -> float:
     (22 eps at T = 2000) of a table filled by doubling."""
     w, f = np.asarray(w), np.asarray(f)
     return float(1e-14 * np.sum(np.abs(w)) + EPS * np.max(np.abs(t)) * np.sum(np.abs(w * f)))
+
+
+def _ray(mp, omega, gamma, t, sin_t, path, dist):
+    """One ray family of the one-photon packet, from `free_space._packet`'s
+    definition: -i sqrt(3 Gamma omega / 16 pi) e^{i omega sign(t) u}
+    e^{-Gamma u / 2} sin(theta) / dist at u = |t| - path, 0 before the
+    front u < 0; mpmath arguments, an mpmath complex result."""
+    u = abs(t) - path
+    if u < 0:
+        return mp.mpc(0)
+    envelope = mp.sqrt(3 * gamma * omega / (16 * mp.pi)) * mp.exp(-gamma * u / 2)
+    return mp.mpc(0, -1) * envelope * mp.expj(omega * mp.sign(t) * u) * sin_t / dist
+
+
+def _mpfs(mp, *columns):
+    """Rows of mpmath numbers, exact from float columns."""
+    return zip(*([mp.mpf(v) for v in np.asarray(c, dtype=float).tolist()] for c in columns))
+
+
+def free_packet(omega: float, gamma: float, t: float, r, theta):
+    """The free-space packet at points (r, theta) at 30 digits, each value
+    rounded once: the amplitude (path and distance r, factor sin(theta))
+    and the energy density 2 |A|^2."""
+    mp = _mpmath()
+    with mp.workdps(30):
+        omega, gamma, t = mp.mpf(omega), mp.mpf(gamma), mp.mpf(t)
+        amplitude = [_ray(mp, omega, gamma, t, mp.sin(th), rk, rk) for rk, th in _mpfs(mp, r, theta)]
+        return np.array([complex(a) for a in amplitude]), np.array([float(2 * abs(a) ** 2) for a in amplitude])
+
+
+def two_ray_packet(omega: float, gamma: float, f: float, t: float, z, rho):
+    """The packet in the parabolic mirror of focal length f at points
+    (z, rho) at 30 digits, each value rounded once: the direct ray (path
+    and distance r1 = |(z - f, rho)| from the focus, factor rho / r1), the
+    reflected one (path z + f, distance r2 = f + rho^2 / 4f, factor
+    rho / r2), the electric energy density |s|^2 + |p|^2
+    + 2 Re(s conj(p)) (z - f) / r1 and the flag eta = (r1 - (z - f)) / 2
+    >= 0.95 f."""
+    mp = _mpmath()
+    with mp.workdps(30):
+        omega, gamma, f, t = mp.mpf(omega), mp.mpf(gamma), mp.mpf(f), mp.mpf(t)
+        rows = []
+        for zk, rk in _mpfs(mp, z, rho):
+            r1, r2 = mp.sqrt((zk - f) ** 2 + rk**2), f + rk**2 / (4 * f)
+            s = _ray(mp, omega, gamma, t, rk / r1, r1, r1)
+            p = _ray(mp, omega, gamma, t, rk / r2, zk + f, r2)
+            density = abs(s) ** 2 + abs(p) ** 2 + 2 * (s * mp.conj(p)).real * (zk - f) / r1
+            rows.append((complex(s), complex(p), float(density), (r1 - (zk - f)) / 2 >= mp.mpf(0.95) * f))
+        return tuple(np.array(column) for column in zip(*rows))

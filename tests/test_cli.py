@@ -957,8 +957,8 @@ class TestImportGraph:
         "    assert cli.main(['list-scenarios']) == 0\n"
     )
 
-    # the library's own quadratures off the CLI paths: the field energy, both
-    # parts, and the rate quadrature with its default spec
+    # the library's own quadratures off the CLI paths: the field energy of the
+    # outgoing and the incoming packet, and the rate quadrature
     LIBRARY_CALLS = (
         "import sys\n"
         "if sys.argv[1] == 'blocked':\n"
@@ -967,7 +967,7 @@ class TestImportGraph:
         "atom = free_space.TwoLevelAtom.from_linewidth(1.0, 1e3)\n"
         "geometry = pm.ParabolicGeometry(focal_length=2.0, wavenumber=0.7853981633974483)\n"
         "values = [*free_space.field_energy(atom, 1.0)]\n"
-        "values += free_space.field_energy(atom, 1.0, 'electric')\n"
+        "values += free_space.field_energy(atom, -2.0)\n"
         "values += pm.eta_quadrature(geometry, (0.0, 0.0, 3.0))\n"
         "print(*map(repr, values))\n"
     )

@@ -5,12 +5,14 @@ golden; this states how far the goldens themselves are from the physics.
 Each column is recomputed by its `exact.py` reference and must lie within
 K eps (S + C) of it, with S = max |column| and C the column's condition
 scale: sum_j |w_j lambda_j t| at the largest t for a cosine sum (the
-jcp ladder and the flat band), 0 for the rest.  A golden with more than
+jcp ladder and the flat band), max |omega u| |A| for a packet amplitude A
+at the retarded time u, 0 for the rest.  A golden with more than
 one column checked has one row per column, `golden.column`.  The distances
 measured are recorded in `golden/PROVENANCE.md`; a column beyond its bound
 is a finding, not a bound to widen.
 """
 
+from functools import partial
 from math import ceil, pi, sqrt
 from pathlib import Path
 
@@ -75,6 +77,43 @@ def _free_decay_p_pole(table):
     return p_pole, np.exp(-np.asarray(t, np.longdouble)), 0.0
 
 
+def _phase_condition(omega, t, path, amplitude):
+    # a packet's phase omega u, u = |t| - path, is rounded as double
+    # arithmetic rounds it, which moves the amplitude A by eps |omega u| |A|
+    return float(np.max(np.abs(omega * (abs(t) - path)) * np.abs(amplitude)))
+
+
+def _free_wavepacket(table, column):
+    # Gamma = 1 and omega = omega_over_gamma; C = max |omega u| |A| for the
+    # amplitude, 0 for the energy density
+    r, theta = table.data[:2]
+    omega, t = float(table.metadata["omega_over_gamma"]), float(table.metadata["time"])
+    amplitude, density = exact.free_packet(omega, 1.0, t, r, theta)
+    got = table.data[table.columns.index(column)]
+    if column == "energy_density":
+        return got, density, 0.0
+    want = amplitude.real if column == "re_amplitude" else amplitude.imag
+    return got, want, _phase_condition(omega, t, r, amplitude)
+
+
+def _parabola_field(table, column):
+    # Gamma = 1 and omega = omega_f / f as the runner rounds it; each ray's
+    # columns take C = max |omega u| |A| on its own path (r1 from the focus
+    # for the direct ray, z + f for the reflected one), the energy density
+    # and the 0/1 flag C = 0, so a flipped flag is out of bounds
+    z, rho = table.data[:2]
+    f, t = float(table.metadata["f"]), float(table.metadata["time"])
+    omega = float(table.metadata["omega_f"]) / f
+    spherical, plane, density, flags = exact.two_ray_packet(omega, 1.0, f, t, z, rho)
+    got = table.data[table.columns.index(column)]
+    if column in ("energy_density", "near_boundary"):
+        return got, density if column == "energy_density" else flags, 0.0
+    part, _, ray = column.partition("_")
+    amplitude, path = (spherical, np.hypot(z - f, rho)) if ray == "spherical" else (plane, z + f)
+    want = amplitude.real if part == "re" else amplitude.imag
+    return got, want, _phase_condition(omega, t, path, amplitude)
+
+
 REFERENCES = {
     "sphere-revival": _sphere_revival,
     "parabola-eta": _parabola_eta,
@@ -82,6 +121,16 @@ REFERENCES = {
     "jcp-inversion": _jcp_inversion,
     "free-decay.p_e": _free_decay_p_e,
     "free-decay.p_pole": _free_decay_p_pole,
+    **{
+        f"free-wavepacket.{column}": partial(_free_wavepacket, column=column)
+        for column in ("re_amplitude", "im_amplitude", "energy_density")
+    },
+    **{
+        f"parabola-field.{column}": partial(_parabola_field, column=column)
+        for column in (
+            "re_spherical", "im_spherical", "re_plane", "im_plane", "energy_density", "near_boundary",
+        )
+    },
 }
 
 

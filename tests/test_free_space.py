@@ -213,10 +213,6 @@ class TestFieldEnergy:
         want = atom.omega_eg * -np.expm1(-atom.gamma * t)
         assert fe.value == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    def test_part_validation(self, atom):
-        with pytest.raises(ValueError):
-            free_space.field_energy(atom, 1.0, part="magnetic-only")
-
     @pytest.mark.parametrize("t", [1e-3, 1.0])
     def test_zero_decay_rate_has_no_energy(self, t):
         # Gamma = 0 emits nothing; the inner part must not divide by Gamma
@@ -236,13 +232,15 @@ class TestFieldEnergy:
             return integrate_1d(*args)
 
         monkeypatch.setattr(free_space, "integrate_1d", counted)
-        free_space.field_energy(atom, t, part="electric")
+        free_space.field_energy(atom, t)
         assert calls == [(10.0 / atom.omega_eg, abs(t))]
 
     @pytest.mark.parametrize("part", ["total", "electric"])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 30.0, -1.0])
     def test_theta_reduction_matches_2d_quadrature(self, atom, t, part):
-        # the polar integral done exactly (4/3) against the iterated (r, theta) one
+        # the polar integral done exactly (4/3) against the iterated (r, theta)
+        # one, of the total density 2 |E|^2 or of the electric |E|^2, whose
+        # integral is half of field_energy's
         share = 1.0 if part == "total" else 0.5
 
         def density(r, theta):
@@ -251,8 +249,8 @@ class TestFieldEnergy:
 
         r_min = 10.0 / atom.omega_eg
         value, err = integrate_2d(density, ((r_min, abs(t)), (0.0, pi)), 1e-9, 1e-12, 400)
-        fe = free_space.field_energy(atom, t, part=part)
-        assert abs(fe.value - fe.inner_correction - value) <= fe.quadrature_error + err
+        fe = free_space.field_energy(atom, t)
+        assert abs(share * (fe.value - fe.inner_correction) - value) <= share * fe.quadrature_error + err
 
 
 class TestFieldMap:
