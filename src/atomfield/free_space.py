@@ -13,7 +13,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import exp, expm1, inf, isfinite, pi, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .numerics import _GUARD_RTOL, integrate_1d
 __all__ = [
     "TwoLevelAtom",
     "FieldMap",
-    "FieldEnergy",
     "RadiationZoneWarning",
     "excited_amplitude",
     "electric_amplitude",
@@ -75,14 +73,6 @@ class TwoLevelAtom:
     def from_linewidth(cls, gamma: float, omega_over_gamma: float) -> "TwoLevelAtom":
         """Atom with the requested decay rate; omega_eg = omega_over_gamma * gamma."""
         return cls(omega_eg=omega_over_gamma * gamma, gamma=gamma)
-
-
-class FieldEnergy(NamedTuple):
-    """Quadrature result for the wave-packet field energy."""
-
-    value: float  # quadrature over the radiation zone + analytic inner part
-    inner_correction: float  # analytic contribution of r < r_min (reported)
-    quadrature_error: float
 
 
 @dataclass(frozen=True)
@@ -176,13 +166,16 @@ def electric_amplitude(atom: TwoLevelAtom, r, theta, t: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def field_energy(atom: TwoLevelAtom, t: float) -> FieldEnergy:
+def field_energy(atom: TwoLevelAtom, t: float) -> tuple[float, float]:
     """Spatial integral of the wave-packet energy density, electric plus
-    magnetic, at time t; the electric half is the integral of |E|^2.
+    magnetic, at time t, as (energy, error); the electric half is the
+    integral of |E|^2.
 
     The density is sin^2(theta) times a radial profile and the polar integral
-    of sin^3 is 4/3, so one quadrature runs over r in [10/omega_eg, |t|]; the
-    analytic inner-region contribution is added and reported separately.
+    of sin^3 is 4/3, so one quadrature runs over r in [10/omega_eg, |t|], and
+    the analytic inner region r < 10/omega_eg is added.  The error is the
+    quadrature's achieved error, 0.0 when the causal shell lies inside the
+    inner region.
     """
     t_abs = abs(t)
     r_min = _RADIATION_ZONE_FACTOR / atom.omega_eg
@@ -191,7 +184,7 @@ def field_energy(atom: TwoLevelAtom, t: float) -> FieldEnergy:
     inner = atom.omega_eg * exp(-atom.gamma * t_abs) * expm1(atom.gamma * r_in)
     if t_abs <= r_min:
         # causal shell entirely inside the near zone: analytic value only
-        return FieldEnergy(inner, inner, 0.0)
+        return inner, 0.0
 
     def integrand(r: float) -> float:
         # r^2 times the energy density 2 |packet|^2 at theta = pi/2
@@ -200,7 +193,7 @@ def field_energy(atom: TwoLevelAtom, t: float) -> FieldEnergy:
     # the energy is in units of omega_eg, so the absolute tolerance is too
     value, err = integrate_1d(integrand, (r_min, t_abs), 1e-9, 1e-12 * atom.omega_eg, 200)
     scale = 8.0 * pi / 3.0
-    return FieldEnergy(scale * value + inner, inner, scale * err)
+    return scale * value + inner, scale * err
 
 
 def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from math import ceil, inf, isfinite, sqrt
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,8 +58,8 @@ def integrate_1d(
     for bit.  f is called once per node with a Python float, so integrands
     should use `math` rather than numpy scalars.  a > b integrates over
     [b, a] and negates the value, as `quad` does; an infinite end, a
-    tolerance that is not > 0 or a limit below 1 raises ValueError before f
-    is called.
+    tolerance that is not > 0 or a limit that is not an integer >= 1 raises
+    ValueError before f is called.
 
     Raises QuadratureError (carrying the best estimate) when QAGS reports a
     failure and the error exceeds max(abs_tol, rel_tol |value|), or when the
@@ -69,8 +70,8 @@ def integrate_1d(
         raise ValueError("quadrature interval must be finite")
     if not (rel_tol > 0 and abs_tol > 0):  # negated, so a NaN fails too
         raise ValueError("quadrature tolerances must be positive")
-    if limit < 1:
-        raise ValueError("max_subdivisions must be >= 1")
+    if not (isinstance(limit, Integral) and limit >= 1):  # a float, NaN included, fails
+        raise ValueError("limit must be an integer >= 1")
     lo, hi = min(a, b), max(a, b)
     value, abserr, ier, _ = _qagse(f, lo, hi, abs_tol, rel_tol, limit)
     # Python floats, as quad returns, also where f returns numpy scalars

@@ -421,13 +421,14 @@ class TestMain:
             assert name in out
 
     def test_module_entry_point_lists_the_scenarios(self):
-        # `-m atomfield.cli` would warn on stderr: importing the package has
+        # `-m atomfield.cli` warns on stderr if importing the package has
         # already loaded `cli` before it runs again as __main__
-        done = _fresh("-m", "atomfield", "list-scenarios")
-        assert done.returncode == 0
-        assert done.stderr == ""
-        names = [line.split(":")[0] for line in done.stdout.splitlines()]
-        assert names == sorted(cli.SCENARIOS) and len(names) == 7
+        for module in ("atomfield", "atomfield.cli"):
+            done = _fresh("-m", module, "list-scenarios")
+            assert done.returncode == 0, module
+            assert done.stderr == "", module
+            names = [line.split(":")[0] for line in done.stdout.splitlines()]
+            assert names == sorted(cli.SCENARIOS) and len(names) == 7, module
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -993,4 +994,12 @@ class TestImportGraph:
         blocked, plain = (
             self.fresh_run(self.LIBRARY_CALLS, mode).split() for mode in ("blocked", "plain")
         )
-        assert len(plain) == 8 and blocked == plain
+        assert len(plain) == 6 and blocked == plain
+
+    def test_package_import_leaves_the_command_line_out(self):
+        # the console script and `python -m` import `cli` themselves
+        loaded = self.fresh_run(
+            "import sys\nimport atomfield\n"
+            "print(*sorted(m for m in ('atomfield.cli', 'argparse') if m in sys.modules))\n"
+        )
+        assert loaded.split() == []

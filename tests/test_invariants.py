@@ -14,7 +14,7 @@ units of the coupling, so it has no scaling group of its own:
 
     entry point                          scaled                         symmetry
     free_space.excited_amplitude         omega, Gamma; t                a(-t) = conj a(t)
-    free_space.field_energy              omega, Gamma; t                (energy by s**-1)
+    free_space.field_energy              omega, Gamma; t                (energy, error by s**-1)
     free_space.wigner_weisskopf_ode      omega, Gamma, band, spacing; t a_e(-t) = a_e(t)
     spherical_cavity closed form         omega, Gamma; R, t
     spherical_cavity.evolve_cavity_ode   omega, Gamma, band; R, t

@@ -223,8 +223,10 @@ class TestQuadrature:
             (nan, 1e-12, 200),
             (1e-10, nan, 200),
             (1e-10, 1e-12, 0),
+            (1e-10, 1e-12, nan),
+            (1e-10, 1e-12, 2.5),
         ]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="tolerances must be positive|limit must be an integer"):
                 integrate_1d(calls.append, (0.0, 1.0), rel_tol, abs_tol, limit)
         assert calls == []
 

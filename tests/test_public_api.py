@@ -3,15 +3,13 @@ and record field is pinned.
 
 A name in a module's `__all__` counts as called when the library itself,
 the acceptance criteria or the benchmark's output checker use it qualified:
-- `module.name`, through any import alias of the module (`pm.`), through
-  the package (`af.parabolic_mirror.`) or through a package re-export
-  (`af.TwoLevelAtom`);
+- `module.name`, through any import alias of the module (`pm.`) or
+  through the package (`af.parabolic_mirror.`);
 - `from .module import name` (or `from atomfield.module import name`);
 - a Load-context name inside the module itself.
 A record field, an annotation target or an attribute of another object that
 only spells the same name does not count.  The package `__init__` is not
-scanned for exports: its `__all__` lists the submodules and re-exports names
-checked in their own modules.
+scanned for exports: its `__all__` lists the submodules only.
 
 Every public record field is read as an attribute (`x.field`) by one of
 those callers, or is listed in `UNREAD` with its reason.
@@ -40,11 +38,7 @@ UNCALLED: set[str] = set()
 
 
 # public record fields that no caller reads, each with why it stays
-UNREAD: dict[str, str] = {
-    "free_space.FieldEnergy.quadrature_error": (
-        "the quadrature's achieved error (aim 4); `tests/test_free_space.py` holds the energy to it"
-    ),
-}
+UNREAD: dict[str, str] = {}
 
 
 # every name in a module's `__all__`; a new public name, or one dropped,
@@ -60,7 +54,6 @@ EXPORTS = {
     "cli.main",
     "free_space.TwoLevelAtom",
     "free_space.FieldMap",
-    "free_space.FieldEnergy",
     "free_space.RadiationZoneWarning",
     "free_space.excited_amplitude",
     "free_space.electric_amplitude",
@@ -112,9 +105,6 @@ FIELDS = {
     "cli.ResultTable.metadata",
     "free_space.TwoLevelAtom.omega_eg",
     "free_space.TwoLevelAtom.gamma",
-    "free_space.FieldEnergy.value",
-    "free_space.FieldEnergy.inner_correction",
-    "free_space.FieldEnergy.quadrature_error",
     "free_space.FieldMap.points",
     "free_space.FieldMap.amplitude",
     "free_space.FieldMap.energy_density",
@@ -150,18 +140,7 @@ def _imported_module(node: ast.ImportFrom, path: Path) -> str | None:
     return None
 
 
-def _reexports() -> dict[str, str]:
-    """name -> module of each `from .module import name` in the package `__init__`."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name: node.module
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-        for alias in node.names
-    }
-
-
-def _qualified_uses(path: Path, modules: set[str], reexports: dict[str, str]) -> set[str]:
+def _qualified_uses(path: Path, modules: set[str]) -> set[str]:
     """`module.name` of every package name the file uses qualified."""
     tree = ast.parse(path.read_text(), str(path))
     own = path.stem if path.parent == PACKAGE else None
@@ -179,8 +158,6 @@ def _qualified_uses(path: Path, modules: set[str], reexports: dict[str, str]) ->
                     used.add(f"{source}.{alias.name}")
                 elif alias.name in modules:
                     bound[alias.asname or alias.name] = alias.name
-                elif alias.name in reexports:
-                    used.add(f"{reexports[alias.name]}.{alias.name}")
 
     def module_of(node: ast.expr) -> str | None:
         if isinstance(node, ast.Name):
@@ -194,8 +171,6 @@ def _qualified_uses(path: Path, modules: set[str], reexports: dict[str, str]) ->
             module = module_of(node.value)
             if module:
                 used.add(f"{module}.{node.attr}")
-            elif module == "" and node.attr in reexports:
-                used.add(f"{reexports[node.attr]}.{node.attr}")
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
             used.add(f"{own}.{node.id}")
     return used
@@ -264,8 +239,7 @@ def _public_fields() -> set[str]:
 
 def test_every_public_name_has_a_caller():
     exports = _exports()
-    reexports = _reexports()
-    used = set().union(*(_qualified_uses(path, set(exports), reexports) for path in CALLERS))
+    used = set().union(*(_qualified_uses(path, set(exports)) for path in CALLERS))
     uncalled = {
         f"{module}.{name}" for module, names in exports.items() for name in names
     } - used
@@ -281,15 +255,13 @@ def test_only_qualified_uses_count(tmp_path):
         "from atomfield.numerics import integrate_1d\n"
         "pm.on_axis_eta(g, z)\n"
         "af.free_space.field_map(a, r, th, t)\n"
-        "af.TwoLevelAtom(1.0, 0.0)\n"
         "fmap.energy_density, fld.flags, rate_profile\n"
     )
-    used = _qualified_uses(caller, set(_exports()), _reexports())
+    used = _qualified_uses(caller, set(_exports()))
     assert used == {
         "parabolic_mirror.on_axis_eta",
         "numerics.integrate_1d",
         "free_space.field_map",
-        "free_space.TwoLevelAtom",
     }
 
 
