@@ -6,9 +6,9 @@ and `test_jcp.py`); `integrate_atom_modes` integrates one atom coupled to
 any band of modes the same way, the check of the exact flat-band solver
 (`test_multimode.py`).  Both need scipy, which the `test` extra brings; the
 library itself needs only numpy.  `integrate_2d` is the iterated 1-D
-quadrature that the reduced integrals are checked against: the radial one
-behind the `(energy, error)` of `free_space.field_energy` and the J0-reduced
-off-axis rate of `test_parabolic.py`.
+quadrature that the closed and reduced forms are checked against: the
+packet energy omega_eg (1 - e^{-Gamma |t|}) of `free_space.field_energy`
+and the J0-reduced off-axis rate of `test_parabolic.py`.
 """
 
 from __future__ import annotations

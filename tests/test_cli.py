@@ -958,19 +958,14 @@ class TestImportGraph:
         "    assert cli.main(['list-scenarios']) == 0\n"
     )
 
-    # the library's own quadratures off the CLI paths: the field energy of the
-    # outgoing and the incoming packet, and the rate quadrature
+    # the library's one quadrature off the CLI paths, the rate quadrature
     LIBRARY_CALLS = (
         "import sys\n"
         "if sys.argv[1] == 'blocked':\n"
         "    sys.modules['scipy'] = None\n"
-        "from atomfield import free_space, parabolic_mirror as pm\n"
-        "atom = free_space.TwoLevelAtom.from_linewidth(1.0, 1e3)\n"
+        "from atomfield import parabolic_mirror as pm\n"
         "geometry = pm.ParabolicGeometry(focal_length=2.0, wavenumber=0.7853981633974483)\n"
-        "values = [*free_space.field_energy(atom, 1.0)]\n"
-        "values += free_space.field_energy(atom, -2.0)\n"
-        "values += pm.eta_quadrature(geometry, (0.0, 0.0, 3.0))\n"
-        "print(*map(repr, values))\n"
+        "print(*map(repr, pm.eta_quadrature(geometry, (0.0, 0.0, 3.0))))\n"
     )
 
     @staticmethod
@@ -994,7 +989,7 @@ class TestImportGraph:
         blocked, plain = (
             self.fresh_run(self.LIBRARY_CALLS, mode).split() for mode in ("blocked", "plain")
         )
-        assert len(plain) == 6 and blocked == plain
+        assert len(plain) == 2 and blocked == plain
 
     def test_package_import_leaves_the_command_line_out(self):
         # the console script and `python -m` import `cli` themselves

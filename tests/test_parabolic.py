@@ -418,11 +418,11 @@ class TestTwoRayField:
 
 class TestEnergyBalance:
     """The whole packet stays inside the perfect mirror, so the two rays carry
-    what the atom has emitted, 2 integral (|E_s|^2 + |E_p|^2) dV = omega (1 - e^{-Gamma t})
-    (the factor 2 adds the magnetic half, as in free_space.field_energy; the
-    cross term averages out for kf >> 1).  The direct ray holds the emission
-    that has not yet reached the mirror, at r2(theta) = 2 f / (1 - cos theta)
-    from the focus:
+    what the atom has emitted, 2 integral (|E_s|^2 + |E_p|^2) dV =
+    free_space.field_energy = omega (1 - e^{-Gamma t}) (the factor 2 adds the
+    magnetic half; the cross term averages out for kf >> 1).  The direct ray
+    holds the emission that has not yet reached the mirror, at
+    r2(theta) = 2 f / (1 - cos theta) from the focus, the share D(t) of omega:
 
         D(t) = integral_0^pi (3/4) sin^3(theta) [e^{-Gamma max(0, t - r2)} - e^{-Gamma t}] dtheta.
 
@@ -455,14 +455,14 @@ class TestEnergyBalance:
         volume = 2.0 * pi * fmap.points[:, 1] * h * h
         direct = 2.0 * float(np.sum(np.abs(fmap.spherical) ** 2 * volume))
         total = direct + 2.0 * float(np.sum(np.abs(fmap.plane) ** 2 * volume))
-        emitted = 1.0 - exp(-t)
-        assert total / (atom.omega_eg * emitted) == pytest.approx(1.0, rel=0.0, abs=1e-3)
+        emitted = free_space.field_energy(atom, t)
+        assert total / emitted == pytest.approx(1.0, rel=0.0, abs=1e-3)
 
         def undelivered(theta):
             r2 = 2.0 * f / (1.0 - cos(theta))
             return 0.75 * sin(theta) ** 3 * (exp(-max(0.0, t - r2)) - exp(-t))
 
         share, _ = integrate_1d(undelivered, (0.0, pi), 1e-10, 1e-13, 200)
-        assert direct / total == pytest.approx(share / emitted, rel=0.0, abs=1e-4)
+        assert direct / total == pytest.approx(share * atom.omega_eg / emitted, rel=0.0, abs=1e-4)
         if t < f:
             assert direct / total == 1.0
