@@ -233,12 +233,12 @@ def _run_jcp_inversion(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any
 def _run_free_decay(p: dict[str, Any], meta: dict[str, str]) -> dict[str, Any]:
     atom = free_space.TwoLevelAtom.from_linewidth(1.0, p["omega_over_gamma"])
     times = np.linspace(0.0, p["t_max"], p["samples"])
-    trace = free_space.wigner_weisskopf_ode(
+    a, norm = free_space.wigner_weisskopf_ode(
         atom, times, band_width=p["band_width"], mode_spacing=p["spacing"]
     )
-    meta["norm_drift"] = _num(abs(trace.norm - 1.0))
+    meta["norm_drift"] = _num(abs(norm - 1.0))
     p_pole = np.abs(free_space.excited_amplitude(atom, times)) ** 2
-    return dict(t=times, p_e=trace.excited_population, p_pole=p_pole)
+    return dict(t=times, p_e=np.abs(a) ** 2, p_pole=p_pole)
 
 
 @_scenario(
@@ -286,9 +286,9 @@ def _run_sphere_revival(p: dict[str, Any], meta: dict[str, str]) -> dict[str, An
     times = np.linspace(0.0, t_max, p["samples"])
     p_closed = spherical_cavity.excited_probability_closed_form(cavity, times)
     if p["with_ode"]:
-        trace = spherical_cavity.evolve_cavity_ode(cavity, times, band_width=p["band_width"])
-        meta["norm_drift"] = _num(abs(trace.norm - 1.0))
-        return dict(t=times, p_e=p_closed, p_e_ode=trace.excited_population)
+        a, norm = spherical_cavity.evolve_cavity_ode(cavity, times, band_width=p["band_width"])
+        meta["norm_drift"] = _num(abs(norm - 1.0))
+        return dict(t=times, p_e=p_closed, p_e_ode=np.abs(a) ** 2)
     return dict(t=times, p_e=p_closed)
 
 

@@ -16,7 +16,7 @@ from math import expm1, inf, isfinite, pi, sqrt
 
 import numpy as np
 
-from .multimode import AmplitudeTrace, _flat_band_evolution
+from .multimode import _check_decay, _flat_band_evolution
 from .numerics import _GUARD_RTOL
 
 __all__ = [
@@ -204,9 +204,11 @@ def field_map(atom: TwoLevelAtom, r_values, theta_values, t: float) -> FieldMap:
 
 def wigner_weisskopf_ode(
     atom: TwoLevelAtom, times: np.ndarray, band_width: float, mode_spacing: float
-) -> AmplitudeTrace:
+) -> tuple[np.ndarray, float]:
     """Decay of the atom into a discretized continuum band, sampled on
-    `times`: the exact solution of the finite band, by its eigenpairs.
+    `times`: the exact solution of the finite band, by its eigenpairs, as
+    (amplitude, norm), the real a_e(t) and the band's norm sum_j w_j (see
+    `multimode._flat_band_evolution`).
 
     Flat per-mode coupling |g|^2 = Gamma * spacing / (2 pi) reproduces the
     golden-rule rate by construction.  Valid until the Poincare recurrence
@@ -215,6 +217,7 @@ def wigner_weisskopf_ode(
     """
     gamma = atom.gamma
     times = np.asarray(times, dtype=float)
+    _check_decay(gamma)  # before the spacing guard, which Gamma = 0 fails for any spacing
     if not _spacing_ok(mode_spacing, gamma):
         raise ValueError("mode spacing must be at most Gamma / 20 and > 0")
     # before the recurrence guard, whose advice cannot mend a NaN or inf

@@ -12,7 +12,8 @@ omega_eg the Hamiltonian is the Hermitian arrowhead [[0, g^T], [g*, diag(delta)]
 The free-space (quasi-continuum band) and spherical-cavity (equidistant
 ladder) solvers share one model, the flat band of `_flat_band`, and solve it
 exactly by `_flat_band_evolution`: a_e(t) = sum_j w_j exp(-i lambda_j t) over
-the arrowhead's eigenpairs.  The band is mirror-symmetric, so only its upper
+the arrowhead's eigenpairs, returned with the norm sum_j w_j as the tuple
+(amplitude, norm).  The band is mirror-symmetric, so only its upper
 half is solved: all its roots together by safeguarded Newton steps on the
 closed form of the secular sum, from starts that model each root's nearest
 poles, with psi and psi' taken in one numpy pass per step: two or three
@@ -27,26 +28,13 @@ with the tests (`tests/oracles.py`), so this module needs only numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, pi, sqrt
 
 import numpy as np
 
 from .numerics import _EPS, _GUARD_RTOL, _cos_sum, _psi_trigamma
 
-__all__ = ["AmplitudeTrace"]
-
-
-@dataclass(frozen=True)
-class AmplitudeTrace:
-    """Time series of the excited-state amplitude of a multimode evolution."""
-
-    excited_amplitude: np.ndarray  # a_e(t), real: the flat band's spectrum is mirrored
-    norm: float  # |a_e|^2 + sum_k |b_k|^2 = sum_j w_j at every time, should be 1
-
-    @property
-    def excited_population(self) -> np.ndarray:
-        return np.abs(self.excited_amplitude) ** 2
+__all__ = []
 
 
 _BAND_MIN = 20.0  # narrowest band, in Gamma, that gives the golden-rule rate
@@ -56,13 +44,16 @@ def _band_ok(band_width: float, gamma: float = 1.0) -> bool:
     return band_width >= _BAND_MIN * gamma * (1.0 - _GUARD_RTOL)
 
 
+def _check_decay(gamma: float) -> None:
+    if not gamma > 0:  # negated, so a NaN fails too
+        raise ValueError("decay rate Gamma must be > 0 to fill a band")
+
+
 def _flat_band(gamma: float, band_width: float, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Detunings spacing * (-n..n) covering band_width, with the flat coupling
     |g|^2 = Gamma * spacing / (2 pi) that gives the golden-rule rate Gamma at
     the mode density 1 / spacing."""
-    # negated, so a NaN fails too
-    if not gamma > 0:
-        raise ValueError("decay rate Gamma must be > 0 to fill a band")
+    _check_decay(gamma)
     if not _band_ok(band_width, gamma):
         raise ValueError("band width must be at least 20 Gamma")
     half = int(np.ceil(band_width / 2.0 / spacing))
@@ -175,19 +166,19 @@ def _flat_band_spectrum(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _flat_band_evolution(
     gamma: float, band_width: float, spacing: float, times: np.ndarray
-) -> AmplitudeTrace:
-    """Exact a_e(t) from a_e(0) = 1 for the atom coupled to the flat band
-    `_flat_band(gamma, band_width, spacing)`: a_e(t) = sum_j w_j exp(-i lambda_j t)
-    over the eigenpairs of the arrowhead Hamiltonian.  The spectrum is
-    mirrored, so the sines cancel and a_e(t) = sum_{lambda_j > 0} 2 w_j
-    cos(lambda_j t) is real, summed over the upper half that
-    `_flat_band_spectrum` returns.  The norm is the eigenbasis unitarity
-    sum_j w_j = 2 fsum(w) over that half, the same at every time (doubling is
-    exact).  `times` must be uniform (see `_cos_sum`)."""
+) -> tuple[np.ndarray, float]:
+    """(amplitude, norm): the exact a_e(t) from a_e(0) = 1 for the atom coupled
+    to the flat band `_flat_band(gamma, band_width, spacing)`, a_e(t) =
+    sum_j w_j exp(-i lambda_j t) over the eigenpairs of the arrowhead
+    Hamiltonian.  The spectrum is mirrored, so the sines cancel and a_e(t) =
+    sum_{lambda_j > 0} 2 w_j cos(lambda_j t) is a real float64 array, summed
+    over the upper half that `_flat_band_spectrum` returns.  The norm is the
+    float sum_j w_j = 2 fsum(w) over that half, the eigenbasis unitarity, the
+    same at every time (doubling is exact).  `times` must be uniform (see
+    `_cos_sum`)."""
     detunings, couplings = _flat_band(gamma, band_width, spacing)
     x, w = _flat_band_spectrum(detunings.size // 2, (couplings[0] / spacing) ** 2)
-    a_e = _cos_sum(2.0 * w, spacing * x, np.asarray(times, dtype=float))
-    return AmplitudeTrace(excited_amplitude=a_e, norm=2.0 * fsum(w))
+    return _cos_sum(2.0 * w, spacing * x, np.asarray(times, dtype=float)), 2.0 * fsum(w)
 
 
 # The benchmark's tracer (the `_FOREIGN` entry of perfbench/tracing.py) looks

@@ -18,7 +18,7 @@ from math import inf, pi
 import numpy as np
 
 from .free_space import TwoLevelAtom
-from .multimode import AmplitudeTrace, _flat_band_evolution
+from .multimode import _flat_band_evolution
 from .numerics import _GUARD_RTOL, stable_binomial_series
 
 __all__ = [
@@ -82,8 +82,9 @@ def excited_probability_closed_form(cavity: SphericalCavity, t) -> float | np.nd
 
 def evolve_cavity_ode(
     cavity: SphericalCavity, times: np.ndarray, band_width: float
-) -> AmplitudeTrace:
-    """Atom + N-mode evolution over the resonant ladder, sampled on `times`:
+) -> tuple[np.ndarray, float]:
+    """Atom + N-mode evolution over the resonant ladder, sampled on `times`,
+    as (amplitude, norm), the real a_e(t) and the band's norm sum_j w_j:
     the exact solution of the flat band at spacing pi c / R, whose coupling
     |g_n|^2 = Gamma c / (2 R) reproduces Gamma through the golden rule with
     the ladder density R / (pi c); one mode is exactly resonant with the atom.

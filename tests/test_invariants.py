@@ -64,10 +64,10 @@ def test_field_energy_scales(s):
 
 @pytest.mark.parametrize("s", SCALES)
 def test_free_space_band_scales(s):
-    got = free_space.wigner_weisskopf_ode(_atom(s), TIMES * s, 40.0 / s, 0.02 / s)
-    want = free_space.wigner_weisskopf_ode(_atom(1.0), TIMES, 40.0, 0.02)
-    _same(got.excited_amplitude, want.excited_amplitude)
-    assert got.norm == want.norm
+    got, got_norm = free_space.wigner_weisskopf_ode(_atom(s), TIMES * s, 40.0 / s, 0.02 / s)
+    want, want_norm = free_space.wigner_weisskopf_ode(_atom(1.0), TIMES, 40.0, 0.02)
+    _same(got, want)
+    assert got_norm == want_norm
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -79,10 +79,10 @@ def test_sphere_scales(s):
         sc.excited_probability_closed_form(cavity, times * s),
         sc.excited_probability_closed_form(base, times),
     )
-    got = sc.evolve_cavity_ode(cavity, times * s, 400.0 / s)
-    want = sc.evolve_cavity_ode(base, times, 400.0)
-    _same(got.excited_amplitude, want.excited_amplitude)
-    assert got.norm == want.norm
+    got, got_norm = sc.evolve_cavity_ode(cavity, times * s, 400.0 / s)
+    want, want_norm = sc.evolve_cavity_ode(base, times, 400.0)
+    _same(got, want)
+    assert got_norm == want_norm
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -121,9 +121,9 @@ def test_excited_amplitude_reverses_to_its_conjugate():
 
 
 def test_band_amplitude_is_even_in_time():
-    got = free_space.wigner_weisskopf_ode(_atom(1.0), -TIMES, 40.0, 0.02)
-    want = free_space.wigner_weisskopf_ode(_atom(1.0), TIMES, 40.0, 0.02)
-    _same(got.excited_amplitude, want.excited_amplitude)
+    got, _ = free_space.wigner_weisskopf_ode(_atom(1.0), -TIMES, 40.0, 0.02)
+    want, _ = free_space.wigner_weisskopf_ode(_atom(1.0), TIMES, 40.0, 0.02)
+    _same(got, want)
 
 
 @pytest.mark.parametrize("mean_n", [0.0, 4.0, 100.0])
