@@ -34,15 +34,7 @@ _EPS = 2.0**-52  # machine epsilon, QUADPACK's d1mach(4)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the best available estimate and the achieved error bound.
-    """
-
-    def __init__(self, message: str, estimate: float, achieved_error: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.achieved_error = achieved_error
+    """Adaptive quadrature missed its tolerance; the message quotes value, error and tol."""
 
 
 def integrate_1d(
@@ -61,9 +53,9 @@ def integrate_1d(
     tolerance that is not > 0 or a limit that is not an integer >= 1 raises
     ValueError before f is called.
 
-    Raises QuadratureError (carrying the best estimate) when QAGS reports a
-    failure and the error exceeds max(abs_tol, rel_tol |value|), or when the
-    value or the error is not finite.
+    Raises QuadratureError, whose message quotes the value, the error and
+    tol = max(abs_tol, rel_tol |value|), when QAGS reports a failure and the
+    error exceeds tol, or when the value or the error is not finite.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (isfinite(a) and isfinite(b)):
@@ -82,9 +74,7 @@ def integrate_1d(
     # negated, so a NaN value or error fails too
     if not (isfinite(value) and isfinite(abserr)) or (ier and abserr > tol):
         raise QuadratureError(
-            f"quadrature did not converge: value {value:.6g}, achieved {abserr:.3e}, tol {tol:.3e}",
-            estimate=value,
-            achieved_error=abserr,
+            f"quadrature did not converge: value {value:.6g}, achieved {abserr:.3e}, tol {tol:.3e}"
         )
     return value, abserr
 

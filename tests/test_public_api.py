@@ -11,7 +11,8 @@ A record field, an annotation target or an attribute of another object that
 only spells the same name does not count.  The package `__init__` is not
 scanned for exports: its `__all__` lists the submodules only.
 
-Every public record field is read as an attribute (`x.field`) by one of
+Every public record field (an annotated class field, or a public attribute
+a method sets on `self`) is read as an attribute (`x.field`) by one of
 those callers, or is listed in `UNREAD` with its reason; so is every public
 member of a public class (a property, classmethod, staticmethod or method).
 
@@ -97,9 +98,11 @@ DEFAULTS: dict[str, str] = {
     ),
 }
 
-# every annotated field of a public class: what a caller can set on a record;
-# a new field, or one brought back, needs an edit here
+# every annotated field of a public class and every public attribute its
+# methods set on `self`: what a caller can read from a record; a new field,
+# or one brought back, needs an edit here
 FIELDS = {
+    "cli.ConfigError.errors",
     "cli.ScenarioConfig.scenario",
     "cli.ScenarioConfig.params",
     "cli.ScenarioConfig.output",
@@ -191,21 +194,20 @@ def _qualified_uses(path: Path, modules: set[str]) -> set[str]:
     return used
 
 
-def _modules() -> dict[str, ast.Module]:
+def _modules(package: Path) -> dict[str, ast.Module]:
     return {
         path.stem: ast.parse(path.read_text(), str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(package.glob("*.py"))
         if path.stem != "__init__"
     }
 
 
-def _exports() -> dict[str, list[str]]:
+def _exports(package: Path = PACKAGE) -> dict[str, list[str]]:
     exports = {}
-    for module, tree in _modules().items():
+    for module, tree in _modules(package).items():
         for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
+            # `__all__ = [...]` or `__all__: list[str] = [...]`
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and "__all__" in _defined(node):
                 exports[module] = ast.literal_eval(node.value)
     return exports
 
@@ -219,10 +221,10 @@ def _optional_parameters(name: str, node: ast.FunctionDef) -> set[str]:
     return {f"{name}({arg.arg})" for arg in with_default}
 
 
-def _public_definitions():
+def _public_definitions(package: Path = PACKAGE):
     """(module.name, node) of every top-level definition named in `__all__`."""
-    exports = _exports()
-    for module, tree in _modules().items():
+    exports = _exports(package)
+    for module, tree in _modules(package).items():
         for node in tree.body:
             if getattr(node, "name", None) in exports.get(module, ()):
                 yield f"{module}.{node.name}", node
@@ -242,14 +244,25 @@ def _public_defaults() -> set[str]:
     return found
 
 
-def _public_fields() -> set[str]:
-    return {
-        f"{name}.{item.target.id}"
-        for name, node in _public_definitions()
-        if isinstance(node, ast.ClassDef)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign)
-    }
+def _public_fields(package: Path = PACKAGE) -> set[str]:
+    """`module.Class.field` of every annotated field of a public class and of
+    every public attribute that one of its methods stores on `self`."""
+    fields = set()
+    for name, node in _public_definitions(package):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign):
+                fields.add(f"{name}.{item.target.id}")
+            elif isinstance(item, ast.FunctionDef):
+                fields |= {
+                    f"{name}.{use.attr}"
+                    for use in ast.walk(item)
+                    if isinstance(use, ast.Attribute) and isinstance(use.ctx, ast.Store)
+                    and isinstance(use.value, ast.Name) and use.value.id == "self"
+                    and not use.attr.startswith("_")
+                }
+    return fields
 
 
 def _public_members() -> set[str]:
@@ -308,6 +321,28 @@ def test_every_public_field_is_read():
     # an equality, so an exemption whose field or member has gained a reader
     # fails too
     assert _unread_fields(FIELDS | MEMBERS, CALLERS) == set(UNREAD)
+
+
+def test_self_attributes_are_fields(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "__all__ = ['Failure']\n"
+        "class Failure(RuntimeError):\n"
+        "    code: int\n"
+        "    def __init__(self, message, value):\n"
+        "        super().__init__(message)\n"
+        "        self.value, self._cause = value, None\n"
+        "        self.args[0].x = 1\n"
+        "class Hidden:\n"
+        "    def __init__(self):\n"
+        "        self.y = 1\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("print(failure.code, failure.args)\n")
+    # a private attribute, another object's attribute and a class outside
+    # `__all__` are not public fields
+    fields = _public_fields(tmp_path)
+    assert fields == {"core.Failure.code", "core.Failure.value"}
+    assert _unread_fields(fields, [caller]) == {"core.Failure.value"}
 
 
 def test_unread_fields_are_found(tmp_path):
@@ -403,6 +438,12 @@ def test_unreferenced_private_definitions_are_found(tmp_path):
     assert _unreferenced_private(sorted(tmp_path.glob("*.py"))) == {
         "core._step", "core._Unused", "core._UNREAD", "other._Unused",
     }
+
+
+def test_annotated_all_is_read(tmp_path):
+    (tmp_path / "core.py").write_text("__all__: list[str] = ['solve']\ndef solve(): pass\n")
+    (tmp_path / "other.py").write_text("__all__ = ['Record']\nclass Record: pass\n")
+    assert _exports(tmp_path) == {"core": ["solve"], "other": ["Record"]}
 
 
 def test_exports_are_pinned():
